@@ -8,6 +8,9 @@ compact keys, files end with a newline.
 Fields: t (float seconds since trace epoch), c (container id),
 sc (syscall name), pid (int >= 0), ret (int return code, negative means
 error), bytes (int >= 0 payload size where applicable).
+
+A `ForensicEvent` is an immutable NamedTuple, so it compares, hashes and
+unpacks like the tuple of its six fields.
 """
 
 from __future__ import annotations
@@ -15,16 +18,21 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+import operator
+import sys
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from vaeguard.errors import MalformedRecord, OutOfOrderTimestamp
 
 _FIELDS = ("t", "c", "sc", "pid", "ret", "bytes")
 
+# Every int up to this converts to a finite float.
+_MAX_INT_TIMESTAMP = int(sys.float_info.max)
 
-@dataclass(frozen=True)
-class ForensicEvent:
+_record_fields = operator.itemgetter(*_FIELDS)
+
+
+class ForensicEvent(NamedTuple):
     """One syscall record."""
 
     timestamp: float
@@ -46,6 +54,9 @@ def parse_event_record(line: str, line_no: int = 0) -> ForensicEvent:
         raw = json.loads(line)
     except json.JSONDecodeError as exc:
         raise MalformedRecord(line_no, f"invalid record syntax: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer past the interpreter's digit limit, or nesting too deep
+        raise MalformedRecord(line_no, f"invalid record syntax: {exc}") from exc
     _require(isinstance(raw, dict), line_no, "record is not an object")
     missing = [f for f in _FIELDS if f not in raw]
     _require(not missing, line_no, f"missing fields: {', '.join(missing)}")
@@ -56,7 +67,10 @@ def parse_event_record(line: str, line_no: int = 0) -> ForensicEvent:
         line_no,
         "t must be numeric",
     )
-    t = float(t)
+    try:
+        t = float(t)
+    except OverflowError:
+        t = math.inf
     _require(math.isfinite(t) and t >= 0.0, line_no, "t must be finite and >= 0")
     _require(
         isinstance(raw["c"], str) and raw["c"] != "", line_no, "c must be a non-empty string"
@@ -101,16 +115,53 @@ def format_event_record(event: ForensicEvent) -> str:
 
 
 def read_trace(source: IO[str] | io.TextIOBase) -> Iterator[ForensicEvent]:
-    """Yield events in file order, enforcing non-decreasing timestamps."""
-    last_t = -math.inf
+    """Yield events in file order, enforcing non-decreasing timestamps.
+
+    Each line is decoded once and checked by one combined predicate.
+    A line that fails it goes through `parse_event_record`, which raises
+    the first failing field's reason. Container and syscall strings are
+    shared across the events of one read.
+    """
+    raw_decode = json.JSONDecoder().raw_decode
+    # builds what ForensicEvent(...) builds, without its Python-level __new__
+    new_event = tuple.__new__
+    shared: dict[str, str] = {}
+    share = shared.setdefault
+    inf = math.inf
+    last_t = -inf
     for index, line in enumerate(source):
         stripped = line.strip()
         if not stripped:
             continue
-        event = parse_event_record(stripped, line_no=index)
-        if event.timestamp < last_t:
+        # json.loads(stripped) without its two whitespace scans: a stripped
+        # line decodes alike when the decoder consumes all of it.
+        try:
+            raw, end = raw_decode(stripped)
+            t, c, sc, pid, ret, nbytes = _record_fields(raw)
+        except (ValueError, RecursionError, KeyError, TypeError):
+            end = None
+        # For decoded JSON, `type(x) is int` is isinstance(x, int) and not bool.
+        if (
+            end == len(stripped)
+            and type(c) is type(sc) is str
+            and c
+            and sc
+            and type(pid) is type(ret) is type(nbytes) is int
+            and pid >= 0
+            and nbytes >= 0
+            and (
+                type(t) is float and 0.0 <= t < inf
+                or type(t) is int and 0 <= t <= _MAX_INT_TIMESTAMP
+            )
+        ):
+            t = float(t)
+            event = new_event(ForensicEvent, (t, share(c, c), share(sc, sc), pid, ret, nbytes))
+        else:
+            event = parse_event_record(stripped, line_no=index)
+            t = event.timestamp
+        if t < last_t:
             raise OutOfOrderTimestamp(index)
-        last_t = event.timestamp
+        last_t = t
         yield event
 
 

@@ -13,7 +13,10 @@ from __future__ import annotations
 import enum
 import json
 import logging
+import operator
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -70,7 +73,7 @@ class IntervalCache:
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
         self.capacity = capacity
-        self._buffers: dict[str, list[tuple[IntervalKey, tuple[ForensicEvent, ...], ActivityVector]]] = {}
+        self._buffers: dict[str, deque[tuple[IntervalKey, tuple[ForensicEvent, ...], ActivityVector]]] = {}
 
     def push(
         self,
@@ -78,10 +81,10 @@ class IntervalCache:
         events: Sequence[ForensicEvent],
         vector: ActivityVector,
     ) -> None:
-        buffer = self._buffers.setdefault(key.container_id, [])
+        buffer = self._buffers.get(key.container_id)
+        if buffer is None:
+            buffer = self._buffers[key.container_id] = deque(maxlen=self.capacity)
         buffer.append((key, tuple(events), vector))
-        if len(buffer) > self.capacity:
-            del buffer[0]
 
     def fetch_prior_intervals(
         self, container_id: str, count: int
@@ -92,7 +95,7 @@ class IntervalCache:
         if container_id not in self._buffers:
             raise UnknownContainer(container_id)
         buffer = self._buffers[container_id]
-        return [(key, events) for key, events, _ in reversed(buffer[-count:])]
+        return [(key, events) for key, events, _ in islice(reversed(buffer), count)]
 
     def size(self, container_id: str) -> int:
         return len(self._buffers.get(container_id, ()))
@@ -140,8 +143,9 @@ def _round8(value: float) -> float:
     return float(f"{value:.8g}")
 
 
-def _event_row(event: ForensicEvent) -> list:
-    return [event.timestamp, event.syscall, event.pid, event.result, event.arg_bytes]
+# event -> (timestamp, syscall, pid, result, arg_bytes): what an action ships
+# per event, its container being the action's; json writes it as an array
+_event_row = operator.itemgetter(0, 2, 3, 4, 5)
 
 
 def serialize_action(action: PublishAction) -> bytes:
@@ -164,7 +168,7 @@ def serialize_action(action: PublishAction) -> bytes:
             "stable": action.verdict.stable,
         }
     if action.forensics is not None:
-        doc["events"] = [_event_row(event) for event in action.forensics]
+        doc["events"] = list(map(_event_row, action.forensics))
     return (json.dumps(doc, separators=(",", ":")) + "\n").encode("utf-8")
 
 
@@ -227,20 +231,15 @@ def action_to_documents(
         head["stable"] = action.verdict.stable
     documents.append((latent_index, head))
     if action.forensics is not None:
-        for event in action.forensics:
-            documents.append(
-                (
-                    forensics_index,
-                    {
-                        **base,
-                        "t": event.timestamp,
-                        "syscall": event.syscall,
-                        "pid": event.pid,
-                        "ret": event.result,
-                        "bytes": event.arg_bytes,
-                    },
-                )
-            )
+        for timestamp, syscall, pid, result, arg_bytes in map(_event_row, action.forensics):
+            # base's keys, then the event's: the bulk payload's bytes follow this order
+            document = base.copy()
+            document["t"] = timestamp
+            document["syscall"] = syscall
+            document["pid"] = pid
+            document["ret"] = result
+            document["bytes"] = arg_bytes
+            documents.append((forensics_index, document))
     return documents
 
 

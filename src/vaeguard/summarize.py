@@ -27,7 +27,6 @@ from vaeguard.events import ForensicEvent
 from vaeguard.taxonomy import (
     TRACKED_CATEGORIES,
     TRACKED_SYSCALLS,
-    SyscallCategory,
     classify_syscall,
 )
 
@@ -45,9 +44,13 @@ FEATURE_NAMES: tuple[str, ...] = (
 
 FEATURE_DIM = len(FEATURE_NAMES)
 
-_SYSCALL_INDEX = {name: i for i, name in enumerate(TRACKED_SYSCALLS)}
-_CATEGORY_INDEX = {
-    cat: len(TRACKED_SYSCALLS) + i for i, cat in enumerate(TRACKED_CATEGORIES)
+# tracked syscall name -> (its count position, its category's count position)
+_SYSCALL_SLOTS: dict[str, tuple[int, int]] = {
+    name: (
+        i,
+        len(TRACKED_SYSCALLS) + TRACKED_CATEGORIES.index(classify_syscall(name)),
+    )
+    for i, name in enumerate(TRACKED_SYSCALLS)
 }
 _TOTAL = FEATURE_DIM - 4
 _ERRORS = FEATURE_DIM - 3
@@ -111,6 +114,7 @@ def window_events(
     container: str | None = None
     current_index: int | None = None
     bucket: list[ForensicEvent] = []
+    floor = math.floor
 
     for position, event in enumerate(events):
         if container is None:
@@ -120,17 +124,18 @@ def window_events(
                 f"stream mixes containers {container!r} and {event.container_id!r};"
                 " split per container before windowing"
             )
-        index = int(math.floor(event.timestamp / interval_len))
-        if current_index is None:
-            current_index = index
-        elif index < current_index:
-            raise OutOfOrderTimestamp(position)
-        elif index > current_index:
-            yield IntervalKey(container, current_index, interval_len), bucket
-            for gap in range(current_index + 1, index):
-                yield IntervalKey(container, gap, interval_len), []
-            bucket = []
-            current_index = index
+        index = floor(event.timestamp / interval_len)
+        if index != current_index:
+            if current_index is None:
+                current_index = index
+            elif index < current_index:
+                raise OutOfOrderTimestamp(position)
+            else:
+                yield IntervalKey(container, current_index, interval_len), bucket
+                for gap in range(current_index + 1, index):
+                    yield IntervalKey(container, gap, interval_len), []
+                bucket = []
+                current_index = index
         bucket.append(event)
 
     if current_index is not None and container is not None:
@@ -155,31 +160,39 @@ def summarize_interval(
     Untracked syscalls do not get their own count but still feed the
     aggregate features, so novel activity perturbs the vector.
     """
-    features = np.zeros(FEATURE_DIM, dtype=np.float64)
+    container_id = key.container_id
+    start, end = key.start, key.end
+    counts: dict[str, int] = {}
     pids: set[int] = set()
-    for event in events:
-        if event.container_id != key.container_id:
+    errors = 0
+    arg_bytes = 0.0
+    for timestamp, container, syscall, pid, result, nbytes in events:
+        if container != container_id:
             raise ForeignEvent(
-                f"event container {event.container_id!r} does not match"
-                f" interval container {key.container_id!r}"
+                f"event container {container!r} does not match"
+                f" interval container {container_id!r}"
             )
-        if not key.start <= event.timestamp < key.end:
+        if not start <= timestamp < end:
             raise ForeignEvent(
-                f"event at t={event.timestamp} outside interval"
-                f" [{key.start}, {key.end})"
+                f"event at t={timestamp} outside interval [{start}, {end})"
             )
-        syscall_pos = _SYSCALL_INDEX.get(event.syscall)
-        if syscall_pos is not None:
-            features[syscall_pos] += 1.0
-        category = classify_syscall(event.syscall)
-        if category is not SyscallCategory.UNTRACKED:
-            features[_CATEGORY_INDEX[category]] += 1.0
-        features[_TOTAL] += 1.0
-        if event.result < 0:
-            features[_ERRORS] += 1.0
-        features[_ARG_BYTES] += float(event.arg_bytes)
-        pids.add(event.pid)
-    features[_PIDS] = float(len(pids))
+        counts[syscall] = counts.get(syscall, 0) + 1
+        if result < 0:
+            errors += 1
+        # summed as float in event order, so the total rounds as it always has
+        arg_bytes += float(nbytes)
+        pids.add(pid)
+
+    features = np.zeros(FEATURE_DIM, dtype=np.float64)
+    for syscall, count in counts.items():
+        slots = _SYSCALL_SLOTS.get(syscall)
+        if slots is not None:
+            features[slots[0]] = count
+            features[slots[1]] += count
+    features[_TOTAL] = sum(counts.values())
+    features[_ERRORS] = errors
+    features[_PIDS] = len(pids)
+    features[_ARG_BYTES] = arg_bytes
     return ActivityVector(key=key, features=features)
 
 

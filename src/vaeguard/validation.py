@@ -27,13 +27,6 @@ def as_float_matrix(X: Any, name: str = "X") -> np.ndarray:
     return arr
 
 
-def as_float_vector(x: Any, name: str = "x") -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DimensionMismatch(f"{name} must be 1-D, got shape {arr.shape}")
-    return arr
-
-
 def check_dimension(expected: int, actual: int, name: str = "input") -> None:
     if expected != actual:
         raise DimensionMismatch(

@@ -154,6 +154,23 @@ def test_assess_corrupt_model_exit_code(tmp_path, short_baseline_trace, capsys):
     assert "model error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "value, field",
+    [("9" * 400, "t"), ("1" * 5000, "pid")],
+    ids=["t-overflows-float", "pid-past-int-digit-limit"],
+)
+def test_hostile_integer_is_a_data_error(tmp_path, capsys, value, field):
+    record = {"t": "1.0", "c": '"web-0"', "sc": '"openat"', "pid": "1", "ret": "0", "bytes": "0"}
+    valid = "{" + ",".join(f'"{k}":{v}' for k, v in record.items()) + "}"
+    record[field] = value
+    hostile = "{" + ",".join(f'"{k}":{v}' for k, v in record.items()) + "}"
+    trace = tmp_path / "hostile.ndjson"
+    trace.write_text(f"{valid}\n{hostile}\n", encoding="utf-8")
+    code = run_cli("train", "--trace", str(trace), "--model-out", str(tmp_path / "m.json"))
+    assert code == 3
+    assert "line 1:" in capsys.readouterr().err
+
+
 def test_assess_missing_trace_exit_code(tmp_path, small_model):
     code = run_cli(
         "assess", "--trace", str(tmp_path / "nope.ndjson"), "--model", str(small_model)

@@ -1,6 +1,9 @@
 import io
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vaeguard.errors import MalformedRecord, OutOfOrderTimestamp
 from vaeguard.events import (
@@ -39,11 +42,24 @@ def test_parse_rejects_negative_timestamp():
         '{"t":1.0,"c":"a","sc":"openat","pid":1,"ret":0,"bytes":-4}',
         '{"t":1.0,"c":"a","sc":"openat","pid":1.5,"ret":0,"bytes":0}',
         '{"t":true,"c":"a","sc":"openat","pid":1,"ret":0,"bytes":0}',
+        pytest.param(
+            '{"t":%s,"c":"a","sc":"openat","pid":1,"ret":0,"bytes":0}' % ("9" * 400),
+            id="t-overflows-float",
+        ),
+        pytest.param(
+            '{"t":1.0,"c":"a","sc":"openat","pid":%s,"ret":0,"bytes":0}' % ("1" * 5000),
+            id="pid-past-int-digit-limit",
+        ),
+        pytest.param("[" * 100_000, id="nesting-past-recursion-limit"),
     ],
 )
 def test_parse_rejects_malformed(line):
-    with pytest.raises(MalformedRecord):
-        parse_event_record(line)
+    with pytest.raises(MalformedRecord) as parsed:
+        parse_event_record(line, line_no=1)
+    valid = '{"t":0.5,"c":"a","sc":"openat","pid":1,"ret":0,"bytes":0}'
+    with pytest.raises(MalformedRecord) as read:
+        list(read_trace(io.StringIO(f"{valid}\n{line}\n")))
+    assert (read.value.line_no, read.value.reason) == (1, parsed.value.reason)
 
 
 def test_malformed_record_carries_line_number():
@@ -114,3 +130,103 @@ def test_summarize_trace_groups_by_container():
     )
     summaries = summarize_trace(events, 30.0)
     assert set(summaries) == {"a", "b"}
+
+
+# -- read_trace against per-line parsing ----------------------------------------
+
+_TIMESTAMPS = st.one_of(st.floats(0.0, 1e3, allow_nan=False), st.integers(0, 1000))
+_VALID_TOKENS = {
+    "c": st.sampled_from(['"web-0"', '"db-1"', '"\\u00e9"']),
+    "sc": st.sampled_from(['"openat"', '"close"', '"futex"', '"clone3"']),
+    "pid": st.integers(0, 2**40).map(str),
+    "ret": st.integers(-(2**40), 2**40).map(str),
+    "bytes": st.integers(0, 2**40).map(str),
+}
+_BAD_TOKENS = st.sampled_from(
+    [
+        "-1", "9" * 400, "true", "1.5", "NaN", "1e400", "-0.0", '""', "null", "false",
+        "-2.5", '"x"', "[]", "{}", "Infinity", "-Infinity", "-" + "9" * 400, "1" * 5000,
+    ]
+)
+
+
+@st.composite
+def _record_text(draw, timestamp, mutation="none"):
+    tokens = {name: draw(strategy) for name, strategy in _VALID_TOKENS.items()}
+    tokens["t"] = repr(timestamp)
+    if mutation == "value":
+        tokens[draw(st.sampled_from(["t", "pid", "bytes", "ret", "c", "sc"]))] = draw(_BAD_TOKENS)
+    elif mutation == "drop":
+        del tokens[draw(st.sampled_from(sorted(tokens)))]
+    elif mutation == "extra":
+        tokens["note"] = draw(_BAD_TOKENS)
+    order = draw(st.permutations(sorted(tokens)))
+    return "{" + ",".join(f'"{name}":{tokens[name]}' for name in order) + "}"
+
+
+@st.composite
+def _faulty_lines(draw):
+    """One or two lines holding a mutated, split, joined or foreign record."""
+    timestamp = draw(_TIMESTAMPS)
+    kind = draw(
+        st.sampled_from(["value", "value", "value", "drop", "extra", "split", "join", "noise"])
+    )
+    if kind in ("value", "drop", "extra"):
+        return [draw(_record_text(timestamp, kind))]
+    text = draw(_record_text(timestamp))
+    if kind == "split":
+        cut = draw(st.integers(0, len(text)))
+        return [text[:cut], text[cut:]]
+    if kind == "join":
+        separator = draw(st.sampled_from([",", "", " "]))
+        return [text + separator + draw(_record_text(draw(_TIMESTAMPS)))]
+    return [draw(st.text(st.characters(blacklist_characters="\r\n"), max_size=12))]
+
+
+@st.composite
+def _trace_lines(draw):
+    """Valid records, mostly in time order, with blank and faulty lines mixed in."""
+    timestamps = draw(st.lists(_TIMESTAMPS, max_size=10))
+    if draw(st.booleans()):
+        timestamps.sort()
+    lines = [draw(_record_text(t)) for t in timestamps]
+    for _ in range(draw(st.integers(0, 3))):
+        blank = draw(st.sampled_from(["", "  ", "\t"]))
+        lines.insert(draw(st.integers(0, len(lines))), blank)
+    for _ in range(draw(st.integers(0, 2))):
+        position = draw(st.integers(0, len(lines)))
+        lines[position:position] = draw(_faulty_lines())
+    return lines
+
+
+def _read_line_by_line(source):
+    """Reference reader: per-line parse_event_record plus the order check."""
+    events = []
+    last_t = -math.inf
+    for index, line in enumerate(source):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        event = parse_event_record(stripped, line_no=index)
+        if event.timestamp < last_t:
+            raise OutOfOrderTimestamp(index)
+        last_t = event.timestamp
+        events.append(event)
+    return events
+
+
+def _outcome(reader, text):
+    try:
+        # repr tells 1 from 1.0 and keeps field types in the comparison
+        return ("events", repr(list(reader(io.StringIO(text)))))
+    except MalformedRecord as exc:
+        return ("malformed", exc.line_no, exc.reason)
+    except OutOfOrderTimestamp as exc:
+        return ("out-of-order", exc.index)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trace_lines())
+def test_read_trace_matches_line_by_line_parsing(lines):
+    text = "".join(line + "\n" for line in lines)
+    assert _outcome(read_trace, text) == _outcome(_read_line_by_line, text)

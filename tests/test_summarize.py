@@ -1,10 +1,13 @@
+import hashlib
 import io
 
 import numpy as np
 import pytest
 
 from vaeguard.errors import ForeignEvent
-from vaeguard.events import ForensicEvent
+from vaeguard.events import ForensicEvent, read_trace, write_trace
+from vaeguard.pipeline import summarize_trace
+from vaeguard.scenarios import CPUMINER_PHASES, ScenarioConfig, gen_cpuminer_scenario
 from vaeguard.summarize import (
     FEATURE_DIM,
     FEATURE_NAMES,
@@ -187,3 +190,27 @@ def test_vector_stream_round_trip():
 def test_activity_vector_validates_dimension():
     with pytest.raises(ValueError):
         ActivityVector(key=IntervalKey("box", 0, 30.0), features=np.zeros(3))
+
+
+def test_cpuminer_vectors_match_golden_digest():
+    """Every feature bit of a short six-phase cpuminer trace, read back from
+    its text, matches the digest of the per-event reference summary."""
+    schedule = tuple(
+        (5.0 * i, 5.0 * (i + 1), label) for i, label in enumerate(CPUMINER_PHASES)
+    )
+    events = gen_cpuminer_scenario(
+        ScenarioConfig(seed=5, duration_s=30.0, phase_schedule=schedule)
+    )
+    buffer = io.StringIO()
+    write_trace(events, buffer)
+    buffer.seek(0)
+    digest = hashlib.sha256()
+    count = 0
+    for rows in summarize_trace(list(read_trace(buffer)), 5.0).values():
+        for _, _, vector in rows:
+            digest.update(vector.features.tobytes())
+            count += 1
+    assert count == 6
+    assert digest.hexdigest() == (
+        "09215e4d42226053cbef92d7d2a73ab50585d6877b0fc6f306822acca50eb53c"
+    )
