@@ -1,0 +1,130 @@
+"""Golden digests of the bytes vaeguard writes.
+
+Each digest was computed once and is fixed here, so any byte drift in a
+trained bundle, a FileSink record or a bulk request body fails the suite.
+"""
+
+import hashlib
+import urllib.request
+
+import pytest
+
+from vaeguard.cli import main as cli_main
+from vaeguard.events import write_trace_file
+from vaeguard.pipeline import summarize_trace
+from vaeguard.publisher import AdaptivePublisher, StandardPublisher, emit
+from vaeguard.scenarios import ScenarioConfig, gen_baseline, gen_cpuminer_scenario
+from vaeguard.sinks import FileSink, HttpBulkSink
+from vaeguard.vae import TrainConfig
+
+# 24 quiet 10 s intervals, then one 10 s interval per attack phase
+_SCHEDULE = (
+    (0.0, 240.0, "normal"),
+    (240.0, 250.0, "shell_connect"),
+    (250.0, 260.0, "shell_commands"),
+    (260.0, 270.0, "package_download"),
+    (270.0, 280.0, "compile"),
+    (280.0, 290.0, "miner_execution"),
+)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def cpuminer_rows():
+    events = gen_cpuminer_scenario(
+        ScenarioConfig(seed=5, duration_s=300.0, phase_schedule=_SCHEDULE)
+    )
+    return summarize_trace(events, 10.0)["web-0"]
+
+
+def publish_stream(rows, make_sink, **indices):
+    """Adaptive publisher (online training, default architecture) then the
+    standard one over the same rows, each to a sink of its own."""
+    publishers = (
+        AdaptivePublisher(
+            TrainConfig(
+                learning_rate=1e-3, epochs=30, batch_size=4, accumulation_target=20, seed=1
+            )
+        ),
+        StandardPublisher(),
+    )
+    modes = []
+    for name, publisher in zip(("adaptive", "standard"), publishers):
+        sink = make_sink(name)
+        try:
+            for key, events, vector in rows:
+                action = publisher.process_interval(key, events, vector)
+                emit(action, sink, **indices)
+                modes.append(action.mode.value)
+        finally:
+            sink.close()
+    return modes
+
+
+def test_train_bundle_golden(tmp_path):
+    trace = tmp_path / "baseline.ndjson"
+    write_trace_file(gen_baseline(ScenarioConfig(seed=7, duration_s=960.0)), trace)
+    model = tmp_path / "model.json"
+    # every training flag away from its default, so each must reach the bundle
+    assert cli_main([
+        "train", "--trace", str(trace), "--model-out", str(model),
+        "--learning-rate", "0.001", "--beta1", "0.8", "--beta2", "0.99",
+        "--adam-epsilon", "1e-7", "--epochs", "10", "--batch-size", "8",
+        "--kl-weight", "0.5", "--accumulation-target", "32", "--seed", "3",
+        "--hidden-units", "8,8", "--latent-dim", "4", "--k", "2.5",
+    ]) == 0
+    assert sha256(model.read_bytes()) == (
+        "c600d3086303566459267043d4feaa51bc5c5024e4a80579763199bff0b661d4"
+    )
+
+
+def test_file_sink_golden(tmp_path, cpuminer_rows):
+    modes = publish_stream(cpuminer_rows, lambda name: FileSink(tmp_path / f"{name}.ndjson"))
+    assert [modes.count(m) for m in ("accumulating", "latent", "latent_forensics")] == [20, 5, 5]
+    assert sha256((tmp_path / "adaptive.ndjson").read_bytes()) == (
+        "d31d14558e0d3fa602270f6476c4d32c02ff1e7626d940bd9c71bb20dd8b3d0a"
+    )
+    assert sha256((tmp_path / "standard.ndjson").read_bytes()) == (
+        "8fe82356785f469618c27ec706688df0268307fa46dff63a86414bb9b5aaafb9"
+    )
+
+
+class _Response:
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def read(self):
+        return b'{"errors":false}'
+
+
+def test_bulk_request_golden(monkeypatch, cpuminer_rows):
+    posted = []
+
+    def fake_urlopen(request, timeout=None):
+        posted.append((request.full_url, request.data))
+        return _Response()
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    publish_stream(
+        cpuminer_rows,
+        lambda name: HttpBulkSink(f"http://bulk.invalid/{name}", batch_size=100),
+        latent_index="lat",
+        forensics_index="raw",
+    )
+    assert {url for url, _ in posted} == {
+        "http://bulk.invalid/adaptive/_bulk",
+        "http://bulk.invalid/standard/_bulk",
+    }
+    digest = hashlib.sha256()
+    for url, body in posted:
+        digest.update(url.encode() + b"\0" + body)
+    assert (len(posted), digest.hexdigest()) == (
+        1224,
+        "a77ca759681e933a174a9cae3b1c77e96a5f9c74f229ff8a3c2b9b956231bf66",
+    )
