@@ -13,16 +13,19 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from vaeguard.errors import (
     CorruptModelFile,
+    DimensionMismatch,
     EmptyBatch,
     EmptyDataset,
     ForeignEvent,
     InsufficientData,
     InvalidConfig,
     MalformedRecord,
+    NonFiniteInput,
     NotFittedError,
     OutOfOrderTimestamp,
     SchemaMismatch,
@@ -36,6 +39,7 @@ from vaeguard.pipeline import (
     bench,
     summarize_trace,
 )
+from vaeguard.publisher import DEFAULT_FORENSICS_INDEX, DEFAULT_LATENT_INDEX
 from vaeguard.scenarios import (
     SCENARIOS,
     ScenarioConfig,
@@ -62,7 +66,13 @@ _DATA_ERRORS = (
     EmptyBatch,
     OSError,
 )
-_MODEL_ERRORS = (CorruptModelFile, SchemaMismatch, NotFittedError)
+_MODEL_ERRORS = (
+    CorruptModelFile,
+    SchemaMismatch,
+    NotFittedError,
+    DimensionMismatch,
+    NonFiniteInput,
+)
 
 
 def _parse_hidden_units(text: str) -> tuple[int, ...]:
@@ -111,15 +121,9 @@ def _add_interval_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--epochs", type=int, default=100)
-    parser.add_argument("--learning-rate", type=float, default=1e-4)
-    parser.add_argument("--beta1", type=float, default=0.9)
-    parser.add_argument("--beta2", type=float, default=0.999)
-    parser.add_argument("--adam-epsilon", type=float, default=1e-8)
-    parser.add_argument("--batch-size", type=int, default=16)
-    parser.add_argument("--kl-weight", type=float, default=1.0)
-    parser.add_argument("--accumulation-target", type=int, default=120)
-    parser.add_argument("--seed", type=int, default=0)
+    for f in fields(TrainConfig):
+        flag = "--adam-epsilon" if f.name == "epsilon" else "--" + f.name.replace("_", "-")
+        parser.add_argument(flag, dest=f.name, type=type(f.default), default=f.default)
     parser.add_argument("--hidden-units", type=str, default="16,16,16")
     parser.add_argument("--latent-dim", type=int, default=10)
     parser.add_argument("--k", type=float, default=3.0, help="k-sigma threshold multiplier")
@@ -176,8 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--endpoint", type=str, default=None, help="publish to HTTP bulk endpoint"
     )
     p_bench.add_argument("--bulk-batch-size", type=int, default=500)
-    p_bench.add_argument("--latent-index", type=str, default="stability-latent")
-    p_bench.add_argument("--forensics-index", type=str, default="stability-forensics")
+    p_bench.add_argument("--latent-index", type=str, default=DEFAULT_LATENT_INDEX)
+    p_bench.add_argument("--forensics-index", type=str, default=DEFAULT_FORENSICS_INDEX)
     _add_interval_flag(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
@@ -233,17 +237,7 @@ def cmd_train(args) -> int:
     vectors = [vector for _, _, vector in rows]
     config = PipelineConfig(
         interval_len=args.interval_len,
-        train=TrainConfig(
-            learning_rate=args.learning_rate,
-            beta1=args.beta1,
-            beta2=args.beta2,
-            epsilon=args.adam_epsilon,
-            epochs=args.epochs,
-            batch_size=args.batch_size,
-            kl_weight=args.kl_weight,
-            accumulation_target=args.accumulation_target,
-            seed=args.seed,
-        ),
+        train=TrainConfig.from_attributes(args),
         hidden_units=_parse_hidden_units(args.hidden_units),
         latent_dim=args.latent_dim,
         threshold_k=args.k,

@@ -1,7 +1,8 @@
 """Exception types shared across the pipeline.
 
 Grouped by the CLI exit code they map to: configuration errors (2),
-data/trace errors (3), model errors (4).
+data/trace errors (3), numeric and model errors (4); SinkUnavailable
+maps to 5.
 """
 
 from __future__ import annotations

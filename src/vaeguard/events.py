@@ -7,7 +7,7 @@ compact keys, files end with a newline.
 
 Fields: t (float seconds since trace epoch), c (container id),
 sc (syscall name), pid (int >= 0), ret (int return code, negative means
-error), bytes (int >= 0 payload size where applicable).
+error), bytes (int in [0, 2**64), payload size where applicable).
 
 A `ForensicEvent` is an immutable NamedTuple, so it compares, hashes and
 unpacks like the tuple of its six fields.
@@ -28,6 +28,9 @@ _FIELDS = ("t", "c", "sc", "pid", "ret", "bytes")
 
 # Every int up to this converts to a finite float.
 _MAX_INT_TIMESTAMP = int(sys.float_info.max)
+
+# A payload size is a syscall's size_t.
+_BYTES_LIMIT = 2**64
 
 _record_fields = operator.itemgetter(*_FIELDS)
 
@@ -88,6 +91,7 @@ def parse_event_record(line: str, line_no: int = 0) -> ForensicEvent:
         )
     _require(raw["pid"] >= 0, line_no, "pid must be >= 0")
     _require(raw["bytes"] >= 0, line_no, "bytes must be >= 0")
+    _require(raw["bytes"] < _BYTES_LIMIT, line_no, "bytes must be < 2**64")
 
     return ForensicEvent(
         timestamp=t,
@@ -148,7 +152,7 @@ def read_trace(source: IO[str] | io.TextIOBase) -> Iterator[ForensicEvent]:
             and sc
             and type(pid) is type(ret) is type(nbytes) is int
             and pid >= 0
-            and nbytes >= 0
+            and 0 <= nbytes < _BYTES_LIMIT
             and (
                 type(t) is float and 0.0 <= t < inf
                 or type(t) is int and 0 <= t <= _MAX_INT_TIMESTAMP
@@ -167,7 +171,23 @@ def read_trace(source: IO[str] | io.TextIOBase) -> Iterator[ForensicEvent]:
 
 def read_trace_file(path) -> list[ForensicEvent]:
     with open(path, "r", encoding="utf-8") as fh:
-        return list(read_trace(fh))
+        try:
+            return list(read_trace(fh))
+        except UnicodeDecodeError as exc:
+            undecodable = exc
+    # Off the hot path: read again with undecodable bytes kept as lone
+    # surrogates (which no UTF-8 text holds) to find the first such line;
+    # an error on a line before it still comes first.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        lines: list[str] = []
+        for line in fh:
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                list(read_trace(lines))
+                raise MalformedRecord(len(lines), "not UTF-8") from None
+            lines.append(line)
+    raise undecodable
 
 
 def write_trace(events: Iterable[ForensicEvent], sink: IO[str]) -> int:

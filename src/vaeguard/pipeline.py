@@ -12,12 +12,14 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
 from vaeguard.errors import InvalidConfig
 from vaeguard.events import ForensicEvent
 from vaeguard.publisher import (
+    DEFAULT_FORENSICS_INDEX,
+    DEFAULT_LATENT_INDEX,
     AdaptivePublisher,
     PublishAction,
     StandardPublisher,
@@ -47,8 +49,8 @@ class PipelineConfig:
     threshold_k: float = 3.0
     heuristic_threshold: float | None = None
     cache_capacity: int = 4
-    latent_index: str = "stability-latent"
-    forensics_index: str = "stability-forensics"
+    latent_index: str = DEFAULT_LATENT_INDEX
+    forensics_index: str = DEFAULT_FORENSICS_INDEX
     bulk_batch_size: int = 500
 
     def __post_init__(self):
@@ -62,20 +64,11 @@ class PipelineConfig:
             raise InvalidConfig("heuristic_threshold must be > 0")
 
     def detector(self) -> VaeStabilityDetector:
-        cfg = self.train
         return VaeStabilityDetector(
             hidden_units=self.hidden_units,
             latent_dim=self.latent_dim,
-            learning_rate=cfg.learning_rate,
-            beta1=cfg.beta1,
-            beta2=cfg.beta2,
-            epsilon=cfg.epsilon,
-            epochs=cfg.epochs,
-            batch_size=cfg.batch_size,
-            kl_weight=cfg.kl_weight,
-            accumulation_target=cfg.accumulation_target,
             threshold_k=self.threshold_k,
-            seed=cfg.seed,
+            **asdict(self.train),
         )
 
 

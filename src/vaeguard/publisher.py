@@ -15,19 +15,22 @@ import json
 import logging
 import operator
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from vaeguard.errors import SinkUnavailable, UnknownContainer
 from vaeguard.events import ForensicEvent
-from vaeguard.sinks import Document, Sink, SpoolDirectory
 from vaeguard.summarize import ActivityVector, IntervalKey, vectors_to_matrix
 from vaeguard.thresholds import StabilityVerdict, ThresholdPolicy, assess
 from vaeguard.vae import LatentRecord, TrainConfig, VaeStabilityDetector, save_model
+
+if TYPE_CHECKING:
+    # sinks imports this module's codec at run time
+    from vaeguard.sinks import Document, Sink, SpoolDirectory
 
 logger = logging.getLogger(__name__)
 
@@ -53,17 +56,22 @@ class PublishAction:
     verdict: StabilityVerdict | None = None
 
     def __post_init__(self):
-        mode = self.mode
+        mode, verdict = self.mode, self.verdict
+        has_latent, has_forensics = self.latent is not None, self.forensics is not None
         if mode is PublishMode.LATENT_ONLY:
-            assert self.verdict is not None and self.verdict.stable
-            assert self.latent is not None and self.forensics is None
+            valid = has_latent and not has_forensics and verdict is not None and verdict.stable
         elif mode is PublishMode.LATENT_PLUS_FORENSICS:
-            assert self.verdict is not None and not self.verdict.stable
-            assert self.latent is not None and self.forensics is not None
+            valid = has_latent and has_forensics and verdict is not None and not verdict.stable
         elif mode is PublishMode.ACCUMULATING:
-            assert self.latent is None and self.verdict is None
-        elif mode is PublishMode.FORENSICS_ONLY:
-            assert self.forensics is not None
+            valid = not has_latent and verdict is None
+        else:
+            valid = has_forensics
+        if not valid:
+            stable = None if verdict is None else verdict.stable
+            raise ValueError(
+                f"invalid {mode.name} action: latent {has_latent},"
+                f" forensics {has_forensics}, stable verdict {stable}"
+            )
 
 
 class IntervalCache:
@@ -99,10 +107,6 @@ class IntervalCache:
 
     def size(self, container_id: str) -> int:
         return len(self._buffers.get(container_id, ()))
-
-
-def fetch_prior_intervals(cache: IntervalCache, container_id: str, count: int):
-    return cache.fetch_prior_intervals(container_id, count)
 
 
 class TrainingAccumulator:
@@ -143,6 +147,24 @@ def _round8(value: float) -> float:
     return float(f"{value:.8g}")
 
 
+def _rounded_head(action: PublishAction) -> tuple[dict | None, dict | None]:
+    """The latent and verdict fields both encodings ship, rounded for the
+    wire; None where the action has no latent or no verdict."""
+    latent = verdict = None
+    if action.latent is not None:
+        latent = {
+            "mu": [_round8(v) for v in action.latent.mu],
+            "logvar": [_round8(v) for v in action.latent.logvar],
+            "recon_error": _round8(action.latent.recon_error),
+        }
+    if action.verdict is not None:
+        verdict = {
+            "threshold": _round8(action.verdict.threshold),
+            "stable": action.verdict.stable,
+        }
+    return latent, verdict
+
+
 # event -> (timestamp, syscall, pid, result, arg_bytes): what an action ships
 # per event, its container being the action's; json writes it as an array
 _event_row = operator.itemgetter(0, 2, 3, 4, 5)
@@ -156,17 +178,11 @@ def serialize_action(action: PublishAction) -> bytes:
         "interval": action.key.interval_index,
         "interval_len": action.key.length,
     }
-    if action.latent is not None:
-        doc["latent"] = {
-            "mu": [_round8(v) for v in action.latent.mu],
-            "logvar": [_round8(v) for v in action.latent.logvar],
-            "recon_error": _round8(action.latent.recon_error),
-        }
-    if action.verdict is not None:
-        doc["verdict"] = {
-            "threshold": _round8(action.verdict.threshold),
-            "stable": action.verdict.stable,
-        }
+    latent, verdict = _rounded_head(action)
+    if latent is not None:
+        doc["latent"] = latent
+    if verdict is not None:
+        doc["verdict"] = verdict
     if action.forensics is not None:
         doc["events"] = list(map(_event_row, action.forensics))
     return (json.dumps(doc, separators=(",", ":")) + "\n").encode("utf-8")
@@ -222,13 +238,9 @@ def action_to_documents(
     documents: list[Document] = []
     head = dict(base)
     head["kind"] = action.mode.value
-    if action.latent is not None:
-        head["mu"] = [_round8(v) for v in action.latent.mu]
-        head["logvar"] = [_round8(v) for v in action.latent.logvar]
-        head["recon_error"] = _round8(action.latent.recon_error)
-    if action.verdict is not None:
-        head["threshold"] = _round8(action.verdict.threshold)
-        head["stable"] = action.verdict.stable
+    for fields in _rounded_head(action):
+        if fields is not None:
+            head.update(fields)
     documents.append((latent_index, head))
     if action.forensics is not None:
         for timestamp, syscall, pid, result, arg_bytes in map(_event_row, action.forensics):
@@ -252,17 +264,15 @@ def emit(
 ) -> int:
     """Publish one action; returns exact bytes written to the sink.
 
-    If the sink is unavailable the serialized action is spooled (when a
-    spool is configured) and the failure still propagates so callers see
-    the outage.
+    The sink encodes the action itself. If it is unavailable the
+    serialized action is spooled (when a spool is configured) and the
+    failure still propagates so callers see the outage.
     """
-    line = serialize_action(action)
-    documents = action_to_documents(action, latent_index, forensics_index)
     try:
-        return sink.publish(line, documents)
+        return sink.publish(action, latent_index, forensics_index)
     except SinkUnavailable:
         if spool is not None:
-            spool.store(line)
+            spool.store(serialize_action(action))
             logger.warning(
                 "sink unavailable; spooled %s interval %d",
                 action.key.container_id,
@@ -277,10 +287,17 @@ def replay_spool(
     latent_index: str = DEFAULT_LATENT_INDEX,
     forensics_index: str = DEFAULT_FORENSICS_INDEX,
 ) -> int:
-    return spool.replay(
-        sink,
-        lambda line: action_to_documents(parse_action(line), latent_index, forensics_index),
-    )
+    """Re-publish spooled actions oldest-first; returns bytes shipped.
+
+    Files are removed as they succeed; the first failure propagates and
+    leaves the remainder spooled.
+    """
+    total = 0
+    for path in spool.pending():
+        action = parse_action(path.read_bytes())
+        total += sink.publish(action, latent_index, forensics_index)
+        path.unlink()
+    return total
 
 
 # -- the adaptive publisher --------------------------------------------------
@@ -314,19 +331,7 @@ class AdaptivePublisher:
         self._detector_factory = detector_factory or self._default_factory
 
     def _default_factory(self) -> VaeStabilityDetector:
-        cfg = self.train_config
-        return VaeStabilityDetector(
-            learning_rate=cfg.learning_rate,
-            beta1=cfg.beta1,
-            beta2=cfg.beta2,
-            epsilon=cfg.epsilon,
-            epochs=cfg.epochs,
-            batch_size=cfg.batch_size,
-            kl_weight=cfg.kl_weight,
-            accumulation_target=cfg.accumulation_target,
-            threshold_k=self.threshold_k,
-            seed=cfg.seed,
-        )
+        return VaeStabilityDetector(threshold_k=self.threshold_k, **asdict(self.train_config))
 
     def install_model(self, container_id: str, detector: VaeStabilityDetector) -> None:
         """Register a pre-trained detector (e.g. loaded from a bundle)."""

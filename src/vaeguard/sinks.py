@@ -1,15 +1,17 @@
 """Publishing sinks and the bulk-indexing wire format.
 
-A sink accepts one publish action in two prepared representations and
-returns the exact byte count it shipped, which feeds cost accounting:
+A sink accepts one publish action, encodes it in the one representation
+it ships, and returns the exact byte count it shipped, which feeds cost
+accounting:
 
-    publish(line, documents) -> bytes written
+    publish(action, latent_index, forensics_index) -> bytes written
 
-FileSink appends the newline-delimited action record; HttpBulkSink POSTs
-the documents as bulk-API requests (action metadata line, then source
-line, trailing newline) to an HTTP endpoint. A SpoolDirectory holds
-serialized actions whenever a sink is unavailable so they can be
-replayed later.
+FileSink appends the action's newline-delimited record
+(`publisher.serialize_action`) and ignores the index names; HttpBulkSink
+POSTs the action's documents (`publisher.action_to_documents`) as
+bulk-API requests (action metadata line, then source line, trailing
+newline) to an HTTP endpoint. A SpoolDirectory holds serialized actions
+whenever a sink is unavailable so they can be replayed later.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
 from vaeguard.errors import EmptyBatch, SinkUnavailable
+from vaeguard.publisher import PublishAction, action_to_documents, serialize_action
 
 Document = tuple[str, Mapping]
 
@@ -39,7 +42,7 @@ def encode_bulk_request(documents: Sequence[Document]) -> bytes:
 
 
 class Sink(Protocol):
-    def publish(self, line: bytes, documents: Sequence[Document]) -> int: ...
+    def publish(self, action: PublishAction, latent_index: str, forensics_index: str) -> int: ...
 
     def close(self) -> None: ...
 
@@ -52,9 +55,10 @@ class FileSink:
         self._handle = open(self.path, "ab")
         self.bytes_written = 0
 
-    def publish(self, line: bytes, documents: Sequence[Document]) -> int:
+    def publish(self, action: PublishAction, latent_index: str, forensics_index: str) -> int:
         if self._handle.closed:
             raise SinkUnavailable(f"file sink {self.path} is closed")
+        line = serialize_action(action)
         try:
             self._handle.write(line)
         except (OSError, ValueError) as exc:
@@ -86,7 +90,8 @@ class HttpBulkSink:
         self.timeout = timeout
         self.bytes_written = 0
 
-    def publish(self, line: bytes, documents: Sequence[Document]) -> int:
+    def publish(self, action: PublishAction, latent_index: str, forensics_index: str) -> int:
+        documents = action_to_documents(action, latent_index, forensics_index)
         total = 0
         for start in range(0, len(documents), self.batch_size):
             body = encode_bulk_request(documents[start : start + self.batch_size])
@@ -110,7 +115,8 @@ class HttpBulkSink:
 
 
 class SpoolDirectory:
-    """Disk spool for actions that could not be published."""
+    """Disk spool for serialized actions that could not be published;
+    `publisher.replay_spool` drains it."""
 
     def __init__(self, path):
         self.path = Path(path)
@@ -127,17 +133,3 @@ class SpoolDirectory:
 
     def pending(self) -> list[Path]:
         return sorted(self.path.glob("action-*.ndjson"))
-
-    def replay(self, sink: Sink, to_documents) -> int:
-        """Re-publish spooled actions oldest-first; returns bytes shipped.
-
-        `to_documents` maps a serialized action line back to its bulk
-        documents. Files are removed as they succeed; the first failure
-        propagates and leaves the remainder spooled.
-        """
-        total = 0
-        for path in self.pending():
-            line = path.read_bytes()
-            total += sink.publish(line, to_documents(line))
-            path.unlink()
-        return total

@@ -15,14 +15,13 @@ container should still be scored, not skipped.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from vaeguard.errors import ForeignEvent, MalformedRecord, OutOfOrderTimestamp
+from vaeguard.errors import ForeignEvent, OutOfOrderTimestamp
 from vaeguard.events import ForensicEvent
 from vaeguard.taxonomy import (
     TRACKED_CATEGORIES,
@@ -210,47 +209,3 @@ def vectors_to_matrix(vectors: Sequence[ActivityVector]) -> np.ndarray:
         return np.empty((0, FEATURE_DIM), dtype=np.float64)
     return np.stack([v.features for v in vectors])
 
-
-# -- newline-delimited vector records --------------------------------------
-
-
-def format_vector_record(vector: ActivityVector) -> str:
-    return json.dumps(
-        {
-            "c": vector.key.container_id,
-            "i": vector.key.interval_index,
-            "len": vector.key.length,
-            "schema": vector.schema_version,
-            "v": [float(x) for x in vector.features],
-        },
-        separators=(",", ":"),
-    )
-
-
-def parse_vector_record(line: str, line_no: int = 0) -> ActivityVector:
-    try:
-        raw = json.loads(line)
-        key = IntervalKey(raw["c"], raw["i"], raw["len"])
-        return ActivityVector(
-            key=key, features=np.array(raw["v"], dtype=np.float64),
-            schema_version=raw["schema"],
-        )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise MalformedRecord(line_no, f"invalid vector record: {exc}") from exc
-
-
-def write_vectors(vectors: Iterable[ActivityVector], sink: IO[str]) -> int:
-    count = 0
-    for vector in vectors:
-        sink.write(format_vector_record(vector))
-        sink.write("\n")
-        count += 1
-    return count
-
-
-def read_vectors(source: IO[str]) -> list[ActivityVector]:
-    return [
-        parse_vector_record(line.strip(), line_no=i)
-        for i, line in enumerate(source)
-        if line.strip()
-    ]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -76,6 +76,12 @@ class TrainConfig:
             raise ValueError("beta1 and beta2 must lie in (0, 1)")
         if self.kl_weight < 0:
             raise ValueError("kl_weight must be >= 0")
+
+    @classmethod
+    def from_attributes(cls, source) -> "TrainConfig":
+        """The config held in same-named attributes of `source`, such as a
+        detector or parsed command-line flags."""
+        return cls(**{f.name: getattr(source, f.name) for f in fields(cls)})
 
     def adam(self) -> AdamConfig:
         return AdamConfig(
@@ -219,19 +225,6 @@ class VaeStabilityDetector(ParamsMixin):
         self.threshold_policy_: ThresholdPolicy | None = None
         self.container_id: str | None = None
 
-    def _train_config(self) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.learning_rate,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            epsilon=self.epsilon,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            kl_weight=self.kl_weight,
-            accumulation_target=self.accumulation_target,
-            seed=self.seed,
-        )
-
     @property
     def n_features_in_(self) -> int:
         check_fitted(self, "architecture_")
@@ -245,7 +238,7 @@ class VaeStabilityDetector(ParamsMixin):
     def fit(self, X, y=None) -> "VaeStabilityDetector":
         X = as_float_matrix(X)
         check_finite(X, "X")
-        config = self._train_config()
+        config = TrainConfig.from_attributes(self)
         arch = VaeArchitecture(
             input_dim=X.shape[1],
             hidden_units=tuple(self.hidden_units),
@@ -376,7 +369,7 @@ def save_model(detector: VaeStabilityDetector, path) -> None:
             "hidden_units": list(detector.architecture_.hidden_units),
             "latent_dim": detector.architecture_.latent_dim,
         },
-        "train_config": asdict(detector._train_config()),
+        "train_config": asdict(TrainConfig.from_attributes(detector)),
         "threshold": threshold_doc,
         "scaler": {
             "min": detector.scaler_.data_min_.tolist(),
@@ -415,16 +408,8 @@ def load_model(path, expected_dim: int | None = None) -> VaeStabilityDetector:
         detector = VaeStabilityDetector(
             hidden_units=tuple(arch_doc["hidden_units"]),
             latent_dim=arch_doc["latent_dim"],
-            learning_rate=config.learning_rate,
-            beta1=config.beta1,
-            beta2=config.beta2,
-            epsilon=config.epsilon,
-            epochs=config.epochs,
-            batch_size=config.batch_size,
-            kl_weight=config.kl_weight,
-            accumulation_target=config.accumulation_target,
             threshold_k=bundle["threshold"].get("k", 3.0),
-            seed=config.seed,
+            **asdict(config),
         )
         detector.container_id = bundle.get("container_id")
         detector.architecture_ = VaeArchitecture(

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from vaeguard import cli, errors
 from vaeguard.cli import main
 
 
@@ -156,8 +157,8 @@ def test_assess_corrupt_model_exit_code(tmp_path, short_baseline_trace, capsys):
 
 @pytest.mark.parametrize(
     "value, field",
-    [("9" * 400, "t"), ("1" * 5000, "pid")],
-    ids=["t-overflows-float", "pid-past-int-digit-limit"],
+    [("9" * 400, "t"), ("1" * 5000, "pid"), ("9" * 400, "bytes")],
+    ids=["t-overflows-float", "pid-past-int-digit-limit", "bytes-past-size_t"],
 )
 def test_hostile_integer_is_a_data_error(tmp_path, capsys, value, field):
     record = {"t": "1.0", "c": '"web-0"', "sc": '"openat"', "pid": "1", "ret": "0", "bytes": "0"}
@@ -169,6 +170,38 @@ def test_hostile_integer_is_a_data_error(tmp_path, capsys, value, field):
     code = run_cli("train", "--trace", str(trace), "--model-out", str(tmp_path / "m.json"))
     assert code == 3
     assert "line 1:" in capsys.readouterr().err
+
+
+def test_non_utf8_trace_is_a_data_error(tmp_path, capsys):
+    valid = b'{"t":1.0,"c":"web-0","sc":"openat","pid":1,"ret":0,"bytes":0}\n'
+    trace = tmp_path / "binary.ndjson"
+    trace.write_bytes(valid * 2 + b'{"t":2.0,"c":"web-\xff","sc":"openat","pid":1,"ret":0,"bytes":0}\n')
+    code = run_cli("train", "--trace", str(trace), "--model-out", str(tmp_path / "m.json"))
+    assert code == 3
+    assert "line 2: not UTF-8" in capsys.readouterr().err
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_error_maps_to_a_documented_exit_code(monkeypatch, capsys):
+    codes = {}
+    for error in _subclasses(errors.VaeguardError):
+        def fail(args, error=error):
+            raise error.__new__(error)
+
+        monkeypatch.setattr(cli, "cmd_simulate", fail)
+        codes[error.__name__] = run_cli("simulate", "--scenario", "baseline", "--out", "unused")
+    capsys.readouterr()
+    assert set(codes) == {
+        name
+        for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, errors.VaeguardError)
+    } - {"VaeguardError"}
+    assert {name for name, code in codes.items() if code not in (2, 3, 4, 5)} == set()
 
 
 def test_assess_missing_trace_exit_code(tmp_path, small_model):

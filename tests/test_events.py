@@ -51,6 +51,14 @@ def test_parse_rejects_negative_timestamp():
             id="pid-past-int-digit-limit",
         ),
         pytest.param("[" * 100_000, id="nesting-past-recursion-limit"),
+        pytest.param(
+            '{"t":1.0,"c":"a","sc":"openat","pid":1,"ret":0,"bytes":%s}' % ("9" * 400),
+            id="bytes-past-size_t",
+        ),
+        pytest.param(
+            '{"t":1.0,"c":"a","sc":"openat","pid":1,"ret":0,"bytes":%d}' % 2**64,
+            id="bytes-at-2**64",
+        ),
     ],
 )
 def test_parse_rejects_malformed(line):

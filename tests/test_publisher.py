@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import vaeguard
 
 from conftest import small_detector
 from vaeguard.errors import SinkUnavailable, UnknownContainer
@@ -12,7 +19,6 @@ from vaeguard.publisher import (
     TrainingAccumulator,
     action_to_documents,
     emit,
-    fetch_prior_intervals,
     parse_action,
     replay_spool,
     serialize_action,
@@ -68,12 +74,6 @@ def test_cache_unknown_container():
         IntervalCache(capacity=0)
 
 
-def test_fetch_prior_intervals_helper():
-    cache = IntervalCache()
-    cache.push(key(0), events_for(0), vector(0))
-    assert fetch_prior_intervals(cache, "box", 1)[0][0] == key(0)
-
-
 # -- accumulator ----------------------------------------------------------------
 
 
@@ -121,6 +121,43 @@ def run_stream(publisher, n_intervals, unstable_at=(), container="box"):
     return actions
 
 
+# Builds every action the decision table forbids and prints how many
+# PublishAction refused, then how many there are.
+_INVALID_ACTIONS = """
+import numpy as np
+from vaeguard.publisher import PublishAction, PublishMode
+from vaeguard.summarize import IntervalKey
+from vaeguard.thresholds import HeuristicThreshold, assess
+from vaeguard.vae import LatentRecord
+
+k = IntervalKey("box", 0, 30.0)
+stable_latent = LatentRecord(k, np.zeros(2), np.zeros(2), 0.5)
+drift_latent = LatentRecord(k, np.zeros(2), np.zeros(2), 2.0)
+stable = assess(stable_latent, HeuristicThreshold(1.0))
+drift = assess(drift_latent, HeuristicThreshold(1.0))
+ev = ()
+cases = [
+    dict(mode=PublishMode.LATENT_ONLY),
+    dict(mode=PublishMode.LATENT_ONLY, latent=stable_latent),
+    dict(mode=PublishMode.LATENT_ONLY, latent=drift_latent, verdict=drift),
+    dict(mode=PublishMode.LATENT_ONLY, latent=stable_latent, verdict=stable, forensics=ev),
+    dict(mode=PublishMode.LATENT_PLUS_FORENSICS, latent=drift_latent, verdict=drift),
+    dict(mode=PublishMode.LATENT_PLUS_FORENSICS, latent=stable_latent, verdict=stable, forensics=ev),
+    dict(mode=PublishMode.LATENT_PLUS_FORENSICS, verdict=drift, forensics=ev),
+    dict(mode=PublishMode.ACCUMULATING, latent=stable_latent),
+    dict(mode=PublishMode.ACCUMULATING, verdict=stable),
+    dict(mode=PublishMode.FORENSICS_ONLY),
+]
+refused = 0
+for case in cases:
+    try:
+        PublishAction(key=k, **case)
+    except ValueError:
+        refused += 1
+print(refused, len(cases))
+"""
+
+
 def test_mode_truth_table():
     publisher = make_publisher(target=8)
     actions = run_stream(publisher, 16, unstable_at={12, 14})
@@ -136,6 +173,16 @@ def test_mode_truth_table():
             assert action.mode is PublishMode.LATENT_ONLY
             assert action.verdict.stable
             assert action.forensics is None
+    # every action the table forbids is refused, also without asserts (-O)
+    src = str(Path(vaeguard.__file__).resolve().parents[1])
+    for flags in ([], ["-O"]):
+        result = subprocess.run(
+            [sys.executable, *flags, "-c", _INVALID_ACTIONS],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["10", "10"], flags
 
 
 def test_training_fires_exactly_once_at_target():

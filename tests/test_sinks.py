@@ -5,6 +5,13 @@ import threading
 import pytest
 
 from vaeguard.errors import EmptyBatch, SinkUnavailable
+from vaeguard.events import ForensicEvent
+from vaeguard.publisher import (
+    PublishAction,
+    PublishMode,
+    action_to_documents,
+    serialize_action,
+)
 from vaeguard.sinks import (
     BULK_CONTENT_TYPE,
     FileSink,
@@ -12,6 +19,20 @@ from vaeguard.sinks import (
     SpoolDirectory,
     encode_bulk_request,
 )
+from vaeguard.summarize import IntervalKey
+
+
+def accumulating(i=0):
+    return PublishAction(key=IntervalKey("box", i, 30.0), mode=PublishMode.ACCUMULATING)
+
+
+def forensics(count, i=0):
+    events = tuple(
+        ForensicEvent(i * 30.0 + j, "box", "openat", j, 0, 0) for j in range(count)
+    )
+    return PublishAction(
+        key=IntervalKey("box", i, 30.0), mode=PublishMode.FORENSICS_ONLY, forensics=events
+    )
 
 
 def parse_ndjson(body: bytes):
@@ -52,19 +73,20 @@ def test_bulk_rejects_empty_batch():
 
 def test_file_sink_counts_bytes_exactly(tmp_path):
     sink = FileSink(tmp_path / "out.ndjson")
-    first = sink.publish(b'{"a":1}\n', [])
-    second = sink.publish(b'{"b":2}\n', [])
+    actions = (accumulating(0), forensics(2, 1))
+    written = [sink.publish(action, "lat", "raw") for action in actions]
     sink.close()
-    assert (first, second) == (8, 8)
-    assert sink.bytes_written == 16
-    assert (tmp_path / "out.ndjson").stat().st_size == 16
+    lines = [serialize_action(action) for action in actions]
+    assert written == [len(line) for line in lines]
+    assert sink.bytes_written == sum(written)
+    assert (tmp_path / "out.ndjson").read_bytes() == b"".join(lines)
 
 
 def test_file_sink_closed_raises(tmp_path):
     sink = FileSink(tmp_path / "out.ndjson")
     sink.close()
     with pytest.raises(SinkUnavailable):
-        sink.publish(b"x\n", [])
+        sink.publish(accumulating(), "lat", "raw")
 
 
 # -- http bulk sink --------------------------------------------------------------
@@ -102,8 +124,10 @@ def bulk_server():
 def test_http_sink_posts_bulk_body(bulk_server):
     endpoint, requests = bulk_server
     sink = HttpBulkSink(endpoint)
-    documents = [("latent", {"container": "a", "recon_error": 0.5})]
-    written = sink.publish(b"ignored\n", documents)
+    action = forensics(1)
+    written = sink.publish(action, "lat", "raw")
+    documents = action_to_documents(action, "lat", "raw")
+    assert [index for index, _ in documents] == ["lat", "raw"]
     assert written == len(encode_bulk_request(documents))
     path, headers, body = requests[0]
     assert path == "/_bulk"
@@ -114,18 +138,17 @@ def test_http_sink_posts_bulk_body(bulk_server):
 def test_http_sink_batches_documents(bulk_server):
     endpoint, requests = bulk_server
     sink = HttpBulkSink(endpoint, batch_size=2)
-    documents = [("idx", {"n": i}) for i in range(5)]
-    written = sink.publish(b"", documents)
+    written = sink.publish(forensics(4), "lat", "raw")  # head + 4 event documents
     assert len(requests) == 3  # 2 + 2 + 1
     assert written == sum(len(body) for _, _, body in requests)
     rows = [row for _, _, body in requests for row in parse_ndjson(body)]
-    assert [row["n"] for row in rows[1::2]] == [0, 1, 2, 3, 4]
+    assert [row.get("pid") for row in rows[1::2]] == [None, 0, 1, 2, 3]
 
 
 def test_http_sink_static_auth_header(bulk_server):
     endpoint, requests = bulk_server
     sink = HttpBulkSink(endpoint, headers={"Authorization": "ApiKey abc"})
-    sink.publish(b"", [("idx", {})])
+    sink.publish(accumulating(), "lat", "raw")
     _, headers, _ = requests[0]
     assert headers["Authorization"] == "ApiKey abc"
 
@@ -133,7 +156,7 @@ def test_http_sink_static_auth_header(bulk_server):
 def test_http_sink_connection_refused_is_unavailable():
     sink = HttpBulkSink("http://127.0.0.1:9", timeout=0.5)
     with pytest.raises(SinkUnavailable):
-        sink.publish(b"", [("idx", {"x": 1})])
+        sink.publish(accumulating(), "lat", "raw")
 
 
 # -- spool ------------------------------------------------------------------------

@@ -14,13 +14,9 @@ from vaeguard.summarize import (
     ActivityVector,
     IntervalKey,
     feature_index,
-    format_vector_record,
-    parse_vector_record,
-    read_vectors,
     summarize_interval,
     vectors_to_matrix,
     window_events,
-    write_vectors,
 )
 
 OPENAT = feature_index("syscall:openat")
@@ -164,27 +160,6 @@ def test_dimension_stability_across_intervals():
     vectors = [summarize_interval(k, g) for k, g in window_events(events, 30.0)]
     assert {v.features.shape for v in vectors} == {(FEATURE_DIM,)}
     assert vectors_to_matrix(vectors).shape == (3, FEATURE_DIM)
-
-
-def test_vector_record_round_trip():
-    key = IntervalKey("box", 3, 30.0)
-    vector = summarize_interval(key, [ev(95.0, arg_bytes=7)])
-    line = format_vector_record(vector)
-    parsed = parse_vector_record(line)
-    assert parsed.key == key
-    assert parsed.schema_version == vector.schema_version
-    np.testing.assert_array_equal(parsed.features, vector.features)
-    assert format_vector_record(parsed) == line
-
-
-def test_vector_stream_round_trip():
-    events = [ev(float(t)) for t in range(0, 90, 5)]
-    vectors = [summarize_interval(k, g) for k, g in window_events(events, 30.0)]
-    buffer = io.StringIO()
-    assert write_vectors(vectors, buffer) == len(vectors)
-    buffer.seek(0)
-    loaded = read_vectors(buffer)
-    assert [v.key for v in loaded] == [v.key for v in vectors]
 
 
 def test_activity_vector_validates_dimension():
