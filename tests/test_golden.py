@@ -81,6 +81,21 @@ def test_train_bundle_golden(tmp_path):
     )
 
 
+def test_default_train_bundle_golden(tmp_path):
+    """The README quickstart bundle: every training flag at its default,
+    the architecture and config online training uses."""
+    trace = tmp_path / "baseline.ndjson"
+    model = tmp_path / "web-0.model.json"
+    assert cli_main([
+        "simulate", "--scenario", "baseline", "--duration", "3600", "--seed", "7",
+        "--out", str(trace),
+    ]) == 0
+    assert cli_main(["train", "--trace", str(trace), "--model-out", str(model)]) == 0
+    assert sha256(model.read_bytes()) == (
+        "4a1fc26d5dc25832352189ff09fd95804759001f491df266558ffb77f8e2e599"
+    )
+
+
 def test_file_sink_golden(tmp_path, cpuminer_rows):
     modes = publish_stream(cpuminer_rows, lambda name: FileSink(tmp_path / f"{name}.ndjson"))
     assert [modes.count(m) for m in ("accumulating", "latent", "latent_forensics")] == [20, 5, 5]
