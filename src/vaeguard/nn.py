@@ -12,6 +12,10 @@ Parameter layout (row-major weight matrices, shape (fan_in, fan_out)):
     out_w / out_b         linear output head (unbounded; inputs are
                           min-max scaled but anomalies leave [0, 1])
 
+All of them are views into one contiguous float64 buffer, in this order
+(`param_views`); gradients and the Adam moments use buffers of the same
+layout, so an Adam step is a few whole-buffer array operations.
+
 The hidden activation is tanh: smooth with bounded slope, so encoder
 outputs stay finite for arbitrarily large anomalous inputs and
 finite-difference checks are clean everywhere.
@@ -19,6 +23,8 @@ finite-difference checks are clean everywhere.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -45,32 +51,68 @@ class VaeArchitecture:
         object.__setattr__(self, "hidden_units", tuple(int(u) for u in self.hidden_units))
 
 
+@functools.lru_cache(maxsize=32)
+def _slots(arch: VaeArchitecture) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
+    """(key, start, stop, shape) of every weight and bias in the flat buffer."""
+    hidden = arch.hidden_units
+    widths = (arch.input_dim, *hidden)
+    dec_widths = (arch.latent_dim, *hidden)
+    layers = [
+        *((f"enc{i}", widths[i], widths[i + 1]) for i in range(len(hidden))),
+        ("mu", hidden[-1], arch.latent_dim),
+        ("lv", hidden[-1], arch.latent_dim),
+        *((f"dec{i}", dec_widths[i], dec_widths[i + 1]) for i in range(len(hidden))),
+        ("out", hidden[-1], arch.input_dim),
+    ]
+    slots = []
+    start = 0
+    for name, fan_in, fan_out in layers:
+        for key, shape in ((f"{name}_w", (fan_in, fan_out)), (f"{name}_b", (fan_out,))):
+            stop = start + math.prod(shape)
+            slots.append((key, start, stop, shape))
+            start = stop
+    return tuple(slots)
+
+
+def param_views(arch: VaeArchitecture, flat: np.ndarray | None = None) -> Params:
+    """Keyed views into one contiguous float64 buffer (a new zeroed one
+    when `flat` is None). Writing a view writes the buffer."""
+    slots = _slots(arch)
+    size = slots[-1][2]
+    if flat is None:
+        flat = np.zeros(size, dtype=np.float64)
+    elif flat.shape != (size,) or flat.dtype != np.float64 or not flat.flags.c_contiguous:
+        raise DimensionMismatch(
+            f"parameter buffer must be contiguous float64 of shape ({size},),"
+            f" got {flat.dtype} {flat.shape}"
+        )
+    return {key: flat[start:stop].reshape(shape) for key, start, stop, shape in slots}
+
+
+def param_buffer(params: Mapping[str, np.ndarray]) -> np.ndarray:
+    """The one flat buffer that the views from param_views share."""
+    flat = next(iter(params.values())).base
+    if flat is None or any(value.base is not flat for value in params.values()):
+        raise ValueError("parameters are not views into one buffer")
+    return flat
+
+
 def init_params(arch: VaeArchitecture, rng: np.random.Generator) -> Params:
-    """Seeded uniform init scaled by 1/sqrt(fan_in); biases start at zero."""
+    """Seeded uniform init scaled by 1/sqrt(fan_in); biases start at zero.
 
-    def layer(fan_in: int, fan_out: int, name: str, params: Params) -> None:
-        bound = 1.0 / np.sqrt(fan_in)
-        params[f"{name}_w"] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        params[f"{name}_b"] = np.zeros(fan_out, dtype=np.float64)
-
-    params: Params = {}
-    widths = (arch.input_dim, *arch.hidden_units)
-    for i in range(len(arch.hidden_units)):
-        layer(widths[i], widths[i + 1], f"enc{i}", params)
-    trunk_out = arch.hidden_units[-1]
-    layer(trunk_out, arch.latent_dim, "mu", params)
-    layer(trunk_out, arch.latent_dim, "lv", params)
-    dec_widths = (arch.latent_dim, *arch.hidden_units)
-    for i in range(len(arch.hidden_units)):
-        layer(dec_widths[i], dec_widths[i + 1], f"dec{i}", params)
-    layer(trunk_out, arch.input_dim, "out", params)
+    Draws layer by layer in parameter order; returns views into one buffer.
+    """
+    params = param_views(arch)
+    for key, weights in params.items():
+        if key.endswith("_w"):
+            bound = 1.0 / np.sqrt(weights.shape[0])
+            weights[...] = rng.uniform(-bound, bound, size=weights.shape)
     return params
 
 
 def zero_params(arch: VaeArchitecture) -> Params:
     """All-zero parameter set (useful as a degenerate fixture)."""
-    rng = np.random.default_rng(0)
-    return {k: np.zeros_like(v) for k, v in init_params(arch, rng).items()}
+    return param_views(arch)
 
 
 def _as_batch(x: np.ndarray, dim: int, name: str) -> tuple[np.ndarray, bool]:
@@ -243,54 +285,58 @@ def elbo_gradients(
     x: np.ndarray,
     eps: np.ndarray,
     kl_weight: float = 1.0,
+    out: np.ndarray | None = None,
 ) -> tuple[Params, tuple[float, float, float]]:
     """Analytic gradients of the ELBO loss for every weight and bias.
 
     The noise draw is supplied by the caller so the loss is a
     deterministic function of the parameters; gradients flow through the
-    reparameterized sampling step.
+    reparameterized sampling step. Gradients are written into `out`, a
+    flat buffer laid out like the parameters (a new one when None), and
+    returned as keyed views into it.
     """
     batch, _ = _as_batch(x, arch.input_dim, "x")
     noise, _ = _as_batch(eps, arch.latent_dim, "eps")
     n, input_dim = batch.shape
     cache = _forward(arch, params, batch, noise)
-    grads: Params = {}
+    if not (np.isfinite(cache.mu).all() and np.isfinite(cache.logvar).all()):
+        raise NonFiniteInput("posterior mean or log-variance is not finite")
+    grads = param_views(arch, out)
     n_hidden = len(arch.hidden_units)
 
+    def write(name: str, prev: np.ndarray, d_pre: np.ndarray) -> None:
+        np.matmul(prev.T, d_pre, out=grads[f"{name}_w"])
+        np.add.reduce(d_pre, axis=0, out=grads[f"{name}_b"])
+
     # reconstruction path: d(mean-over-batch mean-over-features sq err)
-    d_recon = (2.0 / (n * input_dim)) * (cache.recon - batch)
-    grads["out_w"] = cache.dec_g[-1].T @ d_recon
-    grads["out_b"] = d_recon.sum(axis=0)
+    diff = cache.recon - batch
+    d_recon = (2.0 / (n * input_dim)) * diff
+    write("out", cache.dec_g[-1], d_recon)
     d_layer = d_recon @ params["out_w"].T
     for i in range(n_hidden - 1, -1, -1):
         d_pre = d_layer * (1.0 - np.square(cache.dec_g[i]))
-        prev = cache.z if i == 0 else cache.dec_g[i - 1]
-        grads[f"dec{i}_w"] = prev.T @ d_pre
-        grads[f"dec{i}_b"] = d_pre.sum(axis=0)
+        write(f"dec{i}", cache.z if i == 0 else cache.dec_g[i - 1], d_pre)
         d_layer = d_pre @ params[f"dec{i}_w"].T
     d_z = d_layer
 
     # KL path joins at the posterior heads
+    var = np.exp(cache.logvar)
     d_mu = d_z + (kl_weight / n) * cache.mu
-    d_logvar = d_z * cache.eps * 0.5 * cache.sigma + (kl_weight / n) * 0.5 * (
-        np.exp(cache.logvar) - 1.0
-    )
+    d_logvar = d_z * cache.eps * 0.5 * cache.sigma + (kl_weight / n) * 0.5 * (var - 1.0)
 
-    trunk = cache.enc_h[-1]
-    grads["mu_w"] = trunk.T @ d_mu
-    grads["mu_b"] = d_mu.sum(axis=0)
-    grads["lv_w"] = trunk.T @ d_logvar
-    grads["lv_b"] = d_logvar.sum(axis=0)
+    write("mu", cache.enc_h[-1], d_mu)
+    write("lv", cache.enc_h[-1], d_logvar)
     d_layer = d_mu @ params["mu_w"].T + d_logvar @ params["lv_w"].T
     for i in range(n_hidden - 1, -1, -1):
         d_pre = d_layer * (1.0 - np.square(cache.enc_h[i]))
-        prev = batch if i == 0 else cache.enc_h[i - 1]
-        grads[f"enc{i}_w"] = prev.T @ d_pre
-        grads[f"enc{i}_b"] = d_pre.sum(axis=0)
-        d_layer = d_pre @ params[f"enc{i}_w"].T
+        write(f"enc{i}", batch if i == 0 else cache.enc_h[i - 1], d_pre)
+        if i:  # the gradient with respect to the input itself is never used
+            d_layer = d_pre @ params[f"enc{i}_w"].T
 
-    recon_term = float(np.mean(reconstruction_error(batch, cache.recon)))
-    kl_term = float(np.mean(kl_divergence(cache.mu, cache.logvar)))
+    # the same expressions as reconstruction_error and kl_divergence
+    recon_term = float(np.add.reduce(np.add.reduce(np.square(diff), axis=-1) / input_dim) / n)
+    kl_rows = -0.5 * np.add.reduce(1.0 + cache.logvar - np.square(cache.mu) - var, axis=-1)
+    kl_term = float(np.add.reduce(kl_rows) / n)
     loss = recon_term + kl_weight * kl_term
     return grads, (loss, recon_term, kl_term)
 
@@ -313,37 +359,33 @@ class AdamConfig:
 
 @dataclass
 class AdamState:
-    m: Params
-    v: Params
+    m: np.ndarray
+    v: np.ndarray
 
 
-def adam_init(params: Mapping[str, np.ndarray]) -> AdamState:
-    return AdamState(
-        m={k: np.zeros_like(p) for k, p in params.items()},
-        v={k: np.zeros_like(p) for k, p in params.items()},
-    )
+def adam_init(params: np.ndarray) -> AdamState:
+    return AdamState(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
 def adam_step(
-    params: Mapping[str, np.ndarray],
-    grads: Mapping[str, np.ndarray],
+    params: np.ndarray,
+    grads: np.ndarray,
     state: AdamState,
     config: AdamConfig,
     t: int,
-) -> tuple[Params, AdamState]:
-    """One bias-corrected Adam update; t counts from 1."""
+) -> tuple[np.ndarray, AdamState]:
+    """One bias-corrected Adam update over flat arrays; t counts from 1.
+
+    Updates `params`, `state.m` and `state.v` in place and returns them.
+    """
     if t < 1:
         raise ValueError("step index t must be >= 1")
-    new_params: Params = {}
-    new_m: Params = {}
-    new_v: Params = {}
-    for key, p in params.items():
-        g = grads[key]
-        m = config.beta1 * state.m[key] + (1.0 - config.beta1) * g
-        v = config.beta2 * state.v[key] + (1.0 - config.beta2) * np.square(g)
-        m_hat = m / (1.0 - config.beta1**t)
-        v_hat = v / (1.0 - config.beta2**t)
-        new_params[key] = p - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
-        new_m[key] = m
-        new_v[key] = v
-    return new_params, AdamState(m=new_m, v=new_v)
+    m, v = state.m, state.v
+    m *= config.beta1
+    m += (1.0 - config.beta1) * grads
+    v *= config.beta2
+    v += (1.0 - config.beta2) * np.square(grads)
+    m_hat = m / (1.0 - config.beta1**t)
+    v_hat = v / (1.0 - config.beta2**t)
+    params -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+    return params, state

@@ -289,12 +289,18 @@ def replay_spool(
 ) -> int:
     """Re-publish spooled actions oldest-first; returns bytes shipped.
 
-    Files are removed as they succeed; the first failure propagates and
-    leaves the remainder spooled.
+    Files are removed as they succeed; the first sink failure propagates
+    and leaves the remainder spooled. A file that does not parse as an
+    action is moved to the spool's quarantine and the rest go on.
     """
     total = 0
     for path in spool.pending():
-        action = parse_action(path.read_bytes())
+        try:
+            action = parse_action(path.read_bytes())
+        except (ValueError, KeyError, TypeError, IndexError) as exc:
+            logger.warning("unreadable spooled action %s quarantined: %s", path.name, exc)
+            spool.quarantine(path)
+            continue
         total += sink.publish(action, latent_index, forensics_index)
         path.unlink()
     return total

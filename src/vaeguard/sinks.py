@@ -17,6 +17,7 @@ whenever a sink is unavailable so they can be replayed later.
 from __future__ import annotations
 
 import json
+import os
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -116,20 +117,35 @@ class HttpBulkSink:
 
 class SpoolDirectory:
     """Disk spool for serialized actions that could not be published;
-    `publisher.replay_spool` drains it."""
+    `publisher.replay_spool` drains it.
+
+    Each action is one `action-<index>.ndjson` file, written to a temporary
+    name and renamed into place, so a crash never leaves a partial one.
+    The next index is found once, when the spool is opened, counting the
+    files moved to `quarantine/` too.
+    """
 
     def __init__(self, path):
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
-
-    def _next_index(self) -> int:
-        existing = [int(p.stem.split("-")[1]) for p in self.path.glob("action-*.ndjson")]
-        return max(existing, default=-1) + 1
+        self.quarantine_path = self.path / "quarantine"
+        existing = (int(p.stem.split("-")[1]) for p in self.path.glob("**/action-*.ndjson"))
+        self._next_index = max(existing, default=-1) + 1
 
     def store(self, line: bytes) -> Path:
-        target = self.path / f"action-{self._next_index():08d}.ndjson"
-        target.write_bytes(line)
+        target = self.path / f"action-{self._next_index:08d}.ndjson"
+        partial = target.with_suffix(".partial")
+        partial.write_bytes(line)
+        os.replace(partial, target)
+        self._next_index += 1
         return target
 
     def pending(self) -> list[Path]:
         return sorted(self.path.glob("action-*.ndjson"))
+
+    def quarantine(self, path: Path) -> Path:
+        """Move a spooled file that cannot be read out of the replay queue."""
+        self.quarantine_path.mkdir(exist_ok=True)
+        target = self.quarantine_path / path.name
+        os.replace(path, target)
+        return target

@@ -131,7 +131,9 @@ def train(
 
     rng = np.random.default_rng(config.seed)
     params = nn.init_params(arch, rng)
-    state = nn.adam_init(params)
+    flat = nn.param_buffer(params)
+    grads = np.empty_like(flat)
+    state = nn.adam_init(flat)
     adam_config = config.adam()
 
     recon_curve: list[float] = []
@@ -148,15 +150,15 @@ def train(
             idx = order[start : start + config.batch_size]
             xb = data[idx]
             eps = rng.standard_normal((len(idx), arch.latent_dim))
-            grads, (_, recon, kl) = nn.elbo_gradients(
-                arch, params, xb, eps, config.kl_weight
+            _, (_, recon, kl) = nn.elbo_gradients(
+                arch, params, xb, eps, config.kl_weight, out=grads
             )
             if final_epoch:
                 collected.append(
                     nn.sampled_reconstruction_errors(arch, params, xb, eps)
                 )
             step += 1
-            params, state = nn.adam_step(params, grads, state, adam_config, step)
+            nn.adam_step(flat, grads, state, adam_config, step)
             recon_sum += recon * len(idx)
             kl_sum += kl * len(idx)
         recon_curve.append(recon_sum / n)
@@ -337,15 +339,33 @@ def _weights_to_json(params: nn.Params) -> dict:
     }
 
 
-def _weights_from_json(raw: dict) -> nn.Params:
-    params: nn.Params = {}
-    for key, entry in raw.items():
-        shape = tuple(entry["shape"])
-        data = np.array(entry["data"], dtype=np.float64)
-        if data.size != int(np.prod(shape)):
+def _weights_from_json(raw: dict, arch: VaeArchitecture) -> nn.Params:
+    """Weights as views into one buffer, each checked against the layout."""
+    params = nn.param_views(arch)
+    if set(raw) != set(params):
+        raise CorruptModelFile("model bundle weights do not match architecture")
+    for key, view in params.items():
+        shape = tuple(raw[key]["shape"])
+        if shape != view.shape:
+            raise CorruptModelFile(
+                f"weight {key}: shape {shape}, architecture needs {view.shape}"
+            )
+        data = np.array(raw[key]["data"], dtype=np.float64)
+        if data.size != view.size:
             raise CorruptModelFile(f"weight {key}: data does not match shape {shape}")
-        params[key] = data.reshape(shape)
+        if not np.isfinite(data).all():
+            raise CorruptModelFile(f"weight {key}: not finite")
+        view[...] = data.reshape(shape)
     return params
+
+
+def _finite_vector(values, size: int, name: str) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64)
+    if arr.shape != (size,):
+        raise CorruptModelFile(f"{name}: shape {arr.shape}, model needs ({size},)")
+    if not np.isfinite(arr).all():
+        raise CorruptModelFile(f"{name}: not finite")
+    return arr
 
 
 def save_model(detector: VaeStabilityDetector, path) -> None:
@@ -417,12 +437,13 @@ def load_model(path, expected_dim: int | None = None) -> VaeStabilityDetector:
             hidden_units=tuple(arch_doc["hidden_units"]),
             latent_dim=arch_doc["latent_dim"],
         )
+        input_dim = detector.architecture_.input_dim
         scaler = ActivityScaler()
-        scaler.data_min_ = np.array(bundle["scaler"]["min"], dtype=np.float64)
-        scaler.data_max_ = np.array(bundle["scaler"]["max"], dtype=np.float64)
+        scaler.data_min_ = _finite_vector(bundle["scaler"]["min"], input_dim, "scaler min")
+        scaler.data_max_ = _finite_vector(bundle["scaler"]["max"], input_dim, "scaler max")
         detector.scaler_ = scaler
         detector.curve_ = TrainingCurve(**bundle["curve"])
-        detector.weights_ = _weights_from_json(bundle["weights"])
+        detector.weights_ = _weights_from_json(bundle["weights"], detector.architecture_)
         threshold_doc = bundle["threshold"]
         if threshold_doc["kind"] == "ksigma":
             detector.threshold_policy_ = KSigmaThreshold(
@@ -439,11 +460,6 @@ def load_model(path, expected_dim: int | None = None) -> VaeStabilityDetector:
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptModelFile(f"model bundle {path} is invalid: {exc}") from exc
 
-    expected_keys = set(
-        nn.init_params(detector.architecture_, np.random.default_rng(0))
-    )
-    if set(detector.weights_) != expected_keys:
-        raise CorruptModelFile("model bundle weights do not match architecture")
     if expected_dim is not None and detector.architecture_.input_dim != expected_dim:
         raise SchemaMismatch(
             f"model input dimension {detector.architecture_.input_dim},"

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -37,6 +40,34 @@ def max_relative_error(analytic, numeric):
         denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-6)
         worst = max(worst, float(np.max(np.abs(a - n) / denom)))
     return worst
+
+
+def _transpose(entry):
+    rows, cols = entry["shape"]
+    entry["data"] = np.array(entry["data"]).reshape(rows, cols).T.ravel().tolist()
+    entry["shape"] = [cols, rows]
+
+
+def _set_first(values, value):
+    values[0] = value
+
+
+# in-place edits of a parsed model bundle, each of which must make it corrupt
+BUNDLE_CORRUPTIONS = {
+    "transposed-dec0_w": lambda b: _transpose(b["weights"]["dec0_w"]),
+    "nan-out_b": lambda b: _set_first(b["weights"]["out_b"]["data"], float("nan")),
+    "inf-enc0_w": lambda b: _set_first(b["weights"]["enc0_w"]["data"], float("inf")),
+    "nan-scaler-min": lambda b: _set_first(b["scaler"]["min"], float("nan")),
+    "inf-scaler-max": lambda b: _set_first(b["scaler"]["max"], float("-inf")),
+    "short-scaler-min": lambda b: b["scaler"]["min"].pop(),
+}
+
+
+def corrupt_bundle(source, target, name):
+    """Write `source` to `target` with the named edit applied."""
+    bundle = json.loads(Path(source).read_text(encoding="utf-8"))
+    BUNDLE_CORRUPTIONS[name](bundle)
+    Path(target).write_text(json.dumps(bundle), encoding="utf-8")
 
 
 def small_detector(**overrides) -> VaeStabilityDetector:

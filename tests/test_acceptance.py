@@ -161,20 +161,20 @@ def test_criterion_4_gradient_correctness():
 
 def test_criterion_5_optimizer_oracle():
     config = AdamConfig()
-    params = {"p": np.array(1.0)}
-    updated, _ = adam_step(params, {"p": np.array(0.1)}, adam_init(params), config, t=1)
+    params = np.array(1.0)
+    updated, _ = adam_step(params, np.array(0.1), adam_init(params), config, t=1)
     expected = 1.0 - 1e-4 * (0.1 / (math.sqrt(0.1**2) + 1e-8))
-    assert abs(float(updated["p"]) - expected) <= 1e-10
+    assert abs(float(updated) - expected) <= 1e-10
 
     quad_config = AdamConfig(learning_rate=0.05)
-    point = {"p": np.array(0.0)}
+    point = np.array(0.0)
     state = adam_init(point)
     losses = []
     for t in range(1, 101):
-        p = float(point["p"])
+        p = float(point)
         losses.append((p - 3.0) ** 2)
         point, state = adam_step(
-            point, {"p": np.array(2.0 * (p - 3.0))}, state, quad_config, t
+            point, np.array(2.0 * (p - 3.0)), state, quad_config, t
         )
     warmup = 5
     for before, after in zip(losses[warmup:], losses[warmup + 1 :]):

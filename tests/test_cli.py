@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import BUNDLE_CORRUPTIONS, corrupt_bundle
 from vaeguard import cli, errors
 from vaeguard.cli import main
 
@@ -151,6 +152,15 @@ def test_assess_corrupt_model_exit_code(tmp_path, short_baseline_trace, capsys):
     code = run_cli(
         "assess", "--trace", str(short_baseline_trace), "--model", str(bad)
     )
+    assert code == 4
+    assert "model error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("corruption", sorted(BUNDLE_CORRUPTIONS))
+def test_assess_rejects_corrupt_bundle(tmp_path, short_baseline_trace, small_model, capsys, corruption):
+    bad = tmp_path / "bad.json"
+    corrupt_bundle(small_model, bad, corruption)
+    code = run_cli("assess", "--trace", str(short_baseline_trace), "--model", str(bad))
     assert code == 4
     assert "model error" in capsys.readouterr().err
 

@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 from conftest import finite_difference_gradients, max_relative_error
-from vaeguard.nn import VaeArchitecture, elbo_gradients, init_params, zero_params
+from vaeguard.errors import NonFiniteInput
+from vaeguard.nn import (
+    VaeArchitecture,
+    elbo_gradients,
+    elbo_terms,
+    init_params,
+    param_buffer,
+    zero_params,
+)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -89,3 +97,40 @@ def test_batch_gradients_average_per_sample_gradients():
         np.testing.assert_allclose(
             batch[key], 0.5 * (first[key] + second[key]), rtol=1e-10, atol=1e-12
         )
+
+
+def test_gradients_written_into_out_buffer_match_a_fresh_call():
+    arch = VaeArchitecture(input_dim=7, hidden_units=(6, 5, 4), latent_dim=3)
+    rng = np.random.default_rng(12)
+    params = init_params(arch, rng)
+    xs = rng.uniform(-0.5, 1.5, size=(9, 7))
+    eps = rng.standard_normal((9, 3))
+    fresh, fresh_terms = elbo_gradients(arch, params, xs, eps, kl_weight=0.7)
+    out = np.full_like(param_buffer(params), np.nan)
+    grads, terms = elbo_gradients(arch, params, xs, eps, kl_weight=0.7, out=out)
+    assert terms == fresh_terms
+    assert list(grads) == list(params)
+    for key in params:
+        assert grads[key].base is out
+        np.testing.assert_array_equal(grads[key], fresh[key])
+    np.testing.assert_array_equal(out, param_buffer(fresh))
+
+
+def test_gradient_loss_terms_equal_elbo_terms():
+    arch = VaeArchitecture(input_dim=5, hidden_units=(4,), latent_dim=2)
+    rng = np.random.default_rng(13)
+    params = init_params(arch, rng)
+    xs = rng.uniform(0, 1, size=(6, 5))
+    eps = rng.standard_normal((6, 2))
+    for kl_weight in (0.0, 0.5, 1.0):
+        _, terms = elbo_gradients(arch, params, xs, eps, kl_weight)
+        assert terms == elbo_terms(arch, params, xs, eps, kl_weight)
+
+
+@pytest.mark.parametrize("key", ["mu_b", "lv_b"])
+def test_non_finite_posterior_raises(key):
+    arch = VaeArchitecture(input_dim=3, hidden_units=(4,), latent_dim=2)
+    params = init_params(arch, np.random.default_rng(1))
+    params[key][0] = np.inf
+    with pytest.raises(NonFiniteInput):
+        elbo_gradients(arch, params, np.ones(3), np.ones(2))

@@ -12,6 +12,8 @@ from vaeguard.nn import (
     encode,
     init_params,
     kl_divergence,
+    param_buffer,
+    param_views,
     reconstruction_error,
     sample_latent,
     zero_params,
@@ -27,6 +29,58 @@ def test_architecture_validation():
         VaeArchitecture(input_dim=4, hidden_units=(), latent_dim=2)
     with pytest.raises(ValueError):
         VaeArchitecture(input_dim=4, hidden_units=(4,), latent_dim=0)
+
+
+def test_init_params_are_views_into_one_buffer_in_key_order():
+    arch = VaeArchitecture(input_dim=6, hidden_units=(5, 4, 3), latent_dim=2)
+    params = init_params(arch, np.random.default_rng(4))
+    assert list(params) == [
+        "enc0_w", "enc0_b", "enc1_w", "enc1_b", "enc2_w", "enc2_b",
+        "mu_w", "mu_b", "lv_w", "lv_b",
+        "dec0_w", "dec0_b", "dec1_w", "dec1_b", "dec2_w", "dec2_b",
+        "out_w", "out_b",
+    ]
+    assert params["enc0_w"].shape == (6, 5) and params["dec0_w"].shape == (2, 5)
+    assert params["lv_w"].shape == (3, 2) and params["out_w"].shape == (3, 6)
+    flat = param_buffer(params)
+    assert flat.flags.c_contiguous and flat.dtype == np.float64
+    np.testing.assert_array_equal(
+        flat, np.concatenate([value.ravel() for value in params.values()])
+    )
+    flat[:] = np.arange(flat.size)
+    offset = 0
+    for value in params.values():
+        np.testing.assert_array_equal(value.ravel(), np.arange(offset, offset + value.size))
+        offset += value.size
+    assert offset == flat.size
+
+
+def test_init_params_draws_layer_by_layer():
+    """Oracle: one fresh weight array per layer, drawn in layer order."""
+    arch = VaeArchitecture(input_dim=6, hidden_units=(5, 4), latent_dim=2)
+    layers = [
+        ("enc0", 6, 5), ("enc1", 5, 4), ("mu", 4, 2), ("lv", 4, 2),
+        ("dec0", 2, 5), ("dec1", 5, 4), ("out", 4, 6),
+    ]
+    rng = np.random.default_rng(9)
+    expected = {}
+    for name, fan_in, fan_out in layers:
+        bound = 1.0 / np.sqrt(fan_in)
+        expected[f"{name}_w"] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+        expected[f"{name}_b"] = np.zeros(fan_out)
+    params = init_params(arch, np.random.default_rng(9))
+    assert list(params) == list(expected)
+    for key in expected:
+        np.testing.assert_array_equal(params[key], expected[key])
+
+
+def test_param_views_reject_a_buffer_of_another_layout():
+    size = sum(value.size for value in param_views(SMALL).values())
+    for bad in (np.zeros(size + 1), np.zeros(size, dtype=np.float32), np.zeros(2 * size)[::2]):
+        with pytest.raises(DimensionMismatch):
+            param_views(SMALL, bad)
+    with pytest.raises(ValueError):
+        param_buffer({key: value.copy() for key, value in zero_params(SMALL).items()})
 
 
 def test_encode_zero_weights_gives_zero_posterior():

@@ -343,6 +343,24 @@ def test_spool_replay_drains_to_fresh_sink(tmp_path):
     assert (tmp_path / "fresh.ndjson").read_bytes() == expected
 
 
+def test_spool_replay_quarantines_a_truncated_file(tmp_path):
+    publisher = make_publisher(target=4)
+    actions = run_stream(publisher, 3)
+    spool = SpoolDirectory(tmp_path / "spool")
+    paths = [spool.store(serialize_action(action)) for action in actions]
+    payload = paths[1].read_bytes()
+    paths[1].write_bytes(payload[: len(payload) // 2])
+    fresh = FileSink(tmp_path / "fresh.ndjson")
+    replayed = replay_spool(spool, fresh)
+    fresh.close()
+    assert not spool.pending()
+    expected = serialize_action(actions[0]) + serialize_action(actions[2])
+    assert (tmp_path / "fresh.ndjson").read_bytes() == expected
+    assert replayed == len(expected)
+    quarantined = tmp_path / "spool" / "quarantine" / paths[1].name
+    assert quarantined.read_bytes() == payload[: len(payload) // 2]
+
+
 def test_emit_without_spool_still_raises(tmp_path):
     publisher = make_publisher(target=4)
     action = run_stream(publisher, 1)[0]

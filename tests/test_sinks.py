@@ -1,5 +1,6 @@
 import http.server
 import json
+from pathlib import Path
 import threading
 
 import pytest
@@ -172,3 +173,33 @@ def test_spool_preserves_order_and_indices(tmp_path):
     again = SpoolDirectory(tmp_path / "spool")
     again.store(b"third\n")
     assert len(again.pending()) == 3
+
+
+def test_spool_store_globs_once_over_many_writes(tmp_path, monkeypatch):
+    calls = []
+    real_glob = Path.glob
+
+    def counting_glob(self, pattern):
+        calls.append(pattern)
+        return real_glob(self, pattern)
+
+    monkeypatch.setattr(Path, "glob", counting_glob)
+    spool = SpoolDirectory(tmp_path / "spool")
+    for i in range(100):
+        spool.store(b"line %d\n" % i)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    names = [p.name for p in spool.pending()]
+    assert names == [f"action-{i:08d}.ndjson" for i in range(100)]
+    assert not list((tmp_path / "spool").glob("*.partial"))
+
+
+def test_spool_ignores_partial_writes_and_skips_quarantined_indices(tmp_path):
+    spool = SpoolDirectory(tmp_path / "spool")
+    first = spool.store(b"first\n")
+    (tmp_path / "spool" / "action-00000001.partial").write_bytes(b"trunc")
+    assert spool.pending() == [first]
+    spool.quarantine(first)
+    assert (tmp_path / "spool" / "quarantine" / first.name).read_bytes() == b"first\n"
+    # a reopened spool does not reuse the quarantined file's index
+    assert SpoolDirectory(tmp_path / "spool").store(b"second\n").name == "action-00000001.ndjson"

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import small_detector
+from conftest import BUNDLE_CORRUPTIONS, corrupt_bundle, small_detector
 from vaeguard.errors import (
     CorruptModelFile,
     InsufficientData,
@@ -269,3 +269,21 @@ def test_tampered_weights_are_corrupt(tmp_path, small_trained_detector):
     path.write_text(json.dumps(bundle), encoding="utf-8")
     with pytest.raises(CorruptModelFile):
         load_model(path)
+
+
+@pytest.mark.parametrize("corruption", sorted(BUNDLE_CORRUPTIONS))
+def test_corrupt_bundle_rejected_at_load(tmp_path, small_trained_detector, corruption):
+    path = tmp_path / "model.json"
+    save_model(small_trained_detector, path)
+    corrupt_bundle(path, path, corruption)
+    with pytest.raises(CorruptModelFile):
+        load_model(path)
+
+
+def test_loaded_weights_are_views_into_one_buffer(tmp_path, small_trained_detector):
+    from vaeguard.nn import param_buffer
+
+    path = tmp_path / "model.json"
+    save_model(small_trained_detector, path)
+    weights = load_model(path).weights_
+    assert param_buffer(weights).size == sum(value.size for value in weights.values())
