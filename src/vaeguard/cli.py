@@ -87,8 +87,12 @@ def _parse_hidden_units(text: str) -> tuple[int, ...]:
 
 def _load_config_flags(path: str) -> list[str]:
     """Turn `key = value` lines into flag tokens prepended to argv."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidConfig(f"cannot read config file {path}: {exc}") from exc
     flags: list[str] = []
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -267,21 +271,21 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _policy_from_args(args, detector):
+def _set_threshold_policy(args, detector) -> None:
+    """Apply --heuristic-threshold, else --k, to the loaded detector."""
     if args.heuristic_threshold is not None:
-        return HeuristicThreshold(args.heuristic_threshold)
-    if args.k is not None:
+        detector.threshold_policy_ = HeuristicThreshold(args.heuristic_threshold)
+    elif args.k is not None:
         detector.set_threshold_k(args.k)
-    return None
 
 
 def cmd_assess(args) -> int:
     events = read_trace_file(args.trace)
     detector = load_model(args.model, expected_dim=FEATURE_DIM)
-    policy = _policy_from_args(args, detector)
+    _set_threshold_policy(args, detector)
     config = PipelineConfig(interval_len=args.interval_len)
     summaries = summarize_trace(events, args.interval_len)
-    records = assess_trace(summaries, detector, config, policy_override=policy)
+    records = assess_trace(summaries, detector, config)
 
     out_handle = open(args.out, "w", encoding="utf-8", newline="\n") if args.out else None
     try:
@@ -326,7 +330,7 @@ def cmd_assess(args) -> int:
 def cmd_bench(args) -> int:
     events = read_trace_file(args.trace)
     detector = load_model(args.model, expected_dim=FEATURE_DIM)
-    policy = _policy_from_args(args, detector)
+    _set_threshold_policy(args, detector)
     config = PipelineConfig(
         interval_len=args.interval_len,
         bulk_batch_size=args.bulk_batch_size,
@@ -344,9 +348,7 @@ def cmd_bench(args) -> int:
         standard_sink = FileSink(out_dir / "standard.ndjson")
         adaptive_sink = FileSink(out_dir / "adaptive.ndjson")
     try:
-        report = bench(
-            summaries, detector, config, standard_sink, adaptive_sink, policy
-        )
+        report = bench(summaries, detector, config, standard_sink, adaptive_sink)
     finally:
         standard_sink.close()
         adaptive_sink.close()

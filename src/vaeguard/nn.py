@@ -127,6 +127,17 @@ def _as_batch(x: np.ndarray, dim: int, name: str) -> tuple[np.ndarray, bool]:
     return arr, single
 
 
+def _tanh_trunk(
+    arch: VaeArchitecture, params: Mapping[str, np.ndarray], prefix: str, x: np.ndarray
+) -> list[np.ndarray]:
+    """Activations of the `{prefix}{i}` tanh layers, first layer first."""
+    activations = []
+    for i in range(len(arch.hidden_units)):
+        x = np.tanh(x @ params[f"{prefix}{i}_w"] + params[f"{prefix}{i}_b"])
+        activations.append(x)
+    return activations
+
+
 def encode(
     arch: VaeArchitecture, params: Mapping[str, np.ndarray], x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -134,9 +145,7 @@ def encode(
     batch, single = _as_batch(x, arch.input_dim, "x")
     if not np.all(np.isfinite(batch)):
         raise NonFiniteInput("encoder input contains NaN or infinity")
-    h = batch
-    for i in range(len(arch.hidden_units)):
-        h = np.tanh(h @ params[f"enc{i}_w"] + params[f"enc{i}_b"])
+    h = _tanh_trunk(arch, params, "enc", batch)[-1]
     mu = h @ params["mu_w"] + params["mu_b"]
     logvar = h @ params["lv_w"] + params["lv_b"]
     if single:
@@ -149,9 +158,7 @@ def decode(
 ) -> np.ndarray:
     """Deterministic decoder pass; output head is linear."""
     batch, single = _as_batch(z, arch.latent_dim, "z")
-    g = batch
-    for i in range(len(arch.hidden_units)):
-        g = np.tanh(g @ params[f"dec{i}_w"] + params[f"dec{i}_b"])
+    g = _tanh_trunk(arch, params, "dec", batch)[-1]
     recon = g @ params["out_w"] + params["out_b"]
     return recon[0] if single else recon
 
@@ -214,21 +221,13 @@ class _ForwardCache:
 def _forward(
     arch: VaeArchitecture, params: Mapping[str, np.ndarray], x: np.ndarray, eps: np.ndarray
 ) -> _ForwardCache:
-    enc_h: list[np.ndarray] = []
-    h = x
-    for i in range(len(arch.hidden_units)):
-        h = np.tanh(h @ params[f"enc{i}_w"] + params[f"enc{i}_b"])
-        enc_h.append(h)
-    mu = h @ params["mu_w"] + params["mu_b"]
-    logvar = h @ params["lv_w"] + params["lv_b"]
+    enc_h = _tanh_trunk(arch, params, "enc", x)
+    mu = enc_h[-1] @ params["mu_w"] + params["mu_b"]
+    logvar = enc_h[-1] @ params["lv_w"] + params["lv_b"]
     sigma = np.exp(0.5 * logvar)
     z = mu + sigma * eps
-    dec_g: list[np.ndarray] = []
-    g = z
-    for i in range(len(arch.hidden_units)):
-        g = np.tanh(g @ params[f"dec{i}_w"] + params[f"dec{i}_b"])
-        dec_g.append(g)
-    recon = g @ params["out_w"] + params["out_b"]
+    dec_g = _tanh_trunk(arch, params, "dec", z)
+    recon = dec_g[-1] @ params["out_w"] + params["out_b"]
     return _ForwardCache(x, enc_h, mu, logvar, sigma, eps, z, dec_g, recon)
 
 
@@ -266,34 +265,22 @@ def elbo_loss(
     return elbo_terms(arch, params, batch, eps, kl_weight)
 
 
-def sampled_reconstruction_errors(
-    arch: VaeArchitecture,
-    params: Mapping[str, np.ndarray],
-    x: np.ndarray,
-    eps: np.ndarray,
-) -> np.ndarray:
-    """Per-sample reconstruction errors of the stochastic training pass."""
-    batch, _ = _as_batch(x, arch.input_dim, "x")
-    noise, _ = _as_batch(eps, arch.latent_dim, "eps")
-    cache = _forward(arch, params, batch, noise)
-    return np.atleast_1d(reconstruction_error(batch, cache.recon))
-
-
 def elbo_gradients(
     arch: VaeArchitecture,
     params: Mapping[str, np.ndarray],
     x: np.ndarray,
     eps: np.ndarray,
     kl_weight: float = 1.0,
-    out: np.ndarray | None = None,
-) -> tuple[Params, tuple[float, float, float]]:
+    out: Params | None = None,
+) -> tuple[Params, tuple[float, float, float], np.ndarray]:
     """Analytic gradients of the ELBO loss for every weight and bias.
 
     The noise draw is supplied by the caller so the loss is a
     deterministic function of the parameters; gradients flow through the
-    reparameterized sampling step. Gradients are written into `out`, a
-    flat buffer laid out like the parameters (a new one when None), and
-    returned as keyed views into it.
+    reparameterized sampling step. Gradients are written into `out`,
+    keyed views laid out like the parameters (new ones when None), and
+    returned with the loss terms and each sample's reconstruction error
+    in this stochastic pass.
     """
     batch, _ = _as_batch(x, arch.input_dim, "x")
     noise, _ = _as_batch(eps, arch.latent_dim, "eps")
@@ -301,7 +288,7 @@ def elbo_gradients(
     cache = _forward(arch, params, batch, noise)
     if not (np.isfinite(cache.mu).all() and np.isfinite(cache.logvar).all()):
         raise NonFiniteInput("posterior mean or log-variance is not finite")
-    grads = param_views(arch, out)
+    grads = param_views(arch) if out is None else out
     n_hidden = len(arch.hidden_units)
 
     def write(name: str, prev: np.ndarray, d_pre: np.ndarray) -> None:
@@ -334,11 +321,12 @@ def elbo_gradients(
             d_layer = d_pre @ params[f"enc{i}_w"].T
 
     # the same expressions as reconstruction_error and kl_divergence
-    recon_term = float(np.add.reduce(np.add.reduce(np.square(diff), axis=-1) / input_dim) / n)
+    recon_rows = np.add.reduce(np.square(diff), axis=-1) / input_dim
+    recon_term = float(np.add.reduce(recon_rows) / n)
     kl_rows = -0.5 * np.add.reduce(1.0 + cache.logvar - np.square(cache.mu) - var, axis=-1)
     kl_term = float(np.add.reduce(kl_rows) / n)
     loss = recon_term + kl_weight * kl_term
-    return grads, (loss, recon_term, kl_term)
+    return grads, (loss, recon_term, kl_term), recon_rows
 
 
 # -- Adam -------------------------------------------------------------------

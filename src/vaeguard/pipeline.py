@@ -32,7 +32,6 @@ from vaeguard.summarize import (
     split_by_container,
     summarize_stream,
 )
-from vaeguard.thresholds import ThresholdPolicy
 from vaeguard.vae import TrainConfig, VaeStabilityDetector
 
 logger = logging.getLogger(__name__)
@@ -47,7 +46,6 @@ class PipelineConfig:
     hidden_units: tuple[int, ...] = (16, 16, 16)
     latent_dim: int = 10
     threshold_k: float = 3.0
-    heuristic_threshold: float | None = None
     cache_capacity: int = 4
     latent_index: str = DEFAULT_LATENT_INDEX
     forensics_index: str = DEFAULT_FORENSICS_INDEX
@@ -60,8 +58,6 @@ class PipelineConfig:
             raise InvalidConfig("threshold_k must be > 0")
         if self.cache_capacity < 1:
             raise InvalidConfig("cache_capacity must be >= 1")
-        if self.heuristic_threshold is not None and self.heuristic_threshold <= 0:
-            raise InvalidConfig("heuristic_threshold must be > 0")
 
     def detector(self) -> VaeStabilityDetector:
         return VaeStabilityDetector(
@@ -131,14 +127,13 @@ def assess_trace(
     summaries: dict[str, Summaries],
     detector: VaeStabilityDetector,
     config: PipelineConfig,
-    policy_override: ThresholdPolicy | None = None,
 ) -> list[IntervalVerdictRecord]:
-    """Score every interval of every container with one trained model."""
+    """Score every interval of every container with one trained model,
+    under that model's threshold policy."""
     publisher = AdaptivePublisher(
         train_config=config.train,
         threshold_k=config.threshold_k,
         cache_capacity=config.cache_capacity,
-        policy_override=policy_override,
     )
     for container in summaries:
         publisher.install_model(container, detector)
@@ -253,14 +248,12 @@ def run_adaptive(
     detector: VaeStabilityDetector,
     sink: Sink,
     config: PipelineConfig,
-    policy_override: ThresholdPolicy | None = None,
     spool: SpoolDirectory | None = None,
 ) -> tuple[ModeCost, list[PublishAction]]:
     publisher = AdaptivePublisher(
         train_config=config.train,
         threshold_k=config.threshold_k,
         cache_capacity=config.cache_capacity,
-        policy_override=policy_override,
     )
     for container in summaries:
         publisher.install_model(container, detector)
@@ -273,13 +266,10 @@ def bench(
     config: PipelineConfig,
     standard_sink: Sink,
     adaptive_sink: Sink,
-    policy_override: ThresholdPolicy | None = None,
 ) -> CostReport:
     """Run both publishers over the same interval stream, sequentially."""
     standard_cost, _ = run_standard(summaries, standard_sink, config)
-    adaptive_cost, _ = run_adaptive(
-        summaries, detector, adaptive_sink, config, policy_override
-    )
+    adaptive_cost, _ = run_adaptive(summaries, detector, adaptive_sink, config)
     report = CostReport(standard=standard_cost, adaptive=adaptive_cost)
     logger.info(
         "bench: standard %d bytes, adaptive %d bytes",

@@ -25,7 +25,7 @@ import numpy as np
 from vaeguard.errors import SinkUnavailable, UnknownContainer
 from vaeguard.events import ForensicEvent
 from vaeguard.summarize import ActivityVector, IntervalKey, vectors_to_matrix
-from vaeguard.thresholds import StabilityVerdict, ThresholdPolicy, assess
+from vaeguard.thresholds import StabilityVerdict, assess
 from vaeguard.vae import LatentRecord, TrainConfig, VaeStabilityDetector, save_model
 
 if TYPE_CHECKING:
@@ -324,14 +324,12 @@ class AdaptivePublisher:
         cache_capacity: int = 4,
         model_dir: Path | str | None = None,
         detector_factory: Callable[[], VaeStabilityDetector] | None = None,
-        policy_override: ThresholdPolicy | None = None,
     ):
         self.train_config = train_config or TrainConfig()
         self.threshold_k = threshold_k
         self.cache = IntervalCache(cache_capacity)
         self.accumulator = TrainingAccumulator(self.train_config.accumulation_target)
         self.model_dir = Path(model_dir) if model_dir is not None else None
-        self.policy_override = policy_override
         self.models: dict[str, VaeStabilityDetector] = {}
         self.trainings_completed: dict[str, int] = {}
         self._detector_factory = detector_factory or self._default_factory
@@ -342,9 +340,6 @@ class AdaptivePublisher:
     def install_model(self, container_id: str, detector: VaeStabilityDetector) -> None:
         """Register a pre-trained detector (e.g. loaded from a bundle)."""
         self.models[container_id] = detector
-
-    def _policy_for(self, detector: VaeStabilityDetector) -> ThresholdPolicy:
-        return self.policy_override or detector.threshold_policy_
 
     def _train_container(self, container_id: str) -> None:
         vectors = self.accumulator.vectors(container_id)
@@ -382,7 +377,7 @@ class AdaptivePublisher:
             return PublishAction(key=key, mode=PublishMode.ACCUMULATING)
 
         latent = detector.score_vector(vector)
-        verdict = assess(latent, self._policy_for(detector))
+        verdict = assess(latent, detector.threshold_policy_)
         if verdict.stable:
             return PublishAction(
                 key=key, mode=PublishMode.LATENT_ONLY, latent=latent, verdict=verdict

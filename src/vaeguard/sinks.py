@@ -10,8 +10,10 @@ FileSink appends the action's newline-delimited record
 (`publisher.serialize_action`) and ignores the index names; HttpBulkSink
 POSTs the action's documents (`publisher.action_to_documents`) as
 bulk-API requests (action metadata line, then source line, trailing
-newline) to an HTTP endpoint. A SpoolDirectory holds serialized actions
-whenever a sink is unavailable so they can be replayed later.
+newline) to an HTTP endpoint; a reply that is not a JSON object, or that
+reports `"errors": true`, counts as a failed publish. A SpoolDirectory
+holds serialized actions whenever a sink is unavailable so they can be
+replayed later.
 """
 
 from __future__ import annotations
@@ -73,6 +75,19 @@ class FileSink:
             self._handle.close()
 
 
+def _check_bulk_reply(reply: bytes, endpoint: str) -> None:
+    """A bulk reply must be a JSON object whose `errors` is not true;
+    anything else means some documents may not have been indexed."""
+    try:
+        doc = json.loads(reply)
+    except (ValueError, RecursionError):
+        doc = None
+    if not isinstance(doc, dict):
+        raise SinkUnavailable(f"bulk endpoint {endpoint}: reply is not a JSON object")
+    if doc.get("errors"):
+        raise SinkUnavailable(f"bulk endpoint {endpoint}: reply reports item errors")
+
+
 class HttpBulkSink:
     """POSTs bulk requests to `<endpoint>/_bulk`, batching documents."""
 
@@ -104,9 +119,10 @@ class HttpBulkSink:
             )
             try:
                 with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                    response.read()
+                    reply = response.read()
             except (urllib.error.URLError, OSError, TimeoutError) as exc:
                 raise SinkUnavailable(f"bulk endpoint {self.endpoint}: {exc}") from exc
+            _check_bulk_reply(reply, self.endpoint)
             total += len(body)
         self.bytes_written += total
         return total

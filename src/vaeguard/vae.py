@@ -132,7 +132,8 @@ def train(
     rng = np.random.default_rng(config.seed)
     params = nn.init_params(arch, rng)
     flat = nn.param_buffer(params)
-    grads = np.empty_like(flat)
+    grad_flat = np.empty_like(flat)
+    grads = nn.param_views(arch, grad_flat)
     state = nn.adam_init(flat)
     adam_config = config.adam()
 
@@ -150,15 +151,13 @@ def train(
             idx = order[start : start + config.batch_size]
             xb = data[idx]
             eps = rng.standard_normal((len(idx), arch.latent_dim))
-            _, (_, recon, kl) = nn.elbo_gradients(
+            _, (_, recon, kl), errors = nn.elbo_gradients(
                 arch, params, xb, eps, config.kl_weight, out=grads
             )
             if final_epoch:
-                collected.append(
-                    nn.sampled_reconstruction_errors(arch, params, xb, eps)
-                )
+                collected.append(errors)
             step += 1
-            nn.adam_step(flat, grads, state, adam_config, step)
+            nn.adam_step(flat, grad_flat, state, adam_config, step)
             recon_sum += recon * len(idx)
             kl_sum += kl * len(idx)
         recon_curve.append(recon_sum / n)
@@ -284,13 +283,18 @@ class VaeStabilityDetector(ParamsMixin):
         mu, _ = self.encode(X)
         return mu
 
+    def _score(self, normalized: np.ndarray):
+        """Posterior (mu, logvar) and the reconstruction error of its mean,
+        for one normalized vector or a matrix of them."""
+        mu, logvar = nn.encode(self.architecture_, self.weights_, normalized)
+        recon = nn.decode(self.architecture_, self.weights_, mu)
+        return mu, logvar, nn.reconstruction_error(normalized, recon)
+
     def score_samples(self, X) -> np.ndarray:
         """Deterministic reconstruction error per sample (higher = drift)."""
         X = self._check_ready(X)
-        normalized = self.scaler_.transform(X)
-        mu, _ = nn.encode(self.architecture_, self.weights_, normalized)
-        recon = nn.decode(self.architecture_, self.weights_, mu)
-        return np.atleast_1d(nn.reconstruction_error(normalized, recon))
+        _, _, errors = self._score(self.scaler_.transform(X))
+        return np.atleast_1d(errors)
 
     def predict(self, X) -> np.ndarray:
         """+1 for intervals within the stable pattern, -1 for drift."""
@@ -311,15 +315,8 @@ class VaeStabilityDetector(ParamsMixin):
                 f"vector has {vector.features.shape[0]} features,"
                 f" model expects {self.n_features_in_}"
             )
-        normalized = self.scaler_.transform_vector(vector.features)
-        mu, logvar = nn.encode(self.architecture_, self.weights_, normalized)
-        recon = nn.decode(self.architecture_, self.weights_, mu)
-        return LatentRecord(
-            key=vector.key,
-            mu=mu,
-            logvar=logvar,
-            recon_error=float(nn.reconstruction_error(normalized, recon)),
-        )
+        mu, logvar, error = self._score(self.scaler_.transform_vector(vector.features))
+        return LatentRecord(key=vector.key, mu=mu, logvar=logvar, recon_error=float(error))
 
     def save(self, path) -> None:
         save_model(self, path)
@@ -384,11 +381,7 @@ def save_model(detector: VaeStabilityDetector, path) -> None:
         "format_version": BUNDLE_FORMAT_VERSION,
         "schema_version": SCHEMA_VERSION,
         "container_id": detector.container_id,
-        "architecture": {
-            "input_dim": detector.architecture_.input_dim,
-            "hidden_units": list(detector.architecture_.hidden_units),
-            "latent_dim": detector.architecture_.latent_dim,
-        },
+        "architecture": asdict(detector.architecture_),
         "train_config": asdict(TrainConfig.from_attributes(detector)),
         "threshold": threshold_doc,
         "scaler": {
@@ -423,27 +416,23 @@ def load_model(path, expected_dim: int | None = None) -> VaeStabilityDetector:
                 f"bundle carries feature schema v{bundle['schema_version']},"
                 f" this build uses v{SCHEMA_VERSION}"
             )
-        arch_doc = bundle["architecture"]
+        arch = VaeArchitecture(**bundle["architecture"])
         config = TrainConfig(**bundle["train_config"])
         detector = VaeStabilityDetector(
-            hidden_units=tuple(arch_doc["hidden_units"]),
-            latent_dim=arch_doc["latent_dim"],
+            hidden_units=arch.hidden_units,
+            latent_dim=arch.latent_dim,
             threshold_k=bundle["threshold"].get("k", 3.0),
             **asdict(config),
         )
         detector.container_id = bundle.get("container_id")
-        detector.architecture_ = VaeArchitecture(
-            input_dim=arch_doc["input_dim"],
-            hidden_units=tuple(arch_doc["hidden_units"]),
-            latent_dim=arch_doc["latent_dim"],
-        )
-        input_dim = detector.architecture_.input_dim
+        detector.architecture_ = arch
+        input_dim = arch.input_dim
         scaler = ActivityScaler()
         scaler.data_min_ = _finite_vector(bundle["scaler"]["min"], input_dim, "scaler min")
         scaler.data_max_ = _finite_vector(bundle["scaler"]["max"], input_dim, "scaler max")
         detector.scaler_ = scaler
         detector.curve_ = TrainingCurve(**bundle["curve"])
-        detector.weights_ = _weights_from_json(bundle["weights"], detector.architecture_)
+        detector.weights_ = _weights_from_json(bundle["weights"], arch)
         threshold_doc = bundle["threshold"]
         if threshold_doc["kind"] == "ksigma":
             detector.threshold_policy_ = KSigmaThreshold(

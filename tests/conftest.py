@@ -60,6 +60,7 @@ BUNDLE_CORRUPTIONS = {
     "nan-scaler-min": lambda b: _set_first(b["scaler"]["min"], float("nan")),
     "inf-scaler-max": lambda b: _set_first(b["scaler"]["max"], float("-inf")),
     "short-scaler-min": lambda b: b["scaler"]["min"].pop(),
+    "unknown-architecture-key": lambda b: b["architecture"].update(depth=3),
 }
 
 

@@ -148,7 +148,7 @@ def test_criterion_4_gradient_correctness():
         params = init_params(arch, rng)
         x = rng.uniform(-0.5, 1.5, arch.input_dim)
         eps = rng.standard_normal(arch.latent_dim)
-        analytic, _ = elbo_gradients(arch, params, x, eps, kl_weight=1.0)
+        analytic, _, _ = elbo_gradients(arch, params, x, eps, kl_weight=1.0)
         numeric = finite_difference_gradients(arch, params, x, eps, kl_weight=1.0)
         worst = max(worst, max_relative_error(analytic, numeric))
         checked += sum(value.size for value in params.values())

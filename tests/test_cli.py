@@ -289,6 +289,51 @@ def test_config_file_syntax_error(tmp_path):
     assert run_cli("train", "--config", str(config)) == 2
 
 
+@pytest.mark.parametrize("content", [None, b"epochs = 10\n# caf\xe9\n"], ids=["missing", "not-utf8"])
+def test_config_file_unreadable_is_a_config_error(tmp_path, capsys, content):
+    config = tmp_path / "run.cfg"
+    if content is not None:
+        config.write_bytes(content)
+    assert run_cli("train", "--config", str(config)) == 2
+    assert "config file" in capsys.readouterr().err
+
+
+def test_heuristic_threshold_flags_the_intervals_above_it(
+    tmp_path, short_baseline_trace, small_model
+):
+    default = tmp_path / "default.ndjson"
+    assert run_cli(
+        "assess", "--trace", str(short_baseline_trace), "--model", str(small_model),
+        "--out", str(default),
+    ) == 0
+    errors = [json.loads(line)["recon_error"] for line in default.read_text().splitlines()]
+    value = sorted(errors)[len(errors) // 2]
+    above = [error > value for error in errors]
+    assert 0 < sum(above) < len(errors)
+
+    heuristic = tmp_path / "heuristic.ndjson"
+    assert run_cli(
+        "assess", "--trace", str(short_baseline_trace), "--model", str(small_model),
+        "--k", "1", "--heuristic-threshold", repr(value), "--out", str(heuristic),
+    ) == 0
+    rows = [json.loads(line) for line in heuristic.read_text().splitlines()]
+    assert [row["recon_error"] for row in rows] == errors
+    assert [not row["stable"] for row in rows] == above
+    assert {row["threshold"] for row in rows} == {value}
+
+    report_path = tmp_path / "report.json"
+    assert run_cli(
+        "bench", "--trace", str(short_baseline_trace), "--model", str(small_model),
+        "--heuristic-threshold", repr(value), "--out-dir", str(tmp_path / "sinks"),
+        "--report-out", str(report_path),
+    ) == 0
+    assert json.loads(report_path.read_text())["adaptive"]["unstable_intervals"] == sum(above)
+    published = (tmp_path / "sinks" / "adaptive.ndjson").read_text().splitlines()
+    verdicts = [json.loads(line)["verdict"] for line in published]
+    assert [not verdict["stable"] for verdict in verdicts] == above
+    assert {verdict["threshold"] for verdict in verdicts} == {float(f"{value:.8g}")}
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         run_cli()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import finite_difference_gradients, max_relative_error
+from vaeguard import nn
 from vaeguard.errors import NonFiniteInput
 from vaeguard.nn import (
     VaeArchitecture,
@@ -15,6 +16,8 @@ from vaeguard.nn import (
     elbo_terms,
     init_params,
     param_buffer,
+    param_views,
+    reconstruction_error,
     zero_params,
 )
 
@@ -26,7 +29,7 @@ def test_gradients_match_finite_differences(seed):
     params = init_params(arch, rng)
     x = rng.uniform(-0.5, 1.5, arch.input_dim)
     eps = rng.standard_normal(arch.latent_dim)
-    analytic, _ = elbo_gradients(arch, params, x, eps, kl_weight=1.0)
+    analytic, _, _ = elbo_gradients(arch, params, x, eps, kl_weight=1.0)
     numeric = finite_difference_gradients(arch, params, x, eps, kl_weight=1.0)
     assert set(analytic) == set(params)
     assert max_relative_error(analytic, numeric) <= 1e-4
@@ -42,7 +45,7 @@ def test_gradients_cover_reparameterization_path():
     x = rng.uniform(0, 1, 3)
     eps = rng.standard_normal(2)
 
-    recon_only, _ = elbo_gradients(arch, params, x, eps, kl_weight=0.0)
+    recon_only, _, _ = elbo_gradients(arch, params, x, eps, kl_weight=0.0)
     assert np.abs(recon_only["enc0_w"]).max() > 0  # via z = mu + sigma*eps
     numeric = finite_difference_gradients(arch, params, x, eps, kl_weight=0.0)
     assert max_relative_error(recon_only, numeric) <= 1e-4
@@ -51,7 +54,7 @@ def test_gradients_cover_reparameterization_path():
 def test_zero_model_zero_input_gradients_vanish():
     arch = VaeArchitecture(input_dim=4, hidden_units=(3,), latent_dim=2)
     params = zero_params(arch)
-    grads, (loss, recon, kl) = elbo_gradients(
+    grads, (loss, recon, kl), _ = elbo_gradients(
         arch, params, np.zeros(4), np.ones(2), kl_weight=1.0
     )
     assert loss == recon == kl == 0.0
@@ -65,7 +68,7 @@ def test_zero_model_bias_path_matches_hand_computation():
     arch = VaeArchitecture(input_dim=4, hidden_units=(3,), latent_dim=2)
     params = zero_params(arch)
     x = np.array([1.0, -2.0, 0.5, 4.0])
-    grads, _ = elbo_gradients(arch, params, x, np.ones(2), kl_weight=1.0)
+    grads, _, _ = elbo_gradients(arch, params, x, np.ones(2), kl_weight=1.0)
     np.testing.assert_allclose(grads["out_b"], -2.0 * x / 4.0, atol=1e-15)
     for key, value in grads.items():
         if key != "out_b":
@@ -79,8 +82,8 @@ def test_recon_path_gradient_is_linear_in_residual():
     params = zero_params(arch)
     x = np.array([0.5, 1.0, -1.5, 2.0])
     eps = np.zeros(2)
-    single, _ = elbo_gradients(arch, params, x, eps, kl_weight=0.0)
-    double, _ = elbo_gradients(arch, params, 2.0 * x, eps, kl_weight=0.0)
+    single, _, _ = elbo_gradients(arch, params, x, eps, kl_weight=0.0)
+    double, _, _ = elbo_gradients(arch, params, 2.0 * x, eps, kl_weight=0.0)
     np.testing.assert_allclose(double["out_b"], 2.0 * single["out_b"], rtol=1e-12)
 
 
@@ -90,9 +93,9 @@ def test_batch_gradients_average_per_sample_gradients():
     params = init_params(arch, rng)
     xs = rng.uniform(0, 1, size=(2, 3))
     eps = rng.standard_normal((2, 2))
-    batch, _ = elbo_gradients(arch, params, xs, eps, kl_weight=1.0)
-    first, _ = elbo_gradients(arch, params, xs[0], eps[0], kl_weight=1.0)
-    second, _ = elbo_gradients(arch, params, xs[1], eps[1], kl_weight=1.0)
+    batch, _, _ = elbo_gradients(arch, params, xs, eps, kl_weight=1.0)
+    first, _, _ = elbo_gradients(arch, params, xs[0], eps[0], kl_weight=1.0)
+    second, _, _ = elbo_gradients(arch, params, xs[1], eps[1], kl_weight=1.0)
     for key in batch:
         np.testing.assert_allclose(
             batch[key], 0.5 * (first[key] + second[key]), rtol=1e-10, atol=1e-12
@@ -105,15 +108,48 @@ def test_gradients_written_into_out_buffer_match_a_fresh_call():
     params = init_params(arch, rng)
     xs = rng.uniform(-0.5, 1.5, size=(9, 7))
     eps = rng.standard_normal((9, 3))
-    fresh, fresh_terms = elbo_gradients(arch, params, xs, eps, kl_weight=0.7)
+    fresh, fresh_terms, _ = elbo_gradients(arch, params, xs, eps, kl_weight=0.7)
     out = np.full_like(param_buffer(params), np.nan)
-    grads, terms = elbo_gradients(arch, params, xs, eps, kl_weight=0.7, out=out)
+    grads, terms, _ = elbo_gradients(
+        arch, params, xs, eps, kl_weight=0.7, out=param_views(arch, out)
+    )
     assert terms == fresh_terms
     assert list(grads) == list(params)
     for key in params:
         assert grads[key].base is out
         np.testing.assert_array_equal(grads[key], fresh[key])
     np.testing.assert_array_equal(out, param_buffer(fresh))
+
+
+def test_gradients_fill_given_views_without_building_new_ones(monkeypatch):
+    arch = VaeArchitecture(input_dim=7, hidden_units=(6, 5, 4), latent_dim=3)
+    rng = np.random.default_rng(14)
+    params = init_params(arch, rng)
+    xs = rng.uniform(0, 1, size=(5, 7))
+    eps = rng.standard_normal((5, 3))
+    fresh, _, _ = elbo_gradients(arch, params, xs, eps)
+    views = param_views(arch)
+    calls = []
+    real_param_views = nn.param_views
+    monkeypatch.setattr(nn, "param_views", lambda *a: calls.append(a) or real_param_views(*a))
+    for _ in range(3):
+        grads, _, _ = elbo_gradients(arch, params, xs, eps, out=views)
+    assert calls == []
+    assert grads is views
+    for key in params:
+        np.testing.assert_array_equal(views[key], fresh[key])
+
+
+def test_gradient_sample_errors_are_those_of_the_training_pass():
+    arch = VaeArchitecture(input_dim=5, hidden_units=(4, 3), latent_dim=2)
+    rng = np.random.default_rng(15)
+    params = init_params(arch, rng)
+    xs = rng.uniform(0, 1, size=(6, 5))
+    eps = rng.standard_normal((6, 2))
+    _, (_, recon_term, _), errors = elbo_gradients(arch, params, xs, eps)
+    sampled = nn._forward(arch, params, xs, eps).recon
+    np.testing.assert_array_equal(errors, reconstruction_error(xs, sampled))
+    assert recon_term == float(np.mean(errors))
 
 
 def test_gradient_loss_terms_equal_elbo_terms():
@@ -123,7 +159,7 @@ def test_gradient_loss_terms_equal_elbo_terms():
     xs = rng.uniform(0, 1, size=(6, 5))
     eps = rng.standard_normal((6, 2))
     for kl_weight in (0.0, 0.5, 1.0):
-        _, terms = elbo_gradients(arch, params, xs, eps, kl_weight)
+        _, terms, _ = elbo_gradients(arch, params, xs, eps, kl_weight)
         assert terms == elbo_terms(arch, params, xs, eps, kl_weight)
 
 

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from vaeguard.errors import InvalidConfig
@@ -111,12 +113,11 @@ def test_bench_all_unstable_adaptive_costs_more(
 ):
     # force every interval over threshold: tiny heuristic value
     config = PipelineConfig()
-    policy = HeuristicThreshold(1e-12)
+    detector = copy.deepcopy(small_trained_detector)
+    detector.threshold_policy_ = HeuristicThreshold(1e-12)
     s1 = FileSink(tmp_path / "standard.ndjson")
     s2 = FileSink(tmp_path / "adaptive.ndjson")
-    report = bench(
-        flood_summaries, small_trained_detector, config, s1, s2, policy_override=policy
-    )
+    report = bench(flood_summaries, detector, config, s1, s2)
     s1.close()
     s2.close()
     assert report.adaptive.unstable_intervals == report.adaptive.intervals

@@ -1,7 +1,9 @@
 import http.server
+import io
 import json
 from pathlib import Path
 import threading
+import urllib.request
 
 import pytest
 
@@ -11,6 +13,7 @@ from vaeguard.publisher import (
     PublishAction,
     PublishMode,
     action_to_documents,
+    emit,
     serialize_action,
 )
 from vaeguard.sinks import (
@@ -158,6 +161,29 @@ def test_http_sink_connection_refused_is_unavailable():
     sink = HttpBulkSink("http://127.0.0.1:9", timeout=0.5)
     with pytest.raises(SinkUnavailable):
         sink.publish(accumulating(), "lat", "raw")
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [b'{"took":1,"errors":true,"items":[]}', b"<html>busy</html>", b"[]", b"", b"\xff"],
+    ids=["item-errors", "not-json", "json-array", "empty", "not-utf8"],
+)
+def test_http_sink_failed_bulk_reply_is_unavailable_and_spooled(tmp_path, monkeypatch, reply):
+    bodies = []
+
+    def fake_urlopen(request, timeout):  # answers every POST with `reply`, no network
+        bodies.append(request.data)
+        return io.BytesIO(reply)
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    sink = HttpBulkSink("http://bulk.test")
+    spool = SpoolDirectory(tmp_path / "spool")
+    action = forensics(2)
+    with pytest.raises(SinkUnavailable):
+        emit(action, sink, spool)
+    assert bodies == [encode_bulk_request(action_to_documents(action))]
+    assert sink.bytes_written == 0
+    assert [path.read_bytes() for path in spool.pending()] == [serialize_action(action)]
 
 
 # -- spool ------------------------------------------------------------------------

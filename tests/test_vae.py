@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import BUNDLE_CORRUPTIONS, corrupt_bundle, small_detector
+from vaeguard import nn
 from vaeguard.errors import (
     CorruptModelFile,
     InsufficientData,
@@ -51,6 +52,15 @@ def test_train_curve_shape_and_stats():
     assert curve.error_mean >= 0 and curve.error_sd >= 0
     assert all(math.isfinite(v) and v >= 0 for v in curve.recon_per_epoch)
     assert all(math.isfinite(v) and v >= 0 for v in curve.kl_per_epoch)
+
+
+def test_train_runs_one_forward_pass_per_step(monkeypatch):
+    calls = []
+    real_forward = nn._forward
+    monkeypatch.setattr(nn, "_forward", lambda *a: calls.append(1) or real_forward(*a))
+    X = toy_matrix(n=41)
+    train(X, TOY_ARCH, TOY_CONFIG)
+    assert len(calls) == TOY_CONFIG.epochs * math.ceil(41 / TOY_CONFIG.batch_size)
 
 
 def test_train_rejects_insufficient_data():
