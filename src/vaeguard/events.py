@@ -11,16 +11,31 @@ error), bytes (int in [0, 2**64), payload size where applicable).
 
 A `ForensicEvent` is an immutable NamedTuple, so it compares, hashes and
 unpacks like the tuple of its six fields.
+
+`read_trace_file` returns an `EventBlock`: the trace as columns (float64
+timestamps, and codes into shared tables of container ids, syscall names
+and distinct pid/ret/bytes triples). It is a `Sequence[ForensicEvent]`
+that builds each event only when it is indexed or iterated, and its
+slices are zero-copy views that share the tables. The file is read in
+newline-aligned chunks; a chunk whose every line is the writer's
+canonical form is validated and split by one regular expression, and any
+other chunk goes line by line through `parse_event_record`, so every
+valid JSON record is accepted and every error names the same line and
+reason either way.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
 import operator
+import re
 import sys
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from vaeguard.errors import MalformedRecord, OutOfOrderTimestamp
 
@@ -33,6 +48,23 @@ _MAX_INT_TIMESTAMP = int(sys.float_info.max)
 _BYTES_LIMIT = 2**64
 
 _record_fields = operator.itemgetter(*_FIELDS)
+
+# Characters of trace text per chunk, extended to the next newline. Larger
+# chunks read no faster and leave more transient strings and arrays.
+CHUNK_SIZE = 1 << 16
+
+# One record exactly as `format_event_record` writes it, newline included.
+# It accepts only JSON whose values float() and int() read as json does:
+# strings without escapes or control characters, a timestamp without sign
+# or leading zeros, and integers short enough that pid and ret fit int64,
+# bytes < 10**19 < 2**64, and no digit limit applies. Groups: t, c, sc, and
+# the pid/ret/bytes tail.
+_CANONICAL_LINE = re.compile(
+    r'\{"t":((?:0|[1-9][0-9]{0,29})(?:\.[0-9]{1,30})?(?:[eE][-+]?[0-9]{1,3})?),'
+    r'"c":"([^"\\\x00-\x1f]+)","sc":"([^"\\\x00-\x1f]+)",'
+    r'"pid":((?:0|[1-9][0-9]{0,17}),"ret":-?(?:0|[1-9][0-9]{0,17}),'
+    r'"bytes":(?:0|[1-9][0-9]{0,18}))\}\n'
+)
 
 
 class ForensicEvent(NamedTuple):
@@ -118,22 +150,217 @@ def format_event_record(event: ForensicEvent) -> str:
     )
 
 
-def read_trace(source: IO[str] | io.TextIOBase) -> Iterator[ForensicEvent]:
-    """Yield events in file order, enforcing non-decreasing timestamps.
+# -- columnar events -----------------------------------------------------------
 
-    Each line is decoded once and checked by one combined predicate.
-    A line that fails it goes through `parse_event_record`, which raises
-    the first failing field's reason. Container and syscall strings are
-    shared across the events of one read.
+
+class EventTables:
+    """The value tables an `EventBlock`'s code columns index into.
+
+    A tail is one distinct (pid, result, arg_bytes) triple; tail code k
+    indexes `pids`, `results` and `arg_bytes`. The per-tail arrays are
+    what summaries need of them: a code per distinct pid, whether the
+    result is an error, and the byte count as a float.
     """
+
+    __slots__ = (
+        "containers", "syscalls", "pids", "results", "arg_bytes",
+        "pid_codes", "error_tails", "byte_floats",
+    )
+
+    def __init__(self, containers: Sequence[str], syscalls: Sequence[str], tails: Sequence[tuple]):
+        self.containers = tuple(containers)
+        self.syscalls = tuple(syscalls)
+        self.pids, self.results, self.arg_bytes = tuple(zip(*tails)) if tails else ((), (), ())
+        pid_index: dict[int, int] = {}
+        self.pid_codes = _frozen(
+            np.array([pid_index.setdefault(p, len(pid_index)) for p in self.pids], dtype=np.intp)
+        )
+        self.error_tails = _frozen(np.array([r < 0 for r in self.results], dtype=bool))
+        self.byte_floats = _frozen(np.array([float(b) for b in self.arg_bytes], dtype=np.float64))
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class EventBlock(Sequence[ForensicEvent]):
+    """An immutable run of events held as columns.
+
+    `timestamps` is float64; `container_codes` and `syscall_codes` index
+    `tables.containers` and `tables.syscalls`, and `tail_codes` the
+    tables' tails. Indexing or iterating builds `ForensicEvent`s; a slice
+    is a view of the same columns. A block compares equal to the tuple
+    (or list) of its events.
+    """
+
+    __slots__ = ("timestamps", "container_codes", "syscall_codes", "tail_codes", "tables")
+
+    def __init__(self, timestamps, container_codes, syscall_codes, tail_codes, tables: EventTables):
+        self.timestamps = timestamps
+        self.container_codes = container_codes
+        self.syscall_codes = syscall_codes
+        self.tail_codes = tail_codes
+        self.tables = tables
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return EventBlock(
+                self.timestamps[index],
+                self.container_codes[index],
+                self.syscall_codes[index],
+                self.tail_codes[index],
+                self.tables,
+            )
+        tables = self.tables
+        tail = self.tail_codes[index]
+        return ForensicEvent(
+            float(self.timestamps[index]),
+            tables.containers[self.container_codes[index]],
+            tables.syscalls[self.syscall_codes[index]],
+            tables.pids[tail],
+            tables.results[tail],
+            tables.arg_bytes[tail],
+        )
+
+    def __iter__(self) -> Iterator[ForensicEvent]:
+        tables = self.tables
+        tails = self.tail_codes.tolist()
+        fields = zip(
+            self.timestamps.tolist(),
+            map(tables.containers.__getitem__, self.container_codes.tolist()),
+            map(tables.syscalls.__getitem__, self.syscall_codes.tolist()),
+            map(tables.pids.__getitem__, tails),
+            map(tables.results.__getitem__, tails),
+            map(tables.arg_bytes.__getitem__, tails),
+        )
+        # builds what ForensicEvent(*f) builds, without its Python-level __new__
+        return map(functools.partial(tuple.__new__, ForensicEvent), fields)
+
+    def rows(self) -> Iterator[tuple[float, str, int, int, int]]:
+        """(timestamp, syscall, pid, result, arg_bytes) per event, straight
+        from the columns: what a published action ships per event."""
+        tables = self.tables
+        tails = self.tail_codes.tolist()
+        return zip(
+            self.timestamps.tolist(),
+            map(tables.syscalls.__getitem__, self.syscall_codes.tolist()),
+            map(tables.pids.__getitem__, tails),
+            map(tables.results.__getitem__, tails),
+            map(tables.arg_bytes.__getitem__, tails),
+        )
+
+    def take(self, indices: np.ndarray) -> EventBlock:
+        """A new block of the events at `indices`, in that order."""
+        return EventBlock(
+            _frozen(self.timestamps[indices]),
+            _frozen(self.container_codes[indices]),
+            _frozen(self.syscall_codes[indices]),
+            _frozen(self.tail_codes[indices]),
+            self.tables,
+        )
+
+    def __eq__(self, other):
+        if isinstance(other, (EventBlock, tuple, list)):
+            return len(self) == len(other) and tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"EventBlock({len(self)} events)"
+
+
+# dtype of the code columns
+_CODE = np.int32
+
+
+class _BlockAssembler:
+    """Accumulates columns chunk by chunk against growing value tables."""
+
+    def __init__(self):
+        self.containers: dict[str, int] = {}
+        self.syscalls: dict[str, int] = {}
+        self.tails: dict[tuple, int] = {}
+        self.tail_texts: dict[str, int] = {}
+        # per column (timestamps, container, syscall and tail codes), its chunks
+        self.columns = [[np.empty(0, dtype)] for dtype in (np.float64, _CODE, _CODE, _CODE)]
+
+    def _append(self, *chunks: np.ndarray) -> None:
+        for column, chunk in zip(self.columns, chunks):
+            column.append(chunk)
+
+    def add_canonical(self, times: np.ndarray, containers, syscalls, tail_texts) -> None:
+        """Columns of canonical lines; each distinct tail text is read once."""
+        known = self.tail_texts
+        for text in dict.fromkeys(tail_texts):
+            if text not in known:
+                pid, _, rest = text.partition(',"ret":')
+                ret, _, nbytes = rest.partition(',"bytes":')
+                tail = (int(pid), int(ret), int(nbytes))
+                known[text] = self.tails.setdefault(tail, len(self.tails))
+        self._append(
+            times,
+            _codes(self.containers, containers),
+            _codes(self.syscalls, syscalls),
+            _codes(known, tail_texts, register=False),
+        )
+
+    def add_events(self, events: Iterable[ForensicEvent]) -> None:
+        columns = tuple(zip(*events))
+        if not columns:
+            return
+        times, containers, syscalls, pids, results, arg_bytes = columns
+        self._append(
+            np.array(times, dtype=np.float64),
+            _codes(self.containers, containers),
+            _codes(self.syscalls, syscalls),
+            _codes(self.tails, list(zip(pids, results, arg_bytes))),
+        )
+
+    def build(self) -> EventBlock:
+        tables = EventTables(self.containers, self.syscalls, self.tails)
+        joined = []
+        for chunks in self.columns:
+            joined.append(_frozen(np.concatenate(chunks)))
+            chunks.clear()  # free one column's chunks before joining the next
+        return EventBlock(*joined, tables)
+
+
+def _codes(table: dict, values: Sequence, register: bool = True) -> np.ndarray:
+    """Each value's code in `table`, adding unseen values in order of first use."""
+    if register:
+        for value in dict.fromkeys(values):
+            table.setdefault(value, len(table))
+    return np.fromiter(map(table.__getitem__, values), dtype=_CODE, count=len(values))
+
+
+def as_block(events: Iterable[ForensicEvent]) -> EventBlock:
+    """`events` itself when it is a block, else a new block of them."""
+    if isinstance(events, EventBlock):
+        return events
+    assembler = _BlockAssembler()
+    assembler.add_events(events)
+    return assembler.build()
+
+
+# -- reading -------------------------------------------------------------------
+
+
+def _parse_lines(lines: Iterable[str], first_index: int, last_t: float) -> Iterator[ForensicEvent]:
+    """Events of `lines` (numbered from `first_index`), each no earlier than
+    its predecessor, the first of which is `last_t`."""
     raw_decode = json.JSONDecoder().raw_decode
     # builds what ForensicEvent(...) builds, without its Python-level __new__
     new_event = tuple.__new__
     shared: dict[str, str] = {}
     share = shared.setdefault
     inf = math.inf
-    last_t = -inf
-    for index, line in enumerate(source):
+    for index, line in enumerate(lines, first_index):
         stripped = line.strip()
         if not stripped:
             continue
@@ -169,10 +396,55 @@ def read_trace(source: IO[str] | io.TextIOBase) -> Iterator[ForensicEvent]:
         yield event
 
 
-def read_trace_file(path) -> list[ForensicEvent]:
+def read_trace(source: IO[str] | io.TextIOBase) -> Iterator[ForensicEvent]:
+    """Yield events in file order, enforcing non-decreasing timestamps.
+
+    Each line is decoded once and checked by one combined predicate.
+    A line that fails it goes through `parse_event_record`, which raises
+    the first failing field's reason. Container and syscall strings are
+    shared across the events of one read.
+    """
+    return _parse_lines(source, 0, -math.inf)
+
+
+def _add_chunk(assembler: _BlockAssembler, chunk: str, first_index: int, last_t: float) -> float:
+    """Add the events of `chunk`, whose lines are numbered from
+    `first_index` and end in newlines; returns its last timestamp."""
+    parts = _CANONICAL_LINE.split(chunk)
+    step = _CANONICAL_LINE.groups + 1
+    # canonical exactly when the matches cover the chunk
+    if not any(parts[::step]):
+        times = np.fromiter(map(float, parts[1::step]), dtype=np.float64, count=len(parts) // step)
+        if np.isfinite(times).all():
+            if times.size:
+                backwards = np.flatnonzero(times[1:] < times[:-1]) + 1
+                if times[0] < last_t:
+                    raise OutOfOrderTimestamp(first_index)
+                if backwards.size:
+                    raise OutOfOrderTimestamp(first_index + int(backwards[0]))
+                last_t = float(times[-1])
+            assembler.add_canonical(times, parts[2::step], parts[3::step], parts[4::step])
+            return last_t
+    events = list(_parse_lines(chunk.split("\n")[:-1], first_index, last_t))
+    assembler.add_events(events)
+    return events[-1].timestamp if events else last_t
+
+
+def read_trace_file(path) -> EventBlock:
+    """All events of a trace file, as one block (see the module docstring)."""
+    assembler = _BlockAssembler()
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return list(read_trace(fh))
+            line_no = 0
+            last_t = -math.inf
+            while chunk := fh.read(CHUNK_SIZE):
+                if not chunk.endswith("\n"):
+                    chunk += fh.readline()
+                    if not chunk.endswith("\n"):
+                        chunk += "\n"
+                last_t = _add_chunk(assembler, chunk, line_no, last_t)
+                line_no += chunk.count("\n")
+            return assembler.build()
         except UnicodeDecodeError as exc:
             undecodable = exc
     # Off the hot path: read again with undecodable bytes kept as lone

@@ -49,6 +49,8 @@ class VaeArchitecture:
         if not self.hidden_units:
             raise ValueError("hidden_units must be non-empty")
         object.__setattr__(self, "hidden_units", tuple(int(u) for u in self.hidden_units))
+        if min(self.hidden_units) < 1:
+            raise ValueError(f"hidden layer widths must be >= 1, got {self.hidden_units}")
 
 
 @functools.lru_cache(maxsize=32)

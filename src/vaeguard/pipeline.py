@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
 from vaeguard.errors import InvalidConfig
-from vaeguard.events import ForensicEvent
+from vaeguard.events import EventBlock, ForensicEvent
 from vaeguard.publisher import (
     DEFAULT_FORENSICS_INDEX,
     DEFAULT_LATENT_INDEX,
@@ -29,6 +30,7 @@ from vaeguard.sinks import Sink, SpoolDirectory
 from vaeguard.summarize import (
     ActivityVector,
     IntervalKey,
+    check_interval_len,
     split_by_container,
     summarize_stream,
 )
@@ -36,7 +38,7 @@ from vaeguard.vae import TrainConfig, VaeStabilityDetector
 
 logger = logging.getLogger(__name__)
 
-Summaries = list[tuple[IntervalKey, list[ForensicEvent], ActivityVector]]
+Summaries = list[tuple[IntervalKey, EventBlock, ActivityVector]]
 
 
 @dataclass(frozen=True)
@@ -52,10 +54,9 @@ class PipelineConfig:
     bulk_batch_size: int = 500
 
     def __post_init__(self):
-        if self.interval_len <= 0:
-            raise InvalidConfig("interval_len must be > 0")
-        if self.threshold_k <= 0:
-            raise InvalidConfig("threshold_k must be > 0")
+        check_interval_len(self.interval_len)
+        if not 0 < self.threshold_k < math.inf:
+            raise InvalidConfig("threshold_k must be finite and > 0")
         if self.cache_capacity < 1:
             raise InvalidConfig("cache_capacity must be >= 1")
 
@@ -71,7 +72,12 @@ class PipelineConfig:
 def summarize_trace(
     events: Iterable[ForensicEvent], interval_len: float = 30.0
 ) -> dict[str, Summaries]:
-    """Window and summarize per container, in order of first appearance."""
+    """Window and summarize per container, in order of first appearance.
+
+    A plain event list is turned into an `EventBlock` first; each row's
+    events are a slice of it.
+    """
+    check_interval_len(interval_len)
     streams = split_by_container(events)
     return {
         container: list(summarize_stream(stream, interval_len))

@@ -3,9 +3,13 @@
 Per interval and per container, the publisher either accumulates
 training vectors (no model yet), publishes just the compact latent
 record (interval judged stable), or publishes the latent record plus the
-interval's raw forensics (drift). A ring buffer of recent raw intervals
-stays available for fetch-on-request after a drift, and a conventional
-mode that always ships full forensics exists for cost comparisons.
+interval's raw forensics (drift). An interval's events arrive as an
+`EventBlock` slice of the trace; the stable and accumulating decisions
+never look at them, and a drift action carries the slice itself, which
+the encoders read column by column. A ring buffer of recent raw
+intervals (the same zero-copy slices) stays available for
+fetch-on-request after a drift, and a conventional mode that always
+ships full forensics exists for cost comparisons.
 """
 
 from __future__ import annotations
@@ -13,17 +17,16 @@ from __future__ import annotations
 import enum
 import json
 import logging
-import operator
 from collections import deque
 from dataclasses import asdict, dataclass
 from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
 from vaeguard.errors import SinkUnavailable, UnknownContainer
-from vaeguard.events import ForensicEvent
+from vaeguard.events import EventBlock, ForensicEvent, as_block
 from vaeguard.summarize import ActivityVector, IntervalKey, vectors_to_matrix
 from vaeguard.thresholds import StabilityVerdict, assess
 from vaeguard.vae import LatentRecord, TrainConfig, VaeStabilityDetector, save_model
@@ -52,10 +55,13 @@ class PublishAction:
     key: IntervalKey
     mode: PublishMode
     latent: LatentRecord | None = None
-    forensics: tuple[ForensicEvent, ...] | None = None
+    # any event sequence given is held as an EventBlock
+    forensics: EventBlock | None = None
     verdict: StabilityVerdict | None = None
 
     def __post_init__(self):
+        if self.forensics is not None:
+            object.__setattr__(self, "forensics", as_block(self.forensics))
         mode, verdict = self.mode, self.verdict
         has_latent, has_forensics = self.latent is not None, self.forensics is not None
         if mode is PublishMode.LATENT_ONLY:
@@ -75,13 +81,14 @@ class PublishAction:
 
 
 class IntervalCache:
-    """Per-container ring buffer of the most recent raw intervals."""
+    """Per-container ring buffer of the most recent raw intervals, each
+    held as the block it was pushed with (a list is copied into one)."""
 
     def __init__(self, capacity: int = 4):
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
         self.capacity = capacity
-        self._buffers: dict[str, deque[tuple[IntervalKey, tuple[ForensicEvent, ...], ActivityVector]]] = {}
+        self._buffers: dict[str, deque[tuple[IntervalKey, EventBlock, ActivityVector]]] = {}
 
     def push(
         self,
@@ -92,11 +99,11 @@ class IntervalCache:
         buffer = self._buffers.get(key.container_id)
         if buffer is None:
             buffer = self._buffers[key.container_id] = deque(maxlen=self.capacity)
-        buffer.append((key, tuple(events), vector))
+        buffer.append((key, as_block(events), vector))
 
     def fetch_prior_intervals(
         self, container_id: str, count: int
-    ) -> list[tuple[IntervalKey, tuple[ForensicEvent, ...]]]:
+    ) -> list[tuple[IntervalKey, EventBlock]]:
         """Up to `count` most recent cached intervals, newest first."""
         if count < 1:
             raise ValueError("count must be >= 1")
@@ -165,9 +172,36 @@ def _rounded_head(action: PublishAction) -> tuple[dict | None, dict | None]:
     return latent, verdict
 
 
-# event -> (timestamp, syscall, pid, result, arg_bytes): what an action ships
-# per event, its container being the action's; json writes it as an array
-_event_row = operator.itemgetter(0, 2, 3, 4, 5)
+_COMPACT = (",", ":")
+
+# Rows encoded per step, which bounds the per-row strings alive at once.
+_ROWS_PER_PIECE = 4096
+
+
+def _row_texts(events: EventBlock) -> Iterator[str]:
+    """The text json.dumps writes for `list(events.rows())`, without the
+    outer "[[" and "]]", in pieces to be joined by "],[". The timestamps of
+    a piece are formatted by one json.dumps call, and each distinct syscall
+    and pid/ret/bytes tail in it is encoded once."""
+    tables = events.tables
+    for start in range(0, len(events), _ROWS_PER_PIECE):
+        piece = events[start : start + _ROWS_PER_PIECE]
+        times = json.dumps(piece.timestamps.tolist(), separators=_COMPACT)[1:-1].split(",")
+        syscalls, syscall_at = np.unique(piece.syscall_codes, return_inverse=True)
+        syscall_texts = [json.dumps(tables.syscalls[k]) for k in syscalls.tolist()]
+        tail_codes, tail_at = np.unique(piece.tail_codes, return_inverse=True)
+        tails = [
+            [tables.pids[k], tables.results[k], tables.arg_bytes[k]] for k in tail_codes.tolist()
+        ]
+        tail_texts = json.dumps(tails, separators=_COMPACT)[2:-2].split("],[")
+        if len(tail_texts) != len(tails):  # a value whose own text holds "],["
+            tail_texts = [json.dumps(tail, separators=_COMPACT)[1:-1] for tail in tails]
+        rows = zip(
+            times,
+            map(syscall_texts.__getitem__, syscall_at.tolist()),
+            map(tail_texts.__getitem__, tail_at.tolist()),
+        )
+        yield "],[".join(map(",".join, rows))
 
 
 def serialize_action(action: PublishAction) -> bytes:
@@ -183,9 +217,14 @@ def serialize_action(action: PublishAction) -> bytes:
         doc["latent"] = latent
     if verdict is not None:
         doc["verdict"] = verdict
-    if action.forensics is not None:
-        doc["events"] = list(map(_event_row, action.forensics))
-    return (json.dumps(doc, separators=(",", ":")) + "\n").encode("utf-8")
+    head = json.dumps(doc, separators=_COMPACT)
+    if action.forensics is None:
+        return (head + "\n").encode("utf-8")
+    # "events" comes last, as json.dumps would write it: an array of
+    # [timestamp, syscall, pid, result, arg_bytes], the container being the action's
+    rows = "],[".join(_row_texts(action.forensics))
+    events = f"[[{rows}]]" if rows else "[]"
+    return f'{head[:-1]},"events":{events}}}\n'.encode("utf-8")
 
 
 def parse_action(line: bytes) -> PublishAction:
@@ -243,7 +282,7 @@ def action_to_documents(
             head.update(fields)
     documents.append((latent_index, head))
     if action.forensics is not None:
-        for timestamp, syscall, pid, result, arg_bytes in map(_event_row, action.forensics):
+        for timestamp, syscall, pid, result, arg_bytes in action.forensics.rows():
             # base's keys, then the event's: the bulk payload's bytes follow this order
             document = base.copy()
             document["t"] = timestamp
@@ -367,7 +406,11 @@ class AdaptivePublisher:
         events: Sequence[ForensicEvent],
         vector: ActivityVector,
     ) -> PublishAction:
-        """Decide what to publish for one summarized interval."""
+        """Decide what to publish for one summarized interval.
+
+        Only a drift action uses `events`, and it carries them as they are.
+        """
+        events = as_block(events)
         self.cache.push(key, events, vector)
         container = key.container_id
         detector = self.models.get(container)
@@ -386,7 +429,7 @@ class AdaptivePublisher:
             key=key,
             mode=PublishMode.LATENT_PLUS_FORENSICS,
             latent=latent,
-            forensics=tuple(events),
+            forensics=events,
             verdict=verdict,
         )
 
@@ -403,7 +446,6 @@ class StandardPublisher:
         events: Sequence[ForensicEvent],
         vector: ActivityVector,
     ) -> PublishAction:
+        events = as_block(events)
         self.cache.push(key, events, vector)
-        return PublishAction(
-            key=key, mode=PublishMode.FORENSICS_ONLY, forensics=tuple(events)
-        )
+        return PublishAction(key=key, mode=PublishMode.FORENSICS_ONLY, forensics=events)

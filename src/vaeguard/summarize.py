@@ -11,18 +11,26 @@ non-negative statistics:
 Feature order is canonical so any two runs produce identical layouts.
 Empty windows between occupied ones yield all-zero vectors; a silent
 container should still be scored, not skipped.
+
+Everything here works on `EventBlock` columns (a plain event list is
+turned into a block first): a stream is split per container by one
+stable sort, each window is a zero-copy slice found from the floored
+timestamps, and a window's vector comes from `np.bincount` over its
+syscall codes and per-tail tables, bit for bit what a per-event loop
+gives. The interval length must be finite and > 0 (InvalidConfig).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from vaeguard.errors import ForeignEvent, OutOfOrderTimestamp
-from vaeguard.events import ForensicEvent
+from vaeguard.errors import ForeignEvent, InvalidConfig, OutOfOrderTimestamp
+from vaeguard.events import EventBlock, ForensicEvent, as_block
 from vaeguard.taxonomy import (
     TRACKED_CATEGORIES,
     TRACKED_SYSCALLS,
@@ -71,8 +79,8 @@ class IntervalKey:
     def __post_init__(self):
         if self.interval_index < 0:
             raise ValueError("interval_index must be >= 0")
-        if self.length <= 0:
-            raise ValueError("interval length must be > 0")
+        if not 0.0 < self.length < math.inf:
+            raise ValueError("interval length must be finite and > 0")
 
     @property
     def start(self) -> float:
@@ -97,58 +105,107 @@ class ActivityVector:
             )
 
 
+def check_interval_len(interval_len: float) -> None:
+    """Reject an interval length that is not finite and > 0."""
+    if not (0.0 < interval_len < math.inf):
+        raise InvalidConfig(f"interval length must be finite and > 0, got {interval_len}")
+
+
 def window_events(
     events: Iterable[ForensicEvent],
     interval_len: float = DEFAULT_INTERVAL_LEN,
-) -> Iterator[tuple[IntervalKey, list[ForensicEvent]]]:
+) -> Iterator[tuple[IntervalKey, EventBlock]]:
     """Group a time-ordered single-container stream into intervals.
 
     Emits (key, events) pairs from the first occupied interval through the
-    last, including empty gaps in between. The event with timestamp t lands
-    in interval floor(t / interval_len).
+    last, including empty gaps in between; each group is a slice of the
+    stream's block. The event with timestamp t lands in interval
+    floor(t / interval_len).
     """
-    if interval_len <= 0:
-        raise ValueError("interval_len must be > 0")
+    check_interval_len(interval_len)
+    block = as_block(events)
+    if not len(block):
+        return
+    codes = block.container_codes
+    containers = block.tables.containers
+    index = np.floor(block.timestamps / interval_len)
+    foreign = np.flatnonzero(codes != codes[0])
+    backwards = np.flatnonzero(index[1:] < index[:-1]) + 1
+    # the first fault in stream order; an event's container is checked first
+    if foreign.size and (not backwards.size or foreign[0] <= backwards[0]):
+        raise ForeignEvent(
+            f"stream mixes containers {containers[codes[0]]!r} and"
+            f" {containers[codes[foreign[0]]]!r}; split per container before windowing"
+        )
+    if backwards.size:
+        raise OutOfOrderTimestamp(int(backwards[0]))
 
-    container: str | None = None
-    current_index: int | None = None
-    bucket: list[ForensicEvent] = []
-    floor = math.floor
-
-    for position, event in enumerate(events):
-        if container is None:
-            container = event.container_id
-        elif event.container_id != container:
-            raise ForeignEvent(
-                f"stream mixes containers {container!r} and {event.container_id!r};"
-                " split per container before windowing"
-            )
-        index = floor(event.timestamp / interval_len)
-        if index != current_index:
-            if current_index is None:
-                current_index = index
-            elif index < current_index:
-                raise OutOfOrderTimestamp(position)
-            else:
-                yield IntervalKey(container, current_index, interval_len), bucket
-                for gap in range(current_index + 1, index):
-                    yield IntervalKey(container, gap, interval_len), []
-                bucket = []
-                current_index = index
-        bucket.append(event)
-
-    if current_index is not None and container is not None:
-        yield IntervalKey(container, current_index, interval_len), bucket
+    container = containers[codes[0]]
+    bounds = [0, *(np.flatnonzero(index[1:] != index[:-1]) + 1).tolist(), len(block)]
+    previous = None
+    for start, stop in zip(bounds, bounds[1:]):
+        current = int(index[start])
+        if previous is not None:
+            for gap in range(previous + 1, current):
+                yield IntervalKey(container, gap, interval_len), block[start:start]
+        yield IntervalKey(container, current, interval_len), block[start:stop]
+        previous = current
 
 
 def split_by_container(
     events: Iterable[ForensicEvent],
-) -> dict[str, list[ForensicEvent]]:
-    """Partition a mixed stream per container, preserving order of first use."""
-    streams: dict[str, list[ForensicEvent]] = {}
-    for event in events:
-        streams.setdefault(event.container_id, []).append(event)
+) -> dict[str, EventBlock]:
+    """Partition a mixed stream per container, preserving order of first use.
+
+    A single-container stream is returned as it is; otherwise each
+    container's events are one slice of a copy grouped by container.
+    """
+    block = as_block(events)
+    codes = block.container_codes
+    counts = np.bincount(codes)
+    present = np.flatnonzero(counts)
+    containers = block.tables.containers
+    if present.size <= 1:
+        return {containers[code]: block for code in present.tolist()}
+    order = np.argsort(codes, kind="stable")
+    grouped = block.take(order)
+    stops = np.cumsum(counts[present])
+    starts = stops - counts[present]
+    streams: dict[str, EventBlock] = {}
+    # a stable sort keeps each container's first event at the front of its run
+    for i in np.argsort(order[starts], kind="stable").tolist():
+        streams[containers[present[i]]] = grouped[int(starts[i]) : int(stops[i])]
     return streams
+
+
+@functools.lru_cache(maxsize=16)
+def _slot_matrix(syscalls: tuple[str, ...]) -> np.ndarray:
+    """Row per syscall name with a 1 at its count and its category's count
+    (all zero for an untracked name), so counts @ matrix fills both."""
+    matrix = np.zeros((len(syscalls), FEATURE_DIM), dtype=np.float64)
+    for row, name in enumerate(syscalls):
+        slots = _SYSCALL_SLOTS.get(name)
+        if slots is not None:
+            matrix[row, list(slots)] = 1.0
+    matrix.flags.writeable = False
+    return matrix
+
+
+def _raise_foreign(key: IntervalKey, block: EventBlock, code: int) -> None:
+    """ForeignEvent for the first event of `block` outside `key`, checking
+    its container before its time as a per-event loop would."""
+    start, end = key.start, key.end
+    t = block.timestamps
+    wrong_container = block.container_codes != code
+    outside = ~((t >= start) & (t < end))
+    first = int(np.flatnonzero(wrong_container | outside)[0])
+    if wrong_container[first]:
+        container = block.tables.containers[block.container_codes[first]]
+        raise ForeignEvent(
+            f"event container {container!r} does not match"
+            f" interval container {key.container_id!r}"
+        )
+    raise ForeignEvent(f"event at t={float(t[first])} outside interval [{start}, {end})")
 
 
 def summarize_interval(
@@ -157,48 +214,39 @@ def summarize_interval(
     """Reduce one interval's events to its activity vector.
 
     Untracked syscalls do not get their own count but still feed the
-    aggregate features, so novel activity perturbs the vector.
+    aggregate features, so novel activity perturbs the vector. Counts are
+    exact in float64, and the byte total is summed in event order, so
+    the vector is the same as a per-event loop's, bit for bit.
     """
-    container_id = key.container_id
-    start, end = key.start, key.end
-    counts: dict[str, int] = {}
-    pids: set[int] = set()
-    errors = 0
-    arg_bytes = 0.0
-    for timestamp, container, syscall, pid, result, nbytes in events:
-        if container != container_id:
-            raise ForeignEvent(
-                f"event container {container!r} does not match"
-                f" interval container {container_id!r}"
-            )
-        if not start <= timestamp < end:
-            raise ForeignEvent(
-                f"event at t={timestamp} outside interval [{start}, {end})"
-            )
-        counts[syscall] = counts.get(syscall, 0) + 1
-        if result < 0:
-            errors += 1
-        # summed as float in event order, so the total rounds as it always has
-        arg_bytes += float(nbytes)
-        pids.add(pid)
+    block = as_block(events)
+    tables = block.tables
+    if not len(block):
+        return ActivityVector(key=key, features=np.zeros(FEATURE_DIM, dtype=np.float64))
+    try:
+        code = tables.containers.index(key.container_id)
+    except ValueError:
+        code = -1
+    t = block.timestamps
+    if (block.container_codes != code).any() or not (
+        t.min() >= key.start and t.max() < key.end
+    ):
+        _raise_foreign(key, block, code)
 
-    features = np.zeros(FEATURE_DIM, dtype=np.float64)
-    for syscall, count in counts.items():
-        slots = _SYSCALL_SLOTS.get(syscall)
-        if slots is not None:
-            features[slots[0]] = count
-            features[slots[1]] += count
-    features[_TOTAL] = sum(counts.values())
-    features[_ERRORS] = errors
-    features[_PIDS] = len(pids)
-    features[_ARG_BYTES] = arg_bytes
+    counts = np.bincount(block.syscall_codes, minlength=len(tables.syscalls))
+    features = counts @ _slot_matrix(tables.syscalls)
+    tails = block.tail_codes
+    features[_TOTAL] = len(block)
+    features[_ERRORS] = np.count_nonzero(tables.error_tails[tails])
+    features[_PIDS] = np.count_nonzero(np.bincount(tables.pid_codes[tails]))
+    # cumsum adds left to right, as `total += float(nbytes)` per event does
+    features[_ARG_BYTES] = np.cumsum(tables.byte_floats[tails])[-1]
     return ActivityVector(key=key, features=features)
 
 
 def summarize_stream(
     events: Iterable[ForensicEvent],
     interval_len: float = DEFAULT_INTERVAL_LEN,
-) -> Iterator[tuple[IntervalKey, list[ForensicEvent], ActivityVector]]:
+) -> Iterator[tuple[IntervalKey, EventBlock, ActivityVector]]:
     """Window then summarize a single-container stream."""
     for key, group in window_events(events, interval_len):
         yield key, group, summarize_interval(key, group)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -23,7 +24,9 @@ import numpy as np
 from vaeguard import nn
 from vaeguard.errors import (
     CorruptModelFile,
+    DimensionMismatch,
     InsufficientData,
+    InvalidK,
     SchemaMismatch,
 )
 from vaeguard.nn import AdamConfig, VaeArchitecture
@@ -70,12 +73,12 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.accumulation_target < 1:
             raise ValueError("accumulation_target must be >= 1")
-        if self.learning_rate <= 0 or self.epsilon <= 0:
-            raise ValueError("learning_rate and epsilon must be positive")
+        if not (0 < self.learning_rate < math.inf and 0 < self.epsilon < math.inf):
+            raise ValueError("learning_rate and epsilon must be finite and positive")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ValueError("beta1 and beta2 must lie in (0, 1)")
-        if self.kl_weight < 0:
-            raise ValueError("kl_weight must be >= 0")
+        if not 0 <= self.kl_weight < math.inf:
+            raise ValueError("kl_weight must be finite and >= 0")
 
     @classmethod
     def from_attributes(cls, source) -> "TrainConfig":
@@ -337,8 +340,16 @@ def _weights_to_json(params: nn.Params) -> dict:
 
 
 def _weights_from_json(raw: dict, arch: VaeArchitecture) -> nn.Params:
-    """Weights as views into one buffer, each checked against the layout."""
-    params = nn.param_views(arch)
+    """Weights as views into one buffer, each checked against the layout.
+
+    The buffer is only as large as the data the bundle holds, whatever
+    widths its architecture declares.
+    """
+    arrays = {key: np.array(entry["data"], dtype=np.float64) for key, entry in raw.items()}
+    try:
+        params = nn.param_views(arch, np.empty(sum(a.size for a in arrays.values())))
+    except DimensionMismatch as exc:
+        raise CorruptModelFile(f"model bundle weights do not match architecture: {exc}") from exc
     if set(raw) != set(params):
         raise CorruptModelFile("model bundle weights do not match architecture")
     for key, view in params.items():
@@ -347,13 +358,31 @@ def _weights_from_json(raw: dict, arch: VaeArchitecture) -> nn.Params:
             raise CorruptModelFile(
                 f"weight {key}: shape {shape}, architecture needs {view.shape}"
             )
-        data = np.array(raw[key]["data"], dtype=np.float64)
+        data = arrays[key]
         if data.size != view.size:
             raise CorruptModelFile(f"weight {key}: data does not match shape {shape}")
         if not np.isfinite(data).all():
             raise CorruptModelFile(f"weight {key}: not finite")
         view[...] = data.reshape(shape)
     return params
+
+
+def _curve_from_json(doc: dict) -> TrainingCurve:
+    """The training curve, its statistics finite and non-negative and its
+    per-epoch losses finite numbers."""
+    curve = TrainingCurve(**doc)
+    for name in ("error_mean", "error_sd", "settled_error"):
+        value = getattr(curve, name)
+        if not (type(value) in (int, float) and 0 <= float(value) < math.inf):
+            raise CorruptModelFile(f"curve {name}: {value!r} is not a finite number >= 0")
+    for name in ("recon_per_epoch", "kl_per_epoch"):
+        values = getattr(curve, name)
+        if not (
+            type(values) is list
+            and all(type(v) in (int, float) and math.isfinite(v) for v in values)
+        ):
+            raise CorruptModelFile(f"curve {name}: not a list of finite numbers")
+    return curve
 
 
 def _finite_vector(values, size: int, name: str) -> np.ndarray:
@@ -401,7 +430,8 @@ def load_model(path, expected_dim: int | None = None) -> VaeStabilityDetector:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             bundle = json.load(fh)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError, UnicodeDecodeError, RecursionError) as exc:
+        # ValueError: invalid JSON, or an integer past the digit limit
         raise CorruptModelFile(f"cannot read model bundle {path}: {exc}") from exc
 
     try:
@@ -431,7 +461,7 @@ def load_model(path, expected_dim: int | None = None) -> VaeStabilityDetector:
         scaler.data_min_ = _finite_vector(bundle["scaler"]["min"], input_dim, "scaler min")
         scaler.data_max_ = _finite_vector(bundle["scaler"]["max"], input_dim, "scaler max")
         detector.scaler_ = scaler
-        detector.curve_ = TrainingCurve(**bundle["curve"])
+        detector.curve_ = _curve_from_json(bundle["curve"])
         detector.weights_ = _weights_from_json(bundle["weights"], arch)
         threshold_doc = bundle["threshold"]
         if threshold_doc["kind"] == "ksigma":
@@ -446,7 +476,8 @@ def load_model(path, expected_dim: int | None = None) -> VaeStabilityDetector:
             )
     except (SchemaMismatch, CorruptModelFile):
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError, InvalidK) as exc:
+        # a missing or mistyped field, or a value its class rejects
         raise CorruptModelFile(f"model bundle {path} is invalid: {exc}") from exc
 
     if expected_dim is not None and detector.architecture_.input_dim != expected_dim:

@@ -61,6 +61,8 @@ BUNDLE_CORRUPTIONS = {
     "inf-scaler-max": lambda b: _set_first(b["scaler"]["max"], float("-inf")),
     "short-scaler-min": lambda b: b["scaler"]["min"].pop(),
     "unknown-architecture-key": lambda b: b["architecture"].update(depth=3),
+    "zero-width-hidden-layer": lambda b: _set_first(b["architecture"]["hidden_units"], 0),
+    "string-curve-error-mean": lambda b: b["curve"].update(error_mean="0.5"),
 }
 
 

@@ -191,6 +191,71 @@ def test_non_utf8_trace_is_a_data_error(tmp_path, capsys):
     assert "line 2: not UTF-8" in capsys.readouterr().err
 
 
+_SMALL_TRAINING = (
+    "--accumulation-target", "32", "--epochs", "2", "--hidden-units", "8,8", "--latent-dim", "4",
+)
+_RECORD = b'{"t":%s,"c":"web-0","sc":"openat","pid":1,"ret":0,"bytes":0}\n'
+_HOSTILE_TRACES = {
+    "not-utf8": _RECORD % b"1.0" + _RECORD.replace(b"web-0", b"web-\xff") % b"2.0",
+    "out-of-order": _RECORD % b"2.0" + _RECORD % b"1.0",
+    "truncated": _RECORD % b"1.0" + _RECORD[:30],
+}
+
+
+def _hostile_cases():
+    flags = [
+        ("train", ("--hidden-units", "0"), 2),
+        ("train", ("--hidden-units", "-3"), 2),
+        ("train", ("--hidden-units", "4,0"), 2),
+        ("train", ("--latent-dim", "0"), 2),
+        ("train", ("--epochs", "0"), 2),
+        ("train", ("--interval-len", "nan"), 2),
+        ("train", ("--interval-len", "inf"), 2),
+        ("train", ("--k", "nan"), 2),
+        ("train", ("--k", "-1"), 2),
+        ("train", ("--learning-rate", "nan"), 2),
+        ("train", ("--kl-weight", "inf"), 2),
+        ("assess", ("--interval-len", "inf"), 2),
+        ("assess", ("--interval-len", "nan"), 2),
+        ("assess", ("--interval-len", "-30"), 2),
+        ("assess", ("--k", "nan"), 2),
+        ("assess", ("--k", "0"), 2),
+        ("assess", ("--heuristic-threshold", "nan"), 2),
+        ("assess", ("--heuristic-threshold", "-1"), 2),
+        ("bench", ("--interval-len", "inf"), 2),
+        ("bench", ("--k", "nan"), 2),
+    ]
+    for command, extra, code in flags:
+        yield pytest.param(command, extra, None, code, id=f"{command}{'='.join(extra)}")
+    for command in ("train", "assess", "bench"):
+        for trace in (*_HOSTILE_TRACES, "directory"):
+            yield pytest.param(command, (), trace, 3, id=f"{command}-{trace}-trace")
+
+
+@pytest.mark.parametrize("command, flags, trace, expected", _hostile_cases())
+def test_hostile_input_exits_with_a_documented_code(
+    tmp_path, short_baseline_trace, small_model, capsys, command, flags, trace, expected
+):
+    """No subcommand exits 1 (an escaped exception) on a hostile flag or trace."""
+    if trace is None:
+        trace_path = short_baseline_trace
+    elif trace == "directory":
+        trace_path = tmp_path
+    else:
+        trace_path = tmp_path / "hostile.ndjson"
+        trace_path.write_bytes(_HOSTILE_TRACES[trace])
+    argv = [command, "--trace", str(trace_path)]
+    if command == "train":
+        argv += ["--model-out", str(tmp_path / "m.json"), *_SMALL_TRAINING]
+    else:
+        argv += ["--model", str(small_model)]
+    if command == "bench":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    code = run_cli(*argv, *flags)
+    assert code == expected
+    assert "error" in capsys.readouterr().err
+
+
 def _subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub

@@ -1,17 +1,24 @@
 import io
+import json
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vaeguard import events as events_module
 from vaeguard.errors import MalformedRecord, OutOfOrderTimestamp
 from vaeguard.events import (
+    EventBlock,
     ForensicEvent,
     format_event_record,
     parse_event_record,
     read_trace,
+    read_trace_file,
     write_trace,
+    write_trace_file,
 )
 from vaeguard.pipeline import summarize_trace
 from vaeguard.scenarios import ScenarioConfig, gen_baseline
@@ -238,3 +245,143 @@ def _outcome(reader, text):
 def test_read_trace_matches_line_by_line_parsing(lines):
     text = "".join(line + "\n" for line in lines)
     assert _outcome(read_trace, text) == _outcome(_read_line_by_line, text)
+
+
+# -- read_trace_file: columnar chunks against the line reader -------------------
+
+_CANONICAL_EVENTS = st.builds(
+    ForensicEvent,
+    _TIMESTAMPS.map(float),
+    st.sampled_from(["web-0", "db-1", "\u00e9t\u00e9", "a b"]),
+    st.sampled_from(["openat", "close", "futex", "clone3"]),
+    st.integers(0, 2**40),
+    st.integers(-(2**40), 2**40),
+    st.one_of(st.integers(0, 2**40), st.integers(2**64 - 2**20, 2**64 - 1)),
+)
+
+
+# Field texts that are almost canonical: float() or int() would read many of
+# them, json reads some of them, and the two may disagree.
+_NEAR_MISSES = {
+    "t": ["01.5", "1.", ".5", "1e5", "1E+2", "-0.0", "1_0", " 1", "+1", "\u0661",
+          "1e400", "Infinity", "NaN", "0x10", "1" * 40, "2.5e-3"],
+    "c": ['"a\\"b"', '"a\\nb"', '"\x01"', '"\x7f"', '""', "1"],
+    "sc": ['"open\\"at"', '"\x00"', '""', '"open at"'],
+    "pid": ["01", "-0", "1" * 19, "\u0661", "1.0", "true", "+1"],
+    "ret": ["-0", "-01", "9" * 19, "-" + "9" * 19],
+    "bytes": ["9" * 19, str(2**64), str(2**64 - 1), "0" * 2, "-0"],
+}
+
+
+_FIELDS_IN_ORDER = ("t", "c", "sc", "pid", "ret", "bytes")
+
+
+@st.composite
+def _near_canonical_line(draw):
+    event = draw(_CANONICAL_EVENTS)
+    texts = dict(zip(_FIELDS_IN_ORDER, map(json.dumps, event)))
+    name = draw(st.sampled_from(sorted(_NEAR_MISSES)))
+    texts[name] = draw(st.sampled_from(_NEAR_MISSES[name]))
+    return "{" + ",".join(f'"{k}":{v}' for k, v in texts.items()) + "}"
+
+
+@st.composite
+def _mixed_trace_text(draw):
+    """Runs of canonical records (the writer's form) mixed with the lines of
+    `_trace_lines`, which hold blank, reordered, escaped and faulty records,
+    and with records in the canonical layout holding one near-miss value."""
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["canonical", "near-miss", "line reader"]))
+        if kind == "line reader":
+            lines += draw(_trace_lines())
+        elif kind == "near-miss":
+            lines += draw(st.lists(_near_canonical_line(), min_size=1, max_size=3))
+        else:
+            run = draw(st.lists(_CANONICAL_EVENTS, max_size=12))
+            if draw(st.booleans()):
+                run.sort(key=lambda e: e.timestamp)
+            lines += [format_event_record(e) for e in run]
+    text = "".join(line + "\n" for line in lines)
+    if text and draw(st.booleans()):
+        text = text[:-1]  # no newline after the last record
+    return text
+
+
+@pytest.mark.parametrize(
+    "field, token",
+    [(field, token) for field, tokens in sorted(_NEAR_MISSES.items()) for token in tokens],
+)
+def test_near_canonical_value_reads_as_the_line_reader_reads_it(tmp_path, field, token):
+    texts = dict(zip(_FIELDS_IN_ORDER, map(json.dumps, (0.5, "web-0", "openat", 7, -2, 9))))
+    valid = "{" + ",".join(f'"{k}":{v}' for k, v in texts.items()) + "}"
+    texts[field] = token
+    near = "{" + ",".join(f'"{k}":{v}' for k, v in texts.items()) + "}"
+    text = f"{valid}\n{near}\n{valid}\n"
+    path = tmp_path / "trace.ndjson"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert _outcome_of_file(path) == _outcome(read_trace, text)
+
+
+def _outcome_of_file(path):
+    try:
+        return ("events", repr(list(read_trace_file(path))))
+    except MalformedRecord as exc:
+        return ("malformed", exc.line_no, exc.reason)
+    except OutOfOrderTimestamp as exc:
+        return ("out-of-order", exc.index)
+
+
+@pytest.fixture(scope="module")
+def trace_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("columnar") / "trace.ndjson"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_mixed_trace_text(), chunk_size=st.integers(1, 400))
+def test_read_trace_file_matches_line_by_line_reading(trace_path, text, chunk_size):
+    """Same events, or the same MalformedRecord line and reason, or the same
+    OutOfOrderTimestamp index, with chunk boundaries anywhere."""
+    trace_path.write_text(text, encoding="utf-8", newline="")
+    with mock.patch.object(events_module, "CHUNK_SIZE", chunk_size):
+        assert _outcome_of_file(trace_path) == _outcome(read_trace, text)
+
+
+def test_time_going_back_is_found_wherever_chunks_split(tmp_path):
+    path = tmp_path / "trace.ndjson"
+    times = [1.0, 2.0, 3.0, 4.0, 5.0]
+    for position in range(1, len(times)):
+        shuffled = times[:position] + [times[position - 1] - 0.5] + times[position:]
+        write_trace_file([ForensicEvent(t, "c", "openat", 1, 0, 0) for t in shuffled], path)
+        text = path.read_text(encoding="utf-8")
+        for chunk_size in range(1, len(text) + 1):
+            with mock.patch.object(events_module, "CHUNK_SIZE", chunk_size):
+                with pytest.raises(OutOfOrderTimestamp) as excinfo:
+                    read_trace_file(path)
+            assert excinfo.value.index == position
+
+
+def test_canonical_chunk_takes_the_columnar_path(tmp_path):
+    events = gen_baseline(ScenarioConfig(seed=3, duration_s=20.0))
+    path = tmp_path / "trace.ndjson"
+    write_trace_file(events, path)
+    with mock.patch.object(events_module, "parse_event_record", side_effect=AssertionError):
+        with mock.patch.object(events_module.json, "JSONDecoder", side_effect=AssertionError):
+            block = read_trace_file(path)
+    assert block == events
+
+
+def test_event_block_is_a_lazy_sequence_of_events(tmp_path):
+    events = gen_baseline(ScenarioConfig(seed=3, duration_s=20.0))
+    path = tmp_path / "trace.ndjson"
+    write_trace_file(events, path)
+    block = read_trace_file(path)
+    assert isinstance(block, EventBlock)
+    assert len(block) == len(events)
+    assert block == tuple(events) and block == events
+    assert block[5] == events[5] and block[-1] == events[-1]
+    assert list(block[10:20]) == events[10:20]
+    assert np.shares_memory(block[10:20].timestamps, block.timestamps)
+    assert hash(block[:3]) == hash(tuple(events[:3]))
+    with pytest.raises(ValueError):
+        block.timestamps[0] = 1.0

@@ -29,6 +29,9 @@ def test_architecture_validation():
         VaeArchitecture(input_dim=4, hidden_units=(), latent_dim=2)
     with pytest.raises(ValueError):
         VaeArchitecture(input_dim=4, hidden_units=(4,), latent_dim=0)
+    for hidden in ((0,), (-3,), (4, 0)):
+        with pytest.raises(ValueError):
+            VaeArchitecture(input_dim=4, hidden_units=hidden, latent_dim=2)
 
 
 def test_init_params_are_views_into_one_buffer_in_key_order():

@@ -33,10 +33,12 @@ def flood_summaries():
 
 
 def test_pipeline_config_validation():
-    with pytest.raises(InvalidConfig):
-        PipelineConfig(interval_len=0.0)
-    with pytest.raises(InvalidConfig):
-        PipelineConfig(threshold_k=0.0)
+    for interval_len in (0.0, float("inf"), float("nan")):
+        with pytest.raises(InvalidConfig):
+            PipelineConfig(interval_len=interval_len)
+    for threshold_k in (0.0, float("inf"), float("nan")):
+        with pytest.raises(InvalidConfig):
+            PipelineConfig(threshold_k=threshold_k)
     with pytest.raises(InvalidConfig):
         PipelineConfig(cache_capacity=0)
 

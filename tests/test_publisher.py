@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import vaeguard
 
 from conftest import small_detector
 from vaeguard.errors import SinkUnavailable, UnknownContainer
-from vaeguard.events import ForensicEvent
+from vaeguard.events import EventBlock, ForensicEvent, as_block
 from vaeguard.publisher import (
     AdaptivePublisher,
     IntervalCache,
@@ -64,6 +65,14 @@ def test_cache_most_recent_first():
     (top_key, top_events), = cache.fetch_prior_intervals("box", 1)
     assert top_key.interval_index == 2
     assert top_events == tuple(events_for(2))
+
+
+def test_cache_holds_the_pushed_block_itself():
+    cache = IntervalCache(capacity=4)
+    block = as_block(events_for(1))
+    cache.push(key(1), block, vector(1))
+    (_, held), = cache.fetch_prior_intervals("box", 1)
+    assert held is block
 
 
 def test_cache_unknown_container():
@@ -185,6 +194,56 @@ def test_mode_truth_table():
         assert result.stdout.split() == ["10", "10"], flags
 
 
+class _SealedBlock(EventBlock):
+    """A block that fails if an event is built from it."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        raise AssertionError("events built by iterating the group")
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return super().__getitem__(index)
+        raise AssertionError("event built by indexing the group")
+
+
+def sealed_events_for(i):
+    block = as_block(events_for(i))
+    return _SealedBlock(
+        block.timestamps, block.container_codes, block.syscall_codes, block.tail_codes, block.tables
+    )
+
+
+def test_decisions_build_no_events_from_their_group():
+    """Accumulating and stable decisions never look at the group; a drift
+    action carries it as it is and both encoders read its columns."""
+    publisher = make_publisher(target=8)
+    groups = [sealed_events_for(i) for i in range(16)]
+    actions = [
+        publisher.process_interval(
+            key(i), groups[i], vector(i, scale=5000.0 if i in (12, 14) else 1.0)
+        )
+        for i in range(16)
+    ]
+    assert [a.mode for a in actions[:8]] == [PublishMode.ACCUMULATING] * 8
+    for i, action in enumerate(actions[8:], 8):
+        if i not in (12, 14):
+            assert action.mode is PublishMode.LATENT_ONLY
+            continue
+        assert action.mode is PublishMode.LATENT_PLUS_FORENSICS
+        assert action.forensics is groups[i]
+        plain = PublishAction(
+            key=action.key,
+            mode=action.mode,
+            latent=action.latent,
+            forensics=tuple(events_for(i)),
+            verdict=action.verdict,
+        )
+        assert serialize_action(action) == serialize_action(plain)
+        assert action_to_documents(action) == action_to_documents(plain)
+
+
 def test_training_fires_exactly_once_at_target():
     publisher = make_publisher(target=8)
     for i in range(6):
@@ -280,6 +339,35 @@ def test_documents_per_mode():
         )
     )
     assert len(docs_standard) == 1 + len(events_for(3))
+
+
+def test_forensic_record_is_json_dumps_of_the_event_rows():
+    """Rows spliced from the columns give what json.dumps gives for the
+    events' (timestamp, syscall, pid, result, arg_bytes) tuples, across
+    pieces and for values the trace reader never yields."""
+    rng = np.random.default_rng(4)
+    events = [
+        ForensicEvent(float(t), "box", str(sc), int(pid), int(ret), int(b))
+        for t, sc, pid, ret, b in zip(
+            np.sort(rng.uniform(0, 30, 10_000)),
+            rng.choice(["openat", "close", "caf\u00e9", 'q"uote'], 10_000),
+            rng.integers(0, 50, 10_000),
+            rng.integers(-3, 3, 10_000),
+            rng.integers(0, 2**62, 10_000),
+        )
+    ]
+    events[5:9] = [
+        ForensicEvent(float("nan"), "box", "openat", True, 0, 2**64 - 1),
+        ForensicEvent(float("inf"), "box", "openat", "],[", -1, 0),
+        ForensicEvent(1e-7, "box", "openat", None, 10**30, 1),
+        ForensicEvent(0.1, "box", "\u2028", 0, 0, 0),
+    ]
+    for group in (events, events[:1], []):
+        action = PublishAction(key=key(0), mode=PublishMode.FORENSICS_ONLY, forensics=group)
+        doc = {"kind": "forensics", "container": "box", "interval": 0, "interval_len": 30.0,
+               "events": [(e.timestamp, e.syscall, e.pid, e.result, e.arg_bytes) for e in group]}
+        expected = json.dumps(doc, separators=(",", ":")) + "\n"
+        assert serialize_action(action) == expected.encode("utf-8")
 
 
 def test_forensics_record_much_larger_than_latent(small_trained_detector, small_baseline_summaries):

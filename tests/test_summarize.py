@@ -1,11 +1,14 @@
 import hashlib
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vaeguard.errors import ForeignEvent
-from vaeguard.events import ForensicEvent, read_trace, write_trace
+from vaeguard.errors import ForeignEvent, InvalidConfig, OutOfOrderTimestamp
+from vaeguard.events import ForensicEvent, as_block, read_trace, write_trace
 from vaeguard.pipeline import summarize_trace
 from vaeguard.scenarios import CPUMINER_PHASES, ScenarioConfig, gen_cpuminer_scenario
 from vaeguard.summarize import (
@@ -13,7 +16,9 @@ from vaeguard.summarize import (
     FEATURE_NAMES,
     ActivityVector,
     IntervalKey,
+    _SYSCALL_SLOTS,
     feature_index,
+    split_by_container,
     summarize_interval,
     vectors_to_matrix,
     window_events,
@@ -189,3 +194,86 @@ def test_cpuminer_vectors_match_golden_digest():
     assert digest.hexdigest() == (
         "09215e4d42226053cbef92d7d2a73ab50585d6877b0fc6f306822acca50eb53c"
     )
+
+
+# -- the columnar summary against a per-event loop --------------------------------
+
+
+def _loop_features(events) -> np.ndarray:
+    """Reference: one pass over the events, as summaries were first computed."""
+    counts: dict[str, int] = {}
+    pids: set[int] = set()
+    errors = 0
+    arg_bytes = 0.0
+    for _, _, syscall, pid, result, nbytes in events:
+        counts[syscall] = counts.get(syscall, 0) + 1
+        errors += result < 0
+        arg_bytes += float(nbytes)
+        pids.add(pid)
+    features = np.zeros(FEATURE_DIM, dtype=np.float64)
+    for syscall, count in counts.items():
+        slots = _SYSCALL_SLOTS.get(syscall)
+        if slots is not None:
+            features[slots[0]] = count
+            features[slots[1]] += count
+    features[TOTAL] = sum(counts.values())
+    features[ERRORS] = errors
+    features[PIDS] = len(pids)
+    features[ARG_BYTES] = arg_bytes
+    return features
+
+
+_EVENTS = st.lists(
+    st.builds(
+        ev,
+        st.floats(0.0, 29.999),
+        sc=st.sampled_from(["openat", "close", "socket", "futex", "gettimeofday", "ptrace"]),
+        pid=st.integers(0, 2**70),
+        ret=st.integers(-5, 5),
+        # large sizes round when added as floats, so the order of addition shows
+        arg_bytes=st.one_of(st.integers(0, 100), st.integers(2**53, 2**64 - 1)),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_EVENTS)
+def test_summary_matches_per_event_loop_bit_for_bit(events):
+    vector = summarize_interval(IntervalKey("box", 0, 30.0), events)
+    assert vector.features.tobytes() == _loop_features(events).tobytes()
+
+
+@pytest.mark.parametrize("interval_len", [math.inf, math.nan, 0.0, -30.0])
+def test_interval_length_must_be_finite_and_positive(interval_len):
+    with pytest.raises(InvalidConfig):
+        summarize_trace([ev(1.0)], interval_len)
+    with pytest.raises(InvalidConfig):
+        list(window_events([ev(1.0)], interval_len))
+
+
+def test_window_rejects_time_going_back_across_intervals():
+    with pytest.raises(OutOfOrderTimestamp) as excinfo:
+        list(window_events([ev(1.0), ev(31.0), ev(29.0)], 30.0))
+    assert excinfo.value.index == 2
+    # the first fault in stream order wins
+    with pytest.raises(ForeignEvent):
+        list(window_events([ev(31.0), ev(1.0, c="other"), ev(1.0)], 30.0))
+    with pytest.raises(OutOfOrderTimestamp):
+        list(window_events([ev(31.0), ev(1.0), ev(1.0, c="other")], 30.0))
+
+
+def test_split_keeps_first_use_order_and_slices_one_copy():
+    events = [ev(1.0, c="b"), ev(2.0, c="a"), ev(3.0, c="b"), ev(4.0, c="c"), ev(5.0, c="a")]
+    streams = split_by_container(events)
+    assert list(streams) == ["b", "a", "c"]
+    for container, stream in streams.items():
+        assert stream == [e for e in events if e.container_id == container]
+    assert streams["a"].timestamps.base is streams["c"].timestamps.base is not None
+
+
+def test_single_container_rows_are_views_of_the_trace_block():
+    block = as_block([ev(float(t)) for t in range(0, 90, 7)])
+    rows = summarize_trace(block, 30.0)["box"]
+    assert [len(group) for _, group, _ in rows] == [5, 4, 4]
+    assert all(np.shares_memory(group.timestamps, block.timestamps) for _, group, _ in rows)

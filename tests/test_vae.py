@@ -1,8 +1,11 @@
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import BUNDLE_CORRUPTIONS, corrupt_bundle, small_detector
 from vaeguard import nn
@@ -297,3 +300,68 @@ def test_loaded_weights_are_views_into_one_buffer(tmp_path, small_trained_detect
     save_model(small_trained_detector, path)
     weights = load_model(path).weights_
     assert param_buffer(weights).size == sum(value.size for value in weights.values())
+
+
+# -- mutated bundles -------------------------------------------------------------
+
+_HOSTILE_VALUES = (
+    None, True, 0, -1, 1.5, 10**400, float("nan"), float("inf"), float("-inf"),
+    "", "x", [], {}, [1.0], {"k": 1},
+)
+
+
+def _paths(node, prefix=()):
+    """Paths to the nodes of a parsed bundle; of a list, only its ends."""
+    yield prefix
+    if isinstance(node, dict):
+        for name, child in node.items():
+            yield from _paths(child, prefix + (name,))
+    elif isinstance(node, list) and node:
+        for index in sorted({0, len(node) - 1}):
+            yield from _paths(node[index], prefix + (index,))
+
+
+@st.composite
+def _mutated_bundles(draw, bundle):
+    bundle = copy.deepcopy(bundle)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(bundle))))
+        parent, node = None, bundle
+        for step in path:
+            parent, node = node, node[step]
+        kind = draw(st.sampled_from(["drop", "replace", "wrap", "append", "truncate"]))
+        if kind == "drop" and parent is not None:
+            del parent[path[-1]]
+        elif kind == "replace" and parent is not None:
+            parent[path[-1]] = draw(st.sampled_from(_HOSTILE_VALUES))
+        elif kind == "wrap" and parent is not None:
+            parent[path[-1]] = [node]
+        elif kind == "append" and isinstance(node, list):
+            node.append(draw(st.sampled_from(_HOSTILE_VALUES)))
+        elif kind == "truncate" and isinstance(node, list):
+            del node[len(node) // 2 :]
+    return bundle
+
+
+@pytest.fixture(scope="module")
+def saved_bundle(tmp_path_factory, small_trained_detector):
+    path = tmp_path_factory.mktemp("mutations") / "model.json"
+    save_model(small_trained_detector, path)
+    return path, json.loads(path.read_text(encoding="utf-8"))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_bundle_loads_or_is_rejected_as_corrupt(saved_bundle, data):
+    """Whatever is dropped, retyped, reshaped or made non-finite, loading
+    either fails with CorruptModelFile or SchemaMismatch, or gives a
+    detector that scores."""
+    path, bundle = saved_bundle
+    mutated = data.draw(_mutated_bundles(bundle))
+    target = path.with_name("mutated.json")
+    target.write_text(json.dumps(mutated), encoding="utf-8")
+    try:
+        detector = load_model(target)
+    except (CorruptModelFile, SchemaMismatch):
+        return
+    detector.score_samples(np.zeros((1, detector.n_features_in_)))
