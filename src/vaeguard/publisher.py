@@ -371,7 +371,10 @@ class AdaptivePublisher:
         self.model_dir = Path(model_dir) if model_dir is not None else None
         self.models: dict[str, VaeStabilityDetector] = {}
         self.trainings_completed: dict[str, int] = {}
-        self._detector_factory = detector_factory or self._default_factory
+        # Not `self._default_factory`: that bound method would make a
+        # reference cycle, and a dropped publisher, with the trace slices
+        # its cache holds, would wait for the cycle collector.
+        self._detector_factory = detector_factory
 
     def _default_factory(self) -> VaeStabilityDetector:
         return VaeStabilityDetector(threshold_k=self.threshold_k, **asdict(self.train_config))
@@ -382,7 +385,7 @@ class AdaptivePublisher:
 
     def _train_container(self, container_id: str) -> None:
         vectors = self.accumulator.vectors(container_id)
-        detector = self._detector_factory()
+        detector = (self._detector_factory or self._default_factory)()
         detector.container_id = container_id
         detector.fit(vectors_to_matrix(vectors))
         self.accumulator.seal(container_id)

@@ -1,7 +1,9 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -268,6 +270,22 @@ def test_trained_model_is_persisted(tmp_path):
     )
     run_stream(publisher, 4)
     assert (tmp_path / "box.model.json").exists()
+
+
+def test_dropped_publisher_is_freed_without_the_cycle_collector():
+    # Its cache holds slices that keep a whole trace block alive, so a
+    # reference cycle would hold that block until some later collection.
+    config = TrainConfig(epochs=2, batch_size=4, accumulation_target=4, seed=3)
+    publisher = AdaptivePublisher(train_config=config)
+    run_stream(publisher, 6)
+    assert "box" in publisher.models
+    dropped = weakref.ref(publisher)
+    gc.disable()
+    try:
+        del publisher
+        assert dropped() is None
+    finally:
+        gc.enable()
 
 
 def test_containers_are_independent():
