@@ -342,8 +342,8 @@ def cmd_bench(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.endpoint:
-        standard_sink = HttpBulkSink(args.endpoint, batch_size=args.bulk_batch_size)
-        adaptive_sink = HttpBulkSink(args.endpoint, batch_size=args.bulk_batch_size)
+        standard_sink = HttpBulkSink(args.endpoint, batch_size=config.bulk_batch_size)
+        adaptive_sink = HttpBulkSink(args.endpoint, batch_size=config.bulk_batch_size)
     else:
         standard_sink = FileSink(out_dir / "standard.ndjson")
         adaptive_sink = FileSink(out_dir / "adaptive.ndjson")

@@ -16,12 +16,13 @@ unpacks like the tuple of its six fields.
 timestamps, and codes into shared tables of container ids, syscall names
 and distinct pid/ret/bytes triples). It is a `Sequence[ForensicEvent]`
 that builds each event only when it is indexed or iterated, and its
-slices are zero-copy views that share the tables. The file is read in
-newline-aligned chunks; a chunk whose every line is the writer's
+slices are zero-copy views that share the tables. The file is read once,
+in newline-aligned chunks; a chunk whose every line is the writer's
 canonical form is validated and split by one regular expression, and any
 other chunk goes line by line through `parse_event_record`, so every
 valid JSON record is accepted and every error names the same line and
-reason either way.
+reason either way. A byte that is not UTF-8 is its line's "not UTF-8"
+error, reported in line order like any other.
 """
 
 from __future__ import annotations
@@ -30,9 +31,7 @@ import functools
 import io
 import json
 import math
-import operator
 import re
-import sys
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -41,13 +40,8 @@ from vaeguard.errors import MalformedRecord, OutOfOrderTimestamp
 
 _FIELDS = ("t", "c", "sc", "pid", "ret", "bytes")
 
-# Every int up to this converts to a finite float.
-_MAX_INT_TIMESTAMP = int(sys.float_info.max)
-
 # A payload size is a syscall's size_t.
 _BYTES_LIMIT = 2**64
-
-_record_fields = operator.itemgetter(*_FIELDS)
 
 # Characters of trace text per chunk, extended to the next newline. Larger
 # chunks read no faster and leave more transient strings and arrays.
@@ -57,11 +51,12 @@ CHUNK_SIZE = 1 << 16
 # It accepts only JSON whose values float() and int() read as json does:
 # strings without escapes or control characters, a timestamp without sign
 # or leading zeros, and integers short enough that pid and ret fit int64,
-# bytes < 10**19 < 2**64, and no digit limit applies. Groups: t, c, sc, and
+# bytes < 10**19 < 2**64, and no digit limit applies. Strings hold no lone
+# surrogate, which is how an undecodable byte reads. Groups: t, c, sc, and
 # the pid/ret/bytes tail.
 _CANONICAL_LINE = re.compile(
     r'\{"t":((?:0|[1-9][0-9]{0,29})(?:\.[0-9]{1,30})?(?:[eE][-+]?[0-9]{1,3})?),'
-    r'"c":"([^"\\\x00-\x1f]+)","sc":"([^"\\\x00-\x1f]+)",'
+    r'"c":"([^"\\\x00-\x1f\ud800-\udfff]+)","sc":"([^"\\\x00-\x1f\ud800-\udfff]+)",'
     r'"pid":((?:0|[1-9][0-9]{0,17}),"ret":-?(?:0|[1-9][0-9]{0,17}),'
     r'"bytes":(?:0|[1-9][0-9]{0,18}))\}\n'
 )
@@ -354,55 +349,28 @@ def as_block(events: Iterable[ForensicEvent]) -> EventBlock:
 def _parse_lines(lines: Iterable[str], first_index: int, last_t: float) -> Iterator[ForensicEvent]:
     """Events of `lines` (numbered from `first_index`), each no earlier than
     its predecessor, the first of which is `last_t`."""
-    raw_decode = json.JSONDecoder().raw_decode
-    # builds what ForensicEvent(...) builds, without its Python-level __new__
-    new_event = tuple.__new__
-    shared: dict[str, str] = {}
-    share = shared.setdefault
-    inf = math.inf
     for index, line in enumerate(lines, first_index):
         stripped = line.strip()
         if not stripped:
             continue
-        # json.loads(stripped) without its two whitespace scans: a stripped
-        # line decodes alike when the decoder consumes all of it.
-        try:
-            raw, end = raw_decode(stripped)
-            t, c, sc, pid, ret, nbytes = _record_fields(raw)
-        except (ValueError, RecursionError, KeyError, TypeError):
-            end = None
-        # For decoded JSON, `type(x) is int` is isinstance(x, int) and not bool.
-        if (
-            end == len(stripped)
-            and type(c) is type(sc) is str
-            and c
-            and sc
-            and type(pid) is type(ret) is type(nbytes) is int
-            and pid >= 0
-            and 0 <= nbytes < _BYTES_LIMIT
-            and (
-                type(t) is float and 0.0 <= t < inf
-                or type(t) is int and 0 <= t <= _MAX_INT_TIMESTAMP
-            )
-        ):
-            t = float(t)
-            event = new_event(ForensicEvent, (t, share(c, c), share(sc, sc), pid, ret, nbytes))
-        else:
-            event = parse_event_record(stripped, line_no=index)
-            t = event.timestamp
-        if t < last_t:
+        if not stripped.isascii():
+            try:
+                stripped.encode("utf-8")
+            except UnicodeEncodeError:
+                raise MalformedRecord(index, "not UTF-8") from None
+        event = parse_event_record(stripped, index)
+        if event.timestamp < last_t:
             raise OutOfOrderTimestamp(index)
-        last_t = t
+        last_t = event.timestamp
         yield event
 
 
 def read_trace(source: IO[str] | io.TextIOBase) -> Iterator[ForensicEvent]:
     """Yield events in file order, enforcing non-decreasing timestamps.
 
-    Each line is decoded once and checked by one combined predicate.
-    A line that fails it goes through `parse_event_record`, which raises
-    the first failing field's reason. Container and syscall strings are
-    shared across the events of one read.
+    Each non-blank line goes through `parse_event_record`. A line holding
+    a lone surrogate (an undecodable byte read with "surrogateescape")
+    raises `MalformedRecord` with the reason "not UTF-8".
     """
     return _parse_lines(source, 0, -math.inf)
 
@@ -433,33 +401,19 @@ def _add_chunk(assembler: _BlockAssembler, chunk: str, first_index: int, last_t:
 def read_trace_file(path) -> EventBlock:
     """All events of a trace file, as one block (see the module docstring)."""
     assembler = _BlockAssembler()
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            line_no = 0
-            last_t = -math.inf
-            while chunk := fh.read(CHUNK_SIZE):
-                if not chunk.endswith("\n"):
-                    chunk += fh.readline()
-                    if not chunk.endswith("\n"):
-                        chunk += "\n"
-                last_t = _add_chunk(assembler, chunk, line_no, last_t)
-                line_no += chunk.count("\n")
-            return assembler.build()
-        except UnicodeDecodeError as exc:
-            undecodable = exc
-    # Off the hot path: read again with undecodable bytes kept as lone
-    # surrogates (which no UTF-8 text holds) to find the first such line;
-    # an error on a line before it still comes first.
+    # An undecodable byte reads as a lone surrogate, which no canonical line
+    # holds and `_parse_lines` reports as its line's error.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        lines: list[str] = []
-        for line in fh:
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                list(read_trace(lines))
-                raise MalformedRecord(len(lines), "not UTF-8") from None
-            lines.append(line)
-    raise undecodable
+        line_no = 0
+        last_t = -math.inf
+        while chunk := fh.read(CHUNK_SIZE):
+            if not chunk.endswith("\n"):
+                chunk += fh.readline()
+                if not chunk.endswith("\n"):
+                    chunk += "\n"
+            last_t = _add_chunk(assembler, chunk, line_no, last_t)
+            line_no += chunk.count("\n")
+    return assembler.build()
 
 
 def write_trace(events: Iterable[ForensicEvent], sink: IO[str]) -> int:

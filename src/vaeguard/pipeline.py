@@ -129,13 +129,12 @@ def record_for_action(action: PublishAction) -> IntervalVerdictRecord:
     )
 
 
-def assess_trace(
+def _adaptive_publisher(
     summaries: dict[str, Summaries],
     detector: VaeStabilityDetector,
     config: PipelineConfig,
-) -> list[IntervalVerdictRecord]:
-    """Score every interval of every container with one trained model,
-    under that model's threshold policy."""
+) -> AdaptivePublisher:
+    """An adaptive publisher with `detector` installed for every container."""
     publisher = AdaptivePublisher(
         train_config=config.train,
         threshold_k=config.threshold_k,
@@ -143,12 +142,22 @@ def assess_trace(
     )
     for container in summaries:
         publisher.install_model(container, detector)
-    records: list[IntervalVerdictRecord] = []
-    for container, rows in summaries.items():
-        for key, events, vector in rows:
-            action = publisher.process_interval(key, events, vector)
-            records.append(record_for_action(action))
-    return records
+    return publisher
+
+
+def assess_trace(
+    summaries: dict[str, Summaries],
+    detector: VaeStabilityDetector,
+    config: PipelineConfig,
+) -> list[IntervalVerdictRecord]:
+    """Score every interval of every container with one trained model,
+    under that model's threshold policy."""
+    publisher = _adaptive_publisher(summaries, detector, config)
+    return [
+        record_for_action(publisher.process_interval(key, events, vector))
+        for rows in summaries.values()
+        for key, events, vector in rows
+    ]
 
 
 # -- bench ------------------------------------------------------------------
@@ -256,13 +265,7 @@ def run_adaptive(
     config: PipelineConfig,
     spool: SpoolDirectory | None = None,
 ) -> tuple[ModeCost, list[PublishAction]]:
-    publisher = AdaptivePublisher(
-        train_config=config.train,
-        threshold_k=config.threshold_k,
-        cache_capacity=config.cache_capacity,
-    )
-    for container in summaries:
-        publisher.install_model(container, detector)
+    publisher = _adaptive_publisher(summaries, detector, config)
     return _run_mode(summaries, publisher, sink, config, spool)
 
 

@@ -145,7 +145,10 @@ class SpoolDirectory:
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
         self.quarantine_path = self.path / "quarantine"
-        existing = (int(p.stem.split("-")[1]) for p in self.path.glob("**/action-*.ndjson"))
+        # skip names without a numeric index, such as action-old.ndjson: the
+        # file stays pending, and replay quarantines it if it cannot be read
+        indices = (p.stem.removeprefix("action-") for p in self.path.glob("**/action-*.ndjson"))
+        existing = (int(i) for i in indices if i.isascii() and i.isdigit())
         self._next_index = max(existing, default=-1) + 1
 
     def store(self, line: bytes) -> Path:

@@ -1,11 +1,12 @@
 import io
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vaeguard import events as events_module
@@ -337,14 +338,63 @@ def trace_path(tmp_path_factory):
     return tmp_path_factory.mktemp("columnar") / "trace.ndjson"
 
 
+# Where to put one undecodable byte: (line, "own line" or "in string", which string).
+_UNDECODABLE = st.none() | st.tuples(
+    st.integers(min_value=0), st.sampled_from(["own line", "in string"]), st.integers(min_value=0)
+)
+
+
+def _in_writer_form(line):
+    try:
+        return format_event_record(parse_event_record(line)) == line
+    except MalformedRecord:
+        return False
+
+
+def _with_undecodable_byte(text, spoil):
+    """`text` as bytes with a 0xff byte placed by `spoil`, and the outcome a
+    reader owes it: the error of the lines before the spoiled one if they
+    fail, else that line's "not UTF-8". A byte "in string" goes into a
+    string value of a line in the writer's form when there is one."""
+    lines = text.split("\n")
+    line_no, where, which = spoil
+    if where == "own line":
+        index = line_no % len(lines)
+        lines.insert(index, "\udcff")
+    else:
+        written = [i for i, line in enumerate(lines) if _in_writer_form(line)]
+        candidates = written or range(len(lines))
+        index = candidates[line_no % len(candidates)]
+        line = lines[index]
+        starts = [m.end() for m in re.finditer(':"', line)] or [0]
+        cut = starts[which % len(starts)]
+        lines[index] = line[:cut] + "\udcff" + line[cut:]
+    before = _outcome(read_trace, "".join(line + "\n" for line in lines[:index]))
+    expected = before if before[0] != "events" else ("malformed", index, "not UTF-8")
+    return "\n".join(lines).encode("utf-8", "surrogateescape"), expected
+
+
+_FIFTY_RECORDS = "".join(
+    format_event_record(ForensicEvent(float(t), "web-0", "openat", 1, 0, 0)) + "\n"
+    for t in range(50)
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(text=_mixed_trace_text(), chunk_size=st.integers(1, 400))
-def test_read_trace_file_matches_line_by_line_reading(trace_path, text, chunk_size):
+@given(text=_mixed_trace_text(), chunk_size=st.integers(1, 400), spoil=_UNDECODABLE)
+@example(text=_FIFTY_RECORDS, chunk_size=400, spoil=(49, "in string", 0))
+def test_read_trace_file_matches_line_by_line_reading(trace_path, text, chunk_size, spoil):
     """Same events, or the same MalformedRecord line and reason, or the same
-    OutOfOrderTimestamp index, with chunk boundaries anywhere."""
-    trace_path.write_text(text, encoding="utf-8", newline="")
+    OutOfOrderTimestamp index, with chunk boundaries anywhere; with a byte
+    that is not UTF-8, the first failing line's error, whatever its kind."""
+    if spoil is None:
+        trace_path.write_text(text, encoding="utf-8", newline="")
+        expected = _outcome(read_trace, text)
+    else:
+        data, expected = _with_undecodable_byte(text, spoil)
+        trace_path.write_bytes(data)
     with mock.patch.object(events_module, "CHUNK_SIZE", chunk_size):
-        assert _outcome_of_file(trace_path) == _outcome(read_trace, text)
+        assert _outcome_of_file(trace_path) == expected
 
 
 def test_time_going_back_is_found_wherever_chunks_split(tmp_path):

@@ -14,6 +14,7 @@ from vaeguard.publisher import (
     PublishMode,
     action_to_documents,
     emit,
+    replay_spool,
     serialize_action,
 )
 from vaeguard.sinks import (
@@ -229,3 +230,20 @@ def test_spool_ignores_partial_writes_and_skips_quarantined_indices(tmp_path):
     assert (tmp_path / "spool" / "quarantine" / first.name).read_bytes() == b"first\n"
     # a reopened spool does not reuse the quarantined file's index
     assert SpoolDirectory(tmp_path / "spool").store(b"second\n").name == "action-00000001.ndjson"
+
+
+def test_spool_with_a_stray_file_opens_and_replay_quarantines_it(tmp_path):
+    root = tmp_path / "spool"
+    root.mkdir()
+    (root / "action-old.ndjson").write_bytes(b"not an action\n")
+    (root / "action-00000003.ndjson").write_bytes(serialize_action(forensics(2)))
+    spool = SpoolDirectory(root)
+    assert spool.store(serialize_action(forensics(1, i=1))).name == "action-00000004.ndjson"
+    sink = FileSink(tmp_path / "out.ndjson")
+    try:
+        assert replay_spool(spool, sink) > 0
+    finally:
+        sink.close()
+    assert spool.pending() == []
+    assert [p.name for p in (root / "quarantine").iterdir()] == ["action-old.ndjson"]
+    assert len((tmp_path / "out.ndjson").read_bytes().splitlines()) == 2
