@@ -143,3 +143,40 @@ def test_bulk_request_golden(monkeypatch, cpuminer_rows):
         1224,
         "a77ca759681e933a174a9cae3b1c77e96a5f9c74f229ff8a3c2b9b956231bf66",
     )
+
+
+def test_assess_and_bench_golden(tmp_path):
+    """A small bundle trained from the command line, then loaded by
+    `assess` and `bench`: pins the detector those commands rebuild."""
+    baseline = tmp_path / "baseline.ndjson"
+    write_trace_file(gen_baseline(ScenarioConfig(seed=7, duration_s=960.0)), baseline)
+    model = tmp_path / "model.json"
+    assert cli_main([
+        "train", "--trace", str(baseline), "--model-out", str(model),
+        "--epochs", "10", "--batch-size", "8", "--accumulation-target", "32",
+        "--hidden-units", "8,8", "--latent-dim", "4", "--seed", "2", "--interval-len", "10",
+    ]) == 0
+    trace = tmp_path / "cpuminer.ndjson"
+    write_trace_file(
+        gen_cpuminer_scenario(ScenarioConfig(seed=5, duration_s=300.0, phase_schedule=_SCHEDULE)),
+        trace,
+    )
+    verdicts = tmp_path / "verdicts.ndjson"
+    assert cli_main([
+        "assess", "--trace", str(trace), "--model", str(model), "--out", str(verdicts),
+        "--interval-len", "10",
+    ]) == 0
+    assert cli_main([
+        "bench", "--trace", str(trace), "--model", str(model),
+        "--out-dir", str(tmp_path / "sinks"), "--interval-len", "10",
+    ]) == 0
+    sinks = tmp_path / "sinks"
+    digests = [
+        sha256(path.read_bytes())
+        for path in (verdicts, sinks / "adaptive.ndjson", sinks / "standard.ndjson")
+    ]
+    assert digests == [
+        "d5ee2073e09ddce921185e3d2e378dafa5363c6cb5e160730074f4dcd4cc4778",
+        "2e5cd647286c5e7a835dafa51803cdabb3615a5ad528d5f0f0898019493e45c9",
+        "8fe82356785f469618c27ec706688df0268307fa46dff63a86414bb9b5aaafb9",
+    ]
