@@ -33,6 +33,7 @@ from vaeguard.errors import (
     UnknownContainer,
 )
 from vaeguard.events import read_trace_file, write_trace_file
+from vaeguard.nn import DEFAULT_HIDDEN_UNITS, DEFAULT_LATENT_DIM
 from vaeguard.pipeline import (
     PipelineConfig,
     assess_trace,
@@ -48,7 +49,7 @@ from vaeguard.scenarios import (
 )
 from vaeguard.sinks import FileSink, HttpBulkSink
 from vaeguard.summarize import FEATURE_DIM, vectors_to_matrix
-from vaeguard.thresholds import HeuristicThreshold, fit_threshold_ksigma
+from vaeguard.thresholds import DEFAULT_K, HeuristicThreshold, fit_threshold_ksigma
 from vaeguard.vae import TrainConfig, load_model, save_model
 
 logger = logging.getLogger(__name__)
@@ -128,9 +129,11 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     for f in fields(TrainConfig):
         flag = "--adam-epsilon" if f.name == "epsilon" else "--" + f.name.replace("_", "-")
         parser.add_argument(flag, dest=f.name, type=type(f.default), default=f.default)
-    parser.add_argument("--hidden-units", type=str, default="16,16,16")
-    parser.add_argument("--latent-dim", type=int, default=10)
-    parser.add_argument("--k", type=float, default=3.0, help="k-sigma threshold multiplier")
+    parser.add_argument(
+        "--hidden-units", type=str, default=",".join(map(str, DEFAULT_HIDDEN_UNITS))
+    )
+    parser.add_argument("--latent-dim", type=int, default=DEFAULT_LATENT_DIM)
+    parser.add_argument("--k", type=float, default=DEFAULT_K, help="k-sigma threshold multiplier")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,7 +244,7 @@ def cmd_train(args) -> int:
     vectors = [vector for _, _, vector in rows]
     config = PipelineConfig(
         interval_len=args.interval_len,
-        train=TrainConfig.from_attributes(args),
+        train=TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)}),
         hidden_units=_parse_hidden_units(args.hidden_units),
         latent_dim=args.latent_dim,
         threshold_k=args.k,

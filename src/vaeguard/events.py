@@ -73,11 +73,6 @@ class ForensicEvent(NamedTuple):
     arg_bytes: int
 
 
-def _require(condition: bool, line_no: int, reason: str) -> None:
-    if not condition:
-        raise MalformedRecord(line_no, reason)
-
-
 def parse_event_record(line: str, line_no: int = 0) -> ForensicEvent:
     """Parse one trace line; malformed syntax or field values raise."""
     try:
@@ -87,47 +82,39 @@ def parse_event_record(line: str, line_no: int = 0) -> ForensicEvent:
     except (ValueError, RecursionError) as exc:
         # an integer past the interpreter's digit limit, or nesting too deep
         raise MalformedRecord(line_no, f"invalid record syntax: {exc}") from exc
-    _require(isinstance(raw, dict), line_no, "record is not an object")
-    missing = [f for f in _FIELDS if f not in raw]
-    _require(not missing, line_no, f"missing fields: {', '.join(missing)}")
-
-    t = raw["t"]
-    _require(
-        isinstance(t, (int, float)) and not isinstance(t, bool),
-        line_no,
-        "t must be numeric",
-    )
+    if type(raw) is not dict:
+        raise MalformedRecord(line_no, "record is not an object")
+    try:
+        t, container, syscall, pid, result, arg_bytes = [raw[f] for f in _FIELDS]
+    except KeyError:
+        missing = [f for f in _FIELDS if f not in raw]
+        raise MalformedRecord(line_no, f"missing fields: {', '.join(missing)}") from None
+    # json.loads makes exact types, so `type(v) is int` also rules out a bool
+    if type(t) not in (int, float):
+        raise MalformedRecord(line_no, "t must be numeric")
     try:
         t = float(t)
     except OverflowError:
         t = math.inf
-    _require(math.isfinite(t) and t >= 0.0, line_no, "t must be finite and >= 0")
-    _require(
-        isinstance(raw["c"], str) and raw["c"] != "", line_no, "c must be a non-empty string"
-    )
-    _require(
-        isinstance(raw["sc"], str) and raw["sc"] != "",
-        line_no,
-        "sc must be a non-empty string",
-    )
-    for field in ("pid", "ret", "bytes"):
-        _require(
-            isinstance(raw[field], int) and not isinstance(raw[field], bool),
-            line_no,
-            f"{field} must be an integer",
-        )
-    _require(raw["pid"] >= 0, line_no, "pid must be >= 0")
-    _require(raw["bytes"] >= 0, line_no, "bytes must be >= 0")
-    _require(raw["bytes"] < _BYTES_LIMIT, line_no, "bytes must be < 2**64")
-
-    return ForensicEvent(
-        timestamp=t,
-        container_id=raw["c"],
-        syscall=raw["sc"],
-        pid=raw["pid"],
-        result=raw["ret"],
-        arg_bytes=raw["bytes"],
-    )
+    if not (math.isfinite(t) and t >= 0.0):
+        raise MalformedRecord(line_no, "t must be finite and >= 0")
+    if type(container) is not str or not container:
+        raise MalformedRecord(line_no, "c must be a non-empty string")
+    if type(syscall) is not str or not syscall:
+        raise MalformedRecord(line_no, "sc must be a non-empty string")
+    if type(pid) is not int:
+        raise MalformedRecord(line_no, "pid must be an integer")
+    if type(result) is not int:
+        raise MalformedRecord(line_no, "ret must be an integer")
+    if type(arg_bytes) is not int:
+        raise MalformedRecord(line_no, "bytes must be an integer")
+    if pid < 0:
+        raise MalformedRecord(line_no, "pid must be >= 0")
+    if arg_bytes < 0:
+        raise MalformedRecord(line_no, "bytes must be >= 0")
+    if arg_bytes >= _BYTES_LIMIT:
+        raise MalformedRecord(line_no, "bytes must be < 2**64")
+    return ForensicEvent(t, container, syscall, pid, result, arg_bytes)
 
 
 def format_event_record(event: ForensicEvent) -> str:

@@ -34,12 +34,16 @@ from vaeguard.errors import DimensionMismatch, NonFiniteInput
 
 Params = dict[str, np.ndarray]
 
+# The published architecture: three hidden layers of 16, a 10-d latent.
+DEFAULT_HIDDEN_UNITS = (16, 16, 16)
+DEFAULT_LATENT_DIM = 10
+
 
 @dataclass(frozen=True)
 class VaeArchitecture:
     input_dim: int
-    hidden_units: tuple[int, ...] = (16, 16, 16)
-    latent_dim: int = 10
+    hidden_units: tuple[int, ...] = DEFAULT_HIDDEN_UNITS
+    latent_dim: int = DEFAULT_LATENT_DIM
 
     def __post_init__(self):
         if self.input_dim < 1:

@@ -13,11 +13,12 @@ import json
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from vaeguard.errors import InvalidConfig
 from vaeguard.events import EventBlock, ForensicEvent
+from vaeguard.nn import DEFAULT_HIDDEN_UNITS, DEFAULT_LATENT_DIM
 from vaeguard.publisher import (
     DEFAULT_FORENSICS_INDEX,
     DEFAULT_LATENT_INDEX,
@@ -34,6 +35,7 @@ from vaeguard.summarize import (
     split_by_container,
     summarize_stream,
 )
+from vaeguard.thresholds import DEFAULT_K
 from vaeguard.vae import TrainConfig, VaeStabilityDetector
 
 logger = logging.getLogger(__name__)
@@ -45,9 +47,9 @@ Summaries = list[tuple[IntervalKey, EventBlock, ActivityVector]]
 class PipelineConfig:
     interval_len: float = 30.0
     train: TrainConfig = field(default_factory=TrainConfig)
-    hidden_units: tuple[int, ...] = (16, 16, 16)
-    latent_dim: int = 10
-    threshold_k: float = 3.0
+    hidden_units: tuple[int, ...] = DEFAULT_HIDDEN_UNITS
+    latent_dim: int = DEFAULT_LATENT_DIM
+    threshold_k: float = DEFAULT_K
     cache_capacity: int = 4
     latent_index: str = DEFAULT_LATENT_INDEX
     forensics_index: str = DEFAULT_FORENSICS_INDEX
@@ -61,12 +63,7 @@ class PipelineConfig:
             raise InvalidConfig("cache_capacity must be >= 1")
 
     def detector(self) -> VaeStabilityDetector:
-        return VaeStabilityDetector(
-            hidden_units=self.hidden_units,
-            latent_dim=self.latent_dim,
-            threshold_k=self.threshold_k,
-            **asdict(self.train),
-        )
+        return VaeStabilityDetector(self.train, self.hidden_units, self.latent_dim, self.threshold_k)
 
 
 def summarize_trace(

@@ -15,10 +15,11 @@ ships full forensics exists for cost comparisons.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import logging
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
@@ -28,7 +29,7 @@ import numpy as np
 from vaeguard.errors import SinkUnavailable, UnknownContainer
 from vaeguard.events import EventBlock, ForensicEvent, as_block
 from vaeguard.summarize import ActivityVector, IntervalKey, vectors_to_matrix
-from vaeguard.thresholds import StabilityVerdict, assess
+from vaeguard.thresholds import DEFAULT_K, StabilityVerdict, assess
 from vaeguard.vae import LatentRecord, TrainConfig, VaeStabilityDetector, save_model
 
 if TYPE_CHECKING:
@@ -50,6 +51,15 @@ class PublishMode(enum.Enum):
     FORENSICS_ONLY = "forensics"
 
 
+# Per mode, what its action holds: (a latent, forensics, verdict.stable or None)
+_MODE_SHAPES = {
+    PublishMode.ACCUMULATING: (False, False, None),
+    PublishMode.LATENT_ONLY: (True, False, True),
+    PublishMode.LATENT_PLUS_FORENSICS: (True, True, False),
+    PublishMode.FORENSICS_ONLY: (False, True, None),
+}
+
+
 @dataclass(frozen=True)
 class PublishAction:
     key: IntervalKey
@@ -62,21 +72,15 @@ class PublishAction:
     def __post_init__(self):
         if self.forensics is not None:
             object.__setattr__(self, "forensics", as_block(self.forensics))
-        mode, verdict = self.mode, self.verdict
-        has_latent, has_forensics = self.latent is not None, self.forensics is not None
-        if mode is PublishMode.LATENT_ONLY:
-            valid = has_latent and not has_forensics and verdict is not None and verdict.stable
-        elif mode is PublishMode.LATENT_PLUS_FORENSICS:
-            valid = has_latent and has_forensics and verdict is not None and not verdict.stable
-        elif mode is PublishMode.ACCUMULATING:
-            valid = not has_latent and verdict is None
-        else:
-            valid = has_forensics
-        if not valid:
-            stable = None if verdict is None else verdict.stable
+        shape = (
+            self.latent is not None,
+            self.forensics is not None,
+            None if self.verdict is None else self.verdict.stable,
+        )
+        if shape != _MODE_SHAPES[self.mode]:
             raise ValueError(
-                f"invalid {mode.name} action: latent {has_latent},"
-                f" forensics {has_forensics}, stable verdict {stable}"
+                f"invalid {self.mode.name} action: latent {shape[0]},"
+                f" forensics {shape[1]}, stable verdict {shape[2]}"
             )
 
 
@@ -114,35 +118,6 @@ class IntervalCache:
 
     def size(self, container_id: str) -> int:
         return len(self._buffers.get(container_id, ()))
-
-
-class TrainingAccumulator:
-    """Collects activity vectors per container until the training target."""
-
-    def __init__(self, target: int):
-        if target < 1:
-            raise ValueError("accumulation target must be >= 1")
-        self.target = target
-        self._vectors: dict[str, list[ActivityVector]] = {}
-        self._sealed: set[str] = set()
-
-    def add(self, vector: ActivityVector) -> bool:
-        """Append one vector; True exactly when the target is reached."""
-        container = vector.key.container_id
-        if container in self._sealed:
-            raise RuntimeError(f"accumulator for {container!r} is sealed")
-        bucket = self._vectors.setdefault(container, [])
-        bucket.append(vector)
-        return len(bucket) == self.target
-
-    def vectors(self, container_id: str) -> list[ActivityVector]:
-        return list(self._vectors.get(container_id, ()))
-
-    def seal(self, container_id: str) -> None:
-        self._sealed.add(container_id)
-
-    def count(self, container_id: str) -> int:
-        return len(self._vectors.get(container_id, ()))
 
 
 # -- serialization ----------------------------------------------------------
@@ -351,44 +326,40 @@ def replay_spool(
 class AdaptivePublisher:
     """Stateful per-container publish decisions over an interval stream.
 
-    Containers without a model accumulate vectors; the first interval
-    that reaches the accumulation target triggers exactly one training
-    run, after which intervals are scored and published adaptively.
+    Containers without a model collect vectors; the interval that brings
+    one's pending list to the accumulation target triggers exactly one
+    training run, which frees the list when it succeeds. After that,
+    intervals are scored and published adaptively.
     """
 
     def __init__(
         self,
-        train_config: TrainConfig | None = None,
-        threshold_k: float = 3.0,
+        train_config: TrainConfig = TrainConfig(),
+        threshold_k: float = DEFAULT_K,
         cache_capacity: int = 4,
         model_dir: Path | str | None = None,
         detector_factory: Callable[[], VaeStabilityDetector] | None = None,
     ):
-        self.train_config = train_config or TrainConfig()
-        self.threshold_k = threshold_k
+        self.train_config = train_config
         self.cache = IntervalCache(cache_capacity)
-        self.accumulator = TrainingAccumulator(self.train_config.accumulation_target)
         self.model_dir = Path(model_dir) if model_dir is not None else None
         self.models: dict[str, VaeStabilityDetector] = {}
         self.trainings_completed: dict[str, int] = {}
-        # Not `self._default_factory`: that bound method would make a
-        # reference cycle, and a dropped publisher, with the trace slices
-        # its cache holds, would wait for the cycle collector.
-        self._detector_factory = detector_factory
-
-    def _default_factory(self) -> VaeStabilityDetector:
-        return VaeStabilityDetector(threshold_k=self.threshold_k, **asdict(self.train_config))
+        self._pending: dict[str, list[ActivityVector]] = {}
+        self._detector_factory = detector_factory or functools.partial(
+            VaeStabilityDetector, train_config, threshold_k=threshold_k
+        )
 
     def install_model(self, container_id: str, detector: VaeStabilityDetector) -> None:
         """Register a pre-trained detector (e.g. loaded from a bundle)."""
         self.models[container_id] = detector
 
     def _train_container(self, container_id: str) -> None:
-        vectors = self.accumulator.vectors(container_id)
-        detector = (self._detector_factory or self._default_factory)()
+        vectors = self._pending[container_id]
+        detector = self._detector_factory()
         detector.container_id = container_id
         detector.fit(vectors_to_matrix(vectors))
-        self.accumulator.seal(container_id)
+        del self._pending[container_id]
         self.models[container_id] = detector
         self.trainings_completed[container_id] = (
             self.trainings_completed.get(container_id, 0) + 1
@@ -418,7 +389,9 @@ class AdaptivePublisher:
         container = key.container_id
         detector = self.models.get(container)
         if detector is None:
-            if self.accumulator.add(vector):
+            pending = self._pending.setdefault(container, [])
+            pending.append(vector)
+            if len(pending) == self.train_config.accumulation_target:
                 self._train_container(container)
             return PublishAction(key=key, mode=PublishMode.ACCUMULATING)
 

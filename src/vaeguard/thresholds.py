@@ -18,6 +18,9 @@ if TYPE_CHECKING:
     from vaeguard.summarize import IntervalKey
     from vaeguard.vae import LatentRecord, TrainingCurve
 
+# The k-sigma multiplier of the published configuration.
+DEFAULT_K = 3.0
+
 
 @dataclass(frozen=True)
 class HeuristicThreshold:

@@ -17,7 +17,8 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, fields
+import numbers
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,10 +30,11 @@ from vaeguard.errors import (
     InvalidK,
     SchemaMismatch,
 )
-from vaeguard.nn import AdamConfig, VaeArchitecture
+from vaeguard.nn import DEFAULT_HIDDEN_UNITS, DEFAULT_LATENT_DIM, AdamConfig, VaeArchitecture
 from vaeguard.scaling import ActivityScaler
 from vaeguard.summarize import SCHEMA_VERSION, ActivityVector, IntervalKey
 from vaeguard.thresholds import (
+    DEFAULT_K,
     HeuristicThreshold,
     KSigmaThreshold,
     ThresholdPolicy,
@@ -79,12 +81,9 @@ class TrainConfig:
             raise ValueError("beta1 and beta2 must lie in (0, 1)")
         if not 0 <= self.kl_weight < math.inf:
             raise ValueError("kl_weight must be finite and >= 0")
-
-    @classmethod
-    def from_attributes(cls, source) -> "TrainConfig":
-        """The config held in same-named attributes of `source`, such as a
-        detector or parsed command-line flags."""
-        return cls(**{f.name: getattr(source, f.name) for f in fields(cls)})
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
     def adam(self) -> AdamConfig:
         return AdamConfig(
@@ -191,36 +190,21 @@ class VaeStabilityDetector(ParamsMixin):
 
     Higher score_samples() output means further from the trained pattern;
     predict() returns +1 for stable intervals, -1 for drifted ones,
-    using the k-sigma threshold fitted from the training curve.
+    using the k-sigma threshold fitted from the training curve. `train`
+    holds every training hyperparameter; fit() and the saved bundle read it.
     """
 
     def __init__(
         self,
-        hidden_units: tuple[int, ...] = (16, 16, 16),
-        latent_dim: int = 10,
-        learning_rate: float = 1e-4,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-        epochs: int = 100,
-        batch_size: int = 16,
-        kl_weight: float = 1.0,
-        accumulation_target: int = 120,
-        threshold_k: float = 3.0,
-        seed: int = 0,
+        train: TrainConfig = TrainConfig(),
+        hidden_units: tuple[int, ...] = DEFAULT_HIDDEN_UNITS,
+        latent_dim: int = DEFAULT_LATENT_DIM,
+        threshold_k: float = DEFAULT_K,
     ):
+        self.train = train
         self.hidden_units = hidden_units
         self.latent_dim = latent_dim
-        self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.kl_weight = kl_weight
-        self.accumulation_target = accumulation_target
         self.threshold_k = threshold_k
-        self.seed = seed
 
         self.scaler_: ActivityScaler | None = None
         self.architecture_: VaeArchitecture | None = None
@@ -242,7 +226,6 @@ class VaeStabilityDetector(ParamsMixin):
     def fit(self, X, y=None) -> "VaeStabilityDetector":
         X = as_float_matrix(X)
         check_finite(X, "X")
-        config = TrainConfig.from_attributes(self)
         arch = VaeArchitecture(
             input_dim=X.shape[1],
             hidden_units=tuple(self.hidden_units),
@@ -250,7 +233,7 @@ class VaeStabilityDetector(ParamsMixin):
         )
         self.scaler_ = ActivityScaler().fit(X)
         normalized = self.scaler_.transform(X)
-        self.weights_, self.curve_ = train(normalized, arch, config)
+        self.weights_, self.curve_ = train(normalized, arch, self.train)
         self.architecture_ = arch
         self.threshold_policy_ = fit_threshold_ksigma(self.curve_, self.threshold_k)
         return self
@@ -411,7 +394,7 @@ def save_model(detector: VaeStabilityDetector, path) -> None:
         "schema_version": SCHEMA_VERSION,
         "container_id": detector.container_id,
         "architecture": asdict(detector.architecture_),
-        "train_config": asdict(TrainConfig.from_attributes(detector)),
+        "train_config": asdict(detector.train),
         "threshold": threshold_doc,
         "scaler": {
             "min": detector.scaler_.data_min_.tolist(),
@@ -447,12 +430,11 @@ def load_model(path, expected_dim: int | None = None) -> VaeStabilityDetector:
                 f" this build uses v{SCHEMA_VERSION}"
             )
         arch = VaeArchitecture(**bundle["architecture"])
-        config = TrainConfig(**bundle["train_config"])
         detector = VaeStabilityDetector(
-            hidden_units=arch.hidden_units,
-            latent_dim=arch.latent_dim,
-            threshold_k=bundle["threshold"].get("k", 3.0),
-            **asdict(config),
+            TrainConfig(**bundle["train_config"]),
+            arch.hidden_units,
+            arch.latent_dim,
+            bundle["threshold"].get("k", DEFAULT_K),
         )
         detector.container_id = bundle.get("container_id")
         detector.architecture_ = arch

@@ -10,7 +10,7 @@ from vaeguard.nn import elbo_terms
 from vaeguard.pipeline import summarize_trace
 from vaeguard.scenarios import ScenarioConfig, gen_baseline
 from vaeguard.summarize import vectors_to_matrix
-from vaeguard.vae import VaeStabilityDetector
+from vaeguard.vae import TrainConfig, VaeStabilityDetector
 
 
 def finite_difference_gradients(arch, params, x, eps, kl_weight, h=1e-5):
@@ -63,6 +63,7 @@ BUNDLE_CORRUPTIONS = {
     "unknown-architecture-key": lambda b: b["architecture"].update(depth=3),
     "zero-width-hidden-layer": lambda b: _set_first(b["architecture"]["hidden_units"], 0),
     "string-curve-error-mean": lambda b: b["curve"].update(error_mean="0.5"),
+    "negative-seed": lambda b: b["train_config"].update(seed=-1),
 }
 
 
@@ -74,17 +75,16 @@ def corrupt_bundle(source, target, name):
 
 
 def small_detector(**overrides) -> VaeStabilityDetector:
-    """Reduced architecture and schedule for fast unit tests."""
+    """Reduced architecture and schedule for fast unit tests; `overrides`
+    are TrainConfig fields."""
     params = dict(
-        hidden_units=(8, 8),
-        latent_dim=4,
         epochs=25,
         accumulation_target=32,
         batch_size=8,
         seed=0,
     )
     params.update(overrides)
-    return VaeStabilityDetector(**params)
+    return VaeStabilityDetector(TrainConfig(**params), hidden_units=(8, 8), latent_dim=4)
 
 
 @pytest.fixture(scope="session")

@@ -53,7 +53,7 @@ def trained_full():
     summaries = summarize_trace(events, 30.0)["web-0"]
     assert len(summaries) >= 120
     X = vectors_to_matrix([vector for _, _, vector in summaries])
-    detector = VaeStabilityDetector(seed=0).fit(X)
+    detector = VaeStabilityDetector(TrainConfig(seed=0)).fit(X)
     elapsed = time.perf_counter() - started
     return detector, elapsed
 

@@ -215,6 +215,7 @@ def _hostile_cases():
         ("train", ("--k", "-1"), 2),
         ("train", ("--learning-rate", "nan"), 2),
         ("train", ("--kl-weight", "inf"), 2),
+        ("train", ("--seed", "-1"), 2),
         ("assess", ("--interval-len", "inf"), 2),
         ("assess", ("--interval-len", "nan"), 2),
         ("assess", ("--interval-len", "-30"), 2),

@@ -19,7 +19,6 @@ from vaeguard.publisher import (
     IntervalCache,
     PublishAction,
     PublishMode,
-    TrainingAccumulator,
     action_to_documents,
     emit,
     parse_action,
@@ -85,25 +84,6 @@ def test_cache_unknown_container():
         IntervalCache(capacity=0)
 
 
-# -- accumulator ----------------------------------------------------------------
-
-
-def test_accumulator_reports_target_exactly_once():
-    accumulator = TrainingAccumulator(target=3)
-    assert accumulator.add(vector(0)) is False
-    assert accumulator.add(vector(1)) is False
-    assert accumulator.add(vector(2)) is True
-    assert accumulator.count("box") == 3
-
-
-def test_sealed_accumulator_rejects_additions():
-    accumulator = TrainingAccumulator(target=1)
-    accumulator.add(vector(0))
-    accumulator.seal("box")
-    with pytest.raises(RuntimeError):
-        accumulator.add(vector(1))
-
-
 # -- serialization ----------------------------------------------------------------
 
 
@@ -157,7 +137,10 @@ cases = [
     dict(mode=PublishMode.LATENT_PLUS_FORENSICS, verdict=drift, forensics=ev),
     dict(mode=PublishMode.ACCUMULATING, latent=stable_latent),
     dict(mode=PublishMode.ACCUMULATING, verdict=stable),
+    dict(mode=PublishMode.ACCUMULATING, forensics=ev),
     dict(mode=PublishMode.FORENSICS_ONLY),
+    dict(mode=PublishMode.FORENSICS_ONLY, forensics=ev, latent=stable_latent),
+    dict(mode=PublishMode.FORENSICS_ONLY, forensics=ev, verdict=stable),
 ]
 refused = 0
 for case in cases:
@@ -193,7 +176,7 @@ def test_mode_truth_table():
             env={**os.environ, "PYTHONPATH": src},
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == ["10", "10"], flags
+        assert result.stdout.split() == ["13", "13"], flags
 
 
 class _SealedBlock(EventBlock):
@@ -254,9 +237,20 @@ def test_training_fires_exactly_once_at_target():
     publisher.process_interval(key(6), events_for(6), vector(6))
     publisher.process_interval(key(7), events_for(7), vector(7))
     assert publisher.trainings_completed["box"] == 1
-    assert publisher.accumulator.count("box") == 8
     run_stream(publisher, 4)
     assert publisher.trainings_completed["box"] == 1
+
+
+def test_training_frees_the_pending_vectors():
+    publisher = make_publisher(target=8)
+    vectors = [vector(i) for i in range(8)]
+    first = weakref.ref(vectors[0])
+    for i, v in enumerate(vectors):
+        publisher.process_interval(key(i), events_for(i), v)
+    del vectors, v
+    assert "box" in publisher.models
+    # the cache keeps only the last four intervals' vectors
+    assert first() is None
 
 
 def test_trained_model_is_persisted(tmp_path):

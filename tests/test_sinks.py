@@ -123,6 +123,7 @@ def bulk_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}", _Recorder.requests
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)
 
 

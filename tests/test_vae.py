@@ -76,6 +76,14 @@ def test_train_rejects_insufficient_data():
     assert "119" in str(excinfo.value) and "120" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("seed", [-1, True, 1.0, "3", None])
+def test_train_config_rejects_a_seed_that_is_not_an_integer_from_0(seed):
+    # rejected here, not at the first training, which may come much later
+    with pytest.raises(ValueError, match="seed"):
+        TrainConfig(seed=seed)
+    assert TrainConfig(seed=np.int64(2**40)).seed == 2**40
+
+
 def test_training_reduces_reconstruction_error(small_baseline_summaries):
     from vaeguard.summarize import vectors_to_matrix
 
