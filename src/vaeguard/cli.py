@@ -16,6 +16,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from vaeguard.errors import (
     CorruptModelFile,
     DimensionMismatch,
@@ -47,9 +49,9 @@ from vaeguard.scenarios import (
     default_cpuminer_schedule,
     flood_attack_windows,
 )
-from vaeguard.sinks import FileSink, HttpBulkSink
-from vaeguard.summarize import FEATURE_DIM, vectors_to_matrix
-from vaeguard.thresholds import DEFAULT_K, HeuristicThreshold, fit_threshold_ksigma
+from vaeguard.sinks import DEFAULT_BULK_BATCH_SIZE, FileSink, HttpBulkSink
+from vaeguard.summarize import DEFAULT_INTERVAL_LEN, FEATURE_DIM, vectors_to_matrix
+from vaeguard.thresholds import DEFAULT_K, HeuristicThreshold, fit_threshold_ksigma, is_stable
 from vaeguard.vae import TrainConfig, load_model, save_model
 
 logger = logging.getLogger(__name__)
@@ -121,7 +123,7 @@ def _expand_config(argv: list[str]) -> list[str]:
 
 def _add_interval_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--interval-len", type=float, default=30.0, help="summarizer window seconds"
+        "--interval-len", type=float, default=DEFAULT_INTERVAL_LEN, help="summarizer window seconds"
     )
 
 
@@ -186,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--endpoint", type=str, default=None, help="publish to HTTP bulk endpoint"
     )
-    p_bench.add_argument("--bulk-batch-size", type=int, default=500)
+    p_bench.add_argument("--bulk-batch-size", type=int, default=DEFAULT_BULK_BATCH_SIZE)
     p_bench.add_argument("--latent-index", type=str, default=DEFAULT_LATENT_INDEX)
     p_bench.add_argument("--forensics-index", type=str, default=DEFAULT_FORENSICS_INDEX)
     _add_interval_flag(p_bench)
@@ -317,15 +319,11 @@ def cmd_assess(args) -> int:
 
     print(f"assessed {scored} intervals: {unstable} unstable at configured policy")
     # sweep the conventional multipliers for context
+    errors = [record.recon_error for record in records if record.recon_error is not None]
     sweep = []
     for k in (1.0, 3.0, 5.0):
-        threshold = fit_threshold_ksigma(detector.curve_, k).threshold
-        count = sum(
-            1
-            for record in records
-            if record.recon_error is not None and record.recon_error > threshold
-        )
-        sweep.append(f"k={k:g}: {count}")
+        stable = is_stable(errors, fit_threshold_ksigma(detector.curve_, k).threshold)
+        sweep.append(f"k={k:g}: {np.count_nonzero(~stable)}")
     print("unstable intervals by k-sigma policy: " + ", ".join(sweep))
     return 0
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -20,6 +19,7 @@ from vaeguard.errors import InvalidConfig
 from vaeguard.events import EventBlock, ForensicEvent
 from vaeguard.nn import DEFAULT_HIDDEN_UNITS, DEFAULT_LATENT_DIM
 from vaeguard.publisher import (
+    DEFAULT_CACHE_CAPACITY,
     DEFAULT_FORENSICS_INDEX,
     DEFAULT_LATENT_INDEX,
     AdaptivePublisher,
@@ -27,15 +27,16 @@ from vaeguard.publisher import (
     StandardPublisher,
     emit,
 )
-from vaeguard.sinks import Sink, SpoolDirectory
+from vaeguard.sinks import DEFAULT_BULK_BATCH_SIZE, Sink, SpoolDirectory
 from vaeguard.summarize import (
+    DEFAULT_INTERVAL_LEN,
     ActivityVector,
     IntervalKey,
     check_interval_len,
     split_by_container,
     summarize_stream,
 )
-from vaeguard.thresholds import DEFAULT_K
+from vaeguard.thresholds import DEFAULT_K, check_k
 from vaeguard.vae import TrainConfig, VaeStabilityDetector
 
 logger = logging.getLogger(__name__)
@@ -45,20 +46,19 @@ Summaries = list[tuple[IntervalKey, EventBlock, ActivityVector]]
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    interval_len: float = 30.0
+    interval_len: float = DEFAULT_INTERVAL_LEN
     train: TrainConfig = field(default_factory=TrainConfig)
     hidden_units: tuple[int, ...] = DEFAULT_HIDDEN_UNITS
     latent_dim: int = DEFAULT_LATENT_DIM
     threshold_k: float = DEFAULT_K
-    cache_capacity: int = 4
+    cache_capacity: int = DEFAULT_CACHE_CAPACITY
     latent_index: str = DEFAULT_LATENT_INDEX
     forensics_index: str = DEFAULT_FORENSICS_INDEX
-    bulk_batch_size: int = 500
+    bulk_batch_size: int = DEFAULT_BULK_BATCH_SIZE
 
     def __post_init__(self):
         check_interval_len(self.interval_len)
-        if not 0 < self.threshold_k < math.inf:
-            raise InvalidConfig("threshold_k must be finite and > 0")
+        check_k(self.threshold_k)
         if self.cache_capacity < 1:
             raise InvalidConfig("cache_capacity must be >= 1")
 
@@ -67,7 +67,7 @@ class PipelineConfig:
 
 
 def summarize_trace(
-    events: Iterable[ForensicEvent], interval_len: float = 30.0
+    events: Iterable[ForensicEvent], interval_len: float = DEFAULT_INTERVAL_LEN
 ) -> dict[str, Summaries]:
     """Window and summarize per container, in order of first appearance.
 
@@ -132,11 +132,7 @@ def _adaptive_publisher(
     config: PipelineConfig,
 ) -> AdaptivePublisher:
     """An adaptive publisher with `detector` installed for every container."""
-    publisher = AdaptivePublisher(
-        train_config=config.train,
-        threshold_k=config.threshold_k,
-        cache_capacity=config.cache_capacity,
-    )
+    publisher = AdaptivePublisher(cache_capacity=config.cache_capacity)
     for container in summaries:
         publisher.install_model(container, detector)
     return publisher

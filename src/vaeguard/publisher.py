@@ -40,6 +40,8 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_LATENT_INDEX = "stability-latent"
 DEFAULT_FORENSICS_INDEX = "stability-forensics"
+# Raw intervals each container's ring buffer keeps.
+DEFAULT_CACHE_CAPACITY = 4
 
 
 class PublishMode(enum.Enum):
@@ -88,7 +90,7 @@ class IntervalCache:
     """Per-container ring buffer of the most recent raw intervals, each
     held as the block it was pushed with (a list is copied into one)."""
 
-    def __init__(self, capacity: int = 4):
+    def __init__(self, capacity: int = DEFAULT_CACHE_CAPACITY):
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
         self.capacity = capacity
@@ -215,13 +217,7 @@ def parse_action(line: bytes) -> PublishAction:
         )
     verdict = None
     if "verdict" in doc:
-        verdict = StabilityVerdict(
-            key=key,
-            recon_error=latent.recon_error if latent else float("nan"),
-            threshold=doc["verdict"]["threshold"],
-            stable=doc["verdict"]["stable"],
-            latent=latent,
-        )
+        verdict = StabilityVerdict(doc["verdict"]["threshold"], doc["verdict"]["stable"])
     forensics = None
     if "events" in doc:
         forensics = tuple(
@@ -311,7 +307,7 @@ def replay_spool(
     for path in spool.pending():
         try:
             action = parse_action(path.read_bytes())
-        except (ValueError, KeyError, TypeError, IndexError) as exc:
+        except (ValueError, KeyError, TypeError, IndexError, RecursionError) as exc:
             logger.warning("unreadable spooled action %s quarantined: %s", path.name, exc)
             spool.quarantine(path)
             continue
@@ -326,26 +322,27 @@ def replay_spool(
 class AdaptivePublisher:
     """Stateful per-container publish decisions over an interval stream.
 
-    Containers without a model collect vectors; the interval that brings
-    one's pending list to the accumulation target triggers exactly one
-    training run, which frees the list when it succeeds. After that,
-    intervals are scored and published adaptively.
+    A container without a model gets a detector from the factory at its
+    first interval and collects vectors for it; the interval that brings
+    them to that detector's own `train.accumulation_target` trains it.
+    The vectors are freed when training starts: if it raises, the error
+    propagates and the container starts over with a new detector. After
+    a training succeeds, intervals are scored and published adaptively.
     """
 
     def __init__(
         self,
         train_config: TrainConfig = TrainConfig(),
         threshold_k: float = DEFAULT_K,
-        cache_capacity: int = 4,
+        cache_capacity: int = DEFAULT_CACHE_CAPACITY,
         model_dir: Path | str | None = None,
         detector_factory: Callable[[], VaeStabilityDetector] | None = None,
     ):
-        self.train_config = train_config
         self.cache = IntervalCache(cache_capacity)
         self.model_dir = Path(model_dir) if model_dir is not None else None
         self.models: dict[str, VaeStabilityDetector] = {}
         self.trainings_completed: dict[str, int] = {}
-        self._pending: dict[str, list[ActivityVector]] = {}
+        self._pending: dict[str, tuple[VaeStabilityDetector, list[ActivityVector]]] = {}
         self._detector_factory = detector_factory or functools.partial(
             VaeStabilityDetector, train_config, threshold_k=threshold_k
         )
@@ -355,11 +352,9 @@ class AdaptivePublisher:
         self.models[container_id] = detector
 
     def _train_container(self, container_id: str) -> None:
-        vectors = self._pending[container_id]
-        detector = self._detector_factory()
+        detector, vectors = self._pending.pop(container_id)
         detector.container_id = container_id
         detector.fit(vectors_to_matrix(vectors))
-        del self._pending[container_id]
         self.models[container_id] = detector
         self.trainings_completed[container_id] = (
             self.trainings_completed.get(container_id, 0) + 1
@@ -389,9 +384,11 @@ class AdaptivePublisher:
         container = key.container_id
         detector = self.models.get(container)
         if detector is None:
-            pending = self._pending.setdefault(container, [])
-            pending.append(vector)
-            if len(pending) == self.train_config.accumulation_target:
+            if container not in self._pending:
+                self._pending[container] = (self._detector_factory(), [])
+            detector, vectors = self._pending[container]
+            vectors.append(vector)
+            if len(vectors) == detector.train.accumulation_target:
                 self._train_container(container)
             return PublishAction(key=key, mode=PublishMode.ACCUMULATING)
 
@@ -413,7 +410,7 @@ class AdaptivePublisher:
 class StandardPublisher:
     """Conventional baseline: cache the interval, ship all forensics."""
 
-    def __init__(self, cache_capacity: int = 4):
+    def __init__(self, cache_capacity: int = DEFAULT_CACHE_CAPACITY):
         self.cache = IntervalCache(cache_capacity)
 
     def process_interval(

@@ -31,6 +31,8 @@ from vaeguard.publisher import PublishAction, action_to_documents, serialize_act
 Document = tuple[str, Mapping]
 
 BULK_CONTENT_TYPE = "application/x-ndjson"
+# Documents per bulk request.
+DEFAULT_BULK_BATCH_SIZE = 500
 
 
 def encode_bulk_request(documents: Sequence[Document]) -> bytes:
@@ -94,7 +96,7 @@ class HttpBulkSink:
     def __init__(
         self,
         endpoint: str,
-        batch_size: int = 500,
+        batch_size: int = DEFAULT_BULK_BATCH_SIZE,
         headers: Mapping[str, str] | None = None,
         timeout: float = 10.0,
     ):

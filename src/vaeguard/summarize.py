@@ -95,7 +95,6 @@ class IntervalKey:
 class ActivityVector:
     key: IntervalKey
     features: np.ndarray
-    schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)

@@ -1,9 +1,9 @@
 """Tracked syscall taxonomy.
 
 Kernel events commonly audited for security incident analysis, grouped
-into ten activity classes. ABI variants (__x64_sys_*, __x32_compat_sys_*)
-collapse to the base syscall name, which is the key the activity-vector
-schema uses; after dedup the tracked set holds 66 names.
+into ten activity classes. The tracked set holds 66 base syscall names,
+the keys the activity-vector schema uses. Names are matched exactly: an
+ABI variant such as `__x64_sys_openat` is not folded into its base name.
 
 Lookup is total: any name outside the tracked set classifies as UNTRACKED.
 """

@@ -2,8 +2,8 @@
 
 Two ways to set the decision threshold: a fixed heuristic value chosen
 from observed unstable periods, or k standard deviations above the mean
-of the last training epoch's reconstruction errors. Drift is a strict
-exceedance: an error exactly at the threshold is still stable.
+of the last training epoch's reconstruction errors. `is_stable` is the
+one drift rule every verdict uses.
 """
 
 from __future__ import annotations
@@ -12,14 +12,30 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Union
 
+import numpy as np
+
 from vaeguard.errors import InvalidK
 
 if TYPE_CHECKING:
-    from vaeguard.summarize import IntervalKey
     from vaeguard.vae import LatentRecord, TrainingCurve
 
 # The k-sigma multiplier of the published configuration.
 DEFAULT_K = 3.0
+
+
+def check_k(k: float) -> None:
+    """Reject a k-sigma multiplier that is not finite and > 0."""
+    if not 0 < k < math.inf:
+        raise InvalidK(f"k must be finite and > 0, got {k}")
+
+
+def is_stable(errors, threshold: float) -> np.ndarray:
+    """Elementwise: stable iff an error is finite and does not strictly
+    exceed the threshold. An error exactly at the threshold is stable; a
+    non-finite one (overflow on an extreme anomaly) is always drift."""
+    errors = np.asarray(errors, dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        return np.isfinite(errors) & (errors <= threshold)
 
 
 @dataclass(frozen=True)
@@ -39,8 +55,7 @@ class KSigmaThreshold:
     threshold: float = field(init=False)
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise InvalidK(f"k must be > 0, got {self.k}")
+        check_k(self.k)
         if self.error_mean < 0 or self.error_sd < 0:
             raise ValueError("error statistics must be non-negative")
         derived = self.error_mean + self.k * self.error_sd
@@ -54,33 +69,20 @@ ThresholdPolicy = Union[HeuristicThreshold, KSigmaThreshold]
 
 @dataclass(frozen=True)
 class StabilityVerdict:
-    key: "IntervalKey"
-    recon_error: float
     threshold: float
     stable: bool
-    latent: "LatentRecord"
 
 
 def fit_threshold_ksigma(curve: "TrainingCurve", k: float) -> KSigmaThreshold:
     """Derive the k-sigma policy from a completed training curve."""
-    if k <= 0:
-        raise InvalidK(f"k must be > 0, got {k}")
     return KSigmaThreshold(
         k=float(k), error_mean=curve.error_mean, error_sd=curve.error_sd
     )
 
 
 def assess(latent: "LatentRecord", policy: ThresholdPolicy) -> StabilityVerdict:
-    """Stable iff the reconstruction error does not strictly exceed the
-    threshold. Non-finite errors (overflow on extreme anomalies) always
-    count as drift.
-    """
-    error = latent.recon_error
-    stable = math.isfinite(error) and error <= policy.threshold
+    """The verdict on one interval's reconstruction error (see is_stable)."""
     return StabilityVerdict(
-        key=latent.key,
-        recon_error=error,
         threshold=policy.threshold,
-        stable=stable,
-        latent=latent,
+        stable=bool(is_stable(latent.recon_error, policy.threshold)),
     )

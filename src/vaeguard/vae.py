@@ -39,6 +39,7 @@ from vaeguard.thresholds import (
     KSigmaThreshold,
     ThresholdPolicy,
     fit_threshold_ksigma,
+    is_stable,
 )
 from vaeguard.validation import (
     ParamsMixin,
@@ -284,24 +285,12 @@ class VaeStabilityDetector(ParamsMixin):
 
     def predict(self, X) -> np.ndarray:
         """+1 for intervals within the stable pattern, -1 for drift."""
-        errors = self.score_samples(X)
-        with np.errstate(invalid="ignore"):
-            stable = np.isfinite(errors) & (errors <= self.threshold_)
-        return np.where(stable, 1, -1)
+        return np.where(is_stable(self.score_samples(X), self.threshold_), 1, -1)
 
     def score_vector(self, vector: ActivityVector) -> LatentRecord:
         """Score one interval, returning its publishable latent record."""
-        check_fitted(self, "weights_")
-        if vector.schema_version != SCHEMA_VERSION:
-            raise SchemaMismatch(
-                f"vector schema v{vector.schema_version}, expected v{SCHEMA_VERSION}"
-            )
-        if vector.features.shape[0] != self.n_features_in_:
-            raise SchemaMismatch(
-                f"vector has {vector.features.shape[0]} features,"
-                f" model expects {self.n_features_in_}"
-            )
-        mu, logvar, error = self._score(self.scaler_.transform_vector(vector.features))
+        features = self._check_ready(vector.features)[0]
+        mu, logvar, error = self._score(self.scaler_.transform_vector(features))
         return LatentRecord(key=vector.key, mu=mu, logvar=logvar, recon_error=float(error))
 
     def save(self, path) -> None:

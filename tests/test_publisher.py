@@ -26,7 +26,7 @@ from vaeguard.publisher import (
     serialize_action,
 )
 from vaeguard.sinks import FileSink, SpoolDirectory
-from vaeguard.summarize import FEATURE_DIM, ActivityVector, IntervalKey
+from vaeguard.summarize import FEATURE_DIM, ActivityVector, IntervalKey, vectors_to_matrix
 from vaeguard.vae import TrainConfig
 
 
@@ -253,6 +253,47 @@ def test_training_frees_the_pending_vectors():
     assert first() is None
 
 
+def test_training_target_is_the_trained_detectors_own():
+    # the publisher's TrainConfig says 3, the detector the factory builds needs 4
+    publisher = AdaptivePublisher(
+        train_config=TrainConfig(accumulation_target=3),
+        detector_factory=lambda: small_detector(accumulation_target=4, epochs=2, batch_size=4),
+    )
+    actions = run_stream(publisher, 4)
+    assert [a.mode for a in actions] == [PublishMode.ACCUMULATING] * 4
+    assert publisher.trainings_completed == {"box": 1}
+    scored = publisher.process_interval(key(4), events_for(4), vector(4))
+    assert scored.mode is not PublishMode.ACCUMULATING
+
+
+def test_a_failed_training_starts_accumulation_over():
+    fitted = []
+
+    def factory():
+        detector = small_detector(accumulation_target=3, epochs=2, batch_size=4)
+        fit = detector.fit
+
+        def fit_or_fail_first(X):
+            fitted.append(X)
+            if len(fitted) == 1:
+                raise RuntimeError("first training fails")
+            return fit(X)
+
+        detector.fit = fit_or_fail_first
+        return detector
+
+    publisher = AdaptivePublisher(detector_factory=factory)
+    run_stream(publisher, 2)
+    with pytest.raises(RuntimeError, match="first training fails"):
+        publisher.process_interval(key(2), events_for(2), vector(2))
+    assert "box" not in publisher.models
+    actions = [publisher.process_interval(key(i), events_for(i), vector(i)) for i in range(3, 6)]
+    assert [a.mode for a in actions] == [PublishMode.ACCUMULATING] * 3
+    assert len(fitted) == 2 and "box" in publisher.models
+    # the second detector trained on the intervals after the failure only
+    np.testing.assert_array_equal(fitted[1], vectors_to_matrix([vector(i) for i in range(3, 6)]))
+
+
 def test_trained_model_is_persisted(tmp_path):
     config = TrainConfig(epochs=5, batch_size=4, accumulation_target=4, seed=3)
     publisher = AdaptivePublisher(
@@ -443,13 +484,18 @@ def test_spool_replay_drains_to_fresh_sink(tmp_path):
     assert (tmp_path / "fresh.ndjson").read_bytes() == expected
 
 
-def test_spool_replay_quarantines_a_truncated_file(tmp_path):
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda payload: payload[: len(payload) // 2], lambda payload: b"[" * 100_000],
+    ids=["truncated", "deeply-nested"],
+)
+def test_spool_replay_quarantines_a_truncated_file(tmp_path, corrupt):
     publisher = make_publisher(target=4)
     actions = run_stream(publisher, 3)
     spool = SpoolDirectory(tmp_path / "spool")
     paths = [spool.store(serialize_action(action)) for action in actions]
-    payload = paths[1].read_bytes()
-    paths[1].write_bytes(payload[: len(payload) // 2])
+    unreadable = corrupt(paths[1].read_bytes())
+    paths[1].write_bytes(unreadable)
     fresh = FileSink(tmp_path / "fresh.ndjson")
     replayed = replay_spool(spool, fresh)
     fresh.close()
@@ -458,7 +504,7 @@ def test_spool_replay_quarantines_a_truncated_file(tmp_path):
     assert (tmp_path / "fresh.ndjson").read_bytes() == expected
     assert replayed == len(expected)
     quarantined = tmp_path / "spool" / "quarantine" / paths[1].name
-    assert quarantined.read_bytes() == payload[: len(payload) // 2]
+    assert quarantined.read_bytes() == unreadable
 
 
 def test_emit_without_spool_still_raises(tmp_path):

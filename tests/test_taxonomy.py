@@ -56,6 +56,7 @@ def test_unknown_names_are_untracked_not_errors():
     assert classify_syscall("gettimeofday") is SyscallCategory.UNTRACKED
     assert classify_syscall("") is SyscallCategory.UNTRACKED
     assert classify_syscall("no_such_syscall") is SyscallCategory.UNTRACKED
+    assert classify_syscall("__x64_sys_openat") is SyscallCategory.UNTRACKED
 
 
 def test_lookup_is_stable():

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from vaeguard.errors import InvalidK
+from vaeguard.pipeline import PipelineConfig
 from vaeguard.summarize import IntervalKey
 from vaeguard.thresholds import (
     HeuristicThreshold,
     KSigmaThreshold,
     assess,
     fit_threshold_ksigma,
+    is_stable,
 )
-from vaeguard.vae import LatentRecord, TrainingCurve
+from vaeguard.vae import LatentRecord, TrainingCurve, VaeStabilityDetector
 
 
 def curve(error_mean=0.01, error_sd=0.002):
@@ -24,9 +26,9 @@ def curve(error_mean=0.01, error_sd=0.002):
     )
 
 
-def latent(recon_error, interval=0):
+def latent(recon_error):
     return LatentRecord(
-        key=IntervalKey("box", interval, 30.0),
+        key=IntervalKey("box", 0, 30.0),
         mu=np.zeros(2),
         logvar=np.zeros(2),
         recon_error=recon_error,
@@ -51,10 +53,13 @@ def test_threshold_monotone_in_k():
 
 
 def test_invalid_k_rejected():
-    with pytest.raises(InvalidK):
-        fit_threshold_ksigma(curve(), k=0.0)
-    with pytest.raises(InvalidK):
-        fit_threshold_ksigma(curve(), k=-1.0)
+    for k in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(InvalidK):
+            fit_threshold_ksigma(curve(), k=k)
+        with pytest.raises(InvalidK):
+            KSigmaThreshold(k=k, error_mean=0.01, error_sd=0.0)
+        with pytest.raises(InvalidK):
+            PipelineConfig(threshold_k=k)
 
 
 def test_heuristic_threshold_validation():
@@ -68,7 +73,6 @@ def test_heuristic_threshold_validation():
 def test_assess_stable_interval():
     verdict = assess(latent(0.014993), HeuristicThreshold(1.0))
     assert verdict.stable
-    assert verdict.recon_error == 0.014993
     assert verdict.threshold == 1.0
 
 
@@ -77,23 +81,30 @@ def test_assess_unstable_interval():
     assert not verdict.stable
 
 
-def test_boundary_equality_is_stable():
+def predict_on(errors, threshold, monkeypatch):
+    """`predict`'s verdicts for given reconstruction errors."""
+    detector = VaeStabilityDetector()
+    detector.threshold_policy_ = HeuristicThreshold(threshold)
+    monkeypatch.setattr(detector, "score_samples", lambda X: np.array(errors))
+    return detector.predict(np.zeros((len(errors), 1)))
+
+
+def test_boundary_equality_is_stable(monkeypatch):
     verdict = assess(latent(1.0), HeuristicThreshold(1.0))
     assert verdict.stable
     just_over = assess(latent(math.nextafter(1.0, 2.0)), HeuristicThreshold(1.0))
     assert not just_over.stable
+    errors = [1.0, math.nextafter(1.0, 2.0)]
+    assert is_stable(errors, 1.0).tolist() == [True, False]
+    assert predict_on(errors, 1.0, monkeypatch).tolist() == [1, -1]
 
 
-def test_non_finite_error_is_always_drift():
+def test_non_finite_error_is_always_drift(monkeypatch):
     for bad in (math.inf, math.nan):
         assert not assess(latent(bad), HeuristicThreshold(1e300)).stable
-
-
-def test_verdict_carries_latent_through():
-    record = latent(0.5, interval=7)
-    verdict = assess(record, HeuristicThreshold(1.0))
-    assert verdict.latent is record
-    assert verdict.key == record.key
+    errors = [math.inf, math.nan, -math.inf]
+    assert not is_stable(errors, 1e300).any()
+    assert predict_on(errors, 1e300, monkeypatch).tolist() == [-1, -1, -1]
 
 
 def test_assess_is_pure():

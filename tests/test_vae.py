@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -180,13 +181,11 @@ def test_score_vector_round_trip(small_trained_detector, small_baseline_summarie
 
 
 def test_score_vector_schema_checks(small_trained_detector):
-    bad_version = ActivityVector(
-        key=IntervalKey("web-0", 0, 30.0),
-        features=np.zeros(FEATURE_DIM),
-        schema_version=99,
+    too_wide = SimpleNamespace(
+        key=IntervalKey("web-0", 0, 30.0), features=np.zeros(FEATURE_DIM + 1)
     )
     with pytest.raises(SchemaMismatch):
-        small_trained_detector.score_vector(bad_version)
+        small_trained_detector.score_vector(too_wide)
     with pytest.raises(SchemaMismatch):
         small_trained_detector.score_samples(np.zeros((1, FEATURE_DIM + 1)))
 
