@@ -52,7 +52,7 @@ from vaeguard.scenarios import (
 from vaeguard.sinks import DEFAULT_BULK_BATCH_SIZE, FileSink, HttpBulkSink
 from vaeguard.summarize import DEFAULT_INTERVAL_LEN, FEATURE_DIM, vectors_to_matrix
 from vaeguard.thresholds import DEFAULT_K, HeuristicThreshold, fit_threshold_ksigma, is_stable
-from vaeguard.vae import TrainConfig, load_model, save_model
+from vaeguard.vae import TrainConfig, VaeStabilityDetector, load_model, save_model
 
 logger = logging.getLogger(__name__)
 
@@ -247,11 +247,11 @@ def cmd_train(args) -> int:
     config = PipelineConfig(
         interval_len=args.interval_len,
         train=TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)}),
-        hidden_units=_parse_hidden_units(args.hidden_units),
-        latent_dim=args.latent_dim,
         threshold_k=args.k,
     )
-    detector = config.detector()
+    detector = VaeStabilityDetector(
+        config.train, _parse_hidden_units(args.hidden_units), args.latent_dim, config.threshold_k
+    )
     detector.container_id = container
     detector.fit(vectors_to_matrix(vectors))
     save_model(detector, args.model_out)

@@ -26,11 +26,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from vaeguard.errors import DimensionMismatch, NonFiniteInput
+
+if TYPE_CHECKING:
+    # vae imports this module at run time
+    from vaeguard.vae import TrainConfig
 
 Params = dict[str, np.ndarray]
 
@@ -338,19 +342,6 @@ def elbo_gradients(
 # -- Adam -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AdamConfig:
-    learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-    def __post_init__(self):
-        for name in ("learning_rate", "beta1", "beta2", "epsilon"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-
 @dataclass
 class AdamState:
     m: np.ndarray
@@ -365,10 +356,12 @@ def adam_step(
     params: np.ndarray,
     grads: np.ndarray,
     state: AdamState,
-    config: AdamConfig,
+    config: TrainConfig,
     t: int,
 ) -> tuple[np.ndarray, AdamState]:
     """One bias-corrected Adam update over flat arrays; t counts from 1.
+
+    Reads `learning_rate`, `beta1`, `beta2` and `epsilon` from `config`.
 
     Updates `params`, `state.m` and `state.v` in place and returns them.
     """

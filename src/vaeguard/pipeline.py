@@ -17,7 +17,6 @@ from typing import Iterable
 
 from vaeguard.errors import InvalidConfig
 from vaeguard.events import EventBlock, ForensicEvent
-from vaeguard.nn import DEFAULT_HIDDEN_UNITS, DEFAULT_LATENT_DIM
 from vaeguard.publisher import (
     DEFAULT_CACHE_CAPACITY,
     DEFAULT_FORENSICS_INDEX,
@@ -27,7 +26,7 @@ from vaeguard.publisher import (
     StandardPublisher,
     emit,
 )
-from vaeguard.sinks import DEFAULT_BULK_BATCH_SIZE, Sink, SpoolDirectory
+from vaeguard.sinks import DEFAULT_BULK_BATCH_SIZE, Sink
 from vaeguard.summarize import (
     DEFAULT_INTERVAL_LEN,
     ActivityVector,
@@ -48,8 +47,6 @@ Summaries = list[tuple[IntervalKey, EventBlock, ActivityVector]]
 class PipelineConfig:
     interval_len: float = DEFAULT_INTERVAL_LEN
     train: TrainConfig = field(default_factory=TrainConfig)
-    hidden_units: tuple[int, ...] = DEFAULT_HIDDEN_UNITS
-    latent_dim: int = DEFAULT_LATENT_DIM
     threshold_k: float = DEFAULT_K
     cache_capacity: int = DEFAULT_CACHE_CAPACITY
     latent_index: str = DEFAULT_LATENT_INDEX
@@ -61,9 +58,12 @@ class PipelineConfig:
         check_k(self.threshold_k)
         if self.cache_capacity < 1:
             raise InvalidConfig("cache_capacity must be >= 1")
+        if self.bulk_batch_size < 1:
+            raise InvalidConfig("bulk_batch_size must be >= 1")
 
     def detector(self) -> VaeStabilityDetector:
-        return VaeStabilityDetector(self.train, self.hidden_units, self.latent_dim, self.threshold_k)
+        """An unfitted detector of the default architecture."""
+        return VaeStabilityDetector(self.train, threshold_k=self.threshold_k)
 
 
 def summarize_trace(
@@ -216,7 +216,6 @@ def _run_mode(
     publisher,
     sink: Sink,
     config: PipelineConfig,
-    spool: SpoolDirectory | None = None,
 ) -> tuple[ModeCost, list[PublishAction]]:
     cost = ModeCost()
     actions: list[PublishAction] = []
@@ -227,7 +226,6 @@ def _run_mode(
             cost.bytes_published += emit(
                 action,
                 sink,
-                spool,
                 latent_index=config.latent_index,
                 forensics_index=config.forensics_index,
             )
@@ -256,10 +254,9 @@ def run_adaptive(
     detector: VaeStabilityDetector,
     sink: Sink,
     config: PipelineConfig,
-    spool: SpoolDirectory | None = None,
 ) -> tuple[ModeCost, list[PublishAction]]:
     publisher = _adaptive_publisher(summaries, detector, config)
-    return _run_mode(summaries, publisher, sink, config, spool)
+    return _run_mode(summaries, publisher, sink, config)
 
 
 def bench(

@@ -94,18 +94,13 @@ class IntervalCache:
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
         self.capacity = capacity
-        self._buffers: dict[str, deque[tuple[IntervalKey, EventBlock, ActivityVector]]] = {}
+        self._buffers: dict[str, deque[tuple[IntervalKey, EventBlock]]] = {}
 
-    def push(
-        self,
-        key: IntervalKey,
-        events: Sequence[ForensicEvent],
-        vector: ActivityVector,
-    ) -> None:
+    def push(self, key: IntervalKey, events: Sequence[ForensicEvent]) -> None:
         buffer = self._buffers.get(key.container_id)
         if buffer is None:
             buffer = self._buffers[key.container_id] = deque(maxlen=self.capacity)
-        buffer.append((key, as_block(events), vector))
+        buffer.append((key, as_block(events)))
 
     def fetch_prior_intervals(
         self, container_id: str, count: int
@@ -115,11 +110,7 @@ class IntervalCache:
             raise ValueError("count must be >= 1")
         if container_id not in self._buffers:
             raise UnknownContainer(container_id)
-        buffer = self._buffers[container_id]
-        return [(key, events) for key, events, _ in islice(reversed(buffer), count)]
-
-    def size(self, container_id: str) -> int:
-        return len(self._buffers.get(container_id, ()))
+        return list(islice(reversed(self._buffers[container_id]), count))
 
 
 # -- serialization ----------------------------------------------------------
@@ -341,7 +332,6 @@ class AdaptivePublisher:
         self.cache = IntervalCache(cache_capacity)
         self.model_dir = Path(model_dir) if model_dir is not None else None
         self.models: dict[str, VaeStabilityDetector] = {}
-        self.trainings_completed: dict[str, int] = {}
         self._pending: dict[str, tuple[VaeStabilityDetector, list[ActivityVector]]] = {}
         self._detector_factory = detector_factory or functools.partial(
             VaeStabilityDetector, train_config, threshold_k=threshold_k
@@ -356,9 +346,6 @@ class AdaptivePublisher:
         detector.container_id = container_id
         detector.fit(vectors_to_matrix(vectors))
         self.models[container_id] = detector
-        self.trainings_completed[container_id] = (
-            self.trainings_completed.get(container_id, 0) + 1
-        )
         if self.model_dir is not None:
             self.model_dir.mkdir(parents=True, exist_ok=True)
             save_model(detector, self.model_dir / f"{container_id}.model.json")
@@ -380,7 +367,7 @@ class AdaptivePublisher:
         Only a drift action uses `events`, and it carries them as they are.
         """
         events = as_block(events)
-        self.cache.push(key, events, vector)
+        self.cache.push(key, events)
         container = key.container_id
         detector = self.models.get(container)
         if detector is None:
@@ -420,5 +407,5 @@ class StandardPublisher:
         vector: ActivityVector,
     ) -> PublishAction:
         events = as_block(events)
-        self.cache.push(key, events, vector)
+        self.cache.push(key, events)
         return PublishAction(key=key, mode=PublishMode.FORENSICS_ONLY, forensics=events)

@@ -11,10 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from vaeguard.errors import EmptyDataset
-from vaeguard.validation import ParamsMixin, as_float_matrix, check_dimension, check_fitted
+from vaeguard.validation import as_float_matrix, check_dimension, check_fitted
 
 
-class ActivityScaler(ParamsMixin):
+class ActivityScaler:
     """Per-feature min-max scaler with sklearn-style fit/transform.
 
     Attributes set by fit():
@@ -54,9 +54,6 @@ class ActivityScaler(ParamsMixin):
         scaled = (X - self.data_min_) / safe_span
         scaled[:, degenerate] = 0.0
         return scaled
-
-    def fit_transform(self, X) -> np.ndarray:
-        return self.fit(X).transform(X)
 
     def inverse_transform(self, Y) -> np.ndarray:
         Y = as_float_matrix(Y)

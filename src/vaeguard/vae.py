@@ -1,15 +1,18 @@
 """Per-container stability detector: scaler + VAE + threshold in one estimator.
 
-VaeStabilityDetector follows the sklearn estimator protocol. fit() takes a
-matrix of raw activity vectors, fits the min-max scaler, trains the VAE
-with mini-batch Adam, and derives the k-sigma decision threshold from the
-final epoch's training reconstruction errors. Scoring is deterministic:
-the latent code is the posterior mean, never a sample, so one interval
-always yields one reconstruction error.
+VaeStabilityDetector has sklearn-style fit/predict/transform. It is built
+from a TrainConfig (every training hyperparameter, Adam's included), the
+architecture's hidden widths and latent size, and k; set_threshold_k is
+the one way to change k afterwards. fit() takes a matrix of raw activity
+vectors, fits the min-max scaler, trains the VAE with mini-batch Adam,
+and derives the k-sigma decision threshold from the final epoch's
+training reconstruction errors. Scoring is deterministic: the latent
+code is the posterior mean, never a sample, so one interval always
+yields one reconstruction error.
 
-Model bundles persist as a single JSON document (text, trailing newline).
-JSON numbers round-trip float64 exactly via repr, which is what makes
-fixed-seed training runs byte-identical on disk.
+save_model and load_model persist a detector as one JSON document (text,
+trailing newline). JSON numbers round-trip float64 exactly via repr,
+which is what makes fixed-seed training runs byte-identical on disk.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from vaeguard.errors import (
     InvalidK,
     SchemaMismatch,
 )
-from vaeguard.nn import DEFAULT_HIDDEN_UNITS, DEFAULT_LATENT_DIM, AdamConfig, VaeArchitecture
+from vaeguard.nn import DEFAULT_HIDDEN_UNITS, DEFAULT_LATENT_DIM, VaeArchitecture
 from vaeguard.scaling import ActivityScaler
 from vaeguard.summarize import SCHEMA_VERSION, ActivityVector, IntervalKey
 from vaeguard.thresholds import (
@@ -41,13 +44,7 @@ from vaeguard.thresholds import (
     fit_threshold_ksigma,
     is_stable,
 )
-from vaeguard.validation import (
-    ParamsMixin,
-    as_float_matrix,
-    check_dimension,
-    check_finite,
-    check_fitted,
-)
+from vaeguard.validation import as_float_matrix, check_dimension, check_finite, check_fitted
 
 logger = logging.getLogger(__name__)
 
@@ -57,7 +54,8 @@ BUNDLE_FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training hyperparameters; defaults are the published configuration."""
+    """Training hyperparameters, Adam's included; defaults are the published
+    configuration."""
 
     learning_rate: float = 1e-4
     beta1: float = 0.9
@@ -85,14 +83,6 @@ class TrainConfig:
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-
-    def adam(self) -> AdamConfig:
-        return AdamConfig(
-            learning_rate=self.learning_rate,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            epsilon=self.epsilon,
-        )
 
 
 @dataclass
@@ -138,7 +128,6 @@ def train(
     grad_flat = np.empty_like(flat)
     grads = nn.param_views(arch, grad_flat)
     state = nn.adam_init(flat)
-    adam_config = config.adam()
 
     recon_curve: list[float] = []
     kl_curve: list[float] = []
@@ -160,7 +149,7 @@ def train(
             if final_epoch:
                 collected.append(errors)
             step += 1
-            nn.adam_step(flat, grad_flat, state, adam_config, step)
+            nn.adam_step(flat, grad_flat, state, config, step)
             recon_sum += recon * len(idx)
             kl_sum += kl * len(idx)
         recon_curve.append(recon_sum / n)
@@ -186,7 +175,7 @@ def train(
     return params, curve
 
 
-class VaeStabilityDetector(ParamsMixin):
+class VaeStabilityDetector:
     """Learns a container's stable runtime pattern from activity vectors.
 
     Higher score_samples() output means further from the trained pattern;
@@ -260,11 +249,6 @@ class VaeStabilityDetector(ParamsMixin):
         X = self._check_ready(X)
         return nn.encode(self.architecture_, self.weights_, self.scaler_.transform(X))
 
-    def decode(self, Z) -> np.ndarray:
-        """Decode latent codes back to normalized feature space."""
-        check_fitted(self, "weights_")
-        return nn.decode(self.architecture_, self.weights_, Z)
-
     def transform(self, X) -> np.ndarray:
         """The compact representation published for stable intervals."""
         mu, _ = self.encode(X)
@@ -292,13 +276,6 @@ class VaeStabilityDetector(ParamsMixin):
         features = self._check_ready(vector.features)[0]
         mu, logvar, error = self._score(self.scaler_.transform_vector(features))
         return LatentRecord(key=vector.key, mu=mu, logvar=logvar, recon_error=float(error))
-
-    def save(self, path) -> None:
-        save_model(self, path)
-
-    @classmethod
-    def load(cls, path, expected_dim: int | None = None) -> "VaeStabilityDetector":
-        return load_model(path, expected_dim=expected_dim)
 
 
 # -- persistence ------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import inspect
 from typing import Any
 
 import numpy as np
@@ -46,32 +45,3 @@ def check_fitted(estimator: Any, attribute: str) -> None:
             f"{type(estimator).__name__} is not fitted; call fit() first"
         )
 
-
-class ParamsMixin:
-    """get_params/set_params compatible with sklearn's estimator protocol.
-
-    Constructor arguments must be stored on self under the same names,
-    which is all sklearn.clone needs to re-instantiate the estimator.
-    """
-
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        sig = inspect.signature(cls.__init__)
-        return [
-            name
-            for name, p in sig.parameters.items()
-            if name != "self" and p.kind != p.VAR_KEYWORD
-        ]
-
-    def get_params(self, deep: bool = True) -> dict[str, Any]:
-        return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params: Any):
-        valid = set(self._param_names())
-        for name, value in params.items():
-            if name not in valid:
-                raise ValueError(
-                    f"invalid parameter {name!r} for {type(self).__name__}"
-                )
-            setattr(self, name, value)
-        return self

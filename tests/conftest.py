@@ -87,6 +87,24 @@ def small_detector(**overrides) -> VaeStabilityDetector:
     return VaeStabilityDetector(TrainConfig(**params), hidden_units=(8, 8), latent_dim=4)
 
 
+def fit_recording_factory(fitted: list, **overrides):
+    """A detector_factory of `small_detector(**overrides)` whose detectors
+    append themselves to `fitted` each time their fit() runs."""
+
+    def factory():
+        detector = small_detector(**overrides)
+        fit = detector.fit
+
+        def recorded_fit(X):
+            fitted.append(detector)
+            return fit(X)
+
+        detector.fit = recorded_fit
+        return detector
+
+    return factory
+
+
 @pytest.fixture(scope="session")
 def small_baseline_summaries():
     """32 intervals of baseline traffic (16 simulated minutes)."""

@@ -10,10 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import small_detector
+from conftest import fit_recording_factory
 from vaeguard.cli import main as cli_main
 from vaeguard.nn import (
-    AdamConfig,
     VaeArchitecture,
     adam_init,
     adam_step,
@@ -160,13 +159,13 @@ def test_criterion_4_gradient_correctness():
 
 
 def test_criterion_5_optimizer_oracle():
-    config = AdamConfig()
+    config = TrainConfig()
     params = np.array(1.0)
     updated, _ = adam_step(params, np.array(0.1), adam_init(params), config, t=1)
     expected = 1.0 - 1e-4 * (0.1 / (math.sqrt(0.1**2) + 1e-8))
     assert abs(float(updated) - expected) <= 1e-10
 
-    quad_config = AdamConfig(learning_rate=0.05)
+    quad_config = TrainConfig(learning_rate=0.05)
     point = np.array(0.0)
     state = adam_init(point)
     losses = []
@@ -244,13 +243,14 @@ def test_criterion_8_determinism(tmp_path):
 
 def test_criterion_9_publisher_contract():
     target = 40
+    fitted = []
     publisher = AdaptivePublisher(
         train_config=TrainConfig(
             epochs=25, batch_size=8, accumulation_target=target, seed=3
         ),
         threshold_k=3.0,
-        detector_factory=lambda: small_detector(
-            accumulation_target=target, epochs=25, batch_size=8, seed=3
+        detector_factory=fit_recording_factory(
+            fitted, accumulation_target=target, epochs=25, batch_size=8, seed=3
         ),
     )
     baseline = summarize_trace(
@@ -289,7 +289,7 @@ def test_criterion_9_publisher_contract():
     assert training_fired_at == target, (
         f"training fired after {training_fired_at} intervals, target {target}"
     )
-    assert publisher.trainings_completed["web-0"] == 1
+    assert fitted == [publisher.models["web-0"]], "fit must run exactly once over the stream"
     assert modes_seen == {
         PublishMode.ACCUMULATING,
         PublishMode.LATENT_ONLY,

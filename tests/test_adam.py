@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from vaeguard.nn import AdamConfig, VaeArchitecture, adam_init, adam_step, param_views
+from vaeguard.nn import VaeArchitecture, adam_init, adam_step, param_views
+from vaeguard.vae import TrainConfig
 
 
 def scalar_params(value=1.0):
@@ -10,7 +11,7 @@ def scalar_params(value=1.0):
 
 def test_single_step_hand_oracle():
     """One update evaluated by hand: m-hat = g, v-hat = g^2 at t=1."""
-    config = AdamConfig()
+    config = TrainConfig()
     params = scalar_params(1.0)
     grads = np.array(0.1)
     state = adam_init(params)
@@ -21,7 +22,7 @@ def test_single_step_hand_oracle():
 
 
 def test_zero_gradient_leaves_parameter_unchanged():
-    config = AdamConfig()
+    config = TrainConfig()
     params = scalar_params(2.5)
     state = adam_init(params)
     updated, _ = adam_step(params, np.array(0.0), state, config, t=1)
@@ -29,7 +30,7 @@ def test_zero_gradient_leaves_parameter_unchanged():
 
 
 def test_identical_gradients_evolve_identically():
-    config = AdamConfig(learning_rate=0.01)
+    config = TrainConfig(learning_rate=0.01)
     params = np.array([1.0, 1.0])
     state = adam_init(params)
     for t in range(1, 20):
@@ -39,7 +40,7 @@ def test_identical_gradients_evolve_identically():
 
 
 def test_state_accumulates_moments():
-    config = AdamConfig()
+    config = TrainConfig()
     params = scalar_params(0.0)
     state = adam_init(params)
     _, state = adam_step(params, np.array(0.5), state, config, t=1)
@@ -51,12 +52,12 @@ def test_step_index_validated():
     params = scalar_params()
     state = adam_init(params)
     with pytest.raises(ValueError):
-        adam_step(params, np.array(0.1), state, AdamConfig(), t=0)
+        adam_step(params, np.array(0.1), state, TrainConfig(), t=0)
 
 
 def test_quadratic_trajectory_decreases_after_warmup():
     """100 steps on f(p) = (p - 3)^2 from p = 0."""
-    config = AdamConfig(learning_rate=0.05)
+    config = TrainConfig(learning_rate=0.05)
     params = scalar_params(0.0)
     state = adam_init(params)
     losses = []
@@ -72,9 +73,9 @@ def test_quadratic_trajectory_decreases_after_warmup():
 
 def test_adam_config_validation():
     with pytest.raises(ValueError):
-        AdamConfig(learning_rate=0.0)
+        TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
-        AdamConfig(beta1=-0.1)
+        TrainConfig(beta1=-0.1)
 
 
 def per_key_adam_step(params, grads, state_m, state_v, config, t):
@@ -94,7 +95,7 @@ def per_key_adam_step(params, grads, state_m, state_v, config, t):
 
 def test_flat_step_matches_per_key_formula_bit_for_bit():
     arch = VaeArchitecture(input_dim=9, hidden_units=(7, 6, 5), latent_dim=4)
-    config = AdamConfig(learning_rate=3e-3, beta1=0.85, beta2=0.99, epsilon=1e-7)
+    config = TrainConfig(learning_rate=3e-3, beta1=0.85, beta2=0.99, epsilon=1e-7)
     rng = np.random.default_rng(21)
     flat = rng.normal(size=sum(v.size for v in param_views(arch).values()))
     params = param_views(arch, flat)

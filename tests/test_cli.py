@@ -225,6 +225,7 @@ def _hostile_cases():
         ("assess", ("--heuristic-threshold", "-1"), 2),
         ("bench", ("--interval-len", "inf"), 2),
         ("bench", ("--k", "nan"), 2),
+        ("bench", ("--bulk-batch-size", "0"), 2),
     ]
     for command, extra, code in flags:
         yield pytest.param(command, extra, None, code, id=f"{command}{'='.join(extra)}")

@@ -41,6 +41,8 @@ def test_pipeline_config_validation():
             PipelineConfig(threshold_k=threshold_k)
     with pytest.raises(InvalidConfig):
         PipelineConfig(cache_capacity=0)
+    with pytest.raises(InvalidConfig):
+        PipelineConfig(bulk_batch_size=0)
 
 
 def test_assess_trace_produces_record_per_interval(

@@ -11,7 +11,7 @@ import pytest
 
 import vaeguard
 
-from conftest import small_detector
+from conftest import fit_recording_factory, small_detector
 from vaeguard.errors import SinkUnavailable, UnknownContainer
 from vaeguard.events import EventBlock, ForensicEvent, as_block
 from vaeguard.publisher import (
@@ -53,7 +53,7 @@ def events_for(i, count=3, container="box"):
 def test_cache_capacity_bound():
     cache = IntervalCache(capacity=4)
     for i in range(6):
-        cache.push(key(i), events_for(i), vector(i))
+        cache.push(key(i), events_for(i))
     fetched = cache.fetch_prior_intervals("box", 10)
     assert len(fetched) == 4
     assert [k.interval_index for k, _ in fetched] == [5, 4, 3, 2]
@@ -62,7 +62,7 @@ def test_cache_capacity_bound():
 def test_cache_most_recent_first():
     cache = IntervalCache(capacity=4)
     for i in range(3):
-        cache.push(key(i), events_for(i), vector(i))
+        cache.push(key(i), events_for(i))
     (top_key, top_events), = cache.fetch_prior_intervals("box", 1)
     assert top_key.interval_index == 2
     assert top_events == tuple(events_for(2))
@@ -71,7 +71,7 @@ def test_cache_most_recent_first():
 def test_cache_holds_the_pushed_block_itself():
     cache = IntervalCache(capacity=4)
     block = as_block(events_for(1))
-    cache.push(key(1), block, vector(1))
+    cache.push(key(1), block)
     (_, held), = cache.fetch_prior_intervals("box", 1)
     assert held is block
 
@@ -230,38 +230,47 @@ def test_decisions_build_no_events_from_their_group():
 
 
 def test_training_fires_exactly_once_at_target():
-    publisher = make_publisher(target=8)
+    fitted = []
+    publisher = AdaptivePublisher(
+        detector_factory=fit_recording_factory(
+            fitted, accumulation_target=8, epochs=10, batch_size=4, seed=3
+        )
+    )
     for i in range(6):
         publisher.process_interval(key(i), events_for(i), vector(i))
         assert "box" not in publisher.models
     publisher.process_interval(key(6), events_for(6), vector(6))
+    assert fitted == []
     publisher.process_interval(key(7), events_for(7), vector(7))
-    assert publisher.trainings_completed["box"] == 1
+    assert fitted == [publisher.models["box"]]
     run_stream(publisher, 4)
-    assert publisher.trainings_completed["box"] == 1
+    assert fitted == [publisher.models["box"]]
 
 
 def test_training_frees_the_pending_vectors():
     publisher = make_publisher(target=8)
     vectors = [vector(i) for i in range(8)]
-    first = weakref.ref(vectors[0])
+    refs = [weakref.ref(v) for v in vectors]
     for i, v in enumerate(vectors):
         publisher.process_interval(key(i), events_for(i), v)
     del vectors, v
     assert "box" in publisher.models
-    # the cache keeps only the last four intervals' vectors
-    assert first() is None
+    # neither the pending list nor the cache holds a vector once trained
+    assert [ref() for ref in refs] == [None] * 8
 
 
 def test_training_target_is_the_trained_detectors_own():
     # the publisher's TrainConfig says 3, the detector the factory builds needs 4
+    fitted = []
     publisher = AdaptivePublisher(
         train_config=TrainConfig(accumulation_target=3),
-        detector_factory=lambda: small_detector(accumulation_target=4, epochs=2, batch_size=4),
+        detector_factory=fit_recording_factory(
+            fitted, accumulation_target=4, epochs=2, batch_size=4
+        ),
     )
     actions = run_stream(publisher, 4)
     assert [a.mode for a in actions] == [PublishMode.ACCUMULATING] * 4
-    assert publisher.trainings_completed == {"box": 1}
+    assert fitted == [publisher.models["box"]]
     scored = publisher.process_interval(key(4), events_for(4), vector(4))
     assert scored.mode is not PublishMode.ACCUMULATING
 

@@ -19,13 +19,7 @@ from vaeguard.errors import (
 from vaeguard.nn import VaeArchitecture
 from vaeguard.summarize import FEATURE_DIM, ActivityVector, IntervalKey
 from vaeguard.thresholds import KSigmaThreshold
-from vaeguard.vae import (
-    TrainConfig,
-    VaeStabilityDetector,
-    load_model,
-    save_model,
-    train,
-)
+from vaeguard.vae import TrainConfig, load_model, save_model, train
 
 
 def toy_matrix(n=40, dim=6, seed=0):
@@ -110,19 +104,6 @@ def test_fit_returns_self_and_sets_attributes():
 def test_unfitted_detector_raises():
     with pytest.raises(NotFittedError):
         small_detector().score_samples(toy_matrix(n=2))
-
-
-def test_get_params_set_params_protocol():
-    detector = small_detector()
-    params = detector.get_params()
-    assert params["latent_dim"] == 4
-    assert params["threshold_k"] == 3.0
-    clone = VaeStabilityDetector(**params)
-    assert clone.get_params() == params
-    detector.set_params(threshold_k=5.0)
-    assert detector.threshold_k == 5.0
-    with pytest.raises(ValueError):
-        detector.set_params(nonsense=1)
 
 
 def test_score_samples_deterministic_and_nonnegative(small_trained_detector, small_baseline_summaries):
