@@ -92,4 +92,10 @@ class NotFittedError(VaeguardError):
 
 
 class SinkUnavailable(VaeguardError):
-    """Publishing sink rejected the write; action was spooled if possible."""
+    """Publishing sink rejected the write. `actions` holds every action the
+    sink accepted but did not deliver, oldest first; the sink has dropped
+    them, and `emit` spools them when it has a spool."""
+
+    def __init__(self, message: str, actions: tuple = ()):
+        super().__init__(message)
+        self.actions = tuple(actions)

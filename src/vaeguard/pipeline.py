@@ -3,8 +3,8 @@
 Both bench pipelines consume the same summarized interval stream, so any
 difference in published bytes is attributable purely to publishing
 policy. Wall-clock time covers the per-interval decision and publish
-path, not trace parsing, and the two pipelines run sequentially to keep
-their timers independent.
+path up to the flush of the sink, not trace parsing, and the two
+pipelines run sequentially to keep their timers independent.
 """
 
 from __future__ import annotations
@@ -237,6 +237,7 @@ def _run_mode(
                 else:
                     cost.unstable_intervals += 1
             actions.append(action)
+    sink.flush()  # the clock and the byte count cover every request the run sends
     cost.wall_seconds = time.perf_counter() - started
     return cost, actions
 

@@ -18,6 +18,7 @@ import enum
 import functools
 import json
 import logging
+import urllib.parse
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
@@ -230,7 +231,10 @@ def action_to_documents(
     forensics_index: str = DEFAULT_FORENSICS_INDEX,
 ) -> list[Document]:
     """Bulk documents for an action: one status/latent doc, then one doc
-    per raw event when forensics ship."""
+    per raw event when forensics ship. Document ids are
+    `<container>/<interval>/<ordinal>`, the head's ordinal 0 and the
+    events' 1, 2, ...; the ids parse from the right, whatever the container."""
+    id_prefix = f"{action.key.container_id}/{action.key.interval_index}/"
     base = {
         "container": action.key.container_id,
         "interval": action.key.interval_index,
@@ -242,9 +246,10 @@ def action_to_documents(
     for fields in _rounded_head(action):
         if fields is not None:
             head.update(fields)
-    documents.append((latent_index, head))
+    documents.append((latent_index, id_prefix + "0", head))
     if action.forensics is not None:
-        for timestamp, syscall, pid, result, arg_bytes in action.forensics.rows():
+        rows = enumerate(action.forensics.rows(), 1)
+        for ordinal, (timestamp, syscall, pid, result, arg_bytes) in rows:
             # base's keys, then the event's: the bulk payload's bytes follow this order
             document = base.copy()
             document["t"] = timestamp
@@ -252,7 +257,7 @@ def action_to_documents(
             document["pid"] = pid
             document["ret"] = result
             document["bytes"] = arg_bytes
-            documents.append((forensics_index, document))
+            documents.append((forensics_index, f"{id_prefix}{ordinal}", document))
     return documents
 
 
@@ -263,22 +268,21 @@ def emit(
     latent_index: str = DEFAULT_LATENT_INDEX,
     forensics_index: str = DEFAULT_FORENSICS_INDEX,
 ) -> int:
-    """Publish one action; returns exact bytes written to the sink.
+    """Publish one action; returns the exact bytes it adds to what the sink
+    ships (a buffering sink ships them at a later publish, flush or close).
 
-    The sink encodes the action itself. If it is unavailable the
-    serialized action is spooled (when a spool is configured) and the
-    failure still propagates so callers see the outage.
+    The sink encodes the action itself. If the sink is unavailable, every
+    action it accepted and did not deliver, this one among them, is
+    spooled serialized (when a spool is configured), and the failure
+    still propagates so callers see the outage.
     """
     try:
         return sink.publish(action, latent_index, forensics_index)
-    except SinkUnavailable:
+    except SinkUnavailable as exc:
         if spool is not None:
-            spool.store(serialize_action(action))
-            logger.warning(
-                "sink unavailable; spooled %s interval %d",
-                action.key.container_id,
-                action.key.interval_index,
-            )
+            for dropped in exc.actions:
+                spool.store(serialize_action(dropped))
+            logger.warning("sink unavailable; spooled %d actions", len(exc.actions))
         raise
 
 
@@ -288,21 +292,35 @@ def replay_spool(
     latent_index: str = DEFAULT_LATENT_INDEX,
     forensics_index: str = DEFAULT_FORENSICS_INDEX,
 ) -> int:
-    """Re-publish spooled actions oldest-first; returns bytes shipped.
+    """Re-publish spooled actions oldest-first, then flush the sink;
+    returns the bytes their publishes returned.
 
-    Files are removed as they succeed; the first sink failure propagates
-    and leaves the remainder spooled. A file that does not parse as an
-    action is moved to the spool's quarantine and the rest go on.
+    A file is removed once the sink has delivered its action, which the
+    final flush confirms. The first sink failure propagates and leaves
+    every file whose action it did not deliver spooled. A file that does
+    not parse as an action is moved to the spool's quarantine and the
+    rest go on.
     """
     total = 0
-    for path in spool.pending():
-        try:
-            action = parse_action(path.read_bytes())
-        except (ValueError, KeyError, TypeError, IndexError, RecursionError) as exc:
-            logger.warning("unreadable spooled action %s quarantined: %s", path.name, exc)
-            spool.quarantine(path)
-            continue
-        total += sink.publish(action, latent_index, forensics_index)
+    published: list[tuple[Path, PublishAction]] = []
+    try:
+        for path in spool.pending():
+            try:
+                action = parse_action(path.read_bytes())
+            except (ValueError, KeyError, TypeError, IndexError, RecursionError) as exc:
+                logger.warning("unreadable spooled action %s quarantined: %s", path.name, exc)
+                spool.quarantine(path)
+                continue
+            total += sink.publish(action, latent_index, forensics_index)
+            published.append((path, action))
+        sink.flush()
+    except SinkUnavailable as exc:
+        undelivered = {id(action) for action in exc.actions}
+        for path, action in published:
+            if id(action) not in undelivered:
+                path.unlink()
+        raise
+    for path, _ in published:
         path.unlink()
     return total
 
@@ -348,7 +366,9 @@ class AdaptivePublisher:
         self.models[container_id] = detector
         if self.model_dir is not None:
             self.model_dir.mkdir(parents=True, exist_ok=True)
-            save_model(detector, self.model_dir / f"{container_id}.model.json")
+            # quoted, so a container id never names a path outside model_dir
+            name = urllib.parse.quote(container_id, safe="")
+            save_model(detector, self.model_dir / f"{name}.model.json")
         logger.info(
             "trained model for %s on %d intervals (threshold %.6g)",
             container_id,

@@ -1,34 +1,51 @@
 """Publishing sinks and the bulk-indexing wire format.
 
 A sink accepts one publish action, encodes it in the one representation
-it ships, and returns the exact byte count it shipped, which feeds cost
-accounting:
+it ships, and returns the exact byte count that action adds to what it
+ships, which feeds cost accounting:
 
-    publish(action, latent_index, forensics_index) -> bytes written
+    publish(action, latent_index, forensics_index) -> int
+    flush()   # ship whatever the sink still holds
+    close()   # flush, then release the sink
 
 FileSink appends the action's newline-delimited record
-(`publisher.serialize_action`) and ignores the index names; HttpBulkSink
-POSTs the action's documents (`publisher.action_to_documents`) as
-bulk-API requests (action metadata line, then source line, trailing
-newline) to an HTTP endpoint; a reply that is not a JSON object, or that
-reports `"errors": true`, counts as a failed publish. A SpoolDirectory
-holds serialized actions whenever a sink is unavailable so they can be
-replayed later.
+(`publisher.serialize_action`) and ignores the index names; `flush`
+flushes the file. HttpBulkSink encodes the action's documents
+(`publisher.action_to_documents`) as bulk-API lines (action metadata
+line with the document's `_index` and `_id`, then its source line, each
+newline-terminated) and buffers them across actions. It POSTs to
+`<endpoint>/_bulk` once `batch_size` documents wait; `flush` and `close`
+POST the rest. A document's `_id` is `<container>/<interval>/<ordinal>`
+(ordinal 0 for the action's head, then 1, 2, ... for its events), so a
+replay overwrites what an earlier delivery indexed. An action counts as
+delivered once the POST holding its last document succeeds, and
+`bytes_written` counts only bytes of POSTs that succeeded.
+
+A reply that is not a JSON object, or that reports `"errors": true`,
+fails the POST as a refused connection does. A failed POST raises
+`SinkUnavailable` carrying every action the sink accepted and has not
+delivered, oldest first, and the sink drops them; so a failure can show
+at a later `publish` than the action's own, or at `flush`/`close`.
+`publisher.emit` stores each of those actions in a SpoolDirectory, when
+it has one, so they can be replayed later.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import urllib.error
 import urllib.request
+from collections import deque
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
 from vaeguard.errors import EmptyBatch, SinkUnavailable
 from vaeguard.publisher import PublishAction, action_to_documents, serialize_action
 
-Document = tuple[str, Mapping]
+# (index name, document id, source)
+Document = tuple[str, str, Mapping]
 
 BULK_CONTENT_TYPE = "application/x-ndjson"
 # Documents per bulk request.
@@ -36,18 +53,23 @@ DEFAULT_BULK_BATCH_SIZE = 500
 
 
 def encode_bulk_request(documents: Sequence[Document]) -> bytes:
-    """Bulk wire format: one action line plus one source line per document."""
+    """Bulk wire format: one action line plus one source line per document,
+    each newline-terminated."""
     if not documents:
         raise EmptyBatch("bulk request requires at least one document")
     lines: list[str] = []
-    for index_name, source in documents:
-        lines.append(json.dumps({"index": {"_index": index_name}}, separators=(",", ":")))
+    for index_name, doc_id, source in documents:
+        lines.append(
+            json.dumps({"index": {"_index": index_name, "_id": doc_id}}, separators=(",", ":"))
+        )
         lines.append(json.dumps(source, separators=(",", ":")))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 class Sink(Protocol):
     def publish(self, action: PublishAction, latent_index: str, forensics_index: str) -> int: ...
+
+    def flush(self) -> None: ...
 
     def close(self) -> None: ...
 
@@ -62,22 +84,24 @@ class FileSink:
 
     def publish(self, action: PublishAction, latent_index: str, forensics_index: str) -> int:
         if self._handle.closed:
-            raise SinkUnavailable(f"file sink {self.path} is closed")
+            raise SinkUnavailable(f"file sink {self.path} is closed", (action,))
         line = serialize_action(action)
         try:
             self._handle.write(line)
         except (OSError, ValueError) as exc:
-            raise SinkUnavailable(f"file sink {self.path}: {exc}") from exc
+            raise SinkUnavailable(f"file sink {self.path}: {exc}", (action,)) from exc
         self.bytes_written += len(line)
         return len(line)
 
-    def close(self) -> None:
+    def flush(self) -> None:
         if not self._handle.closed:
             self._handle.flush()
-            self._handle.close()
+
+    def close(self) -> None:
+        self._handle.close()  # flushes first; a no-op once closed
 
 
-def _check_bulk_reply(reply: bytes, endpoint: str) -> None:
+def _bulk_reply_problem(reply: bytes) -> str | None:
     """A bulk reply must be a JSON object whose `errors` is not true;
     anything else means some documents may not have been indexed."""
     try:
@@ -85,13 +109,15 @@ def _check_bulk_reply(reply: bytes, endpoint: str) -> None:
     except (ValueError, RecursionError):
         doc = None
     if not isinstance(doc, dict):
-        raise SinkUnavailable(f"bulk endpoint {endpoint}: reply is not a JSON object")
+        return "reply is not a JSON object"
     if doc.get("errors"):
-        raise SinkUnavailable(f"bulk endpoint {endpoint}: reply reports item errors")
+        return "reply reports item errors"
+    return None
 
 
 class HttpBulkSink:
-    """POSTs bulk requests to `<endpoint>/_bulk`, batching documents."""
+    """POSTs bulk requests of `batch_size` documents to `<endpoint>/_bulk`,
+    buffering documents across actions until that many wait."""
 
     def __init__(
         self,
@@ -107,30 +133,63 @@ class HttpBulkSink:
         self.headers = dict(headers or {})
         self.timeout = timeout
         self.bytes_written = 0
+        # encoded documents not yet POSTed
+        self._buffer = bytearray()
+        # documents ever added to the buffer, and ever removed from it
+        self._added = 0
+        self._removed = 0
+        # (documents added through the action's last one, action), oldest first
+        self._undelivered: deque[tuple[int, PublishAction]] = deque()
 
     def publish(self, action: PublishAction, latent_index: str, forensics_index: str) -> int:
         documents = action_to_documents(action, latent_index, forensics_index)
-        total = 0
-        for start in range(0, len(documents), self.batch_size):
-            body = encode_bulk_request(documents[start : start + self.batch_size])
-            request = urllib.request.Request(
-                f"{self.endpoint}/_bulk",
-                data=body,
-                headers={"Content-Type": BULK_CONTENT_TYPE, **self.headers},
-                method="POST",
-            )
-            try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                    reply = response.read()
-            except (urllib.error.URLError, OSError, TimeoutError) as exc:
-                raise SinkUnavailable(f"bulk endpoint {self.endpoint}: {exc}") from exc
-            _check_bulk_reply(reply, self.endpoint)
-            total += len(body)
-        self.bytes_written += total
-        return total
+        body = encode_bulk_request(documents)
+        self._buffer += body
+        self._added += len(documents)
+        self._undelivered.append((self._added, action))
+        while self._added - self._removed >= self.batch_size:
+            self._post(self.batch_size)
+        return len(body)
+
+    def flush(self) -> None:
+        if self._added > self._removed:
+            self._post(self._added - self._removed)
 
     def close(self) -> None:
-        pass
+        self.flush()
+
+    def _post(self, count: int) -> None:
+        """POST the oldest `count` waiting documents."""
+        end = len(self._buffer)
+        if count < self._added - self._removed:
+            end = 0
+            # json.dumps escapes every newline, so each document is two lines
+            for _ in range(2 * count):
+                end = self._buffer.index(b"\n", end) + 1
+        body = bytes(self._buffer[:end])
+        request = urllib.request.Request(
+            f"{self.endpoint}/_bulk",
+            data=body,
+            headers={"Content-Type": BULK_CONTENT_TYPE, **self.headers},
+            method="POST",
+        )
+        cause = None
+        try:
+            with urllib.request.urlopen(request, timeout=self.timeout) as response:
+                problem = _bulk_reply_problem(response.read())
+        except (urllib.error.URLError, http.client.HTTPException, OSError) as exc:
+            problem, cause = str(exc), exc
+        if problem is not None:
+            dropped = tuple(action for _, action in self._undelivered)
+            self._buffer.clear()
+            self._removed = self._added
+            self._undelivered.clear()
+            raise SinkUnavailable(f"bulk endpoint {self.endpoint}: {problem}", dropped) from cause
+        del self._buffer[:end]
+        self._removed += count
+        self.bytes_written += len(body)
+        while self._undelivered and self._undelivered[0][0] <= self._removed:
+            self._undelivered.popleft()
 
 
 class SpoolDirectory:

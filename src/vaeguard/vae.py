@@ -182,6 +182,7 @@ class VaeStabilityDetector:
     predict() returns +1 for stable intervals, -1 for drifted ones,
     using the k-sigma threshold fitted from the training curve. `train`
     holds every training hyperparameter; fit() and the saved bundle read it.
+    The constructor's k is fit()'s; `threshold_k` reads the policy in force.
     """
 
     def __init__(
@@ -194,7 +195,7 @@ class VaeStabilityDetector:
         self.train = train
         self.hidden_units = hidden_units
         self.latent_dim = latent_dim
-        self.threshold_k = threshold_k
+        self._fit_k = threshold_k
 
         self.scaler_: ActivityScaler | None = None
         self.architecture_: VaeArchitecture | None = None
@@ -207,6 +208,12 @@ class VaeStabilityDetector:
     def n_features_in_(self) -> int:
         check_fitted(self, "architecture_")
         return self.architecture_.input_dim
+
+    @property
+    def threshold_k(self) -> float | None:
+        """k of the k-sigma policy in force; None when the policy is
+        heuristic or the detector is not fitted."""
+        return getattr(self.threshold_policy_, "k", None)
 
     @property
     def threshold_(self) -> float:
@@ -225,14 +232,14 @@ class VaeStabilityDetector:
         normalized = self.scaler_.transform(X)
         self.weights_, self.curve_ = train(normalized, arch, self.train)
         self.architecture_ = arch
-        self.threshold_policy_ = fit_threshold_ksigma(self.curve_, self.threshold_k)
+        self.threshold_policy_ = fit_threshold_ksigma(self.curve_, self._fit_k)
         return self
 
     def set_threshold_k(self, k: float) -> "VaeStabilityDetector":
-        """Re-derive the k-sigma policy from the stored training curve."""
+        """Re-derive the k-sigma policy from the stored training curve; a
+        later fit() derives it with the constructor's k again."""
         check_fitted(self, "curve_")
         self.threshold_policy_ = fit_threshold_ksigma(self.curve_, k)
-        self.threshold_k = k
         return self
 
     def _check_ready(self, X) -> np.ndarray:

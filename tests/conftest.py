@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import http.server
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -116,3 +118,38 @@ def small_baseline_summaries():
 def small_trained_detector(small_baseline_summaries):
     X = vectors_to_matrix([vector for _, _, vector in small_baseline_summaries])
     return small_detector().fit(X)
+
+
+class _BulkRecorder(http.server.BaseHTTPRequestHandler):
+    """Records each POST as (path, headers, body) and answers it as a bulk
+    endpoint that indexed every document."""
+
+    requests: list[tuple[str, dict, bytes]] = []
+
+    def do_POST(self):
+        length = int(self.headers["Content-Length"])
+        body = self.rfile.read(length)
+        _BulkRecorder.requests.append((self.path, dict(self.headers), body))
+        self.send_response(200)
+        payload = b'{"errors":false}'
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def bulk_server():
+    """A loopback bulk endpoint: yields its URL and the list of requests it
+    has received."""
+    _BulkRecorder.requests = []
+    server = http.server.HTTPServer(("127.0.0.1", 0), _BulkRecorder)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_port}", _BulkRecorder.requests
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)

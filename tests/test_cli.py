@@ -307,6 +307,41 @@ def test_bench_reports_reduction(tmp_path, short_baseline_trace, small_model, ca
     assert adaptive_file.stat().st_size == report["adaptive"]["bytes_published"]
 
 
+def test_bench_to_an_endpoint_reports_the_bytes_it_received(
+    tmp_path, short_baseline_trace, small_model, bulk_server
+):
+    endpoint, requests = bulk_server
+    report_path = tmp_path / "report.json"
+    assert run_cli(
+        "bench", "--trace", str(short_baseline_trace), "--model", str(small_model),
+        "--out-dir", str(tmp_path / "sinks"), "--endpoint", endpoint,
+        "--report-out", str(report_path),
+    ) == 0
+    report = json.loads(report_path.read_text())
+    standard = report["standard"]["bytes_published"]
+    adaptive = report["adaptive"]["bytes_published"]
+    sizes = [len(body) for _, _, body in requests]
+    assert sum(sizes) == standard + adaptive
+    # the standard run is flushed before the adaptive one starts
+    first_adaptive = next(i for i in range(len(sizes) + 1) if sum(sizes[:i]) == standard)
+    assert 1 <= len(sizes) - first_adaptive <= 2
+    assert adaptive * 20 < standard
+
+
+@pytest.mark.parametrize("batch_size", ["500", "1000000"], ids=["at-publish", "at-flush"])
+def test_bench_to_a_refused_endpoint_is_a_sink_error(
+    tmp_path, short_baseline_trace, small_model, capsys, batch_size
+):
+    code = run_cli(
+        "bench", "--trace", str(short_baseline_trace), "--model", str(small_model),
+        "--out-dir", str(tmp_path / "sinks"), "--endpoint", "http://127.0.0.1:9",
+        "--bulk-batch-size", batch_size,
+    )
+    err = capsys.readouterr().err
+    assert code == 5
+    assert err.startswith("sink error:") and "Traceback" not in err
+
+
 def test_config_file_supplies_defaults(tmp_path, short_baseline_trace):
     config = tmp_path / "run.cfg"
     config.write_text(

@@ -197,7 +197,8 @@ def _faulty_lines(draw):
     if kind == "join":
         separator = draw(st.sampled_from([",", "", " "]))
         return [text + separator + draw(_record_text(draw(_TIMESTAMPS)))]
-    return [draw(st.text(st.characters(blacklist_characters="\r\n"), max_size=12))]
+    # text a UTF-8 file can hold: no lone surrogates
+    return [draw(st.text(st.characters(blacklist_characters="\r\n", codec="utf-8"), max_size=12))]
 
 
 @st.composite

@@ -140,8 +140,8 @@ def test_bulk_request_golden(monkeypatch, cpuminer_rows):
     for url, body in posted:
         digest.update(url.encode() + b"\0" + body)
     assert (len(posted), digest.hexdigest()) == (
-        1224,
-        "a77ca759681e933a174a9cae3b1c77e96a5f9c74f229ff8a3c2b9b956231bf66",
+        1185,
+        "6a59a2c01fee9b72dcc168add8b6df74e47c99072d1b056f87d9121340b794b5",
     )
 
 

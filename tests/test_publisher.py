@@ -27,7 +27,7 @@ from vaeguard.publisher import (
 )
 from vaeguard.sinks import FileSink, SpoolDirectory
 from vaeguard.summarize import FEATURE_DIM, ActivityVector, IntervalKey, vectors_to_matrix
-from vaeguard.vae import TrainConfig
+from vaeguard.vae import TrainConfig, load_model
 
 
 def key(i, container="box"):
@@ -316,6 +316,22 @@ def test_trained_model_is_persisted(tmp_path):
     assert (tmp_path / "box.model.json").exists()
 
 
+def test_model_files_stay_in_model_dir_one_per_container(tmp_path):
+    model_dir = tmp_path / "models"
+    publisher = AdaptivePublisher(
+        model_dir=model_dir,
+        detector_factory=lambda: small_detector(accumulation_target=4, epochs=5, batch_size=4),
+    )
+    # an absolute id would replace model_dir in a path join
+    containers = ["web-0", "../escaped", str(tmp_path / "escaped"), "a/b", "a%2Fb", ".."]
+    for container in containers:
+        run_stream(publisher, 4, container=container)
+    files = [p for p in tmp_path.rglob("*") if p.is_file()]
+    assert {p.parent for p in files} == {model_dir}
+    assert sorted(load_model(p).container_id for p in files) == sorted(containers)
+    assert (model_dir / "web-0.model.json").exists()
+
+
 def test_dropped_publisher_is_freed_without_the_cycle_collector():
     # Its cache holds slices that keep a whole trace block alive, so a
     # reference cycle would hold that block until some later collection.
@@ -374,7 +390,7 @@ def test_documents_per_mode():
     docs_acc = action_to_documents(
         PublishAction(key=key(0), mode=PublishMode.ACCUMULATING)
     )
-    assert len(docs_acc) == 1 and docs_acc[0][0] == "stability-latent"
+    assert len(docs_acc) == 1 and docs_acc[0][:2] == ("stability-latent", "box/0/0")
     docs_latent = action_to_documents(
         PublishAction(
             key=key(1),
@@ -384,7 +400,7 @@ def test_documents_per_mode():
         )
     )
     assert len(docs_latent) == 1
-    assert "mu" in docs_latent[0][1] and docs_latent[0][1]["stable"] is True
+    assert "mu" in docs_latent[0][2] and docs_latent[0][2]["stable"] is True
     full = PublishAction(
         key=key(2),
         mode=PublishMode.LATENT_PLUS_FORENSICS,
@@ -394,7 +410,8 @@ def test_documents_per_mode():
     )
     docs_full = action_to_documents(full, forensics_index="raw")
     assert len(docs_full) == 1 + len(full.forensics)
-    assert {index for index, _ in docs_full[1:]} == {"raw"}
+    assert {index for index, _, _ in docs_full[1:]} == {"raw"}
+    assert [doc_id for _, doc_id, _ in docs_full] == [f"box/2/{i}" for i in range(4)]
     docs_standard = action_to_documents(
         PublishAction(
             key=key(3), mode=PublishMode.FORENSICS_ONLY, forensics=tuple(events_for(3))

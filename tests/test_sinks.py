@@ -1,8 +1,8 @@
-import http.server
+import http.client
 import io
 import json
 from pathlib import Path
-import threading
+import urllib.error
 import urllib.request
 
 import pytest
@@ -45,26 +45,26 @@ def parse_ndjson(body: bytes):
 
 
 def test_bulk_two_documents_is_four_lines_with_trailing_newline():
-    body = encode_bulk_request([("idx-a", {"x": 1}), ("idx-b", {"y": 2})])
+    body = encode_bulk_request([("idx-a", "a/0/0", {"x": 1}), ("idx-b", "a/0/1", {"y": 2})])
     assert body.endswith(b"\n")
     lines = body.decode("utf-8").split("\n")
     assert len(lines) == 5 and lines[-1] == ""
 
 
 def test_bulk_single_document():
-    body = encode_bulk_request([("idx", {"x": 1})])
+    body = encode_bulk_request([("idx", "a/0/0", {"x": 1})])
     assert len(body.decode("utf-8").split("\n")) == 3
 
 
 def test_bulk_round_trips_through_ndjson_parser():
     documents = [
-        ("latent", {"container": "a", "mu": [0.25, -1.5]}),
-        ("raw", {"t": 1.5, "syscall": "openat"}),
+        ("latent", "a/3/0", {"container": "a", "mu": [0.25, -1.5]}),
+        ("raw", "a/3/1", {"t": 1.5, "syscall": "openat"}),
     ]
     rows = parse_ndjson(encode_bulk_request(documents))
-    assert rows[0] == {"index": {"_index": "latent"}}
+    assert rows[0] == {"index": {"_index": "latent", "_id": "a/3/0"}}
     assert rows[1] == {"container": "a", "mu": [0.25, -1.5]}
-    assert rows[2] == {"index": {"_index": "raw"}}
+    assert rows[2] == {"index": {"_index": "raw", "_id": "a/3/1"}}
     assert rows[3] == {"t": 1.5, "syscall": "openat"}
 
 
@@ -97,45 +97,18 @@ def test_file_sink_closed_raises(tmp_path):
 # -- http bulk sink --------------------------------------------------------------
 
 
-class _Recorder(http.server.BaseHTTPRequestHandler):
-    requests: list[tuple[str, dict, bytes]] = []
-
-    def do_POST(self):
-        length = int(self.headers["Content-Length"])
-        body = self.rfile.read(length)
-        _Recorder.requests.append((self.path, dict(self.headers), body))
-        self.send_response(200)
-        payload = b'{"errors":false}'
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture()
-def bulk_server():
-    _Recorder.requests = []
-    server = http.server.HTTPServer(("127.0.0.1", 0), _Recorder)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}", _Recorder.requests
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
-
-
 def test_http_sink_posts_bulk_body(bulk_server):
     endpoint, requests = bulk_server
     sink = HttpBulkSink(endpoint)
     action = forensics(1)
     written = sink.publish(action, "lat", "raw")
+    assert requests == []  # buffered until batch_size documents wait, or a flush
+    sink.close()
     documents = action_to_documents(action, "lat", "raw")
-    assert [index for index, _ in documents] == ["lat", "raw"]
-    assert written == len(encode_bulk_request(documents))
-    path, headers, body = requests[0]
+    assert [index for index, _, _ in documents] == ["lat", "raw"]
+    assert [doc_id for _, doc_id, _ in documents] == ["box/0/0", "box/0/1"]
+    assert written == len(encode_bulk_request(documents)) == sink.bytes_written
+    [(path, headers, body)] = requests
     assert path == "/_bulk"
     assert headers["Content-Type"] == BULK_CONTENT_TYPE
     assert body == encode_bulk_request(documents)
@@ -145,24 +118,64 @@ def test_http_sink_batches_documents(bulk_server):
     endpoint, requests = bulk_server
     sink = HttpBulkSink(endpoint, batch_size=2)
     written = sink.publish(forensics(4), "lat", "raw")  # head + 4 event documents
-    assert len(requests) == 3  # 2 + 2 + 1
+    assert len(requests) == 2  # 2 + 2, and 1 waiting
+    sink.close()
+    assert len(requests) == 3
     assert written == sum(len(body) for _, _, body in requests)
     rows = [row for _, _, body in requests for row in parse_ndjson(body)]
     assert [row.get("pid") for row in rows[1::2]] == [None, 0, 1, 2, 3]
+
+
+def test_http_sink_batches_documents_across_actions(bulk_server):
+    endpoint, requests = bulk_server
+    sink = HttpBulkSink(endpoint, batch_size=4)
+    actions = [accumulating(0), forensics(4, 1), accumulating(2), forensics(1, 3)]
+    written = [sink.publish(action, "lat", "raw") for action in actions]
+    assert len(requests) == 2  # 1 + 5 + 1 + 2 documents: two full requests, one waiting
+    assert sink.bytes_written == sum(len(body) for _, _, body in requests) < sum(written)
+    sink.close()
+    bodies = [body for _, _, body in requests]
+    assert [len(parse_ndjson(body)) // 2 for body in bodies] == [4, 4, 1]
+    expected = b"".join(
+        encode_bulk_request(action_to_documents(action, "lat", "raw")) for action in actions
+    )
+    assert b"".join(bodies) == expected  # the bytes received
+    assert sum(written) == sink.bytes_written == len(expected)
+    assert written == [
+        len(encode_bulk_request(action_to_documents(action, "lat", "raw"))) for action in actions
+    ]
 
 
 def test_http_sink_static_auth_header(bulk_server):
     endpoint, requests = bulk_server
     sink = HttpBulkSink(endpoint, headers={"Authorization": "ApiKey abc"})
     sink.publish(accumulating(), "lat", "raw")
+    sink.flush()
     _, headers, _ = requests[0]
     assert headers["Authorization"] == "ApiKey abc"
 
 
 def test_http_sink_connection_refused_is_unavailable():
     sink = HttpBulkSink("http://127.0.0.1:9", timeout=0.5)
-    with pytest.raises(SinkUnavailable):
-        sink.publish(accumulating(), "lat", "raw")
+    action = accumulating()
+    sink.publish(action, "lat", "raw")
+    with pytest.raises(SinkUnavailable) as raised:
+        sink.close()
+    assert raised.value.actions == (action,)
+    assert sink.bytes_written == 0
+
+
+def test_http_sink_reply_that_is_not_http_is_unavailable(monkeypatch):
+    def fake_urlopen(request, timeout):  # what urlopen raises on a garbled status line
+        raise http.client.BadStatusLine("garbage")
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    sink = HttpBulkSink("http://bulk.test")
+    action = accumulating()
+    sink.publish(action, "lat", "raw")
+    with pytest.raises(SinkUnavailable) as raised:
+        sink.flush()
+    assert raised.value.actions == (action,)
 
 
 @pytest.mark.parametrize(
@@ -178,14 +191,121 @@ def test_http_sink_failed_bulk_reply_is_unavailable_and_spooled(tmp_path, monkey
         return io.BytesIO(reply)
 
     monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
-    sink = HttpBulkSink("http://bulk.test")
+    sink = HttpBulkSink("http://bulk.test", batch_size=3)
     spool = SpoolDirectory(tmp_path / "spool")
-    action = forensics(2)
+    action = forensics(2)  # 3 documents: a full batch, POSTed at publish
     with pytest.raises(SinkUnavailable):
         emit(action, sink, spool)
     assert bodies == [encode_bulk_request(action_to_documents(action))]
     assert sink.bytes_written == 0
     assert [path.read_bytes() for path in spool.pending()] == [serialize_action(action)]
+    sink.close()
+    assert len(bodies) == 1  # the failed documents were dropped, not kept to resend
+
+
+class _Transport:
+    """A fake `urlopen` whose POSTs succeed or fail by a list of outcomes
+    (True: indexed), recording the bodies of those that succeed."""
+
+    def __init__(self, outcomes=()):
+        self.outcomes = list(outcomes)
+        self.delivered: list[bytes] = []
+        self.attempts = 0
+
+    def __call__(self, request, timeout):
+        self.attempts += 1
+        if self.outcomes and not self.outcomes.pop(0):
+            raise urllib.error.URLError("connection refused")
+        self.delivered.append(request.data)
+        return io.BytesIO(b'{"errors":false}')
+
+    def ids(self):
+        rows = [row for body in self.delivered for row in parse_ndjson(body)]
+        return [row["index"]["_id"] for row in rows[0::2]]
+
+
+def _ids(action):
+    return [doc_id for _, doc_id, _ in action_to_documents(action)]
+
+
+def test_failed_second_post_spools_each_undelivered_action_once(tmp_path, monkeypatch):
+    transport = _Transport([True, False])
+    monkeypatch.setattr(urllib.request, "urlopen", transport)
+    sink = HttpBulkSink("http://bulk.test", batch_size=3)
+    spool = SpoolDirectory(tmp_path / "spool")
+    actions = [accumulating(0), forensics(2, 1), accumulating(2), forensics(1, 3)]
+    # a0 | a1 a1.1 a1.2 | a2 | a3 a3.1: the first request holds a0, a1's head and
+    # first event; the second, a1's last event, a2 and a3's head, and fails
+    for action in actions[:3]:
+        emit(action, sink, spool)
+    assert transport.attempts == 1
+    with pytest.raises(SinkUnavailable) as raised:
+        emit(actions[3], sink, spool)
+    assert raised.value.actions == tuple(actions[1:])
+    assert transport.ids() == ["box/0/0", "box/1/0", "box/1/1"]
+    assert sink.bytes_written == len(transport.delivered[0])
+    assert [path.read_bytes() for path in spool.pending()] == [
+        serialize_action(action) for action in actions[1:]
+    ]
+    sink.close()
+    assert transport.attempts == 2
+
+    # replay sends a1's delivered documents again under the same ids, so the
+    # index overwrites them instead of holding two copies
+    replayed = HttpBulkSink("http://bulk.test", batch_size=3)
+    replay_spool(spool, replayed)
+    assert spool.pending() == []
+    resent = transport.ids()[3:]
+    assert resent == [i for action in actions[1:] for i in _ids(action)]
+    assert sorted(set(resent) & set(transport.ids()[:3])) == ["box/1/0", "box/1/1"]
+    assert set(transport.ids()) == {i for action in actions for i in _ids(action)}
+
+
+def test_document_ids_parse_from_the_right():
+    action = PublishAction(
+        key=IntervalKey("ns/pod/7", 12, 30.0), mode=PublishMode.FORENSICS_ONLY,
+        forensics=(ForensicEvent(360.0, "ns/pod/7", "read", 1, 0, 0),),
+    )
+    ids = _ids(action)
+    assert ids == ["ns/pod/7/12/0", "ns/pod/7/12/1"]
+    assert [i.rsplit("/", 2) for i in ids] == [["ns/pod/7", "12", "0"], ["ns/pod/7", "12", "1"]]
+
+
+def test_failing_close_hands_back_undelivered_actions(monkeypatch):
+    transport = _Transport([False])
+    monkeypatch.setattr(urllib.request, "urlopen", transport)
+    sink = HttpBulkSink("http://bulk.test", batch_size=10)
+    actions = [accumulating(0), forensics(3, 1)]
+    for action in actions:
+        sink.publish(action, "lat", "raw")
+    assert transport.attempts == 0
+    with pytest.raises(SinkUnavailable) as raised:
+        sink.close()
+    assert raised.value.actions == tuple(actions)
+    assert sink.bytes_written == 0
+    sink.close()  # the dropped actions are not sent again
+    assert transport.attempts == 1
+
+
+def test_replay_keeps_files_pending_when_its_flush_fails(tmp_path, monkeypatch):
+    spool = SpoolDirectory(tmp_path / "spool")
+    actions = [forensics(1, 0), accumulating(1), accumulating(2)]
+    for action in actions:
+        spool.store(serialize_action(action))
+    files = {path: path.read_bytes() for path in spool.pending()}
+
+    monkeypatch.setattr(urllib.request, "urlopen", _Transport([False]))
+    with pytest.raises(SinkUnavailable):
+        replay_spool(spool, HttpBulkSink("http://bulk.test"))
+    assert {path: path.read_bytes() for path in spool.pending()} == files
+
+    # the first request (actions 0 and 1, 3 documents) succeeds at publish;
+    # the final flush, of action 2, fails: only action 2's file stays
+    monkeypatch.setattr(urllib.request, "urlopen", _Transport([True, False]))
+    with pytest.raises(SinkUnavailable) as raised:
+        replay_spool(spool, HttpBulkSink("http://bulk.test", batch_size=3))
+    assert [a.key.interval_index for a in raised.value.actions] == [2]
+    assert [path.read_bytes() for path in spool.pending()] == [serialize_action(actions[2])]
 
 
 # -- spool ------------------------------------------------------------------------

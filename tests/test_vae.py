@@ -18,7 +18,7 @@ from vaeguard.errors import (
 )
 from vaeguard.nn import VaeArchitecture
 from vaeguard.summarize import FEATURE_DIM, ActivityVector, IntervalKey
-from vaeguard.thresholds import KSigmaThreshold
+from vaeguard.thresholds import HeuristicThreshold, KSigmaThreshold
 from vaeguard.vae import TrainConfig, load_model, save_model, train
 
 
@@ -181,6 +181,20 @@ def test_set_threshold_k_rederives_policy(small_trained_detector):
     assert detector.threshold_ == t3
 
 
+def test_threshold_k_reads_the_policy_in_force(small_trained_detector, tmp_path):
+    path = tmp_path / "model.json"
+    save_model(small_trained_detector, path)
+    detector = load_model(path)
+    assert detector.threshold_k == detector.threshold_policy_.k == 3.0
+    detector.set_threshold_k(5.0)
+    assert detector.threshold_k == 5.0
+    detector.threshold_policy_ = HeuristicThreshold(0.5)
+    assert detector.threshold_k is None
+    save_model(detector, path)
+    assert load_model(path).threshold_k is None
+    assert small_detector().threshold_k is None  # not fitted: no policy in force
+
+
 # -- persistence --------------------------------------------------------------
 
 
@@ -309,6 +323,12 @@ def _paths(node, prefix=()):
             yield from _paths(node[index], prefix + (index,))
 
 
+def _hostile_values():
+    # copies: a later mutation of the same example may edit the value in
+    # place, and must not change what the next example draws
+    return st.sampled_from(_HOSTILE_VALUES).map(copy.deepcopy)
+
+
 @st.composite
 def _mutated_bundles(draw, bundle):
     bundle = copy.deepcopy(bundle)
@@ -321,11 +341,11 @@ def _mutated_bundles(draw, bundle):
         if kind == "drop" and parent is not None:
             del parent[path[-1]]
         elif kind == "replace" and parent is not None:
-            parent[path[-1]] = draw(st.sampled_from(_HOSTILE_VALUES))
+            parent[path[-1]] = draw(_hostile_values())
         elif kind == "wrap" and parent is not None:
             parent[path[-1]] = [node]
         elif kind == "append" and isinstance(node, list):
-            node.append(draw(st.sampled_from(_HOSTILE_VALUES)))
+            node.append(draw(_hostile_values()))
         elif kind == "truncate" and isinstance(node, list):
             del node[len(node) // 2 :]
     return bundle
