@@ -297,7 +297,8 @@ def replay_spool(
 
     A file is removed once the sink has delivered its action, which the
     final flush confirms. The first sink failure propagates and leaves
-    every file whose action it did not deliver spooled. A file that does
+    every file whose action it did not deliver spooled; actions the sink
+    held from before the replay and dropped are spooled too. A file that does
     not parse as an action is moved to the spool's quarantine and the
     rest go on.
     """
@@ -311,14 +312,19 @@ def replay_spool(
                 logger.warning("unreadable spooled action %s quarantined: %s", path.name, exc)
                 spool.quarantine(path)
                 continue
-            total += sink.publish(action, latent_index, forensics_index)
             published.append((path, action))
+            total += sink.publish(action, latent_index, forensics_index)
         sink.flush()
     except SinkUnavailable as exc:
         undelivered = {id(action) for action in exc.actions}
         for path, action in published:
             if id(action) not in undelivered:
                 path.unlink()
+        # what the sink accepted before the replay was dropped with the rest
+        replayed = {id(action) for _, action in published}
+        for action in exc.actions:
+            if id(action) not in replayed:
+                spool.store(serialize_action(action))
         raise
     for path, _ in published:
         path.unlink()

@@ -14,8 +14,10 @@ flushes the file. HttpBulkSink encodes the action's documents
 (`publisher.action_to_documents`) as bulk-API lines (action metadata
 line with the document's `_index` and `_id`, then its source line, each
 newline-terminated) and buffers them across actions. It POSTs to
-`<endpoint>/_bulk` once `batch_size` documents wait; `flush` and `close`
-POST the rest. A document's `_id` is `<container>/<interval>/<ordinal>`
+`<endpoint>/_bulk` once `batch_size` documents wait, and flushes after
+a drift action (`LATENT_PLUS_FORENSICS`), so the forensics of a drift
+are delivered or raised before its `publish` returns; `flush` and
+`close` POST the rest. A document's `_id` is `<container>/<interval>/<ordinal>`
 (ordinal 0 for the action's head, then 1, 2, ... for its events), so a
 replay overwrites what an earlier delivery indexed. An action counts as
 delivered once the POST holding its last document succeeds, and
@@ -42,7 +44,12 @@ from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
 from vaeguard.errors import EmptyBatch, SinkUnavailable
-from vaeguard.publisher import PublishAction, action_to_documents, serialize_action
+from vaeguard.publisher import (
+    PublishAction,
+    PublishMode,
+    action_to_documents,
+    serialize_action,
+)
 
 # (index name, document id, source)
 Document = tuple[str, str, Mapping]
@@ -117,7 +124,8 @@ def _bulk_reply_problem(reply: bytes) -> str | None:
 
 class HttpBulkSink:
     """POSTs bulk requests of `batch_size` documents to `<endpoint>/_bulk`,
-    buffering documents across actions until that many wait."""
+    buffering documents across actions until that many wait or a drift
+    action arrives."""
 
     def __init__(
         self,
@@ -149,6 +157,9 @@ class HttpBulkSink:
         self._undelivered.append((self._added, action))
         while self._added - self._removed >= self.batch_size:
             self._post(self.batch_size)
+        if action.mode is PublishMode.LATENT_PLUS_FORENSICS:
+            # a drift's forensics do not wait in memory for the batch to fill
+            self.flush()
         return len(body)
 
     def flush(self) -> None:

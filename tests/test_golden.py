@@ -140,8 +140,8 @@ def test_bulk_request_golden(monkeypatch, cpuminer_rows):
     for url, body in posted:
         digest.update(url.encode() + b"\0" + body)
     assert (len(posted), digest.hexdigest()) == (
-        1185,
-        "6a59a2c01fee9b72dcc168add8b6df74e47c99072d1b056f87d9121340b794b5",
+        1187,
+        "ef6539d5df4395fe44e8d963b57fd47667a3d529e0c3cd0082d95a6b48d59e5d",
     )
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
 from vaeguard.errors import EmptyBatch, SinkUnavailable
@@ -25,6 +26,8 @@ from vaeguard.sinks import (
     encode_bulk_request,
 )
 from vaeguard.summarize import IntervalKey
+from vaeguard.thresholds import HeuristicThreshold, assess
+from vaeguard.vae import LatentRecord
 
 
 def accumulating(i=0):
@@ -37,6 +40,15 @@ def forensics(count, i=0):
     )
     return PublishAction(
         key=IntervalKey("box", i, 30.0), mode=PublishMode.FORENSICS_ONLY, forensics=events
+    )
+
+
+def drift(count, i=0):
+    key = IntervalKey("box", i, 30.0)
+    latent = LatentRecord(key, np.zeros(2), np.zeros(2), 2.0)
+    return PublishAction(
+        key=key, mode=PublishMode.LATENT_PLUS_FORENSICS, latent=latent,
+        forensics=forensics(count, i).forensics, verdict=assess(latent, HeuristicThreshold(1.0)),
     )
 
 
@@ -306,6 +318,47 @@ def test_replay_keeps_files_pending_when_its_flush_fails(tmp_path, monkeypatch):
         replay_spool(spool, HttpBulkSink("http://bulk.test", batch_size=3))
     assert [a.key.interval_index for a in raised.value.actions] == [2]
     assert [path.read_bytes() for path in spool.pending()] == [serialize_action(actions[2])]
+
+
+def test_drift_is_delivered_before_its_publish_returns(tmp_path, monkeypatch):
+    transport = _Transport([True, False])
+    monkeypatch.setattr(urllib.request, "urlopen", transport)
+    sink = HttpBulkSink("http://bulk.test", batch_size=500)
+    spool = SpoolDirectory(tmp_path / "spool")
+    first = [accumulating(0), drift(2, 1)]
+    for action in first:
+        emit(action, sink, spool)
+    # one request: the waiting head and the whole drift
+    assert transport.ids() == [i for action in first for i in _ids(action)]
+    assert sink.bytes_written == len(transport.delivered[0])
+    # a drift whose request fails raises at its own emit, and spools what waited
+    later = [accumulating(2), drift(1, 3)]
+    emit(later[0], sink, spool)
+    with pytest.raises(SinkUnavailable) as raised:
+        emit(later[1], sink, spool)
+    assert raised.value.actions == tuple(later)
+    assert [path.read_bytes() for path in spool.pending()] == [
+        serialize_action(action) for action in later
+    ]
+
+
+# batch_size 2: the request fails at the replayed action's publish; 10: at the flush
+@pytest.mark.parametrize("batch_size", [2, 10], ids=["at-publish", "at-flush"])
+def test_failed_replay_spools_what_the_sink_held_before_it(tmp_path, monkeypatch, batch_size):
+    spool = SpoolDirectory(tmp_path / "spool")
+    spooled = accumulating(1)
+    spool.store(serialize_action(spooled))
+    monkeypatch.setattr(urllib.request, "urlopen", _Transport([False]))
+    sink = HttpBulkSink("http://bulk.test", batch_size=batch_size)
+    earlier = accumulating(0)
+    emit(earlier, sink, spool)  # accepted and waiting, not yet delivered
+    with pytest.raises(SinkUnavailable) as raised:
+        replay_spool(spool, sink)
+    assert raised.value.actions == (earlier, spooled)
+    # the replayed file stays as it was, and the earlier action is spooled once
+    assert [path.read_bytes() for path in spool.pending()] == [
+        serialize_action(spooled), serialize_action(earlier)
+    ]
 
 
 # -- spool ------------------------------------------------------------------------
