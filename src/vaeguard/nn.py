@@ -120,11 +120,6 @@ def init_params(arch: VaeArchitecture, rng: np.random.Generator) -> Params:
     return params
 
 
-def zero_params(arch: VaeArchitecture) -> Params:
-    """All-zero parameter set (useful as a degenerate fixture)."""
-    return param_views(arch)
-
-
 def _as_batch(x: np.ndarray, dim: int, name: str) -> tuple[np.ndarray, bool]:
     arr = np.asarray(x, dtype=np.float64)
     single = arr.ndim == 1
@@ -171,20 +166,6 @@ def decode(
     g = _tanh_trunk(arch, params, "dec", batch)[-1]
     recon = g @ params["out_w"] + params["out_b"]
     return recon[0] if single else recon
-
-
-def sample_latent(
-    mu: np.ndarray, logvar: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Reparameterized draw z = mu + exp(logvar/2) * eps, eps ~ N(0, I)."""
-    mu = np.asarray(mu, dtype=np.float64)
-    logvar = np.asarray(logvar, dtype=np.float64)
-    if mu.shape != logvar.shape:
-        raise DimensionMismatch(
-            f"mu shape {mu.shape} != logvar shape {logvar.shape}"
-        )
-    eps = rng.standard_normal(mu.shape)
-    return mu + np.exp(0.5 * logvar) * eps
 
 
 def kl_divergence(mu: np.ndarray, logvar: np.ndarray):
@@ -260,19 +241,6 @@ def elbo_terms(
     recon_term = float(np.mean(reconstruction_error(batch, cache.recon)))
     kl_term = float(np.mean(kl_divergence(cache.mu, cache.logvar)))
     return recon_term + kl_weight * kl_term, recon_term, kl_term
-
-
-def elbo_loss(
-    arch: VaeArchitecture,
-    params: Mapping[str, np.ndarray],
-    x: np.ndarray,
-    rng: np.random.Generator,
-    kl_weight: float = 1.0,
-) -> tuple[float, float, float]:
-    """elbo_terms with a fresh reparameterization draw from rng."""
-    batch, _ = _as_batch(x, arch.input_dim, "x")
-    eps = rng.standard_normal((batch.shape[0], arch.latent_dim))
-    return elbo_terms(arch, params, batch, eps, kl_weight)
 
 
 def elbo_gradients(

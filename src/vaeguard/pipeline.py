@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
 from vaeguard.errors import InvalidConfig
@@ -33,7 +33,8 @@ from vaeguard.summarize import (
     IntervalKey,
     check_interval_len,
     split_by_container,
-    summarize_stream,
+    summarize_interval,
+    window_events,
 )
 from vaeguard.thresholds import DEFAULT_K, check_k
 from vaeguard.vae import TrainConfig, VaeStabilityDetector
@@ -77,7 +78,10 @@ def summarize_trace(
     check_interval_len(interval_len)
     streams = split_by_container(events)
     return {
-        container: list(summarize_stream(stream, interval_len))
+        container: [
+            (key, group, summarize_interval(key, group))
+            for key, group in window_events(stream, interval_len)
+        ]
         for container, stream in streams.items()
     }
 
@@ -98,18 +102,7 @@ class IntervalVerdictRecord:
     mode: str
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "container": self.container,
-                "interval": self.interval,
-                "start": self.start,
-                "recon_error": self.recon_error,
-                "threshold": self.threshold,
-                "stable": self.stable,
-                "mode": self.mode,
-            },
-            separators=(",", ":"),
-        )
+        return json.dumps(asdict(self), separators=(",", ":"))
 
 
 def record_for_action(action: PublishAction) -> IntervalVerdictRecord:

@@ -6,10 +6,10 @@ record (interval judged stable), or publishes the latent record plus the
 interval's raw forensics (drift). An interval's events arrive as an
 `EventBlock` slice of the trace; the stable and accumulating decisions
 never look at them, and a drift action carries the slice itself, which
-the encoders read column by column. A ring buffer of recent raw
-intervals (the same zero-copy slices) stays available for
-fetch-on-request after a drift, and a conventional mode that always
-ships full forensics exists for cost comparisons.
+the encoders read column by column. Both publishers also push every
+interval into a ring buffer of recent raw intervals that nothing reads
+yet (it is to be deleted), and a conventional mode that always ships
+full forensics exists for cost comparisons.
 """
 
 from __future__ import annotations

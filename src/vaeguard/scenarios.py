@@ -204,14 +204,6 @@ class ScenarioConfig:
             previous_end = end
 
 
-def nominal_cluster_size() -> float:
-    """Expected events per baseline request, straight from the mix table."""
-    expected = float(len(BASELINE_EXACT_PER_REQUEST))
-    for lo, hi in BASELINE_REQUEST_MIX.values():
-        expected += (lo + hi) / 2.0
-    return expected
-
-
 def default_cpuminer_schedule(duration_s: float = 900.0) -> tuple:
     """Six contiguous phases aligned to 30 s interval boundaries."""
     if duration_s < 780.0:
@@ -257,7 +249,8 @@ class _Emitter:
             )
 
 
-def _baseline_stream(config: ScenarioConfig) -> list[ForensicEvent]:
+def gen_baseline(config: ScenarioConfig) -> list[ForensicEvent]:
+    """Steady web-serving traffic at the configured request rate."""
     rng = np.random.default_rng([config.seed, 0])
     emitter = _Emitter(config.container_id)
     seconds = int(config.duration_s)
@@ -372,11 +365,6 @@ def _merge(*streams: list[ForensicEvent]) -> list[ForensicEvent]:
     return merged
 
 
-def gen_baseline(config: ScenarioConfig) -> list[ForensicEvent]:
-    """Steady web-serving traffic at the configured request rate."""
-    return _baseline_stream(config)
-
-
 def gen_cpuminer_scenario(config: ScenarioConfig) -> list[ForensicEvent]:
     """Hijack progression: login shell, command storm, download, build, mine.
 
@@ -388,7 +376,7 @@ def gen_cpuminer_scenario(config: ScenarioConfig) -> list[ForensicEvent]:
         raise InvalidConfig(
             f"cpuminer scenario requires phases {CPUMINER_PHASES}, got {labels}"
         )
-    streams = [_baseline_stream(config)]
+    streams = [gen_baseline(config)]
     for index, (start, end, label) in enumerate(config.phase_schedule):
         if label == "normal":
             continue
@@ -416,7 +404,7 @@ def gen_httpflood_scenario(config: ScenarioConfig) -> list[ForensicEvent]:
                     ("recvfrom", pid, 0, int(rng.integers(*FLOOD_RECV_BYTES)))
                 )
             emitter.emit_second(second, plan)
-    return _merge(_baseline_stream(config), emitter.events)
+    return _merge(gen_baseline(config), emitter.events)
 
 
 SCENARIOS = {

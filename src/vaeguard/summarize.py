@@ -14,10 +14,11 @@ container should still be scored, not skipped.
 
 Everything here works on `EventBlock` columns (a plain event list is
 turned into a block first): a stream is split per container by one
-stable sort, each window is a zero-copy slice found from the floored
-timestamps, and a window's vector comes from `np.bincount` over its
-syscall codes and per-tail tables, bit for bit what a per-event loop
-gives. The interval length must be finite and > 0 (InvalidConfig).
+stable sort, each window is a zero-copy slice found from the interval
+index of each timestamp, and a window's vector comes from
+`np.bincount` over its syscall codes and per-tail tables, bit for bit
+what a per-event loop gives. The interval length must be finite and
+> 0 (InvalidConfig).
 """
 
 from __future__ import annotations
@@ -65,11 +66,6 @@ _PIDS = FEATURE_DIM - 2
 _ARG_BYTES = FEATURE_DIM - 1
 
 
-def feature_index(name: str) -> int:
-    """Position of a named feature in the vector (see FEATURE_NAMES)."""
-    return FEATURE_NAMES.index(name)
-
-
 @dataclass(frozen=True)
 class IntervalKey:
     container_id: str
@@ -110,6 +106,18 @@ def check_interval_len(interval_len: float) -> None:
         raise InvalidConfig(f"interval length must be finite and > 0, got {interval_len}")
 
 
+def _interval_indices(timestamps: np.ndarray, interval_len: float) -> np.ndarray:
+    """The k (as float64) of the interval [k*L, (k+1)*L) that holds each
+    timestamp, its edges computed as IntervalKey.start and .end compute
+    them. floor(t / L) alone can be one off when L is not a power of two
+    (1.7 / 0.1 floors to 17, but 17 * 0.1 > 1.7), so it is stepped down
+    or up to the interval whose edges hold t."""
+    k = np.floor(timestamps / interval_len)
+    k -= k * interval_len > timestamps
+    k += (k + 1.0) * interval_len <= timestamps
+    return k
+
+
 def window_events(
     events: Iterable[ForensicEvent],
     interval_len: float = DEFAULT_INTERVAL_LEN,
@@ -118,8 +126,8 @@ def window_events(
 
     Emits (key, events) pairs from the first occupied interval through the
     last, including empty gaps in between; each group is a slice of the
-    stream's block. The event with timestamp t lands in interval
-    floor(t / interval_len).
+    stream's block. An event lands in the interval that
+    `_interval_indices` gives it.
     """
     check_interval_len(interval_len)
     block = as_block(events)
@@ -127,7 +135,7 @@ def window_events(
         return
     codes = block.container_codes
     containers = block.tables.containers
-    index = np.floor(block.timestamps / interval_len)
+    index = _interval_indices(block.timestamps, interval_len)
     foreign = np.flatnonzero(codes != codes[0])
     backwards = np.flatnonzero(index[1:] < index[:-1]) + 1
     # the first fault in stream order; an event's container is checked first
@@ -196,7 +204,7 @@ def _raise_foreign(key: IntervalKey, block: EventBlock, code: int) -> None:
     start, end = key.start, key.end
     t = block.timestamps
     wrong_container = block.container_codes != code
-    outside = ~((t >= start) & (t < end))
+    outside = _interval_indices(t, key.length) != key.interval_index
     first = int(np.flatnonzero(wrong_container | outside)[0])
     if wrong_container[first]:
         container = block.tables.containers[block.container_codes[first]]
@@ -225,10 +233,9 @@ def summarize_interval(
         code = tables.containers.index(key.container_id)
     except ValueError:
         code = -1
-    t = block.timestamps
-    if (block.container_codes != code).any() or not (
-        t.min() >= key.start and t.max() < key.end
-    ):
+    if (block.container_codes != code).any() or (
+        _interval_indices(block.timestamps, key.length) != key.interval_index
+    ).any():
         _raise_foreign(key, block, code)
 
     counts = np.bincount(block.syscall_codes, minlength=len(tables.syscalls))
@@ -240,15 +247,6 @@ def summarize_interval(
     # cumsum adds left to right, as `total += float(nbytes)` per event does
     features[_ARG_BYTES] = np.cumsum(tables.byte_floats[tails])[-1]
     return ActivityVector(key=key, features=features)
-
-
-def summarize_stream(
-    events: Iterable[ForensicEvent],
-    interval_len: float = DEFAULT_INTERVAL_LEN,
-) -> Iterator[tuple[IntervalKey, EventBlock, ActivityVector]]:
-    """Window then summarize a single-container stream."""
-    for key, group in window_events(events, interval_len):
-        yield key, group, summarize_interval(key, group)
 
 
 def vectors_to_matrix(vectors: Sequence[ActivityVector]) -> np.ndarray:

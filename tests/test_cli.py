@@ -246,16 +246,44 @@ def test_hostile_input_exits_with_a_documented_code(
     else:
         trace_path = tmp_path / "hostile.ndjson"
         trace_path.write_bytes(_HOSTILE_TRACES[trace])
+    code = run_cli(*_command_argv(command, trace_path, small_model, tmp_path), *flags)
+    assert code == expected
+    assert "error" in capsys.readouterr().err
+
+
+def _command_argv(command, trace_path, model, tmp_path):
+    """`command` over a trace, training a small model or loading `model`."""
     argv = [command, "--trace", str(trace_path)]
     if command == "train":
         argv += ["--model-out", str(tmp_path / "m.json"), *_SMALL_TRAINING]
     else:
-        argv += ["--model", str(small_model)]
+        argv += ["--model", str(model)]
     if command == "bench":
         argv += ["--out-dir", str(tmp_path / "out")]
-    code = run_cli(*argv, *flags)
-    assert code == expected
-    assert "error" in capsys.readouterr().err
+    return argv
+
+
+@pytest.fixture(scope="module")
+def eight_second_trace(tmp_path_factory):
+    """Seed 25 puts events where floor(t / L) is one interval off, for
+    L = 0.1 and for L = 1e-3."""
+    path = tmp_path_factory.mktemp("traces") / "eight-seconds.ndjson"
+    code = run_cli(
+        "simulate", "--scenario", "baseline", "--duration", "8", "--seed", "25", "--out", str(path)
+    )
+    assert code == 0
+    return path
+
+
+@pytest.mark.parametrize("interval_len", ["0.1", "1e-3"])
+@pytest.mark.parametrize("command", ["train", "assess", "bench"])
+def test_interval_length_that_is_not_a_whole_number_runs(
+    tmp_path, eight_second_trace, small_model, command, interval_len
+):
+    """Each event lands in an interval whose bounds hold it, so no event
+    is reported as foreign to its own interval."""
+    argv = _command_argv(command, eight_second_trace, small_model, tmp_path)
+    assert run_cli(*argv, "--interval-len", interval_len) == 0
 
 
 def _subclasses(cls):

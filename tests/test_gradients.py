@@ -18,7 +18,6 @@ from vaeguard.nn import (
     param_buffer,
     param_views,
     reconstruction_error,
-    zero_params,
 )
 
 
@@ -53,7 +52,7 @@ def test_gradients_cover_reparameterization_path():
 
 def test_zero_model_zero_input_gradients_vanish():
     arch = VaeArchitecture(input_dim=4, hidden_units=(3,), latent_dim=2)
-    params = zero_params(arch)
+    params = param_views(arch)
     grads, (loss, recon, kl), _ = elbo_gradients(
         arch, params, np.zeros(4), np.ones(2), kl_weight=1.0
     )
@@ -66,7 +65,7 @@ def test_zero_model_bias_path_matches_hand_computation():
     """Zero weights, nonzero input: only the output bias sees gradient,
     equal to -2x/D for a single sample."""
     arch = VaeArchitecture(input_dim=4, hidden_units=(3,), latent_dim=2)
-    params = zero_params(arch)
+    params = param_views(arch)
     x = np.array([1.0, -2.0, 0.5, 4.0])
     grads, _, _ = elbo_gradients(arch, params, x, np.ones(2), kl_weight=1.0)
     np.testing.assert_allclose(grads["out_b"], -2.0 * x / 4.0, atol=1e-15)
@@ -79,7 +78,7 @@ def test_recon_path_gradient_is_linear_in_residual():
     """Doubling the residual doubles the reconstruction-path gradient
     into the decoder output layer."""
     arch = VaeArchitecture(input_dim=4, hidden_units=(3,), latent_dim=2)
-    params = zero_params(arch)
+    params = param_views(arch)
     x = np.array([0.5, 1.0, -1.5, 2.0])
     eps = np.zeros(2)
     single, _, _ = elbo_gradients(arch, params, x, eps, kl_weight=0.0)

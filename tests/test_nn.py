@@ -7,7 +7,6 @@ from vaeguard.errors import DimensionMismatch, NonFiniteInput
 from vaeguard.nn import (
     VaeArchitecture,
     decode,
-    elbo_loss,
     elbo_terms,
     encode,
     init_params,
@@ -15,8 +14,6 @@ from vaeguard.nn import (
     param_buffer,
     param_views,
     reconstruction_error,
-    sample_latent,
-    zero_params,
 )
 
 SMALL = VaeArchitecture(input_dim=4, hidden_units=(5, 3), latent_dim=2)
@@ -83,18 +80,18 @@ def test_param_views_reject_a_buffer_of_another_layout():
         with pytest.raises(DimensionMismatch):
             param_views(SMALL, bad)
     with pytest.raises(ValueError):
-        param_buffer({key: value.copy() for key, value in zero_params(SMALL).items()})
+        param_buffer({key: value.copy() for key, value in param_views(SMALL).items()})
 
 
 def test_encode_zero_weights_gives_zero_posterior():
-    params = zero_params(SMALL)
+    params = param_views(SMALL)
     mu, logvar = encode(SMALL, params, np.array([3.0, -1.0, 2.0, 0.5]))
     np.testing.assert_array_equal(mu, np.zeros(2))
     np.testing.assert_array_equal(logvar, np.zeros(2))
 
 
 def test_decode_zero_weights_gives_zero_output():
-    params = zero_params(SMALL)
+    params = param_views(SMALL)
     np.testing.assert_array_equal(decode(SMALL, params, np.array([1.0, -2.0])), np.zeros(4))
 
 
@@ -112,7 +109,7 @@ def test_forward_determinism():
 def test_tiny_network_matches_hand_computation():
     """1-1-1 network evaluated with plain math as the oracle."""
     arch = VaeArchitecture(input_dim=1, hidden_units=(1,), latent_dim=1)
-    params = zero_params(arch)
+    params = param_views(arch)
     w1, b1 = 0.5, -0.2
     w_mu, b_mu = 1.5, 0.1
     w_lv, b_lv = -0.4, 0.3
@@ -144,44 +141,13 @@ def test_tiny_network_matches_hand_computation():
 
 
 def test_encode_validates_input():
-    params = zero_params(SMALL)
+    params = param_views(SMALL)
     with pytest.raises(DimensionMismatch):
         encode(SMALL, params, np.zeros(3))
     with pytest.raises(NonFiniteInput):
         encode(SMALL, params, np.array([np.nan, 0.0, 0.0, 0.0]))
     with pytest.raises(DimensionMismatch):
         decode(SMALL, params, np.zeros(3))
-
-
-# -- sampling ---------------------------------------------------------------
-
-
-def test_sample_collapses_to_mu_at_tiny_variance():
-    mu = np.array([1.0, -2.0, 0.5])
-    z = sample_latent(mu, np.full(3, -50.0), np.random.default_rng(0))
-    np.testing.assert_allclose(z, mu, atol=1e-10)
-
-
-def test_sample_reproducible_under_seed():
-    mu = np.zeros(4)
-    logvar = np.zeros(4)
-    a = sample_latent(mu, logvar, np.random.default_rng(42))
-    b = sample_latent(mu, logvar, np.random.default_rng(42))
-    np.testing.assert_array_equal(a, b)
-
-
-def test_sample_mean_converges_to_mu():
-    rng = np.random.default_rng(7)
-    mu = np.array([0.3, -1.2])
-    draws = np.stack(
-        [sample_latent(mu, np.zeros(2), rng) for _ in range(10_000)]
-    )
-    np.testing.assert_allclose(draws.mean(axis=0), mu, atol=4 / math.sqrt(10_000))
-
-
-def test_sample_shape_mismatch():
-    with pytest.raises(DimensionMismatch):
-        sample_latent(np.zeros(2), np.zeros(3), np.random.default_rng(0))
 
 
 # -- KL divergence ----------------------------------------------------------
@@ -266,7 +232,7 @@ def test_recon_error_shape_mismatch():
 
 def test_elbo_zero_for_perfect_reconstruction_without_kl():
     # zero weights reconstruct the zero vector exactly
-    params = zero_params(SMALL)
+    params = param_views(SMALL)
     x = np.zeros(4)
     eps = np.zeros(2)
     loss, recon, kl = elbo_terms(SMALL, params, x, eps, kl_weight=0.0)
@@ -288,7 +254,7 @@ def test_elbo_terms_non_negative():
     params = init_params(SMALL, rng)
     for _ in range(20):
         x = rng.normal(0, 2, 4)
-        loss, recon, kl = elbo_loss(SMALL, params, x, rng)
+        loss, recon, kl = elbo_terms(SMALL, params, x, rng.standard_normal(2))
         assert recon >= 0.0
         assert kl >= 0.0
 
@@ -299,7 +265,7 @@ def test_monte_carlo_recon_sampler_consistency():
     params = init_params(SMALL, rng)
     x = rng.uniform(0, 1, 4)
     draws = np.array(
-        [elbo_loss(SMALL, params, x, rng, kl_weight=1.0)[1] for _ in range(10_000)]
+        [elbo_terms(SMALL, params, x, rng.standard_normal(2))[1] for _ in range(10_000)]
     )
     first, second = draws[:5000], draws[5000:]
     gap = abs(first.mean() - second.mean())

@@ -42,25 +42,6 @@ def test_out_of_range_values_are_not_clipped():
     assert scaler.transform([[-5.0]])[0, 0] == -0.5
 
 
-def test_inverse_round_trip():
-    rng = np.random.default_rng(1)
-    X = rng.uniform(0, 1000, size=(30, 5))
-    scaler = ActivityScaler().fit(X)
-    restored = scaler.inverse_transform(scaler.transform(X))
-    np.testing.assert_allclose(restored, X, rtol=1e-9)
-
-
-def test_inverse_endpoints():
-    scaler = ActivityScaler().fit([[2.0, 5.0], [8.0, 9.0]])
-    np.testing.assert_array_equal(scaler.inverse_transform([[0.0, 0.0]]), [[2.0, 5.0]])
-    np.testing.assert_array_equal(scaler.inverse_transform([[1.0, 1.0]]), [[8.0, 9.0]])
-
-
-def test_inverse_of_degenerate_returns_min():
-    scaler = ActivityScaler().fit([[3.0], [3.0]])
-    assert scaler.inverse_transform([[0.7]])[0, 0] == 3.0
-
-
 def test_transform_is_monotone_per_feature():
     rng = np.random.default_rng(2)
     X = rng.uniform(-10, 10, size=(20, 3))
@@ -74,8 +55,6 @@ def test_dimension_mismatch():
     scaler = ActivityScaler().fit([[1.0, 2.0]])
     with pytest.raises(DimensionMismatch):
         scaler.transform([[1.0, 2.0, 3.0]])
-    with pytest.raises(DimensionMismatch):
-        scaler.inverse_transform([[1.0]])
 
 
 def test_empty_dataset_rejected():

@@ -7,6 +7,8 @@ from vaeguard.errors import InvalidConfig
 from vaeguard.events import write_trace
 from vaeguard.pipeline import summarize_trace
 from vaeguard.scenarios import (
+    BASELINE_EXACT_PER_REQUEST,
+    BASELINE_REQUEST_MIX,
     CPUMINER_PHASES,
     NOISE_SYSCALLS,
     ScenarioConfig,
@@ -15,9 +17,8 @@ from vaeguard.scenarios import (
     gen_baseline,
     gen_cpuminer_scenario,
     gen_httpflood_scenario,
-    nominal_cluster_size,
 )
-from vaeguard.summarize import feature_index
+from vaeguard.summarize import FEATURE_NAMES
 from vaeguard.taxonomy import SYSCALL_TAXONOMY
 
 
@@ -66,7 +67,11 @@ def test_timestamps_non_decreasing_everywhere():
 def test_event_count_tracks_cluster_count():
     events = gen_baseline(ScenarioConfig(seed=9, duration_s=60.0))
     requests = sum(1 for event in events if event.syscall == "socket")
-    expected = requests * nominal_cluster_size()
+    # expected events per request, straight from the mix table
+    per_request = len(BASELINE_EXACT_PER_REQUEST) + sum(
+        (lo + hi) / 2.0 for lo, hi in BASELINE_REQUEST_MIX.values()
+    )
+    expected = requests * per_request
     assert abs(len(events) - expected) <= 0.10 * expected
 
 
@@ -159,7 +164,7 @@ def test_compile_phase_event_volume():
         ScenarioConfig(seed=6, duration_s=900.0, phase_schedule=schedule)
     )
     summaries = summarize_trace(events, 30.0)["web-0"]
-    total = feature_index("total_events")
+    total = FEATURE_NAMES.index("total_events")
     normal = [v.features[total] for k, _, v in summaries if k.start < 300.0]
     compile_phase = [
         v.features[total] for k, _, v in summaries if 600.0 <= k.start < 720.0

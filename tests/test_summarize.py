@@ -17,20 +17,19 @@ from vaeguard.summarize import (
     ActivityVector,
     IntervalKey,
     _SYSCALL_SLOTS,
-    feature_index,
     split_by_container,
     summarize_interval,
     vectors_to_matrix,
     window_events,
 )
 
-OPENAT = feature_index("syscall:openat")
-CLOSE = feature_index("syscall:close")
-FILE_DIR = feature_index("category:file_dir_access")
-TOTAL = feature_index("total_events")
-ERRORS = feature_index("error_returns")
-PIDS = feature_index("distinct_pids")
-ARG_BYTES = feature_index("total_arg_bytes")
+OPENAT = FEATURE_NAMES.index("syscall:openat")
+CLOSE = FEATURE_NAMES.index("syscall:close")
+FILE_DIR = FEATURE_NAMES.index("category:file_dir_access")
+TOTAL = FEATURE_NAMES.index("total_events")
+ERRORS = FEATURE_NAMES.index("error_returns")
+PIDS = FEATURE_NAMES.index("distinct_pids")
+ARG_BYTES = FEATURE_NAMES.index("total_arg_bytes")
 
 
 def ev(t, sc="openat", pid=1, ret=0, arg_bytes=0, c="box"):
@@ -74,6 +73,49 @@ def test_window_key_invariant():
     assert key.interval_index == 2
     assert key.start == 60.0
     assert key.start == key.interval_index * key.length
+
+
+def test_window_holds_an_event_that_floor_division_misplaces():
+    # 1.7 / 0.1 floors to 17, but interval 17 starts at 17 * 0.1 > 1.7
+    ((key, events, _),) = summarize_trace([ev(1.7)], 0.1)["box"]
+    assert key.interval_index == 16
+    assert key.start <= 1.7 < key.end
+
+
+@st.composite
+def _trace_over_few_intervals(draw):
+    """A finite interval length and a sorted trace spanning at most 42 of
+    its intervals: timestamps on an interval edge (computed as
+    IntervalKey computes it), one ulp either side of one, or between."""
+    length = draw(st.floats(1e-6, 1e3))
+    first = draw(st.integers(0, 10**6))
+    times = []
+    for offset, place in draw(
+        st.lists(
+            st.tuples(st.integers(0, 40), st.one_of(st.sampled_from("<=>"), st.floats(0.0, 1.0))),
+            min_size=1,
+            max_size=30,
+        )
+    ):
+        edge = (first + offset) * length
+        if place == "<":
+            edge = math.nextafter(edge, -math.inf)
+        elif place == ">":
+            edge = math.nextafter(edge, math.inf)
+        elif place != "=":
+            edge += place * length
+        times.append(max(edge, 0.0))
+    return length, sorted(times)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trace_over_few_intervals())
+def test_every_interval_holds_its_events(trace):
+    length, times = trace
+    rows = summarize_trace([ev(t) for t in times], length)["box"]
+    assert sum(len(events) for _, events, _ in rows) == len(times)
+    for key, events, _ in rows:
+        assert all(key.start <= event.timestamp < key.end for event in events)
 
 
 def test_summarize_counts():
