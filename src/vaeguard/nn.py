@@ -19,6 +19,20 @@ layout, so an Adam step is a few whole-buffer array operations.
 The hidden activation is tanh: smooth with bounded slope, so encoder
 outputs stay finite for arbitrarily large anomalous inputs and
 finite-difference checks are clean everywhere.
+
+Training memory: `vae.train` runs every step in a preallocated
+`Workspace`, one per batch-row count (the full batch and any shorter
+tail). Forward activations, backward deltas and the 1 - h**2 terms are
+written into its arrays, and the weight, bias and gradient views each
+layer pairs with are bound once, so a step allocates only the per-row
+errors it returns; Adam's intermediate terms go to two scratch buffers
+in `AdamState`. Every floating-point operation, its operands' layout and
+its order are those of the plain expressions (tests/test_gradients.py
+keeps them as a bit-for-bit oracle), so trained weights are
+byte-identical to an allocating implementation. Products of the
+module's own arrays use np.dot, which makes the same BLAS call as @ for
+C-contiguous and transposed operands at less cost per call; a product
+with a caller's array, which may have any strides, uses np.matmul.
 """
 
 from __future__ import annotations
@@ -132,15 +146,32 @@ def _as_batch(x: np.ndarray, dim: int, name: str) -> tuple[np.ndarray, bool]:
     return arr, single
 
 
+def _layer(params: Mapping[str, np.ndarray], name: str) -> tuple[np.ndarray, np.ndarray]:
+    """(weight, bias) of layer `name`."""
+    return params[f"{name}_w"], params[f"{name}_b"]
+
+
+def _trunk_layers(
+    arch: VaeArchitecture, params: Mapping[str, np.ndarray], prefix: str
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weight, bias) of the `{prefix}{i}` tanh layers, first layer first."""
+    return [_layer(params, f"{prefix}{i}") for i in range(len(arch.hidden_units))]
+
+
 def _tanh_trunk(
-    arch: VaeArchitecture, params: Mapping[str, np.ndarray], prefix: str, x: np.ndarray
-) -> list[np.ndarray]:
-    """Activations of the `{prefix}{i}` tanh layers, first layer first."""
-    activations = []
-    for i in range(len(arch.hidden_units)):
-        x = np.tanh(x @ params[f"{prefix}{i}_w"] + params[f"{prefix}{i}_b"])
-        activations.append(x)
-    return activations
+    x: np.ndarray,
+    layers: list[tuple[np.ndarray, np.ndarray]],
+    outs: list[np.ndarray] | None = None,
+) -> np.ndarray:
+    """The last activation of x through tanh `layers`; layer i writes into
+    outs[i], or into a new array when `outs` is None."""
+    product = np.matmul  # x may be a caller's array of any strides
+    for i, (weights, bias) in enumerate(layers):
+        x = product(x, weights, out=None if outs is None else outs[i])
+        np.add(x, bias, out=x)
+        np.tanh(x, out=x)
+        product = np.dot
+    return x
 
 
 def encode(
@@ -150,7 +181,7 @@ def encode(
     batch, single = _as_batch(x, arch.input_dim, "x")
     if not np.all(np.isfinite(batch)):
         raise NonFiniteInput("encoder input contains NaN or infinity")
-    h = _tanh_trunk(arch, params, "enc", batch)[-1]
+    h = _tanh_trunk(batch, _trunk_layers(arch, params, "enc"))
     mu = h @ params["mu_w"] + params["mu_b"]
     logvar = h @ params["lv_w"] + params["lv_b"]
     if single:
@@ -163,7 +194,7 @@ def decode(
 ) -> np.ndarray:
     """Deterministic decoder pass; output head is linear."""
     batch, single = _as_batch(z, arch.latent_dim, "z")
-    g = _tanh_trunk(arch, params, "dec", batch)[-1]
+    g = _tanh_trunk(batch, _trunk_layers(arch, params, "dec"))
     recon = g @ params["out_w"] + params["out_b"]
     return recon[0] if single else recon
 
@@ -196,30 +227,126 @@ def reconstruction_error(x: np.ndarray, recon: np.ndarray):
     return float(err) if err.ndim == 0 else err
 
 
-@dataclass
-class _ForwardCache:
-    x: np.ndarray
-    enc_h: list[np.ndarray]
-    mu: np.ndarray
-    logvar: np.ndarray
-    sigma: np.ndarray
-    eps: np.ndarray
-    z: np.ndarray
-    dec_g: list[np.ndarray]
-    recon: np.ndarray
+def _row_blocks(flat: np.ndarray, rows: int, widths: tuple[int, ...]) -> list[np.ndarray]:
+    """Consecutive (rows, width) views of `flat`, one per width."""
+    views, start = [], 0
+    for width in widths:
+        views.append(flat[start : start + rows * width].reshape(rows, width))
+        start += rows * width
+    return views
+
+
+class _Trunk:
+    """One tanh trunk of a Workspace: its (weight, bias) and gradient
+    pairs, bound once, and per layer the activation `h`, its 1 - h**2
+    term `slope` and the loss gradient `delta`."""
+
+    def __init__(
+        self,
+        arch: VaeArchitecture,
+        params: Mapping[str, np.ndarray],
+        grads: Params | None,
+        prefix: str,
+        h: list[np.ndarray],
+        slope: list[np.ndarray],
+    ):
+        self.layers = _trunk_layers(arch, params, prefix)
+        self.grads = None if grads is None else _trunk_layers(arch, grads, prefix)
+        self.h, self.slope = h, slope
+        self.delta = [np.empty_like(view) for view in h]
+
+    def backward(self, x: np.ndarray, d_input: np.ndarray | None = None) -> None:
+        """Write every layer's gradients, given the loss gradient at the
+        last activation in delta[-1] and every slope. `x` is the trunk's
+        input; `d_input`, when given, receives the loss gradient with
+        respect to it."""
+        for i in range(len(self.layers) - 1, -1, -1):
+            d_weights, d_bias = self.grads[i]
+            delta = np.multiply(self.delta[i], self.slope[i], out=self.delta[i])
+            if i:
+                np.dot(self.h[i - 1].T, delta, out=d_weights)
+            else:  # x may be a caller's array of any strides
+                np.matmul(x.T, delta, out=d_weights)
+            np.add.reduce(delta, axis=0, out=d_bias)
+            d_prev = self.delta[i - 1] if i else d_input
+            if d_prev is not None:
+                np.dot(delta, self.layers[i][0].T, out=d_prev)
+
+
+def _write_head_gradients(
+    h: np.ndarray, d_out: np.ndarray, d_weights: np.ndarray, d_bias: np.ndarray
+) -> None:
+    """A linear head's weight and bias gradients from its input and the
+    loss gradient at its output."""
+    np.dot(h.T, d_out, out=d_weights)
+    np.add.reduce(d_out, axis=0, out=d_bias)
+
+
+class Workspace:
+    """Every array one training step writes, for batches of `rows` rows,
+    bound to the parameter and gradient views it pairs them with (`grads`
+    may be None for forward passes alone). Both trunks' activations share
+    one buffer and their slopes another, and mu and logvar a third, so
+    that an elementwise term over all of them is one call.
+    """
+
+    def __init__(
+        self,
+        arch: VaeArchitecture,
+        params: Mapping[str, np.ndarray],
+        rows: int,
+        grads: Params | None = None,
+    ):
+        self.params, self.grads, self.rows = params, grads, rows
+        widths = arch.hidden_units
+        self.hidden = np.empty(2 * rows * sum(widths))
+        self.slopes = np.empty_like(self.hidden)
+        h = _row_blocks(self.hidden, rows, widths * 2)
+        slope = _row_blocks(self.slopes, rows, widths * 2)
+        n = len(widths)
+        self.enc = _Trunk(arch, params, grads, "enc", h[:n], slope[:n])
+        self.dec = _Trunk(arch, params, grads, "dec", h[n:], slope[n:])
+        heads = ("mu", "lv", "out")
+        self.heads = [_layer(params, name) for name in heads]
+        self.head_grads = None if grads is None else [_layer(grads, name) for name in heads]
+        latent = (rows, arch.latent_dim)
+        self.posterior = np.empty((2, *latent))
+        self.mu, self.logvar = self.posterior
+        self.finite = np.empty(self.posterior.shape, dtype=bool)
+        self.sigma, self.z, self.var, self.d_mu, self.d_logvar, self.d_z = (
+            np.empty(latent) for _ in range(6)
+        )
+        self.scratch = (np.empty(latent), np.empty(latent))
+        # the logvar head's share of the gradient at the last encoder layer
+        self.d_h_lv = np.empty((rows, widths[-1]))
+        self.recon, self.diff, self.d_recon = (
+            np.empty((rows, arch.input_dim)) for _ in range(3)
+        )
+        self.kl_rows = np.empty(rows)
 
 
 def _forward(
-    arch: VaeArchitecture, params: Mapping[str, np.ndarray], x: np.ndarray, eps: np.ndarray
-) -> _ForwardCache:
-    enc_h = _tanh_trunk(arch, params, "enc", x)
-    mu = enc_h[-1] @ params["mu_w"] + params["mu_b"]
-    logvar = enc_h[-1] @ params["lv_w"] + params["lv_b"]
-    sigma = np.exp(0.5 * logvar)
-    z = mu + sigma * eps
-    dec_g = _tanh_trunk(arch, params, "dec", z)
-    recon = dec_g[-1] @ params["out_w"] + params["out_b"]
-    return _ForwardCache(x, enc_h, mu, logvar, sigma, eps, z, dec_g, recon)
+    arch: VaeArchitecture,
+    params: Mapping[str, np.ndarray],
+    x: np.ndarray,
+    eps: np.ndarray,
+    work: Workspace | None = None,
+) -> Workspace:
+    """The sampled forward pass of batch `x` under noise `eps`, written into
+    `work` (a new Workspace when None), which is returned."""
+    if work is None:
+        work = Workspace(arch, params, len(x))
+    elif work.params is not params or work.rows != len(x):
+        raise ValueError("workspace is bound to other parameters or another batch size")
+    (mu_w, mu_b), (lv_w, lv_b), (out_w, out_b) = work.heads
+    h = _tanh_trunk(x, work.enc.layers, work.enc.h)
+    np.add(np.dot(h, mu_w, out=work.mu), mu_b, out=work.mu)
+    np.add(np.dot(h, lv_w, out=work.logvar), lv_b, out=work.logvar)
+    np.exp(np.multiply(work.logvar, 0.5, out=work.sigma), out=work.sigma)
+    np.add(work.mu, np.multiply(work.sigma, eps, out=work.z), out=work.z)
+    g = _tanh_trunk(work.z, work.dec.layers, work.dec.h)
+    np.add(np.dot(g, out_w, out=work.recon), out_b, out=work.recon)
+    return work
 
 
 def elbo_terms(
@@ -237,9 +364,9 @@ def elbo_terms(
     """
     batch, _ = _as_batch(x, arch.input_dim, "x")
     noise, _ = _as_batch(eps, arch.latent_dim, "eps")
-    cache = _forward(arch, params, batch, noise)
-    recon_term = float(np.mean(reconstruction_error(batch, cache.recon)))
-    kl_term = float(np.mean(kl_divergence(cache.mu, cache.logvar)))
+    work = _forward(arch, params, batch, noise)
+    recon_term = float(np.mean(reconstruction_error(batch, work.recon)))
+    kl_term = float(np.mean(kl_divergence(work.mu, work.logvar)))
     return recon_term + kl_weight * kl_term, recon_term, kl_term
 
 
@@ -250,6 +377,7 @@ def elbo_gradients(
     eps: np.ndarray,
     kl_weight: float = 1.0,
     out: Params | None = None,
+    work: Workspace | None = None,
 ) -> tuple[Params, tuple[float, float, float], np.ndarray]:
     """Analytic gradients of the ELBO loss for every weight and bias.
 
@@ -258,53 +386,62 @@ def elbo_gradients(
     reparameterized sampling step. Gradients are written into `out`,
     keyed views laid out like the parameters (new ones when None), and
     returned with the loss terms and each sample's reconstruction error
-    in this stochastic pass.
+    in this stochastic pass. Intermediate terms go to `work`, a Workspace
+    bound to `params` and `out` for this batch size (a new one when None).
     """
     batch, _ = _as_batch(x, arch.input_dim, "x")
     noise, _ = _as_batch(eps, arch.latent_dim, "eps")
     n, input_dim = batch.shape
-    cache = _forward(arch, params, batch, noise)
-    if not (np.isfinite(cache.mu).all() and np.isfinite(cache.logvar).all()):
+    if work is None:
+        work = Workspace(arch, params, n, param_views(arch) if out is None else out)
+    elif work.grads is None or (out is not None and out is not work.grads):
+        raise ValueError("workspace is bound to other gradients")
+    _forward(arch, params, batch, noise, work)
+    if not np.isfinite(work.posterior, out=work.finite).all():
         raise NonFiniteInput("posterior mean or log-variance is not finite")
-    grads = param_views(arch) if out is None else out
-    n_hidden = len(arch.hidden_units)
-
-    def write(name: str, prev: np.ndarray, d_pre: np.ndarray) -> None:
-        np.matmul(prev.T, d_pre, out=grads[f"{name}_w"])
-        np.add.reduce(d_pre, axis=0, out=grads[f"{name}_b"])
+    mu, logvar, var = work.mu, work.logvar, work.var
+    a, b = work.scratch
+    (mu_w, _), (lv_w, _), (out_w, _) = work.heads
+    d_mu_head, d_lv_head, d_out_head = work.head_grads
+    np.square(work.hidden, out=work.slopes)
+    np.subtract(1.0, work.slopes, out=work.slopes)
 
     # reconstruction path: d(mean-over-batch mean-over-features sq err)
-    diff = cache.recon - batch
-    d_recon = (2.0 / (n * input_dim)) * diff
-    write("out", cache.dec_g[-1], d_recon)
-    d_layer = d_recon @ params["out_w"].T
-    for i in range(n_hidden - 1, -1, -1):
-        d_pre = d_layer * (1.0 - np.square(cache.dec_g[i]))
-        write(f"dec{i}", cache.z if i == 0 else cache.dec_g[i - 1], d_pre)
-        d_layer = d_pre @ params[f"dec{i}_w"].T
-    d_z = d_layer
+    diff = np.subtract(work.recon, batch, out=work.diff)
+    d_recon = np.multiply(diff, 2.0 / (n * input_dim), out=work.d_recon)
+    _write_head_gradients(work.dec.h[-1], d_recon, *d_out_head)
+    np.dot(d_recon, out_w.T, out=work.dec.delta[-1])
+    work.dec.backward(work.z, work.d_z)
 
     # KL path joins at the posterior heads
-    var = np.exp(cache.logvar)
-    d_mu = d_z + (kl_weight / n) * cache.mu
-    d_logvar = d_z * cache.eps * 0.5 * cache.sigma + (kl_weight / n) * 0.5 * (var - 1.0)
+    np.exp(logvar, out=var)
+    d_mu = np.add(work.d_z, np.multiply(mu, kl_weight / n, out=work.d_mu), out=work.d_mu)
+    d_logvar = np.multiply(work.d_z, noise, out=work.d_logvar)
+    np.multiply(d_logvar, 0.5, out=d_logvar)
+    np.multiply(d_logvar, work.sigma, out=d_logvar)
+    np.subtract(var, 1.0, out=a)
+    np.add(d_logvar, np.multiply(a, (kl_weight / n) * 0.5, out=a), out=d_logvar)
 
-    write("mu", cache.enc_h[-1], d_mu)
-    write("lv", cache.enc_h[-1], d_logvar)
-    d_layer = d_mu @ params["mu_w"].T + d_logvar @ params["lv_w"].T
-    for i in range(n_hidden - 1, -1, -1):
-        d_pre = d_layer * (1.0 - np.square(cache.enc_h[i]))
-        write(f"enc{i}", batch if i == 0 else cache.enc_h[i - 1], d_pre)
-        if i:  # the gradient with respect to the input itself is never used
-            d_layer = d_pre @ params[f"enc{i}_w"].T
+    h = work.enc.h[-1]
+    _write_head_gradients(h, d_mu, *d_mu_head)
+    _write_head_gradients(h, d_logvar, *d_lv_head)
+    d_layer = np.dot(d_mu, mu_w.T, out=work.enc.delta[-1])
+    np.add(d_layer, np.dot(d_logvar, lv_w.T, out=work.d_h_lv), out=d_layer)
+    work.enc.backward(batch)  # the gradient with respect to the input is never used
 
-    # the same expressions as reconstruction_error and kl_divergence
-    recon_rows = np.add.reduce(np.square(diff), axis=-1) / input_dim
+    # the same expressions as reconstruction_error and kl_divergence;
+    # recon_rows is returned, so it is new, never a workspace view
+    recon_rows = np.add.reduce(np.square(diff, out=diff), axis=-1)
+    np.divide(recon_rows, input_dim, out=recon_rows)
     recon_term = float(np.add.reduce(recon_rows) / n)
-    kl_rows = -0.5 * np.add.reduce(1.0 + cache.logvar - np.square(cache.mu) - var, axis=-1)
+    kl_terms = np.add(logvar, 1.0, out=a)
+    np.subtract(kl_terms, np.square(mu, out=b), out=kl_terms)
+    np.subtract(kl_terms, var, out=kl_terms)
+    kl_rows = np.add.reduce(kl_terms, axis=-1, out=work.kl_rows)
+    np.multiply(kl_rows, -0.5, out=kl_rows)
     kl_term = float(np.add.reduce(kl_rows) / n)
     loss = recon_term + kl_weight * kl_term
-    return grads, (loss, recon_term, kl_term), recon_rows
+    return work.grads, (loss, recon_term, kl_term), recon_rows
 
 
 # -- Adam -------------------------------------------------------------------
@@ -314,10 +451,16 @@ def elbo_gradients(
 class AdamState:
     m: np.ndarray
     v: np.ndarray
+    # two buffers like m and v for adam_step's intermediate terms
+    scratch: tuple[np.ndarray, np.ndarray]
 
 
 def adam_init(params: np.ndarray) -> AdamState:
-    return AdamState(m=np.zeros_like(params), v=np.zeros_like(params))
+    return AdamState(
+        m=np.zeros_like(params),
+        v=np.zeros_like(params),
+        scratch=(np.empty_like(params), np.empty_like(params)),
+    )
 
 
 def adam_step(
@@ -331,16 +474,22 @@ def adam_step(
 
     Reads `learning_rate`, `beta1`, `beta2` and `epsilon` from `config`.
 
-    Updates `params`, `state.m` and `state.v` in place and returns them.
+    Updates `params`, `state.m` and `state.v` in place and returns them;
+    intermediate terms go to `state.scratch`, so a step allocates nothing.
     """
     if t < 1:
         raise ValueError("step index t must be >= 1")
     m, v = state.m, state.v
-    m *= config.beta1
-    m += (1.0 - config.beta1) * grads
-    v *= config.beta2
-    v += (1.0 - config.beta2) * np.square(grads)
-    m_hat = m / (1.0 - config.beta1**t)
-    v_hat = v / (1.0 - config.beta2**t)
-    params -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+    a, b = state.scratch
+    # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g**2
+    np.multiply(m, config.beta1, out=m)
+    np.add(m, np.multiply(grads, 1.0 - config.beta1, out=a), out=m)
+    np.multiply(v, config.beta2, out=v)
+    np.add(v, np.multiply(np.square(grads, out=a), 1.0 - config.beta2, out=a), out=v)
+    # params -= learning_rate * m_hat / (sqrt(v_hat) + epsilon)
+    m_hat = np.divide(m, 1.0 - config.beta1**t, out=a)
+    v_hat = np.divide(v, 1.0 - config.beta2**t, out=b)
+    step = np.multiply(m_hat, config.learning_rate, out=a)
+    np.divide(step, np.add(np.sqrt(v_hat, out=b), config.epsilon, out=b), out=a)
+    np.subtract(params, step, out=params)
     return params, state

@@ -41,6 +41,9 @@ from vaeguard.taxonomy import (
 SCHEMA_VERSION = 1
 
 DEFAULT_INTERVAL_LEN = 30.0
+# most intervals one container's stream may span, empty gaps included:
+# about 35 days at the default length
+MAX_WINDOWS = 100_000
 
 AGGREGATE_FEATURES = ("total_events", "error_returns", "distinct_pids", "total_arg_bytes")
 
@@ -127,7 +130,8 @@ def window_events(
     Emits (key, events) pairs from the first occupied interval through the
     last, including empty gaps in between; each group is a slice of the
     stream's block. An event lands in the interval that
-    `_interval_indices` gives it.
+    `_interval_indices` gives it. A stream spanning more than MAX_WINDOWS
+    intervals is rejected with InvalidConfig before anything is emitted.
     """
     check_interval_len(interval_len)
     block = as_block(events)
@@ -146,6 +150,13 @@ def window_events(
         )
     if backwards.size:
         raise OutOfOrderTimestamp(int(backwards[0]))
+
+    windows = int(index[-1] - index[0]) + 1
+    if windows > MAX_WINDOWS:
+        raise InvalidConfig(
+            f"container {containers[codes[0]]!r} spans {windows} intervals of {interval_len} s,"
+            f" more than {MAX_WINDOWS}; use a longer interval"
+        )
 
     container = containers[codes[0]]
     bounds = [0, *(np.flatnonzero(index[1:] != index[:-1]) + 1).tolist(), len(block)]

@@ -68,21 +68,19 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.accumulation_target < 1:
-            raise ValueError("accumulation_target must be >= 1")
+        # rejected here, not at the first training, which may come much later
+        counts = (("epochs", 1), ("batch_size", 1), ("accumulation_target", 1), ("seed", 0))
+        for name, least in counts:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not (0 < self.learning_rate < math.inf and 0 < self.epsilon < math.inf):
             raise ValueError("learning_rate and epsilon must be finite and positive")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ValueError("beta1 and beta2 must lie in (0, 1)")
         if not 0 <= self.kl_weight < math.inf:
             raise ValueError("kl_weight must be finite and >= 0")
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 @dataclass
@@ -128,6 +126,19 @@ def train(
     grad_flat = np.empty_like(flat)
     grads = nn.param_views(arch, grad_flat)
     state = nn.adam_init(flat)
+    # each epoch gathers its shuffled rows and draws its noise into these
+    # buffers once; the batches are fixed slices of them, each with the
+    # workspace for its row count (the full batch and any shorter tail)
+    shuffled = np.empty((n, arch.input_dim))
+    noise = np.empty((n, arch.latent_dim))
+    workspaces: dict[int, nn.Workspace] = {}
+    batches = []
+    for start in range(0, n, config.batch_size):
+        xb = shuffled[start : start + config.batch_size]
+        rows = len(xb)
+        if rows not in workspaces:
+            workspaces[rows] = nn.Workspace(arch, params, rows, grads)
+        batches.append((xb, noise[start : start + rows], workspaces[rows]))
 
     recon_curve: list[float] = []
     kl_curve: list[float] = []
@@ -135,23 +146,24 @@ def train(
     step = 0
     for epoch in range(config.epochs):
         order = rng.permutation(n)
+        # one draw right after the permutation reads the stream that
+        # per-batch draws of the same shapes would
+        rng.standard_normal(out=noise)
+        np.take(data, order, axis=0, out=shuffled)
         recon_sum = 0.0
         kl_sum = 0.0
         final_epoch = epoch == config.epochs - 1
         collected: list[np.ndarray] = []
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            xb = data[idx]
-            eps = rng.standard_normal((len(idx), arch.latent_dim))
+        for xb, eps, work in batches:
             _, (_, recon, kl), errors = nn.elbo_gradients(
-                arch, params, xb, eps, config.kl_weight, out=grads
+                arch, params, xb, eps, config.kl_weight, grads, work
             )
             if final_epoch:
                 collected.append(errors)
             step += 1
             nn.adam_step(flat, grad_flat, state, config, step)
-            recon_sum += recon * len(idx)
-            kl_sum += kl * len(idx)
+            recon_sum += recon * work.rows
+            kl_sum += kl * work.rows
         recon_curve.append(recon_sum / n)
         kl_curve.append(kl_sum / n)
         if final_epoch:

@@ -66,6 +66,7 @@ BUNDLE_CORRUPTIONS = {
     "zero-width-hidden-layer": lambda b: _set_first(b["architecture"]["hidden_units"], 0),
     "string-curve-error-mean": lambda b: b["curve"].update(error_mean="0.5"),
     "negative-seed": lambda b: b["train_config"].update(seed=-1),
+    "fractional-batch-size": lambda b: b["train_config"].update(batch_size=2.5),
 }
 
 

@@ -251,6 +251,16 @@ def test_hostile_input_exits_with_a_documented_code(
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "assess", "bench"])
+def test_too_many_intervals_is_a_config_error(tmp_path, small_model, capsys, command):
+    """Two events 120 s apart span 120,001 intervals of 1 ms, past the limit."""
+    trace = tmp_path / "two-events.ndjson"
+    trace.write_bytes(_RECORD % b"0.5" + _RECORD % b"120.5")
+    argv = _command_argv(command, trace, small_model, tmp_path)
+    assert run_cli(*argv, "--interval-len", "1e-3") == 2
+    assert "more than 100000" in capsys.readouterr().err
+
+
 def _command_argv(command, trace_path, model, tmp_path):
     """`command` over a trace, training a small model or loading `model`."""
     argv = [command, "--trace", str(trace_path)]

@@ -7,15 +7,18 @@ trained bundle, a FileSink record or a bulk request body fails the suite.
 import hashlib
 import urllib.request
 
+import numpy as np
 import pytest
 
 from vaeguard.cli import main as cli_main
 from vaeguard.events import write_trace_file
+from vaeguard.nn import VaeArchitecture, param_buffer
 from vaeguard.pipeline import summarize_trace
 from vaeguard.publisher import AdaptivePublisher, StandardPublisher, emit
 from vaeguard.scenarios import ScenarioConfig, gen_baseline, gen_cpuminer_scenario
 from vaeguard.sinks import FileSink, HttpBulkSink
-from vaeguard.vae import TrainConfig
+from vaeguard.summarize import FEATURE_DIM
+from vaeguard.vae import TrainConfig, train
 
 # 24 quiet 10 s intervals, then one 10 s interval per attack phase
 _SCHEDULE = (
@@ -79,6 +82,31 @@ def test_train_bundle_golden(tmp_path):
     assert sha256(model.read_bytes()) == (
         "c600d3086303566459267043d4feaa51bc5c5024e4a80579763199bff0b661d4"
     )
+
+
+# 41 rows: batch 7 leaves a tail batch of 6, batch 1 steps row by row,
+# batch 64 is one batch larger than the data; kl_weight 0 drops the KL path
+@pytest.mark.parametrize(
+    ("batch_size", "kl_weight", "digest"),
+    [
+        (7, 1.0, "490f550cc47219dd6e18f427fb3f1a13900a4bceb5eb38a7020e85478c4d8b94"),
+        (1, 1.0, "b41e3a46bb0b7920416fb2959ed40ad7b6340f6aaf4f7b428ff4039da2a5a38f"),
+        (64, 1.0, "6e5eac2780facfa10848114cf7d3630644b51fcb59b8ed399f4e03c4471fdbd7"),
+        (7, 0.0, "38df9b3b2a2e02183639213bb3b113785341dcb25b4f807ddf1f18396aa62072"),
+    ],
+)
+def test_train_weights_and_curves_golden(batch_size, kl_weight, digest):
+    """The trained weights' bytes and both per-epoch curves, default
+    architecture, for batch shapes the bundle goldens do not reach."""
+    data = np.random.default_rng(4).uniform(0.0, 1.0, size=(41, FEATURE_DIM))
+    config = TrainConfig(
+        learning_rate=1e-3, epochs=6, batch_size=batch_size, kl_weight=kl_weight,
+        accumulation_target=41, seed=9,
+    )
+    params, curve = train(data, VaeArchitecture(input_dim=FEATURE_DIM), config)
+    pinned = param_buffer(params).tobytes()
+    pinned += repr((curve.recon_per_epoch, curve.kl_per_epoch)).encode()
+    assert sha256(pinned) == digest
 
 
 def test_default_train_bundle_golden(tmp_path):

@@ -169,3 +169,113 @@ def test_non_finite_posterior_raises(key):
     params[key][0] = np.inf
     with pytest.raises(NonFiniteInput):
         elbo_gradients(arch, params, np.ones(3), np.ones(2))
+
+
+def expression_gradients(arch, params, x, eps, kl_weight):
+    """elbo_gradients written as fresh-array expressions with @, each
+    operation in the order elbo_gradients performs it: its bit-for-bit
+    oracle."""
+    n, input_dim = x.shape
+    hidden = range(len(arch.hidden_units))
+    enc_h, h = [], x
+    for i in hidden:
+        h = np.tanh(h @ params[f"enc{i}_w"] + params[f"enc{i}_b"])
+        enc_h.append(h)
+    mu = h @ params["mu_w"] + params["mu_b"]
+    logvar = h @ params["lv_w"] + params["lv_b"]
+    sigma = np.exp(0.5 * logvar)
+    z = mu + sigma * eps
+    dec_g, g = [], z
+    for i in hidden:
+        g = np.tanh(g @ params[f"dec{i}_w"] + params[f"dec{i}_b"])
+        dec_g.append(g)
+    recon = g @ params["out_w"] + params["out_b"]
+    grads = {}
+
+    def write(name, prev, d_pre):
+        grads[f"{name}_w"] = prev.T @ d_pre
+        grads[f"{name}_b"] = np.add.reduce(d_pre, axis=0)
+
+    diff = recon - x
+    d_recon = (2.0 / (n * input_dim)) * diff
+    write("out", dec_g[-1], d_recon)
+    d_layer = d_recon @ params["out_w"].T
+    for i in reversed(hidden):
+        d_pre = d_layer * (1.0 - np.square(dec_g[i]))
+        write(f"dec{i}", dec_g[i - 1] if i else z, d_pre)
+        d_layer = d_pre @ params[f"dec{i}_w"].T
+    var = np.exp(logvar)
+    d_mu = d_layer + (kl_weight / n) * mu
+    d_logvar = d_layer * eps * 0.5 * sigma + (kl_weight / n) * 0.5 * (var - 1.0)
+    write("mu", enc_h[-1], d_mu)
+    write("lv", enc_h[-1], d_logvar)
+    d_layer = d_mu @ params["mu_w"].T + d_logvar @ params["lv_w"].T
+    for i in reversed(hidden):
+        d_pre = d_layer * (1.0 - np.square(enc_h[i]))
+        write(f"enc{i}", enc_h[i - 1] if i else x, d_pre)
+        d_layer = d_pre @ params[f"enc{i}_w"].T
+    recon_rows = np.add.reduce(np.square(diff), axis=-1) / input_dim
+    kl_rows = -0.5 * np.add.reduce(1.0 + logvar - np.square(mu) - var, axis=-1)
+    recon_term = float(np.add.reduce(recon_rows) / n)
+    kl_term = float(np.add.reduce(kl_rows) / n)
+    return grads, (recon_term + kl_weight * kl_term, recon_term, kl_term), recon_rows
+
+
+@pytest.mark.parametrize("rows", [1, 6, 16])
+@pytest.mark.parametrize(
+    ("input_dim", "hidden_units", "latent_dim"),
+    [(80, (16, 16, 16), 10), (7, (6, 5, 4), 3), (3, (1,), 1)],
+)
+def test_workspace_gradients_equal_the_expression_form_bit_for_bit(
+    input_dim, hidden_units, latent_dim, rows
+):
+    arch = VaeArchitecture(input_dim, hidden_units, latent_dim)
+    rng = np.random.default_rng(rows)
+    params = init_params(arch, rng)
+    grads = param_views(arch)
+    work = nn.Workspace(arch, params, rows, grads)
+    # one workspace for every call; the last input is column-strided
+    inputs = [rng.uniform(-0.5, 1.5, size=(rows, input_dim)) for _ in range(3)]
+    inputs.append(rng.uniform(-0.5, 1.5, size=(rows, 2 * input_dim))[:, ::2])
+    for x, kl_weight in zip(inputs, (1.0, 0.0, 0.7, 1.0)):
+        eps = rng.standard_normal((rows, latent_dim))
+        expected, expected_terms, expected_errors = expression_gradients(
+            arch, params, x, eps, kl_weight
+        )
+        got, terms, errors = elbo_gradients(arch, params, x, eps, kl_weight, grads, work)
+        assert terms == expected_terms
+        assert errors.tobytes() == expected_errors.tobytes()
+        assert {key: got[key].tobytes() for key in params} == {
+            key: expected[key].tobytes() for key in params
+        }
+
+
+def test_sample_errors_outlive_the_next_step_on_the_same_workspace():
+    arch = VaeArchitecture(input_dim=5, hidden_units=(4, 3), latent_dim=2)
+    rng = np.random.default_rng(16)
+    params = init_params(arch, rng)
+    work = nn.Workspace(arch, params, 6, param_views(arch))
+    xs = rng.uniform(0, 1, size=(2, 6, 5))
+    eps = rng.standard_normal((6, 2))
+    _, _, first = elbo_gradients(arch, params, xs[0], eps, work=work)
+    kept = first.copy()
+    _, _, second = elbo_gradients(arch, params, xs[1], eps, work=work)
+    np.testing.assert_array_equal(first, kept)
+    assert not np.array_equal(first, second)
+
+
+def test_workspace_bound_elsewhere_is_refused():
+    arch = VaeArchitecture(input_dim=5, hidden_units=(4,), latent_dim=2)
+    rng = np.random.default_rng(17)
+    params = init_params(arch, rng)
+    xs = rng.uniform(0, 1, size=(6, 5))
+    eps = rng.standard_normal((6, 2))
+    work = nn.Workspace(arch, params, 6, param_views(arch))
+    for call in (
+        lambda: elbo_gradients(arch, init_params(arch, rng), xs, eps, work=work),
+        lambda: elbo_gradients(arch, params, xs[:5], eps[:5], work=work),
+        lambda: elbo_gradients(arch, params, xs, eps, out=param_views(arch), work=work),
+        lambda: elbo_gradients(arch, params, xs, eps, work=nn.Workspace(arch, params, 6)),
+    ):
+        with pytest.raises(ValueError, match="workspace is bound"):
+            call()

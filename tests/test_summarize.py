@@ -14,6 +14,7 @@ from vaeguard.scenarios import CPUMINER_PHASES, ScenarioConfig, gen_cpuminer_sce
 from vaeguard.summarize import (
     FEATURE_DIM,
     FEATURE_NAMES,
+    MAX_WINDOWS,
     ActivityVector,
     IntervalKey,
     _SYSCALL_SLOTS,
@@ -57,6 +58,14 @@ def test_window_emits_empty_gaps():
     groups = list(window_events([ev(5.0), ev(65.0)], 30.0))
     assert [key.interval_index for key, _ in groups] == [0, 1, 2]
     assert [len(g) for _, g in groups] == [1, 0, 1]
+
+
+def test_window_count_is_bounded_before_any_window_is_emitted():
+    widest = window_events([ev(0.5), ev(MAX_WINDOWS - 0.5)], 1.0)
+    assert next(widest)[0].interval_index == 0
+    too_wide = window_events([ev(0.5), ev(MAX_WINDOWS + 0.5)], 1.0)
+    with pytest.raises(InvalidConfig, match=f"{MAX_WINDOWS + 1} intervals"):
+        next(too_wide)
 
 
 def test_window_empty_input():

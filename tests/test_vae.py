@@ -61,6 +61,21 @@ def test_train_runs_one_forward_pass_per_step(monkeypatch):
     assert len(calls) == TOY_CONFIG.epochs * math.ceil(41 / TOY_CONFIG.batch_size)
 
 
+def test_train_calls_gradients_and_adam_through_the_module_once_per_step(monkeypatch):
+    """Each step goes through nn.elbo_gradients and nn.adam_step as module
+    attributes, so a wrapper installed there sees every step."""
+    calls = []
+    for name in ("elbo_gradients", "adam_step"):
+        real = getattr(nn, name)
+        monkeypatch.setattr(
+            nn, name, lambda *a, _name=name, _real=real, **k: calls.append(_name) or _real(*a, **k)
+        )
+    X = toy_matrix(n=41)
+    train(X, TOY_ARCH, TOY_CONFIG)
+    steps = TOY_CONFIG.epochs * math.ceil(41 / TOY_CONFIG.batch_size)
+    assert calls == ["elbo_gradients", "adam_step"] * steps
+
+
 def test_train_rejects_insufficient_data():
     X = toy_matrix(n=119, dim=4)
     arch = VaeArchitecture(input_dim=4, hidden_units=(4,), latent_dim=2)
@@ -77,6 +92,15 @@ def test_train_config_rejects_a_seed_that_is_not_an_integer_from_0(seed):
     with pytest.raises(ValueError, match="seed"):
         TrainConfig(seed=seed)
     assert TrainConfig(seed=np.int64(2**40)).seed == 2**40
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None, 0])
+@pytest.mark.parametrize("field", ["epochs", "batch_size", "accumulation_target"])
+def test_train_config_rejects_a_count_that_is_not_a_positive_integer(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+    count = getattr(TrainConfig(**{field: np.int64(3)}), field)
+    assert count == 3 and type(count) is int
 
 
 def test_training_reduces_reconstruction_error(small_baseline_summaries):
