@@ -33,6 +33,13 @@ byte-identical to an allocating implementation. Products of the
 module's own arrays use np.dot, which makes the same BLAS call as @ for
 C-contiguous and transposed operands at less cost per call; a product
 with a caller's array, which may have any strides, uses np.matmul.
+
+Scoring memory: `encode` and `decode` take the same Workspace as an
+optional `work` argument and then run the training forward pass's own
+encoder and decoder halves in it, returning copies of its results.
+`vae.VaeStabilityDetector.score_vector` keeps one such one-row
+workspace per detector, so a detector must not score from two threads
+at once.
 """
 
 from __future__ import annotations
@@ -175,27 +182,47 @@ def _tanh_trunk(
 
 
 def encode(
-    arch: VaeArchitecture, params: Mapping[str, np.ndarray], x: np.ndarray
+    arch: VaeArchitecture,
+    params: Mapping[str, np.ndarray],
+    x: np.ndarray,
+    work: Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic forward pass to the posterior (mu, logvar)."""
+    """Deterministic forward pass to the posterior (mu, logvar).
+
+    Given `work`, a Workspace bound to `params` for len(x) rows, the pass
+    writes into its arrays instead of allocating; the returned arrays are
+    copies either way, never workspace views.
+    """
     batch, single = _as_batch(x, arch.input_dim, "x")
-    if not np.all(np.isfinite(batch)):
+    if not np.isfinite(batch).all():
         raise NonFiniteInput("encoder input contains NaN or infinity")
-    h = _tanh_trunk(batch, _trunk_layers(arch, params, "enc"))
-    mu = h @ params["mu_w"] + params["mu_b"]
-    logvar = h @ params["lv_w"] + params["lv_b"]
+    if work is None:
+        h = _tanh_trunk(batch, _trunk_layers(arch, params, "enc"))
+        mu = h @ params["mu_w"] + params["mu_b"]
+        logvar = h @ params["lv_w"] + params["lv_b"]
+    else:
+        _check_bound(work, params, len(batch))
+        mu, logvar = _encode_into(batch, work).copy()
     if single:
         return mu[0], logvar[0]
     return mu, logvar
 
 
 def decode(
-    arch: VaeArchitecture, params: Mapping[str, np.ndarray], z: np.ndarray
+    arch: VaeArchitecture,
+    params: Mapping[str, np.ndarray],
+    z: np.ndarray,
+    work: Workspace | None = None,
 ) -> np.ndarray:
-    """Deterministic decoder pass; output head is linear."""
+    """Deterministic decoder pass; output head is linear. `work` is as in
+    encode, and the result is a copy either way."""
     batch, single = _as_batch(z, arch.latent_dim, "z")
-    g = _tanh_trunk(batch, _trunk_layers(arch, params, "dec"))
-    recon = g @ params["out_w"] + params["out_b"]
+    if work is None:
+        g = _tanh_trunk(batch, _trunk_layers(arch, params, "dec"))
+        recon = g @ params["out_w"] + params["out_b"]
+    else:
+        _check_bound(work, params, len(batch))
+        recon = _decode_into(batch, work).copy()
     return recon[0] if single else recon
 
 
@@ -223,7 +250,9 @@ def reconstruction_error(x: np.ndarray, recon: np.ndarray):
     recon = np.asarray(recon, dtype=np.float64)
     if x.shape != recon.shape:
         raise DimensionMismatch(f"shape {x.shape} != {recon.shape}")
-    err = np.mean(np.square(x - recon), axis=-1)
+    # np.mean's arithmetic (a sum along the axis, then a division by its
+    # length) without its per-call overhead
+    err = np.add.reduce(np.square(x - recon), axis=-1) / x.shape[-1]
     return float(err) if err.ndim == 0 else err
 
 
@@ -325,6 +354,28 @@ class Workspace:
         self.kl_rows = np.empty(rows)
 
 
+def _check_bound(work: Workspace, params: Mapping[str, np.ndarray], rows: int) -> None:
+    if work.params is not params or work.rows != rows:
+        raise ValueError("workspace is bound to other parameters or another batch size")
+
+
+def _encode_into(x: np.ndarray, work: Workspace) -> np.ndarray:
+    """The encoder pass of `x` into `work`; returns its posterior, mu and
+    logvar stacked."""
+    (mu_w, mu_b), (lv_w, lv_b), _ = work.heads
+    h = _tanh_trunk(x, work.enc.layers, work.enc.h)
+    np.add(np.dot(h, mu_w, out=work.mu), mu_b, out=work.mu)
+    np.add(np.dot(h, lv_w, out=work.logvar), lv_b, out=work.logvar)
+    return work.posterior
+
+
+def _decode_into(z: np.ndarray, work: Workspace) -> np.ndarray:
+    """The decoder pass of `z` into `work`; returns its reconstruction."""
+    out_w, out_b = work.heads[2]
+    g = _tanh_trunk(z, work.dec.layers, work.dec.h)
+    return np.add(np.dot(g, out_w, out=work.recon), out_b, out=work.recon)
+
+
 def _forward(
     arch: VaeArchitecture,
     params: Mapping[str, np.ndarray],
@@ -336,16 +387,12 @@ def _forward(
     `work` (a new Workspace when None), which is returned."""
     if work is None:
         work = Workspace(arch, params, len(x))
-    elif work.params is not params or work.rows != len(x):
-        raise ValueError("workspace is bound to other parameters or another batch size")
-    (mu_w, mu_b), (lv_w, lv_b), (out_w, out_b) = work.heads
-    h = _tanh_trunk(x, work.enc.layers, work.enc.h)
-    np.add(np.dot(h, mu_w, out=work.mu), mu_b, out=work.mu)
-    np.add(np.dot(h, lv_w, out=work.logvar), lv_b, out=work.logvar)
+    else:
+        _check_bound(work, params, len(x))
+    _encode_into(x, work)
     np.exp(np.multiply(work.logvar, 0.5, out=work.sigma), out=work.sigma)
     np.add(work.mu, np.multiply(work.sigma, eps, out=work.z), out=work.z)
-    g = _tanh_trunk(work.z, work.dec.layers, work.dec.h)
-    np.add(np.dot(g, out_w, out=work.recon), out_b, out=work.recon)
+    _decode_into(work.z, work)
     return work
 
 

@@ -2,9 +2,10 @@
 
 Both bench pipelines consume the same summarized interval stream, so any
 difference in published bytes is attributable purely to publishing
-policy. Wall-clock time covers the per-interval decision and publish
-path up to the flush of the sink, not trace parsing, and the two
-pipelines run sequentially to keep their timers independent.
+policy. Wall-clock time and this process's CPU time cover the same span:
+the per-interval decision and publish path up to the flush of the sink,
+not trace parsing. The two pipelines run sequentially to keep their
+timers independent.
 """
 
 from __future__ import annotations
@@ -155,6 +156,9 @@ class ModeCost:
     events: int = 0
     bytes_published: int = 0
     wall_seconds: float = 0.0
+    # time.process_time() over the span wall_seconds covers: this process's
+    # CPU, so a sink's remote work is not in it
+    cpu_seconds: float = 0.0
     unstable_intervals: int = 0
     stable_intervals: int = 0
 
@@ -177,12 +181,20 @@ class CostReport:
             return None
         return self.standard.bytes_published / self.adaptive.bytes_published
 
+    @property
+    def cpu_ratio(self) -> float | None:
+        """adaptive CPU seconds / standard CPU seconds; None when undefined."""
+        if self.standard.cpu_seconds == 0:
+            return None
+        return self.adaptive.cpu_seconds / self.standard.cpu_seconds
+
     def to_json(self) -> str:
         doc = {
             "standard": vars(self.standard),
             "adaptive": vars(self.adaptive),
             "bytes_ratio": self.bytes_ratio,
             "reduction_factor": self.reduction_factor,
+            "cpu_ratio": self.cpu_ratio,
         }
         return json.dumps(doc, separators=(",", ":"))
 
@@ -192,6 +204,7 @@ class CostReport:
             ("events", self.standard.events, self.adaptive.events),
             ("bytes published", self.standard.bytes_published, self.adaptive.bytes_published),
             ("wall seconds", f"{self.standard.wall_seconds:.3f}", f"{self.adaptive.wall_seconds:.3f}"),
+            ("cpu seconds", f"{self.standard.cpu_seconds:.3f}", f"{self.adaptive.cpu_seconds:.3f}"),
             ("unstable intervals", "-", self.adaptive.unstable_intervals),
         ]
         lines = [f"{'metric':<20} {'standard':>14} {'adaptive':>14}"]
@@ -201,6 +214,8 @@ class CostReport:
             lines.append(f"adaptive/standard bytes: {self.bytes_ratio:.6f}")
         if self.reduction_factor is not None:
             lines.append(f"reduction factor: {self.reduction_factor:.1f}x")
+        if self.cpu_ratio is not None:
+            lines.append(f"adaptive/standard cpu: {self.cpu_ratio:.6f}")
         return "\n".join(lines)
 
 
@@ -213,6 +228,7 @@ def _run_mode(
     cost = ModeCost()
     actions: list[PublishAction] = []
     started = time.perf_counter()
+    cpu_started = time.process_time()
     for container, rows in summaries.items():
         for key, events, vector in rows:
             action = publisher.process_interval(key, events, vector)
@@ -230,7 +246,8 @@ def _run_mode(
                 else:
                     cost.unstable_intervals += 1
             actions.append(action)
-    sink.flush()  # the clock and the byte count cover every request the run sends
+    sink.flush()  # the clocks and the byte count cover every request the run sends
+    cost.cpu_seconds = time.process_time() - cpu_started
     cost.wall_seconds = time.perf_counter() - started
     return cost, actions
 

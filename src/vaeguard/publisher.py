@@ -46,21 +46,21 @@ DEFAULT_CACHE_CAPACITY = 4
 
 
 class PublishMode(enum.Enum):
-    ACCUMULATING = "accumulating"
-    LATENT_ONLY = "latent"
-    LATENT_PLUS_FORENSICS = "latent_forensics"
+    """A mode's value is its wire name; its `shape` is what its action
+    holds: (a latent, forensics, verdict.stable or None)."""
+
+    ACCUMULATING = "accumulating", (False, False, None)
+    LATENT_ONLY = "latent", (True, False, True)
+    LATENT_PLUS_FORENSICS = "latent_forensics", (True, True, False)
     # conventional publisher used as the cost baseline; the adaptive
     # decision table never produces it
-    FORENSICS_ONLY = "forensics"
+    FORENSICS_ONLY = "forensics", (False, True, None)
 
-
-# Per mode, what its action holds: (a latent, forensics, verdict.stable or None)
-_MODE_SHAPES = {
-    PublishMode.ACCUMULATING: (False, False, None),
-    PublishMode.LATENT_ONLY: (True, False, True),
-    PublishMode.LATENT_PLUS_FORENSICS: (True, True, False),
-    PublishMode.FORENSICS_ONLY: (False, True, None),
-}
+    def __new__(cls, value: str, shape: tuple[bool, bool, bool | None]):
+        mode = object.__new__(cls)
+        mode._value_ = value
+        mode.shape = shape
+        return mode
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ class PublishAction:
             self.forensics is not None,
             None if self.verdict is None else self.verdict.stable,
         )
-        if shape != _MODE_SHAPES[self.mode]:
+        if shape != self.mode.shape:
             raise ValueError(
                 f"invalid {self.mode.name} action: latent {shape[0]},"
                 f" forensics {shape[1]}, stable verdict {shape[2]}"
@@ -117,10 +117,22 @@ class IntervalCache:
 # -- serialization ----------------------------------------------------------
 
 
+# The publish path's one JSON encoder: compact separators, every other
+# option json.dumps's default. json.dumps(..., separators=...) builds a new
+# JSONEncoder per call; this one is built once and writes the same text.
+compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def _round8(value: float) -> float:
     """8 significant digits: plenty for published monitoring records and
     roughly half the wire size of full float64 repr."""
     return float(f"{value:.8g}")
+
+
+def _round8_all(values: np.ndarray) -> list[float]:
+    """_round8 of each value, formatted from Python floats (faster than
+    numpy scalars, same digits)."""
+    return [float(f"{v:.8g}") for v in values.tolist()]
 
 
 def _rounded_head(action: PublishAction) -> tuple[dict | None, dict | None]:
@@ -129,8 +141,8 @@ def _rounded_head(action: PublishAction) -> tuple[dict | None, dict | None]:
     latent = verdict = None
     if action.latent is not None:
         latent = {
-            "mu": [_round8(v) for v in action.latent.mu],
-            "logvar": [_round8(v) for v in action.latent.logvar],
+            "mu": _round8_all(action.latent.mu),
+            "logvar": _round8_all(action.latent.logvar),
             "recon_error": _round8(action.latent.recon_error),
         }
     if action.verdict is not None:
@@ -141,30 +153,28 @@ def _rounded_head(action: PublishAction) -> tuple[dict | None, dict | None]:
     return latent, verdict
 
 
-_COMPACT = (",", ":")
-
 # Rows encoded per step, which bounds the per-row strings alive at once.
 _ROWS_PER_PIECE = 4096
 
 
 def _row_texts(events: EventBlock) -> Iterator[str]:
-    """The text json.dumps writes for `list(events.rows())`, without the
+    """The text compact_json writes for `list(events.rows())`, without the
     outer "[[" and "]]", in pieces to be joined by "],[". The timestamps of
-    a piece are formatted by one json.dumps call, and each distinct syscall
-    and pid/ret/bytes tail in it is encoded once."""
+    a piece are formatted by one compact_json call, and each distinct
+    syscall and pid/ret/bytes tail in it is encoded once."""
     tables = events.tables
     for start in range(0, len(events), _ROWS_PER_PIECE):
         piece = events[start : start + _ROWS_PER_PIECE]
-        times = json.dumps(piece.timestamps.tolist(), separators=_COMPACT)[1:-1].split(",")
+        times = compact_json(piece.timestamps.tolist())[1:-1].split(",")
         syscalls, syscall_at = np.unique(piece.syscall_codes, return_inverse=True)
-        syscall_texts = [json.dumps(tables.syscalls[k]) for k in syscalls.tolist()]
+        syscall_texts = [compact_json(tables.syscalls[k]) for k in syscalls.tolist()]
         tail_codes, tail_at = np.unique(piece.tail_codes, return_inverse=True)
         tails = [
             [tables.pids[k], tables.results[k], tables.arg_bytes[k]] for k in tail_codes.tolist()
         ]
-        tail_texts = json.dumps(tails, separators=_COMPACT)[2:-2].split("],[")
+        tail_texts = compact_json(tails)[2:-2].split("],[")
         if len(tail_texts) != len(tails):  # a value whose own text holds "],["
-            tail_texts = [json.dumps(tail, separators=_COMPACT)[1:-1] for tail in tails]
+            tail_texts = [compact_json(tail)[1:-1] for tail in tails]
         rows = zip(
             times,
             map(syscall_texts.__getitem__, syscall_at.tolist()),
@@ -186,10 +196,10 @@ def serialize_action(action: PublishAction) -> bytes:
         doc["latent"] = latent
     if verdict is not None:
         doc["verdict"] = verdict
-    head = json.dumps(doc, separators=_COMPACT)
+    head = compact_json(doc)
     if action.forensics is None:
         return (head + "\n").encode("utf-8")
-    # "events" comes last, as json.dumps would write it: an array of
+    # "events" comes last, as compact_json would write it: an array of
     # [timestamp, syscall, pid, result, arg_bytes], the container being the action's
     rows = "],[".join(_row_texts(action.forensics))
     events = f"[[{rows}]]" if rows else "[]"

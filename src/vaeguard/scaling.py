@@ -24,6 +24,9 @@ class ActivityScaler:
     def __init__(self):
         self.data_min_: np.ndarray | None = None
         self.data_max_: np.ndarray | None = None
+        # (data_min_, data_max_, divisor, degenerate mask) of the bounds last
+        # scaled with; recomputed when either bound is replaced
+        self._scaling: tuple[np.ndarray, ...] | None = None
 
     @property
     def n_features_(self) -> int:
@@ -38,14 +41,23 @@ class ActivityScaler:
         self.data_max_ = X.max(axis=0)
         return self
 
+    def _divisor(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per feature, the span to divide by (1.0 where it is 0, to avoid
+        0/0) and whether it is degenerate."""
+        low, high = self.data_min_, self.data_max_
+        cached = self._scaling
+        if cached is None or cached[0] is not low or cached[1] is not high:
+            span = high - low
+            degenerate = span == 0.0
+            cached = self._scaling = (low, high, np.where(degenerate, 1.0, span), degenerate)
+        return cached[2], cached[3]
+
     def transform(self, X) -> np.ndarray:
         X = as_float_matrix(X)
         check_dimension(self.n_features_, X.shape[1])
-        span = self.data_max_ - self.data_min_
-        degenerate = span == 0.0
-        # avoid 0/0; degenerate columns are overwritten below
-        scaled = (X - self.data_min_) / np.where(degenerate, 1.0, span)
-        scaled[:, degenerate] = 0.0
+        divisor, degenerate = self._divisor()
+        scaled = (X - self.data_min_) / divisor
+        np.copyto(scaled, 0.0, where=degenerate)
         return scaled
 
     def transform_vector(self, x: np.ndarray) -> np.ndarray:

@@ -48,6 +48,7 @@ from vaeguard.publisher import (
     PublishAction,
     PublishMode,
     action_to_documents,
+    compact_json,
     serialize_action,
 )
 
@@ -57,19 +58,20 @@ Document = tuple[str, str, Mapping]
 BULK_CONTENT_TYPE = "application/x-ndjson"
 # Documents per bulk request.
 DEFAULT_BULK_BATCH_SIZE = 500
+# A document's action metadata line around its encoded index name and id.
+_ACTION_LINE = '{"index":{"_index":%s,"_id":%s}}'
 
 
 def encode_bulk_request(documents: Sequence[Document]) -> bytes:
     """Bulk wire format: one action line plus one source line per document,
-    each newline-terminated."""
+    each newline-terminated, as compact_json writes them."""
     if not documents:
         raise EmptyBatch("bulk request requires at least one document")
     lines: list[str] = []
     for index_name, doc_id, source in documents:
-        lines.append(
-            json.dumps({"index": {"_index": index_name, "_id": doc_id}}, separators=(",", ":"))
-        )
-        lines.append(json.dumps(source, separators=(",", ":")))
+        # compact_json of {"index": {"_index": index_name, "_id": doc_id}}
+        lines.append(_ACTION_LINE % (compact_json(index_name), compact_json(doc_id)))
+        lines.append(compact_json(source))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -174,7 +176,7 @@ class HttpBulkSink:
         end = len(self._buffer)
         if count < self._added - self._removed:
             end = 0
-            # json.dumps escapes every newline, so each document is two lines
+            # compact_json escapes every newline, so each document is two lines
             for _ in range(2 * count):
                 end = self._buffer.index(b"\n", end) + 1
         body = bytes(self._buffer[:end])

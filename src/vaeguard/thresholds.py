@@ -29,10 +29,16 @@ def check_k(k: float) -> None:
         raise InvalidK(f"k must be finite and > 0, got {k}")
 
 
-def is_stable(errors, threshold: float) -> np.ndarray:
+def is_stable(errors, threshold: float) -> np.ndarray | bool:
     """Elementwise: stable iff an error is finite and does not strictly
     exceed the threshold. An error exactly at the threshold is stable; a
-    non-finite one (overflow on an extreme anomaly) is always drift."""
+    non-finite one (overflow on an extreme anomaly) is always drift.
+
+    One interval's error as a Python float gives a bool, decided without
+    numpy; anything else gives a boolean array.
+    """
+    if type(errors) is float:
+        return math.isfinite(errors) and errors <= threshold
     errors = np.asarray(errors, dtype=np.float64)
     with np.errstate(invalid="ignore"):
         return np.isfinite(errors) & (errors <= threshold)

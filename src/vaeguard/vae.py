@@ -8,7 +8,11 @@ vectors, fits the min-max scaler, trains the VAE with mini-batch Adam,
 and derives the k-sigma decision threshold from the final epoch's
 training reconstruction errors. Scoring is deterministic: the latent
 code is the posterior mean, never a sample, so one interval always
-yields one reconstruction error.
+yields one reconstruction error. score_vector, the publisher's
+per-interval call, reuses one buffer set per detector (an nn.Workspace
+of one row, bound again whenever `weights_` is replaced), so one
+detector must not score from two threads at once; the publisher calls
+it sequentially.
 
 save_model and load_model persist a detector as one JSON document (text,
 trailing newline). JSON numbers round-trip float64 exactly via repr,
@@ -215,6 +219,8 @@ class VaeStabilityDetector:
         self.curve_: TrainingCurve | None = None
         self.threshold_policy_: ThresholdPolicy | None = None
         self.container_id: str | None = None
+        # score_vector's one-row workspace, bound to the weights_ it was built for
+        self._work: nn.Workspace | None = None
 
     @property
     def n_features_in_(self) -> int:
@@ -273,11 +279,11 @@ class VaeStabilityDetector:
         mu, _ = self.encode(X)
         return mu
 
-    def _score(self, normalized: np.ndarray):
+    def _score(self, normalized: np.ndarray, work: nn.Workspace | None = None):
         """Posterior (mu, logvar) and the reconstruction error of its mean,
-        for one normalized vector or a matrix of them."""
-        mu, logvar = nn.encode(self.architecture_, self.weights_, normalized)
-        recon = nn.decode(self.architecture_, self.weights_, mu)
+        for one normalized vector or a matrix of them; `work` as in nn.encode."""
+        mu, logvar = nn.encode(self.architecture_, self.weights_, normalized, work)
+        recon = nn.decode(self.architecture_, self.weights_, mu, work)
         return mu, logvar, nn.reconstruction_error(normalized, recon)
 
     def score_samples(self, X) -> np.ndarray:
@@ -291,9 +297,17 @@ class VaeStabilityDetector:
         return np.where(is_stable(self.score_samples(X), self.threshold_), 1, -1)
 
     def score_vector(self, vector: ActivityVector) -> LatentRecord:
-        """Score one interval, returning its publishable latent record."""
+        """Score one interval, returning its publishable latent record.
+
+        The pass runs in a one-row workspace this detector keeps, bound
+        again whenever `weights_` is replaced, so one detector must not
+        score from two threads at once. The record's arrays are its own.
+        """
         features = self._check_ready(vector.features)[0]
-        mu, logvar, error = self._score(self.scaler_.transform_vector(features))
+        work = self._work
+        if work is None or work.params is not self.weights_:
+            work = self._work = nn.Workspace(self.architecture_, self.weights_, 1)
+        mu, logvar, error = self._score(self.scaler_.transform_vector(features), work)
         return LatentRecord(key=vector.key, mu=mu, logvar=logvar, recon_error=float(error))
 
 

@@ -1,4 +1,5 @@
 import copy
+import json
 
 import pytest
 
@@ -61,8 +62,6 @@ def test_assess_trace_produces_record_per_interval(
 def test_assess_records_have_machine_readable_form(
     fresh_baseline_summaries, small_trained_detector
 ):
-    import json
-
     records = assess_trace(
         fresh_baseline_summaries, small_trained_detector, PipelineConfig()
     )
@@ -145,10 +144,30 @@ def test_report_ratios_equal_byte_quotients(
     )
 
 
+def test_report_cpu_seconds_and_ratio(fresh_baseline_summaries, small_trained_detector, tmp_path):
+    s1 = FileSink(tmp_path / "s.ndjson")
+    s2 = FileSink(tmp_path / "a.ndjson")
+    report = bench(fresh_baseline_summaries, small_trained_detector, PipelineConfig(), s1, s2)
+    s1.close()
+    s2.close()
+    for cost in (report.standard, report.adaptive):
+        assert 0 < cost.cpu_seconds and 0 < cost.wall_seconds
+    assert report.cpu_ratio == report.adaptive.cpu_seconds / report.standard.cpu_seconds
+    doc = json.loads(report.to_json())
+    assert doc["cpu_ratio"] == report.cpu_ratio
+    assert doc["standard"]["cpu_seconds"] == report.standard.cpu_seconds
+    assert doc["adaptive"]["cpu_seconds"] == report.adaptive.cpu_seconds
+    table = report.format_table()
+    assert f"{report.adaptive.cpu_seconds:.3f}" in table.split("cpu seconds")[1].splitlines()[0]
+    assert f"adaptive/standard cpu: {report.cpu_ratio:.6f}" in table
+
+
 def test_ratios_undefined_on_zero_denominators():
     report = CostReport(standard=ModeCost(), adaptive=ModeCost())
     assert report.bytes_ratio is None
     assert report.reduction_factor is None
+    assert report.cpu_ratio is None
+    assert json.loads(report.to_json())["cpu_ratio"] is None
 
 
 def test_flood_verdicts_align_with_attack_windows(

@@ -65,3 +65,23 @@ def test_empty_dataset_rejected():
 def test_unfitted_scaler_raises():
     with pytest.raises(NotFittedError):
         ActivityScaler().transform([[1.0]])
+
+
+def test_replaced_bounds_are_scaled_with_at_once():
+    X = [[1.0, 5.0, 2.0], [3.0, 5.0, 6.0]]
+    scaler = ActivityScaler().fit(X)
+    assert scaler.transform([[2.0, 9.0, 4.0]]).tolist() == [[0.5, 0.0, 0.5]]
+    scaler.fit([[0.0, 1.0, 2.0], [4.0, 5.0, 2.0]])  # the degenerate feature moves
+    assert scaler.transform([[2.0, 9.0, 4.0]]).tolist() == [[0.5, 2.0, 0.0]]
+    # bounds set one at a time, as a loaded bundle sets them
+    scaler.data_min_ = np.array([0.0, 1.0, 0.0])
+    assert scaler.transform([[2.0, 9.0, 4.0]]).tolist() == [[0.5, 2.0, 2.0]]
+    scaler.data_max_ = np.array([4.0, 1.0, 8.0])
+    assert scaler.transform_vector(np.array([3.0, 7.0, 4.0])).tolist() == [0.75, 0.0, 0.5]
+
+
+def test_degenerate_features_scale_to_positive_zero_whatever_the_value():
+    scaler = ActivityScaler().fit([[3.0, 0.0], [3.0, 1.0]])
+    scaled = scaler.transform([[-7.0, 0.5], [1e300, 0.5], [3.0, 0.5]])
+    assert np.signbit(scaled[:, 0]).tolist() == [False] * 3
+    assert scaled[:, 0].tolist() == [0.0] * 3

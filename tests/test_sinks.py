@@ -7,6 +7,8 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vaeguard.errors import EmptyBatch, SinkUnavailable
 from vaeguard.events import ForensicEvent
@@ -26,7 +28,7 @@ from vaeguard.sinks import (
     encode_bulk_request,
 )
 from vaeguard.summarize import IntervalKey
-from vaeguard.thresholds import HeuristicThreshold, assess
+from vaeguard.thresholds import HeuristicThreshold, StabilityVerdict, assess
 from vaeguard.vae import LatentRecord
 
 
@@ -83,6 +85,107 @@ def test_bulk_round_trips_through_ndjson_parser():
 def test_bulk_rejects_empty_batch():
     with pytest.raises(EmptyBatch):
         encode_bulk_request([])
+
+
+# -- the encoders against json.dumps --------------------------------------------
+
+_COMPACT = (",", ":")
+# characters JSON must escape, and ones it must pass through or \u-escape
+_AWKWARD = '"\\/\x00\x08\x1f\x7f\n\t\xe9\xa0\ufeff\u2028\ud800\udfff\U0010fc00\U0001f600'
+_NAMES = st.text(st.sampled_from(_AWKWARD) | st.characters(exclude_categories=()), max_size=12)
+# where _round8 changes how a value reads: signed zero, integral values, the
+# exponent switch of .8g (1e8) and of repr (1e16), and small magnitudes
+_EDGES = st.sampled_from(
+    [0.0, -0.0, 1.0, -3.0, 12345678.0, 1e8, 123456789.0, 99999999.5, 1e15, 1e16,
+     1.2345678e16, 1e-4, 1e-5, -1.5e-5, 5e-324, 1.7976931348623157e308]
+)
+_VALUES = _EDGES | st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def _actions(draw):
+    key = IntervalKey(
+        draw(_NAMES),
+        draw(st.integers(0, 2**53)),
+        draw(st.floats(1e-3, 1e6, exclude_min=True)),
+    )
+    mode = draw(st.sampled_from(list(PublishMode)))
+    latent = verdict = forensics = None
+    if mode in (PublishMode.LATENT_ONLY, PublishMode.LATENT_PLUS_FORENSICS):
+        dim = draw(st.integers(1, 10))
+        mu, logvar = (np.array(draw(st.lists(_VALUES, min_size=dim, max_size=dim))) for _ in "ml")
+        latent = LatentRecord(key, mu, logvar, draw(_VALUES))
+        verdict = StabilityVerdict(draw(_VALUES), mode is PublishMode.LATENT_ONLY)
+    if mode in (PublishMode.FORENSICS_ONLY, PublishMode.LATENT_PLUS_FORENSICS):
+        times = sorted(draw(st.lists(st.floats(0, 1e12), min_size=1, max_size=5)))
+        forensics = tuple(
+            ForensicEvent(
+                t, key.container_id, draw(_NAMES), draw(st.integers(0, 2**31)),
+                draw(st.integers(-(2**31), 2**31)), draw(st.integers(0, 2**64)),
+            )
+            for t in times
+        )
+    return PublishAction(key, mode, latent, forensics, verdict)
+
+
+def _reference_line(action) -> bytes:
+    """What serialize_action is specified to write, through json.dumps."""
+    doc = {
+        "kind": action.mode.value,
+        "container": action.key.container_id,
+        "interval": action.key.interval_index,
+        "interval_len": action.key.length,
+    }
+    if action.latent is not None:
+        doc["latent"] = {
+            "mu": [float(f"{v:.8g}") for v in action.latent.mu],
+            "logvar": [float(f"{v:.8g}") for v in action.latent.logvar],
+            "recon_error": float(f"{action.latent.recon_error:.8g}"),
+        }
+    if action.verdict is not None:
+        doc["verdict"] = {
+            "threshold": float(f"{action.verdict.threshold:.8g}"),
+            "stable": action.verdict.stable,
+        }
+    if action.forensics is not None:
+        doc["events"] = [list(row) for row in action.forensics.rows()]
+    return (json.dumps(doc, separators=_COMPACT) + "\n").encode("utf-8")
+
+
+def _reference_bulk(documents) -> bytes:
+    lines = []
+    for index_name, doc_id, source in documents:
+        lines.append(json.dumps({"index": {"_index": index_name, "_id": doc_id}}, separators=_COMPACT))
+        lines.append(json.dumps(source, separators=_COMPACT))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(action=_actions(), latent_index=_NAMES, forensics_index=_NAMES)
+def test_encoders_write_what_json_dumps_writes(action, latent_index, forensics_index):
+    assert serialize_action(action) == _reference_line(action)
+    documents = action_to_documents(action, latent_index, forensics_index)
+    assert encode_bulk_request(documents) == _reference_bulk(documents)
+    # the head document carries the line's rounded latent and verdict fields
+    head, line = documents[0][2], json.loads(_reference_line(action))
+    shipped = {**line.get("latent", {}), **line.get("verdict", {})}
+    assert json.dumps({name: head[name] for name in shipped}) == json.dumps(shipped)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    documents=st.lists(
+        st.tuples(
+            _NAMES,
+            _NAMES,
+            st.dictionaries(_NAMES, _VALUES | _NAMES | st.integers() | st.booleans() | st.none()),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_bulk_request_writes_what_json_dumps_writes(documents):
+    assert encode_bulk_request(documents) == _reference_bulk(documents)
 
 
 # -- file sink -----------------------------------------------------------------

@@ -107,6 +107,15 @@ def test_non_finite_error_is_always_drift(monkeypatch):
     assert predict_on(errors, 1e300, monkeypatch).tolist() == [-1, -1, -1]
 
 
+def test_one_float_error_gets_the_rule_arrays_get():
+    values = [0.0, -0.0, 0.5, 1.0, math.nextafter(1.0, 2.0), 1e300, -1e300,
+              math.inf, -math.inf, math.nan]
+    for threshold in (1.0, 1e300):
+        expected = is_stable(np.array(values), threshold).tolist()
+        assert [is_stable(v, threshold) for v in values] == expected
+        assert [assess(latent(v), HeuristicThreshold(threshold)).stable for v in values] == expected
+
+
 def test_assess_is_pure():
     record = latent(0.5)
     policy = fit_threshold_ksigma(curve(0.4, 0.1), 3.0)

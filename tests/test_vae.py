@@ -19,7 +19,7 @@ from vaeguard.errors import (
 from vaeguard.nn import VaeArchitecture
 from vaeguard.summarize import FEATURE_DIM, ActivityVector, IntervalKey
 from vaeguard.thresholds import HeuristicThreshold, KSigmaThreshold
-from vaeguard.vae import TrainConfig, load_model, save_model, train
+from vaeguard.vae import TrainConfig, VaeStabilityDetector, load_model, save_model, train
 
 
 def toy_matrix(n=40, dim=6, seed=0):
@@ -193,6 +193,121 @@ def test_score_vector_schema_checks(small_trained_detector):
         small_trained_detector.score_vector(too_wide)
     with pytest.raises(SchemaMismatch):
         small_trained_detector.score_samples(np.zeros((1, FEATURE_DIM + 1)))
+
+
+# -- single-vector scoring against the allocating chain ------------------------
+
+# 10 s intervals: 18 quiet, then two per attack phase
+_ORACLE_SCHEDULE = (
+    (0.0, 180.0, "normal"),
+    (180.0, 200.0, "shell_connect"),
+    (200.0, 220.0, "shell_commands"),
+    (220.0, 240.0, "package_download"),
+    (240.0, 260.0, "compile"),
+    (260.0, 280.0, "miner_execution"),
+)
+
+
+@pytest.fixture(scope="module")
+def oracle_vectors(small_baseline_summaries, small_trained_detector):
+    """Baseline and cpuminer vectors, and one that sets a feature which never
+    varied in training and holds a 1e12 anomaly."""
+    from vaeguard.pipeline import summarize_trace
+    from vaeguard.scenarios import ScenarioConfig, gen_cpuminer_scenario
+
+    events = gen_cpuminer_scenario(
+        ScenarioConfig(seed=5, duration_s=280.0, phase_schedule=_ORACLE_SCHEDULE)
+    )
+    vectors = [v for _, _, v in small_baseline_summaries]
+    vectors += [v for _, _, v in summarize_trace(events, 10.0)["web-0"]]
+    scaler = small_trained_detector.scaler_
+    degenerate = np.flatnonzero(scaler.data_max_ == scaler.data_min_)
+    varied = np.flatnonzero(scaler.data_max_ > scaler.data_min_)
+    assert degenerate.size and varied.size
+    features = vectors[0].features.copy()
+    features[degenerate[0]] += 7.0
+    features[varied[0]] = 1e12
+    vectors.append(ActivityVector(IntervalKey("web-0", 999, 30.0), features))
+    return vectors
+
+
+def allocating_score(detector, vector):
+    """The chain score_vector stands for, each step allocating its result."""
+    arch, weights = detector.architecture_, detector.weights_
+    normalized = detector.scaler_.transform(vector.features.reshape(1, -1))[0]
+    mu, logvar = nn.encode(arch, weights, normalized)
+    recon = nn.decode(arch, weights, mu)
+    error = nn.reconstruction_error(normalized, recon)
+    assert np.float64(error).tobytes() == np.mean(np.square(normalized - recon)).tobytes()
+    return mu, logvar, error
+
+
+def assert_scores_like_the_chain(detector, vector):
+    record = detector.score_vector(vector)
+    mu, logvar, error = allocating_score(detector, vector)
+    assert record.mu.tobytes() == mu.tobytes()
+    assert record.logvar.tobytes() == logvar.tobytes()
+    assert np.float64(record.recon_error).tobytes() == np.float64(error).tobytes()
+    assert type(record.recon_error) is float
+    return record
+
+
+@pytest.mark.parametrize("architecture", ["small", "default"])
+def test_score_vector_equals_the_allocating_chain_bit_for_bit(
+    architecture, small_trained_detector, small_baseline_summaries, oracle_vectors
+):
+    from vaeguard.summarize import vectors_to_matrix
+
+    detector = small_trained_detector
+    if architecture == "default":
+        X = vectors_to_matrix([v for _, _, v in small_baseline_summaries])
+        detector = VaeStabilityDetector(
+            TrainConfig(epochs=3, batch_size=8, accumulation_target=32)
+        ).fit(X)
+    for vector in oracle_vectors:
+        assert_scores_like_the_chain(detector, vector)
+    assert detector.score_vector(oracle_vectors[-1]).recon_error > 1e12
+
+
+def test_consecutive_latent_records_share_no_memory(small_trained_detector, oracle_vectors):
+    first = small_trained_detector.score_vector(oracle_vectors[0])
+    kept = first.mu.tobytes(), first.logvar.tobytes()
+    second = small_trained_detector.score_vector(oracle_vectors[-1])
+    for a in (first.mu, first.logvar):
+        for b in (second.mu, second.logvar):
+            assert not np.shares_memory(a, b)
+    assert (first.mu.tobytes(), first.logvar.tobytes()) == kept
+
+
+def test_refit_and_alternating_detectors_score_with_their_own_weights(
+    small_baseline_summaries, oracle_vectors
+):
+    from vaeguard.summarize import vectors_to_matrix
+
+    X = vectors_to_matrix([v for _, _, v in small_baseline_summaries])
+    first = small_detector().fit(X)
+    second = small_detector(seed=4).fit(X[::-1] * 1.5)
+    for i, vector in enumerate(oracle_vectors):
+        # alternate, so each detector scores right after the other one did
+        for detector in (first, second)[:: 1 if i % 2 else -1]:
+            assert_scores_like_the_chain(detector, vector)
+    before = first.score_vector(oracle_vectors[0])
+    old_weights = first.weights_
+    first.fit(X * 2.0)  # new weights and new scaler bounds
+    assert first.weights_ is not old_weights
+    after = assert_scores_like_the_chain(first, oracle_vectors[0])
+    assert after.mu.tobytes() != before.mu.tobytes()
+
+
+def test_loaded_detector_scores_like_the_chain(tmp_path, small_trained_detector, oracle_vectors):
+    path = tmp_path / "model.json"
+    small_trained_detector.score_vector(oracle_vectors[0])
+    save_model(small_trained_detector, path)
+    loaded = load_model(path)
+    for vector in oracle_vectors[::5]:
+        a = assert_scores_like_the_chain(loaded, vector)
+        b = small_trained_detector.score_vector(vector)
+        assert a.mu.tobytes() == b.mu.tobytes() and a.recon_error == b.recon_error
 
 
 def test_set_threshold_k_rederives_policy(small_trained_detector):
