@@ -23,6 +23,16 @@ other chunk goes line by line through `parse_event_record`, so every
 valid JSON record is accepted and every error names the same line and
 reason either way. A byte that is not UTF-8 is its line's "not UTF-8"
 error, reported in line order like any other.
+
+Memory: the four columns are allocated once, before the first chunk,
+for as many events as the file's size allows (no valid record is
+shorter than 50 characters, and UTF-8 spends at least a byte on each),
+and every chunk's values are written into them in place. The block's
+columns are views of the filled prefix, so reading holds each column
+once, never a copy per chunk beside the joined one. Pages of the
+allowance that no event reaches are never touched, so they take no
+resident memory. A source whose size says nothing, such as a FIFO, makes
+the columns start small and double as events arrive.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ import functools
 import io
 import json
 import math
+import os
 import re
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
@@ -257,24 +268,40 @@ class EventBlock(Sequence[ForensicEvent]):
         return f"EventBlock({len(self)} events)"
 
 
-# dtype of the code columns
+# dtypes of the columns: timestamps, then container, syscall and tail codes
 _CODE = np.int32
+_DTYPES = (np.float64, _CODE, _CODE, _CODE)
 
 
 class _BlockAssembler:
-    """Accumulates columns chunk by chunk against growing value tables."""
+    """Fills columns chunk by chunk against growing value tables.
 
-    def __init__(self):
+    The columns are allocated once, for `capacity` events, and each
+    chunk's values are written into them in place; they double only when
+    more events arrive than `capacity` allowed for. `build` hands out
+    views of the filled prefix.
+    """
+
+    def __init__(self, capacity: int = 0):
         self.containers: dict[str, int] = {}
         self.syscalls: dict[str, int] = {}
         self.tails: dict[tuple, int] = {}
         self.tail_texts: dict[str, int] = {}
-        # per column (timestamps, container, syscall and tail codes), its chunks
-        self.columns = [[np.empty(0, dtype)] for dtype in (np.float64, _CODE, _CODE, _CODE)]
+        self.columns = [np.empty(capacity, dtype) for dtype in _DTYPES]
+        self.count = 0
 
-    def _append(self, *chunks: np.ndarray) -> None:
+    def _append(self, *chunks) -> None:
+        """Write one chunk's values (an array or a sequence per column)."""
+        start = self.count
+        end = self.count = start + len(chunks[0])
+        capacity = len(self.columns[0])
+        if end > capacity:
+            grown = [np.empty(max(end, 2 * capacity), dtype) for dtype in _DTYPES]
+            for new, old in zip(grown, self.columns):
+                new[:start] = old[:start]
+            self.columns = grown
         for column, chunk in zip(self.columns, chunks):
-            column.append(chunk)
+            column[start:end] = chunk
 
     def add_canonical(self, times: np.ndarray, containers, syscalls, tail_texts) -> None:
         """Columns of canonical lines; each distinct tail text is read once."""
@@ -298,7 +325,7 @@ class _BlockAssembler:
             return
         times, containers, syscalls, pids, results, arg_bytes = columns
         self._append(
-            np.array(times, dtype=np.float64),
+            times,
             _codes(self.containers, containers),
             _codes(self.syscalls, syscalls),
             _codes(self.tails, list(zip(pids, results, arg_bytes))),
@@ -306,11 +333,8 @@ class _BlockAssembler:
 
     def build(self) -> EventBlock:
         tables = EventTables(self.containers, self.syscalls, self.tails)
-        joined = []
-        for chunks in self.columns:
-            joined.append(_frozen(np.concatenate(chunks)))
-            chunks.clear()  # free one column's chunks before joining the next
-        return EventBlock(*joined, tables)
+        filled = [_frozen(column[: self.count]) for column in self.columns]
+        return EventBlock(*filled, tables)
 
 
 def _codes(table: dict, values: Sequence, register: bool = True) -> np.ndarray:
@@ -385,12 +409,19 @@ def _add_chunk(assembler: _BlockAssembler, chunk: str, first_index: int, last_t:
     return events[-1].timestamp if events else last_t
 
 
+# Characters of the shortest valid record, {"t":0,"c":"a","sc":"b","pid":0,"ret":0,"bytes":0}.
+# UTF-8 spends at least a byte on each, so a file of n bytes holds at most
+# n // _MIN_RECORD_CHARS + 1 events.
+_MIN_RECORD_CHARS = 50
+
+
 def read_trace_file(path) -> EventBlock:
     """All events of a trace file, as one block (see the module docstring)."""
-    assembler = _BlockAssembler()
     # An undecodable byte reads as a lone surrogate, which no canonical line
     # holds and `_parse_lines` reports as its line's error.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        # a FIFO's size reads 0, and the columns grow as its events arrive
+        assembler = _BlockAssembler(os.fstat(fh.fileno()).st_size // _MIN_RECORD_CHARS + 1)
         line_no = 0
         last_t = -math.inf
         while chunk := fh.read(CHUNK_SIZE):

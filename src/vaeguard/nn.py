@@ -190,10 +190,16 @@ def encode(
     """Deterministic forward pass to the posterior (mu, logvar).
 
     Given `work`, a Workspace bound to `params` for len(x) rows, the pass
-    writes into its arrays instead of allocating; the returned arrays are
-    copies either way, never workspace views.
+    writes into its arrays instead of allocating; `x` must then be a
+    float64 matrix of that many rows of `arch.input_dim` values, which is
+    checked finite but not converted or reshaped, and so are the results.
+    The returned arrays are copies either way, never workspace views.
     """
-    batch, single = _as_batch(x, arch.input_dim, "x")
+    if work is None:
+        batch, single = _as_batch(x, arch.input_dim, "x")
+    else:
+        _check_bound(work, params, len(x))
+        batch, single = x, False
     if not np.isfinite(batch).all():
         raise NonFiniteInput("encoder input contains NaN or infinity")
     if work is None:
@@ -201,7 +207,6 @@ def encode(
         mu = h @ params["mu_w"] + params["mu_b"]
         logvar = h @ params["lv_w"] + params["lv_b"]
     else:
-        _check_bound(work, params, len(batch))
         mu, logvar = _encode_into(batch, work).copy()
     if single:
         return mu[0], logvar[0]
@@ -215,13 +220,15 @@ def decode(
     work: Workspace | None = None,
 ) -> np.ndarray:
     """Deterministic decoder pass; output head is linear. `work` is as in
-    encode, and the result is a copy either way."""
-    batch, single = _as_batch(z, arch.latent_dim, "z")
+    encode (`z` a float64 matrix of `arch.latent_dim` columns), and the
+    result is a copy either way."""
     if work is None:
+        batch, single = _as_batch(z, arch.latent_dim, "z")
         g = _tanh_trunk(batch, _trunk_layers(arch, params, "dec"))
         recon = g @ params["out_w"] + params["out_b"]
     else:
-        _check_bound(work, params, len(batch))
+        _check_bound(work, params, len(z))
+        batch, single = z, False
         recon = _decode_into(batch, work).copy()
     return recon[0] if single else recon
 

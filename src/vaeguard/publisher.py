@@ -10,6 +10,14 @@ the encoders read column by column. Both publishers also push every
 interval into a ring buffer of recent raw intervals that nothing reads
 yet (it is to be deleted), and a conventional mode that always ships
 full forensics exists for cost comparisons.
+
+A drift's encodings are produced in pieces of at most 4,096 events
+(`_ROWS_PER_PIECE`), so what publishing one allocates at a time does not
+grow with the drift: `record_pieces` yields the newline-delimited record
+(the head, then the events' text piece by piece, then the closing text)
+and `document_pieces` the bulk documents. `serialize_action` and
+`action_to_documents` join those pieces into the whole record and the
+whole document list.
 """
 
 from __future__ import annotations
@@ -153,7 +161,8 @@ def _rounded_head(action: PublishAction) -> tuple[dict | None, dict | None]:
     return latent, verdict
 
 
-# Rows encoded per step, which bounds the per-row strings alive at once.
+# Events encoded per piece of a record or of a bulk document list, which
+# bounds the per-event strings and documents alive at once.
 _ROWS_PER_PIECE = 4096
 
 
@@ -183,8 +192,10 @@ def _row_texts(events: EventBlock) -> Iterator[str]:
         yield "],[".join(map(",".join, rows))
 
 
-def serialize_action(action: PublishAction) -> bytes:
-    """One newline-terminated record per action; deterministic bytes."""
+def record_pieces(action: PublishAction) -> Iterator[bytes]:
+    """The action's newline-terminated record in pieces, in order: the head,
+    then the text of at most _ROWS_PER_PIECE events at a time, then the
+    closing text. Joined, they are `serialize_action`'s bytes."""
     doc: dict = {
         "kind": action.mode.value,
         "container": action.key.container_id,
@@ -197,13 +208,26 @@ def serialize_action(action: PublishAction) -> bytes:
     if verdict is not None:
         doc["verdict"] = verdict
     head = compact_json(doc)
-    if action.forensics is None:
-        return (head + "\n").encode("utf-8")
+    events = action.forensics
+    if events is None:
+        yield (head + "\n").encode("utf-8")
+        return
     # "events" comes last, as compact_json would write it: an array of
     # [timestamp, syscall, pid, result, arg_bytes], the container being the action's
-    rows = "],[".join(_row_texts(action.forensics))
-    events = f"[[{rows}]]" if rows else "[]"
-    return f'{head[:-1]},"events":{events}}}\n'.encode("utf-8")
+    if not len(events):
+        yield f'{head[:-1]},"events":[]}}\n'.encode("utf-8")
+        return
+    yield f'{head[:-1]},"events":[['.encode("utf-8")
+    for i, rows in enumerate(_row_texts(events)):
+        if i:
+            yield b"],["
+        yield rows.encode("utf-8")
+    yield b"]]}\n"
+
+
+def serialize_action(action: PublishAction) -> bytes:
+    """One newline-terminated record per action; deterministic bytes."""
+    return b"".join(record_pieces(action))
 
 
 def parse_action(line: bytes) -> PublishAction:
@@ -235,6 +259,43 @@ def parse_action(line: bytes) -> PublishAction:
     )
 
 
+def document_pieces(
+    action: PublishAction, latent_index: str, forensics_index: str
+) -> Iterator[list[Document]]:
+    """`action_to_documents`'s list in pieces, in order: the head document
+    with the documents of the first _ROWS_PER_PIECE events, then those of
+    at most _ROWS_PER_PIECE more events at a time."""
+    id_prefix = f"{action.key.container_id}/{action.key.interval_index}/"
+    base = {
+        "container": action.key.container_id,
+        "interval": action.key.interval_index,
+        "interval_start": action.key.start,
+    }
+    head = dict(base)
+    head["kind"] = action.mode.value
+    for fields in _rounded_head(action):
+        if fields is not None:
+            head.update(fields)
+    documents: list[Document] = [(latent_index, id_prefix + "0", head)]
+    events = action.forensics
+    if events is not None:
+        for start in range(0, len(events), _ROWS_PER_PIECE):
+            rows = enumerate(events[start : start + _ROWS_PER_PIECE].rows(), start + 1)
+            for ordinal, (timestamp, syscall, pid, result, arg_bytes) in rows:
+                # base's keys, then the event's: the bulk payload's bytes follow this order
+                document = base.copy()
+                document["t"] = timestamp
+                document["syscall"] = syscall
+                document["pid"] = pid
+                document["ret"] = result
+                document["bytes"] = arg_bytes
+                documents.append((forensics_index, f"{id_prefix}{ordinal}", document))
+            yield documents
+            documents = []
+    if documents:
+        yield documents
+
+
 def action_to_documents(
     action: PublishAction,
     latent_index: str = DEFAULT_LATENT_INDEX,
@@ -244,31 +305,8 @@ def action_to_documents(
     per raw event when forensics ship. Document ids are
     `<container>/<interval>/<ordinal>`, the head's ordinal 0 and the
     events' 1, 2, ...; the ids parse from the right, whatever the container."""
-    id_prefix = f"{action.key.container_id}/{action.key.interval_index}/"
-    base = {
-        "container": action.key.container_id,
-        "interval": action.key.interval_index,
-        "interval_start": action.key.start,
-    }
-    documents: list[Document] = []
-    head = dict(base)
-    head["kind"] = action.mode.value
-    for fields in _rounded_head(action):
-        if fields is not None:
-            head.update(fields)
-    documents.append((latent_index, id_prefix + "0", head))
-    if action.forensics is not None:
-        rows = enumerate(action.forensics.rows(), 1)
-        for ordinal, (timestamp, syscall, pid, result, arg_bytes) in rows:
-            # base's keys, then the event's: the bulk payload's bytes follow this order
-            document = base.copy()
-            document["t"] = timestamp
-            document["syscall"] = syscall
-            document["pid"] = pid
-            document["ret"] = result
-            document["bytes"] = arg_bytes
-            documents.append((forensics_index, f"{id_prefix}{ordinal}", document))
-    return documents
+    pieces = document_pieces(action, latent_index, forensics_index)
+    return [document for piece in pieces for document in piece]
 
 
 def emit(

@@ -55,10 +55,13 @@ class ActivityScaler:
     def transform(self, X) -> np.ndarray:
         X = as_float_matrix(X)
         check_dimension(self.n_features_, X.shape[1])
-        divisor, degenerate = self._divisor()
-        scaled = (X - self.data_min_) / divisor
-        np.copyto(scaled, 0.0, where=degenerate)
-        return scaled
+        return self.transform_vector(X)
 
     def transform_vector(self, x: np.ndarray) -> np.ndarray:
-        return self.transform(x.reshape(1, -1))[0]
+        """`transform` of float64 values whose last axis the caller has
+        checked holds `n_features_` of them, such as one vector or a
+        one-row matrix: nothing is converted or checked again."""
+        divisor, degenerate = self._divisor()
+        scaled = (x - self.data_min_) / divisor
+        np.copyto(scaled, 0.0, where=degenerate)
+        return scaled

@@ -8,16 +8,24 @@ ships, which feeds cost accounting:
     flush()   # ship whatever the sink still holds
     close()   # flush, then release the sink
 
-FileSink appends the action's newline-delimited record
-(`publisher.serialize_action`) and ignores the index names; `flush`
-flushes the file. HttpBulkSink encodes the action's documents
-(`publisher.action_to_documents`) as bulk-API lines (action metadata
+Both sinks take a drift's encoding in pieces of at most 4,096 events, so
+their memory does not grow with the drift. FileSink appends the action's
+newline-delimited record (`publisher.serialize_action`'s bytes), writing
+the pieces of `publisher.record_pieces` one by one, and ignores the
+index names; `flush` flushes the file. If a write fails, the file is
+truncated back to where that record began before `SinkUnavailable` is
+raised, and if that fails too, the sink closes, so no record is ever
+appended after a partial one. HttpBulkSink encodes the action's documents
+(`publisher.action_to_documents`, taken piece by piece from
+`publisher.document_pieces`) as bulk-API lines (action metadata
 line with the document's `_index` and `_id`, then its source line, each
 newline-terminated) and buffers them across actions. It POSTs to
-`<endpoint>/_bulk` once `batch_size` documents wait, and flushes after
-a drift action (`LATENT_PLUS_FORENSICS`), so the forensics of a drift
-are delivered or raised before its `publish` returns; `flush` and
-`close` POST the rest. A document's `_id` is `<container>/<interval>/<ordinal>`
+`<endpoint>/_bulk` whenever `batch_size` documents wait, after each
+piece, and flushes after a drift action (`LATENT_PLUS_FORENSICS`), so
+the forensics of a drift are delivered or raised before its `publish`
+returns; `flush` and `close` POST the rest. The bodies and their
+boundaries are those of encoding the whole document list at once. A
+document's `_id` is `<container>/<interval>/<ordinal>`
 (ordinal 0 for the action's head, then 1, 2, ... for its events), so a
 replay overwrites what an earlier delivery indexed. An action counts as
 delivered once the POST holding its last document succeeds, and
@@ -47,9 +55,9 @@ from vaeguard.errors import EmptyBatch, SinkUnavailable
 from vaeguard.publisher import (
     PublishAction,
     PublishMode,
-    action_to_documents,
     compact_json,
-    serialize_action,
+    document_pieces,
+    record_pieces,
 )
 
 # (index name, document id, source)
@@ -92,15 +100,37 @@ class FileSink:
         self.bytes_written = 0
 
     def publish(self, action: PublishAction, latent_index: str, forensics_index: str) -> int:
-        if self._handle.closed:
+        handle = self._handle
+        if handle.closed:
             raise SinkUnavailable(f"file sink {self.path} is closed", (action,))
-        line = serialize_action(action)
+        start = None
+        written = 0
         try:
-            self._handle.write(line)
+            if handle.seekable():  # a FIFO's is not: a failed record there closes the sink
+                start = handle.tell()
+            for piece in record_pieces(action):
+                handle.write(piece)
+                written += len(piece)
         except (OSError, ValueError) as exc:
+            self._cut(start)
             raise SinkUnavailable(f"file sink {self.path}: {exc}", (action,)) from exc
-        self.bytes_written += len(line)
-        return len(line)
+        self.bytes_written += written
+        return written
+
+    def _cut(self, start: int | None) -> None:
+        """Truncate the file back to `start`, where a failed record began
+        (None: not known). If that fails too, close the sink, so that no
+        later record is appended after a partial one."""
+        try:
+            if start is None:
+                raise OSError("where the record began is not known")
+            self._handle.truncate(start)  # flushes what the record left buffered first
+            self._handle.seek(start)
+        except (OSError, ValueError):
+            try:
+                self._handle.close()
+            except (OSError, ValueError):
+                pass  # closed anyway: close releases the file even when its flush fails
 
     def flush(self) -> None:
         if not self._handle.closed:
@@ -152,17 +182,22 @@ class HttpBulkSink:
         self._undelivered: deque[tuple[int, PublishAction]] = deque()
 
     def publish(self, action: PublishAction, latent_index: str, forensics_index: str) -> int:
-        documents = action_to_documents(action, latent_index, forensics_index)
-        body = encode_bulk_request(documents)
-        self._buffer += body
-        self._added += len(documents)
-        self._undelivered.append((self._added, action))
-        while self._added - self._removed >= self.batch_size:
-            self._post(self.batch_size)
+        events = action.forensics
+        # the action is undelivered until the POST of its last document succeeds
+        last = self._added + 1 + (0 if events is None else len(events))
+        self._undelivered.append((last, action))
+        written = 0
+        for documents in document_pieces(action, latent_index, forensics_index):
+            body = encode_bulk_request(documents)
+            self._buffer += body
+            self._added += len(documents)
+            written += len(body)
+            while self._added - self._removed >= self.batch_size:
+                self._post(self.batch_size)
         if action.mode is PublishMode.LATENT_PLUS_FORENSICS:
             # a drift's forensics do not wait in memory for the batch to fill
             self.flush()
-        return len(body)
+        return written
 
     def flush(self) -> None:
         if self._added > self._removed:

@@ -302,13 +302,15 @@ class VaeStabilityDetector:
         The pass runs in a one-row workspace this detector keeps, bound
         again whenever `weights_` is replaced, so one detector must not
         score from two threads at once. The record's arrays are its own.
+        The vector is converted and checked once, here, as a one-row
+        matrix; the steps after it only check the scaled row is finite.
         """
-        features = self._check_ready(vector.features)[0]
+        row = self._check_ready(vector.features)
         work = self._work
         if work is None or work.params is not self.weights_:
             work = self._work = nn.Workspace(self.architecture_, self.weights_, 1)
-        mu, logvar, error = self._score(self.scaler_.transform_vector(features), work)
-        return LatentRecord(key=vector.key, mu=mu, logvar=logvar, recon_error=float(error))
+        mu, logvar, error = self._score(self.scaler_.transform_vector(row), work)
+        return LatentRecord(key=vector.key, mu=mu[0], logvar=logvar[0], recon_error=float(error[0]))
 
 
 # -- persistence ------------------------------------------------------------

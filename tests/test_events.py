@@ -1,7 +1,9 @@
 import io
 import json
 import math
+import os
 import re
+import threading
 from unittest import mock
 
 import hypothesis
@@ -404,13 +406,25 @@ _FIFTY_RECORDS = "".join(
 )
 
 
+# A record length that makes read_trace_file's size hint 1 event for any file,
+# so the columns grow by doubling from one event.
+_HINT_OF_ONE = {"_MIN_RECORD_CHARS": 2**62}
+
+
 @settings(max_examples=300, deadline=None)
-@given(text=_mixed_trace_text(), chunk_size=st.integers(1, 400), spoil=_UNDECODABLE)
-@example(text=_FIFTY_RECORDS, chunk_size=400, spoil=(49, "in string", 0))
-def test_read_trace_file_matches_line_by_line_reading(trace_path, text, chunk_size, spoil):
+@given(
+    text=_mixed_trace_text(), chunk_size=st.integers(1, 400), spoil=_UNDECODABLE,
+    hint_of_one=st.booleans(),
+)
+@example(text=_FIFTY_RECORDS, chunk_size=400, spoil=(49, "in string", 0), hint_of_one=False)
+@example(text=_FIFTY_RECORDS, chunk_size=7, spoil=None, hint_of_one=True)
+def test_read_trace_file_matches_line_by_line_reading(
+    trace_path, text, chunk_size, spoil, hint_of_one
+):
     """Same events, or the same MalformedRecord line and reason, or the same
-    OutOfOrderTimestamp index, with chunk boundaries anywhere; with a byte
-    that is not UTF-8, the first failing line's error, whatever its kind."""
+    OutOfOrderTimestamp index, with chunk boundaries anywhere and the
+    columns sized by the file or grown from one event; with a byte that
+    is not UTF-8, the first failing line's error, whatever its kind."""
     if spoil is None:
         trace_path.write_text(text, encoding="utf-8", newline="")
         expected = _outcome(read_trace, text)
@@ -418,7 +432,8 @@ def test_read_trace_file_matches_line_by_line_reading(trace_path, text, chunk_si
         data, expected = _with_undecodable_byte(text, spoil)
         trace_path.write_bytes(data)
     spy = _CoverageSpy()
-    with mock.patch.multiple(events_module, CHUNK_SIZE=chunk_size, _CANONICAL_LINE=spy):
+    hint = _HINT_OF_ONE if hint_of_one else {}
+    with mock.patch.multiple(events_module, CHUNK_SIZE=chunk_size, _CANONICAL_LINE=spy, **hint):
         assert _outcome_of_file(trace_path) == expected
     hypothesis.event("columnar chunk taken" if spy.covered else "no columnar chunk")
 
@@ -461,3 +476,82 @@ def test_event_block_is_a_lazy_sequence_of_events(tmp_path):
     assert hash(block[:3]) == hash(tuple(events[:3]))
     with pytest.raises(ValueError):
         block.timestamps[0] = 1.0
+
+
+_SHORTEST_RECORD = '{"t":0,"c":"a","sc":"b","pid":0,"ret":0,"bytes":0}'
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 49, 50, 51, 1000])
+@pytest.mark.parametrize("last_newline", [True, False])
+def test_size_hint_holds_every_event_of_the_shortest_records(tmp_path, count, last_newline):
+    """The columns are allocated once, from the file's size: even a file of
+    nothing but the shortest valid records never makes them grow."""
+    text = "\n".join([_SHORTEST_RECORD] * count) + ("\n" if last_newline and count else "")
+    path = tmp_path / "trace.ndjson"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert len(_SHORTEST_RECORD) == events_module._MIN_RECORD_CHARS
+    allocated = []
+    real_empty = np.empty
+
+    def recording_empty(*args):
+        allocated.append(args)
+        return real_empty(*args)
+
+    with mock.patch.object(events_module.np, "empty", side_effect=recording_empty):
+        block = read_trace_file(path)
+    assert len(block) == count
+    assert block == [ForensicEvent(0.0, "a", "b", 0, 0, 0)] * count
+    capacity = len(text.encode("utf-8")) // len(_SHORTEST_RECORD) + 1
+    assert [shape for shape, _ in allocated] == [capacity] * 4
+    assert block.timestamps.base.shape == (capacity,)
+
+
+def test_columns_grow_when_the_hint_is_short(tmp_path):
+    events = gen_baseline(ScenarioConfig(seed=3, duration_s=20.0))
+    path = tmp_path / "trace.ndjson"
+    write_trace_file(events, path)
+    with mock.patch.multiple(events_module, CHUNK_SIZE=997, **_HINT_OF_ONE):
+        block = read_trace_file(path)
+    assert block == events
+    assert block.timestamps.base.shape[0] >= len(events)
+    with pytest.raises(ValueError):
+        block.tail_codes[0] = 1
+
+
+def _read_through_fifo(tmp_path, data: bytes):
+    """read_trace_file's outcome on a FIFO fed `data` by a writer thread."""
+    fifo = tmp_path / "trace.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        try:
+            with open(fifo, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:  # the reader stopped at an error
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        return _outcome_of_file(fifo)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_a_fifo_reads_as_the_same_file_does(tmp_path):
+    """A FIFO's size reads 0, so its columns grow from one event as the
+    events arrive; the block, and any error and its line, are the file's."""
+    events = gen_baseline(ScenarioConfig(seed=3, duration_s=20.0))
+    path = tmp_path / "trace.ndjson"
+    write_trace_file(events, path)
+    data = path.read_bytes()
+    assert _read_through_fifo(tmp_path, data) == ("events", repr(list(events)))
+    lines = data.split(b"\n")
+    faulty = b"\n".join(lines[:500] + [b'{"t":1.0,"c":"web-0"}'] + lines[500:])
+    path.write_bytes(faulty)
+    expected = _outcome_of_file(path)
+    assert expected == ("malformed", 500, "missing fields: sc, pid, ret, bytes")
+    (tmp_path / "trace.fifo").unlink()
+    assert _read_through_fifo(tmp_path, faulty) == expected

@@ -1,6 +1,9 @@
 import http.client
 import io
 import json
+import os
+import threading
+import tracemalloc
 from pathlib import Path
 import urllib.error
 import urllib.request
@@ -10,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vaeguard import publisher as publisher_module
+from vaeguard import sinks as sinks_module
 from vaeguard.errors import EmptyBatch, SinkUnavailable
 from vaeguard.events import ForensicEvent
 from vaeguard.publisher import (
@@ -207,6 +212,189 @@ def test_file_sink_closed_raises(tmp_path):
     sink.close()
     with pytest.raises(SinkUnavailable):
         sink.publish(accumulating(), "lat", "raw")
+
+
+class _FailingHandle:
+    """A sink's file handle whose `fail_at`-th write (from 1) puts the first
+    half of its data on disk and then raises, as a disk that fills up
+    partway does; with `truncate_fails`, cutting the file back fails too."""
+
+    def __init__(self, handle, fail_at, truncate_fails=False):
+        self._handle = handle
+        self.fail_at = fail_at
+        self.truncate_fails = truncate_fails
+        self.writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == self.fail_at:
+            self._handle.write(data[: len(data) // 2])
+            self._handle.flush()
+            raise OSError(28, "No space left on device")
+        return self._handle.write(data)
+
+    def truncate(self, size):
+        if self.truncate_fails:
+            raise OSError(5, "Input/output error")
+        return self._handle.truncate(size)
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+
+def test_file_sink_cuts_a_record_that_fails_partway_and_spools_it_once(tmp_path):
+    path = tmp_path / "out.ndjson"
+    sink = FileSink(path)
+    sink.publish(forensics(3, 0), "lat", "raw")
+    sink.flush()
+    before = path.read_bytes()
+    spool = SpoolDirectory(tmp_path / "spool")
+    failing = sink._handle = _FailingHandle(sink._handle, fail_at=2)
+    action = drift(2, 1)
+    with pytest.raises(SinkUnavailable) as raised:
+        emit(action, sink, spool)
+    assert failing.writes == 2
+    assert raised.value.actions == (action,)
+    sink.flush()
+    assert path.read_bytes() == before
+    assert [p.read_bytes() for p in spool.pending()] == [serialize_action(action)]
+    # the sink stays open, and the next record starts where the cut one began
+    sink._handle = failing._handle
+    written = sink.publish(accumulating(2), "lat", "raw")
+    sink.close()
+    assert path.read_bytes() == before + serialize_action(accumulating(2))
+    assert written == len(serialize_action(accumulating(2)))
+    assert sink.bytes_written == len(before) + written
+
+
+def test_file_sink_closes_when_a_failed_record_cannot_be_cut(tmp_path):
+    path = tmp_path / "out.ndjson"
+    sink = FileSink(path)
+    sink._handle = _FailingHandle(sink._handle, fail_at=2, truncate_fails=True)
+    action = drift(2, 0)
+    with pytest.raises(SinkUnavailable):
+        sink.publish(action, "lat", "raw")
+    # no later record follows the partial one
+    with pytest.raises(SinkUnavailable, match="closed"):
+        sink.publish(accumulating(1), "lat", "raw")
+    head, rows = list(publisher_module.record_pieces(action))[:2]
+    assert path.read_bytes() == head + rows[: len(rows) // 2]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_file_sink_on_a_fifo_writes_records_and_closes_on_a_failed_one(tmp_path):
+    """A FIFO cannot be cut back, so a record failing there closes the sink."""
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    sink = FileSink(fifo)
+    action = drift(3, 0)
+    assert sink.publish(action, "lat", "raw") == len(serialize_action(action))
+    sink._handle = _FailingHandle(sink._handle, fail_at=2)
+    with pytest.raises(SinkUnavailable):
+        sink.publish(drift(2, 1), "lat", "raw")
+    with pytest.raises(SinkUnavailable, match="closed"):
+        sink.publish(accumulating(2), "lat", "raw")
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received[0].startswith(serialize_action(action))
+
+
+@pytest.mark.parametrize("rows_per_piece", [1, 2, 3, 4096])
+def test_pieces_join_to_the_whole_encodings(tmp_path, monkeypatch, rows_per_piece):
+    """Records and bulk bodies are the same bytes, and POSTs hold the same
+    documents, however many events a piece holds."""
+    actions = [accumulating(0), drift(7, 1), forensics(5, 2), drift(1, 3), forensics(0, 4)]
+    whole = [serialize_action(action) for action in actions]
+    documents = [action_to_documents(action, "lat", "raw") for action in actions]
+    transport = _Transport()
+    monkeypatch.setattr(urllib.request, "urlopen", transport)
+    monkeypatch.setattr(publisher_module, "_ROWS_PER_PIECE", rows_per_piece)
+    assert [serialize_action(action) for action in actions] == whole
+    assert [action_to_documents(action, "lat", "raw") for action in actions] == documents
+    file_sink = FileSink(tmp_path / "out.ndjson")
+    bulk_sink = HttpBulkSink("http://bulk.test", batch_size=3)
+    for action, line, docs in zip(actions, whole, documents):
+        assert file_sink.publish(action, "lat", "raw") == len(line)
+        assert bulk_sink.publish(action, "lat", "raw") == len(encode_bulk_request(docs))
+    file_sink.close()
+    bulk_sink.close()
+    assert (tmp_path / "out.ndjson").read_bytes() == b"".join(whole)
+    every = [document for docs in documents for document in docs]
+    # 1 + 8 documents: three full requests; 6: two more; the drift's 2 are
+    # flushed after it, and the last action's head at close
+    bounds = [0, 3, 6, 9, 12, 15, 17, 18]
+    batches = [every[a:b] for a, b in zip(bounds, bounds[1:])]
+    assert transport.delivered == [encode_bulk_request(batch) for batch in batches]
+
+
+def test_a_post_failing_partway_through_a_drift_hands_the_drift_back(tmp_path, monkeypatch):
+    transport = _Transport([True, False])
+    monkeypatch.setattr(urllib.request, "urlopen", transport)
+    monkeypatch.setattr(publisher_module, "_ROWS_PER_PIECE", 2)
+    sink = HttpBulkSink("http://bulk.test", batch_size=3)
+    spool = SpoolDirectory(tmp_path / "spool")
+    action = drift(5, 0)
+    # pieces: the head and 2 events (POSTed), 2 events, then 1 more (POST fails)
+    with pytest.raises(SinkUnavailable) as raised:
+        emit(action, sink, spool)
+    assert transport.attempts == 2
+    assert transport.ids() == ["box/0/0", "box/0/1", "box/0/2"]
+    assert raised.value.actions == (action,)
+    assert [p.read_bytes() for p in spool.pending()] == [serialize_action(action)]
+    assert sink.bytes_written == len(transport.delivered[0])
+    # the sink holds nothing of the dropped drift, and goes on
+    later = accumulating(1)
+    sink.publish(later, "lat", "raw")
+    sink.close()
+    assert transport.ids()[3:] == _ids(later)
+
+
+def test_a_head_only_action_costs_one_encode_call(monkeypatch):
+    calls = []
+    real_encode = sinks_module.encode_bulk_request
+
+    def counting_encode(documents):
+        calls.append(len(documents))
+        return real_encode(documents)
+
+    monkeypatch.setattr(sinks_module, "encode_bulk_request", counting_encode)
+    monkeypatch.setattr(urllib.request, "urlopen", _Transport())
+    sink = HttpBulkSink("http://bulk.test")
+    sink.publish(accumulating(0), "lat", "raw")
+    assert calls == [1]
+    sink.publish(drift(4096, 1), "lat", "raw")  # a drift of one piece: one more call
+    assert calls == [1, 4097]
+    sink.close()
+
+
+def _traced_peak(publish) -> int:
+    tracemalloc.start()
+    try:
+        publish()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["file", "bulk"])
+def test_publishing_a_drift_peaks_flat_in_its_size(tmp_path, monkeypatch, kind):
+    """Records and bulk documents are built 4,096 events at a time, so what
+    a publish allocates at once does not grow with the drift."""
+    # a transport that keeps nothing of what it is sent
+    monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout: io.BytesIO(b"{}"))
+    peaks = {}
+    for count in (10_000, 50_000):
+        action = drift(count, 1)
+        if kind == "file":
+            sink = FileSink(tmp_path / f"out-{count}.ndjson")
+        else:
+            sink = HttpBulkSink("http://bulk.test")
+        peaks[count] = _traced_peak(lambda: sink.publish(action, "lat", "raw"))
+        sink.close()
+    assert peaks[50_000] <= 1.5 * peaks[10_000], peaks
 
 
 # -- http bulk sink --------------------------------------------------------------

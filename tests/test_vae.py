@@ -13,6 +13,7 @@ from vaeguard import nn
 from vaeguard.errors import (
     CorruptModelFile,
     InsufficientData,
+    NonFiniteInput,
     NotFittedError,
     SchemaMismatch,
 )
@@ -193,6 +194,38 @@ def test_score_vector_schema_checks(small_trained_detector):
         small_trained_detector.score_vector(too_wide)
     with pytest.raises(SchemaMismatch):
         small_trained_detector.score_samples(np.zeros((1, FEATURE_DIM + 1)))
+
+
+@pytest.mark.parametrize(
+    "features, error, message",
+    [
+        (np.zeros(FEATURE_DIM + 1), SchemaMismatch,
+         f"input has {FEATURE_DIM + 1} features, model expects {FEATURE_DIM}"),
+        (np.zeros(FEATURE_DIM - 1), SchemaMismatch,
+         f"input has {FEATURE_DIM - 1} features, model expects {FEATURE_DIM}"),
+        (np.full(FEATURE_DIM, np.nan), NonFiniteInput, "encoder input contains NaN or infinity"),
+        (np.full(FEATURE_DIM, np.inf), NonFiniteInput, "encoder input contains NaN or infinity"),
+    ],
+    ids=["too-wide", "too-narrow", "nan", "inf"],
+)
+def test_score_vector_rejects_a_bad_vector_with_its_documented_error(
+    small_trained_detector, features, error, message
+):
+    vector = SimpleNamespace(key=IntervalKey("web-0", 0, 30.0), features=features)
+    with pytest.raises(error) as raised:
+        small_trained_detector.score_vector(vector)
+    assert str(raised.value) == message
+    # the detector still scores a good vector afterwards
+    assert small_trained_detector.score_vector(
+        ActivityVector(IntervalKey("web-0", 1, 30.0), np.zeros(FEATURE_DIM))
+    ).recon_error >= 0.0
+
+
+def test_score_vector_before_fit_is_not_fitted():
+    vector = ActivityVector(IntervalKey("web-0", 0, 30.0), np.zeros(FEATURE_DIM))
+    with pytest.raises(NotFittedError) as raised:
+        small_detector().score_vector(vector)
+    assert str(raised.value) == "VaeStabilityDetector is not fitted; call fit() first"
 
 
 # -- single-vector scoring against the allocating chain ------------------------
