@@ -1,7 +1,9 @@
 """Command-line front end: simulate, train, assess, bench.
 
-Exit codes: 0 success, 2 configuration/usage errors, 3 trace or data
-errors, 4 model errors, 5 sink unavailable.
+Exit codes: 0 success; a `VaeguardError` ends the command with its
+class's `exit_code` (2 configuration/usage errors, 3 trace or data
+errors, 4 model errors, 5 sink unavailable), an OSError with 3 and a
+ValueError with 2.
 
 Every flag can also come from a config file (`--config pipeline.cfg`)
 holding one `key = value` pair per line with `#` comments; explicit
@@ -18,22 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from vaeguard.errors import (
-    CorruptModelFile,
-    DimensionMismatch,
-    EmptyBatch,
-    EmptyDataset,
-    ForeignEvent,
-    InsufficientData,
-    InvalidConfig,
-    MalformedRecord,
-    NonFiniteInput,
-    NotFittedError,
-    OutOfOrderTimestamp,
-    SchemaMismatch,
-    SinkUnavailable,
-    UnknownContainer,
-)
+from vaeguard.errors import InvalidConfig, VaeguardError
 from vaeguard.events import read_trace_file, write_trace_file
 from vaeguard.nn import DEFAULT_HIDDEN_UNITS, DEFAULT_LATENT_DIM
 from vaeguard.pipeline import (
@@ -57,25 +44,6 @@ from vaeguard.vae import TrainConfig, VaeStabilityDetector, load_model, save_mod
 logger = logging.getLogger(__name__)
 
 _DEFAULT_DURATIONS = {"baseline": 3600.0, "cpuminer": 900.0, "httpflood": 1500.0}
-
-_CONFIG_ERRORS = (InvalidConfig, ValueError)
-_DATA_ERRORS = (
-    MalformedRecord,
-    OutOfOrderTimestamp,
-    ForeignEvent,
-    EmptyDataset,
-    InsufficientData,
-    UnknownContainer,
-    EmptyBatch,
-    OSError,
-)
-_MODEL_ERRORS = (
-    CorruptModelFile,
-    SchemaMismatch,
-    NotFittedError,
-    DimensionMismatch,
-    NonFiniteInput,
-)
 
 
 def _parse_hidden_units(text: str) -> tuple[int, ...]:
@@ -376,16 +344,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except _MODEL_ERRORS as exc:
-        print(f"model error: {exc}", file=sys.stderr)
-        return 4
-    except SinkUnavailable as exc:
-        print(f"sink error: {exc}", file=sys.stderr)
-        return 5
-    except _DATA_ERRORS as exc:
+    except VaeguardError as exc:
+        print(f"{exc.kind} error: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except _CONFIG_ERRORS as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

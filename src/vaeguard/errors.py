@@ -1,8 +1,8 @@
 """Exception types shared across the pipeline.
 
-Grouped by the CLI exit code they map to: configuration errors (2),
-data/trace errors (3), numeric and model errors (4); SinkUnavailable
-maps to 5.
+Each error class carries the CLI exit code it ends a command with and the
+word its stderr line starts with: configuration errors (2), data/trace
+errors (3), numeric and model errors (4), SinkUnavailable (5).
 """
 
 from __future__ import annotations
@@ -11,22 +11,29 @@ from __future__ import annotations
 class VaeguardError(Exception):
     """Base class for all vaeguard errors."""
 
-
-# -- configuration --------------------------------------------------------
+    exit_code: int
+    kind: str
 
 
 class InvalidConfig(VaeguardError):
     """Scenario or pipeline configuration failed validation."""
+
+    exit_code = 2
+    kind = "config"
 
 
 class InvalidK(InvalidConfig):
     """k-sigma multiplier must be positive."""
 
 
-# -- trace / data ----------------------------------------------------------
+class DataError(VaeguardError):
+    """A trace or dataset cannot be used as input."""
+
+    exit_code = 3
+    kind = "data"
 
 
-class MalformedRecord(VaeguardError):
+class MalformedRecord(DataError):
     """A trace line could not be parsed into a forensic event."""
 
     def __init__(self, line_no: int, reason: str):
@@ -35,7 +42,7 @@ class MalformedRecord(VaeguardError):
         self.reason = reason
 
 
-class OutOfOrderTimestamp(VaeguardError):
+class OutOfOrderTimestamp(DataError):
     """Event timestamps within a trace must be non-decreasing."""
 
     def __init__(self, index: int):
@@ -43,15 +50,15 @@ class OutOfOrderTimestamp(VaeguardError):
         self.index = index
 
 
-class ForeignEvent(VaeguardError):
+class ForeignEvent(DataError):
     """Event does not belong to the interval being summarized."""
 
 
-class EmptyDataset(VaeguardError):
+class EmptyDataset(DataError):
     """An operation requiring at least one sample received none."""
 
 
-class InsufficientData(VaeguardError):
+class InsufficientData(DataError):
     """Fewer training samples than the accumulation target."""
 
     def __init__(self, actual: int, required: int):
@@ -60,34 +67,38 @@ class InsufficientData(VaeguardError):
         self.required = required
 
 
-class UnknownContainer(VaeguardError):
+class UnknownContainer(DataError):
     """No cached intervals exist for the requested container."""
 
 
-class EmptyBatch(VaeguardError):
+class EmptyBatch(DataError):
     """Bulk encoding requires at least one document."""
 
 
-# -- numeric / model -------------------------------------------------------
+class ModelError(VaeguardError):
+    """A model or its numeric input cannot be used."""
+
+    exit_code = 4
+    kind = "model"
 
 
-class DimensionMismatch(VaeguardError):
+class DimensionMismatch(ModelError):
     """Vector or matrix width differs from what the model expects."""
 
 
-class NonFiniteInput(VaeguardError):
+class NonFiniteInput(ModelError):
     """NaN or infinity where a finite value is required."""
 
 
-class SchemaMismatch(VaeguardError):
+class SchemaMismatch(ModelError):
     """Model artifact and live feature schema disagree."""
 
 
-class CorruptModelFile(VaeguardError):
+class CorruptModelFile(ModelError):
     """Model bundle is truncated, unparseable, or structurally invalid."""
 
 
-class NotFittedError(VaeguardError):
+class NotFittedError(ModelError):
     """Estimator method called before fit()."""
 
 
@@ -95,6 +106,9 @@ class SinkUnavailable(VaeguardError):
     """Publishing sink rejected the write. `actions` holds every action the
     sink accepted but did not deliver, oldest first; the sink has dropped
     them, and `emit` spools them when it has a spool."""
+
+    exit_code = 5
+    kind = "sink"
 
     def __init__(self, message: str, actions: tuple = ()):
         super().__init__(message)

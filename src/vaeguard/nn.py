@@ -34,12 +34,12 @@ module's own arrays use np.dot, which makes the same BLAS call as @ for
 C-contiguous and transposed operands at less cost per call; a product
 with a caller's array, which may have any strides, uses np.matmul.
 
-Scoring memory: `encode` and `decode` take the same Workspace as an
-optional `work` argument and then run the training forward pass's own
-encoder and decoder halves in it, returning copies of its results.
-`vae.VaeStabilityDetector.score_vector` keeps one such one-row
-workspace per detector, so a detector must not score from two threads
-at once.
+Scoring memory: `encode` and `decode` run the training forward pass's
+own encoder and decoder halves, in the Workspace given as `work` or
+else in a new forward-only one for the batch's rows, and return copies
+of its results; there is no other forward pass.
+`vae.VaeStabilityDetector.score_vector` keeps one one-row workspace per
+detector, so a detector must not score from two threads at once.
 """
 
 from __future__ import annotations
@@ -166,15 +166,13 @@ def _trunk_layers(
 
 
 def _tanh_trunk(
-    x: np.ndarray,
-    layers: list[tuple[np.ndarray, np.ndarray]],
-    outs: list[np.ndarray] | None = None,
+    x: np.ndarray, layers: list[tuple[np.ndarray, np.ndarray]], outs: list[np.ndarray]
 ) -> np.ndarray:
     """The last activation of x through tanh `layers`; layer i writes into
-    outs[i], or into a new array when `outs` is None."""
+    outs[i]."""
     product = np.matmul  # x may be a caller's array of any strides
     for i, (weights, bias) in enumerate(layers):
-        x = product(x, weights, out=None if outs is None else outs[i])
+        x = product(x, weights, out=outs[i])
         np.add(x, bias, out=x)
         np.tanh(x, out=x)
         product = np.dot
@@ -189,25 +187,22 @@ def encode(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic forward pass to the posterior (mu, logvar).
 
-    Given `work`, a Workspace bound to `params` for len(x) rows, the pass
-    writes into its arrays instead of allocating; `x` must then be a
-    float64 matrix of that many rows of `arch.input_dim` values, which is
-    checked finite but not converted or reshaped, and so are the results.
-    The returned arrays are copies either way, never workspace views.
+    The pass runs in `work`, a Workspace bound to `params` for len(x)
+    rows, or in a new forward-only one for x's rows when None. Given
+    `work`, `x` must be a float64 matrix of that many rows of
+    `arch.input_dim` values, which is checked finite but not converted or
+    reshaped, and so are the results. The returned arrays are copies,
+    never workspace views.
     """
     if work is None:
         batch, single = _as_batch(x, arch.input_dim, "x")
+        work = Workspace(arch, params, len(batch))
     else:
         _check_bound(work, params, len(x))
         batch, single = x, False
     if not np.isfinite(batch).all():
         raise NonFiniteInput("encoder input contains NaN or infinity")
-    if work is None:
-        h = _tanh_trunk(batch, _trunk_layers(arch, params, "enc"))
-        mu = h @ params["mu_w"] + params["mu_b"]
-        logvar = h @ params["lv_w"] + params["lv_b"]
-    else:
-        mu, logvar = _encode_into(batch, work).copy()
+    mu, logvar = _encode_into(batch, work).copy()
     if single:
         return mu[0], logvar[0]
     return mu, logvar
@@ -221,15 +216,14 @@ def decode(
 ) -> np.ndarray:
     """Deterministic decoder pass; output head is linear. `work` is as in
     encode (`z` a float64 matrix of `arch.latent_dim` columns), and the
-    result is a copy either way."""
+    result is a copy."""
     if work is None:
         batch, single = _as_batch(z, arch.latent_dim, "z")
-        g = _tanh_trunk(batch, _trunk_layers(arch, params, "dec"))
-        recon = g @ params["out_w"] + params["out_b"]
+        work = Workspace(arch, params, len(batch))
     else:
         _check_bound(work, params, len(z))
         batch, single = z, False
-        recon = _decode_into(batch, work).copy()
+    recon = _decode_into(batch, work).copy()
     return recon[0] if single else recon
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from vaeguard.errors import EmptyDataset
 from vaeguard.validation import as_float_matrix, check_dimension, check_fitted
 
 
@@ -35,8 +34,6 @@ class ActivityScaler:
 
     def fit(self, X) -> "ActivityScaler":
         X = as_float_matrix(X)
-        if X.shape[0] < 1:
-            raise EmptyDataset("scaler requires at least one sample")
         self.data_min_ = X.min(axis=0)
         self.data_max_ = X.max(axis=0)
         return self

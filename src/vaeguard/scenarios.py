@@ -18,6 +18,7 @@ escalate by orders of magnitude.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,6 +186,9 @@ class ScenarioConfig:
     flood_factor: float = 100.0
 
     def __post_init__(self):
+        for name in ("duration_s", "base_request_rate", "flood_factor"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidConfig(f"{name} must be finite, got {getattr(self, name)}")
         if self.duration_s < 0:
             raise InvalidConfig("duration must be >= 0")
         if self.base_request_rate <= 0:

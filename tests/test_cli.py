@@ -226,6 +226,12 @@ def _hostile_cases():
         ("bench", ("--interval-len", "inf"), 2),
         ("bench", ("--k", "nan"), 2),
         ("bench", ("--bulk-batch-size", "0"), 2),
+        ("simulate", ("--duration", "inf"), 2),
+        ("simulate", ("--duration", "nan"), 2),
+        ("simulate", ("--rate", "inf"), 2),
+        ("simulate", ("--rate", "nan"), 2),
+        ("simulate", ("--scenario", "httpflood", "--duration", "300", "--flood-factor", "inf"), 2),
+        ("simulate", ("--scenario", "httpflood", "--duration", "300", "--flood-factor", "nan"), 2),
     ]
     for command, extra, code in flags:
         yield pytest.param(command, extra, None, code, id=f"{command}{'='.join(extra)}")
@@ -262,7 +268,10 @@ def test_too_many_intervals_is_a_config_error(tmp_path, small_model, capsys, com
 
 
 def _command_argv(command, trace_path, model, tmp_path):
-    """`command` over a trace, training a small model or loading `model`."""
+    """`command` over a trace, training a small model or loading `model`;
+    `simulate` writes a baseline trace instead."""
+    if command == "simulate":
+        return [command, "--scenario", "baseline", "--out", str(tmp_path / "sim.ndjson")]
     argv = [command, "--trace", str(trace_path)]
     if command == "train":
         argv += ["--model-out", str(tmp_path / "m.json"), *_SMALL_TRAINING]
@@ -302,21 +311,44 @@ def _subclasses(cls):
         yield from _subclasses(sub)
 
 
+_DOCUMENTED_EXITS = {
+    "InvalidConfig": (2, "config error:"),
+    "InvalidK": (2, "config error:"),
+    "ValueError": (2, "config error:"),
+    "MalformedRecord": (3, "data error:"),
+    "OutOfOrderTimestamp": (3, "data error:"),
+    "ForeignEvent": (3, "data error:"),
+    "EmptyDataset": (3, "data error:"),
+    "InsufficientData": (3, "data error:"),
+    "UnknownContainer": (3, "data error:"),
+    "EmptyBatch": (3, "data error:"),
+    "OSError": (3, "data error:"),
+    "DimensionMismatch": (4, "model error:"),
+    "NonFiniteInput": (4, "model error:"),
+    "SchemaMismatch": (4, "model error:"),
+    "CorruptModelFile": (4, "model error:"),
+    "NotFittedError": (4, "model error:"),
+    "SinkUnavailable": (5, "sink error:"),
+}
+
+
 def test_every_error_maps_to_a_documented_exit_code(monkeypatch, capsys):
-    codes = {}
-    for error in _subclasses(errors.VaeguardError):
+    """Each error exits with the README's code and stderr prefix."""
+    exits = {}
+    for error in (*_subclasses(errors.VaeguardError), ValueError, OSError):
         def fail(args, error=error):
             raise error.__new__(error)
 
         monkeypatch.setattr(cli, "cmd_simulate", fail)
-        codes[error.__name__] = run_cli("simulate", "--scenario", "baseline", "--out", "unused")
-    capsys.readouterr()
-    assert set(codes) == {
+        code = run_cli("simulate", "--scenario", "baseline", "--out", "unused")
+        exits[error.__name__] = (code, capsys.readouterr().err.partition(":")[0] + ":")
+    assert set(exits) == {
         name
         for name, value in vars(errors).items()
         if isinstance(value, type) and issubclass(value, errors.VaeguardError)
-    } - {"VaeguardError"}
-    assert {name for name, code in codes.items() if code not in (2, 3, 4, 5)} == set()
+    } - {"VaeguardError"} | {"ValueError", "OSError"}
+    assert {name: exits[name] for name in _DOCUMENTED_EXITS} == _DOCUMENTED_EXITS
+    assert {name for name, (code, _) in exits.items() if code not in (2, 3, 4, 5)} == set()
 
 
 def test_assess_missing_trace_exit_code(tmp_path, small_model):
