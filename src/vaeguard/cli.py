@@ -332,17 +332,11 @@ def cmd_bench(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _expand_config(argv)
-    except InvalidConfig as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    try:
+        args = build_parser().parse_args(_expand_config(argv))
+        logging.basicConfig(
+            level=logging.DEBUG if args.verbose else logging.WARNING,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
         return args.func(args)
     except VaeguardError as exc:
         print(f"{exc.kind} error: {exc}", file=sys.stderr)

@@ -73,8 +73,8 @@ def summarize_trace(
 ) -> dict[str, Summaries]:
     """Window and summarize per container, in order of first appearance.
 
-    A plain event list is turned into an `EventBlock` first; each row's
-    events are a slice of it.
+    Any other event iterable, read once, is turned into an `EventBlock`
+    first; each row's events are a slice of it.
     """
     check_interval_len(interval_len)
     streams = split_by_container(events)

@@ -10,6 +10,12 @@ Because overlays never touch the baseline stream, the quiet portions of
 an attack trace are event-for-event identical to gen_baseline at the
 same seed, which the tests rely on.
 
+Every generator yields one time-ordered, one-pass stream, built a second
+at a time: overlays are merged with the baseline by timestamp, equal
+timestamps in stream order (baseline first), so memory does not grow
+with the trace's duration. At most MAX_PER_SECOND requests, or flood
+connections, are planned for one second.
+
 Per-phase syscall mixtures are tables, not code: each phase maps syscall
 name -> inclusive per-second count range. Count ranges are calibrated so
 a detector trained on the baseline sees per-phase reconstruction errors
@@ -18,8 +24,11 @@ escalate by orders of magnitude.
 
 from __future__ import annotations
 
+import heapq
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -38,6 +47,10 @@ CPUMINER_PHASES = (
 FLOOD_CYCLE_ON_S = 60.0
 FLOOD_CYCLE_OFF_S = 240.0
 FLOOD_CYCLE_S = FLOOD_CYCLE_ON_S + FLOOD_CYCLE_OFF_S
+
+# Requests (baseline) or connections (flood) planned for one second; each
+# request plans about 50 events, all held until the second is emitted.
+MAX_PER_SECOND = 10_000
 
 # Untracked names the generators may emit; they count only toward the
 # aggregate features, which is exactly what they are here to exercise.
@@ -195,6 +208,8 @@ class ScenarioConfig:
             raise InvalidConfig("base_request_rate must be > 0")
         if self.flood_factor <= 0:
             raise InvalidConfig("flood_factor must be > 0")
+        if self.base_request_rate > MAX_PER_SECOND:
+            raise InvalidConfig(f"base_request_rate must be <= {MAX_PER_SECOND}")
         if not self.container_id:
             raise InvalidConfig("container_id must be non-empty")
         previous_end = 0.0
@@ -233,30 +248,19 @@ def flood_attack_windows(duration_s: float) -> list[tuple[float, float]]:
     return windows
 
 
-def _spread(second: int, count: int) -> list[float]:
-    return [second + (j + 1) / (count + 2) for j in range(count)]
+def _second_events(
+    container_id: str, second: int, plan: list[tuple[str, int, int, int]]
+) -> Iterator[ForensicEvent]:
+    """plan rows: (syscall, pid, ret, arg_bytes), spread evenly over the
+    second in plan order."""
+    slots = len(plan) + 2
+    for j, (syscall, pid, ret, arg_bytes) in enumerate(plan, 1):
+        yield ForensicEvent(second + j / slots, container_id, syscall, pid, ret, arg_bytes)
 
 
-class _Emitter:
-    """Accumulates events for one stream, ordering them within each second."""
-
-    def __init__(self, container_id: str):
-        self.container_id = container_id
-        self.events: list[ForensicEvent] = []
-
-    def emit_second(self, second: int, plan: list[tuple[str, int, int, int]]) -> None:
-        """plan rows: (syscall, pid, ret, arg_bytes); order is preserved."""
-        times = _spread(second, len(plan))
-        for t, (syscall, pid, ret, arg_bytes) in zip(times, plan):
-            self.events.append(
-                ForensicEvent(t, self.container_id, syscall, pid, ret, arg_bytes)
-            )
-
-
-def gen_baseline(config: ScenarioConfig) -> list[ForensicEvent]:
+def gen_baseline(config: ScenarioConfig) -> Iterator[ForensicEvent]:
     """Steady web-serving traffic at the configured request rate."""
     rng = np.random.default_rng([config.seed, 0])
-    emitter = _Emitter(config.container_id)
     seconds = int(config.duration_s)
     base_requests = int(config.base_request_rate)
     frac = config.base_request_rate - base_requests
@@ -319,8 +323,7 @@ def gen_baseline(config: ScenarioConfig) -> list[ForensicEvent]:
             plan.append(("close", _SERVER_PID, 0, 0))
             next_logrot = second + rng.uniform(*LOG_ROTATE_GAP_S)
 
-        emitter.emit_second(second, plan)
-    return emitter.events
+        yield from _second_events(config.container_id, second, plan)
 
 
 def _phase_overlay(
@@ -328,10 +331,9 @@ def _phase_overlay(
     label: str,
     window: tuple[float, float],
     stream_index: int,
-) -> list[ForensicEvent]:
+) -> Iterator[ForensicEvent]:
     mix = PHASE_MIXES[label]
     rng = np.random.default_rng([config.seed, stream_index])
-    emitter = _Emitter(config.container_id)
     pid_lo, pid_hi = PHASE_PID_POOLS[label]
     byte_range = PHASE_BYTES_PER_S.get(label)
 
@@ -357,19 +359,31 @@ def _phase_overlay(
                     ret,
                     share + (remainder if j == 0 else 0),
                 )
-        emitter.emit_second(second, plan)
-    return emitter.events
+        yield from _second_events(config.container_id, second, plan)
 
 
-def _merge(*streams: list[ForensicEvent]) -> list[ForensicEvent]:
-    merged: list[ForensicEvent] = []
-    for stream in streams:
-        merged.extend(stream)
-    merged.sort(key=lambda event: event.timestamp)
-    return merged
+def _flood_overlay(config: ScenarioConfig) -> Iterator[ForensicEvent]:
+    rng = np.random.default_rng([config.seed, 1])
+    connections_per_s = max(1, int(round(config.flood_factor * config.base_request_rate)))
+    for window_start, window_end in flood_attack_windows(config.duration_s):
+        for second in range(int(window_start), int(window_end)):
+            plan: list[tuple[str, int, int, int]] = []
+            for _ in range(connections_per_s):
+                pid = int(rng.choice(_WORKER_PIDS))
+                for syscall in FLOOD_CONNECTION_TRACKED:
+                    plan.append((syscall, pid, 0, 0))
+                plan.append(
+                    ("recvfrom", pid, 0, int(rng.integers(*FLOOD_RECV_BYTES)))
+                )
+            yield from _second_events(config.container_id, second, plan)
 
 
-def gen_cpuminer_scenario(config: ScenarioConfig) -> list[ForensicEvent]:
+def _merge(*streams: Iterable[ForensicEvent]) -> Iterator[ForensicEvent]:
+    """One stream by timestamp; equal timestamps keep stream order."""
+    return heapq.merge(*streams, key=attrgetter("timestamp"))
+
+
+def gen_cpuminer_scenario(config: ScenarioConfig) -> Iterator[ForensicEvent]:
     """Hijack progression: login shell, command storm, download, build, mine.
 
     config.phase_schedule must name the six phases in canonical order;
@@ -388,27 +402,17 @@ def gen_cpuminer_scenario(config: ScenarioConfig) -> list[ForensicEvent]:
     return _merge(*streams)
 
 
-def gen_httpflood_scenario(config: ScenarioConfig) -> list[ForensicEvent]:
+def gen_httpflood_scenario(config: ScenarioConfig) -> Iterator[ForensicEvent]:
     """Cyclic request flood: 1 minute of attack, 4 minutes of quiet."""
     if config.duration_s < FLOOD_CYCLE_S:
         raise InvalidConfig(
             f"flood scenario needs at least one full {FLOOD_CYCLE_S:.0f} s cycle"
         )
-    rng = np.random.default_rng([config.seed, 1])
-    emitter = _Emitter(config.container_id)
-    connections_per_s = max(1, int(round(config.flood_factor * config.base_request_rate)))
-    for window_start, window_end in flood_attack_windows(config.duration_s):
-        for second in range(int(window_start), int(window_end)):
-            plan: list[tuple[str, int, int, int]] = []
-            for _ in range(connections_per_s):
-                pid = int(rng.choice(_WORKER_PIDS))
-                for syscall in FLOOD_CONNECTION_TRACKED:
-                    plan.append((syscall, pid, 0, 0))
-                plan.append(
-                    ("recvfrom", pid, 0, int(rng.integers(*FLOOD_RECV_BYTES)))
-                )
-            emitter.emit_second(second, plan)
-    return _merge(gen_baseline(config), emitter.events)
+    if config.flood_factor * config.base_request_rate > MAX_PER_SECOND:
+        raise InvalidConfig(
+            f"flood_factor * base_request_rate must be <= {MAX_PER_SECOND} connections/s"
+        )
+    return _merge(gen_baseline(config), _flood_overlay(config))
 
 
 SCENARIOS = {

@@ -138,8 +138,6 @@ SYSCALL_TAXONOMY: dict[str, SyscallCategory] = {
 # Alphabetical schema key order for the per-syscall count features.
 TRACKED_SYSCALLS: tuple[str, ...] = tuple(sorted(SYSCALL_TAXONOMY))
 
-TRACKED_SYSCALL_COUNT = len(TRACKED_SYSCALLS)
-
 
 def classify_syscall(name: str) -> SyscallCategory:
     """Map a syscall name to its activity class; unknown names are UNTRACKED."""

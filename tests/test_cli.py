@@ -230,8 +230,10 @@ def _hostile_cases():
         ("simulate", ("--duration", "nan"), 2),
         ("simulate", ("--rate", "inf"), 2),
         ("simulate", ("--rate", "nan"), 2),
+        ("simulate", ("--rate", "1e9"), 2),
         ("simulate", ("--scenario", "httpflood", "--duration", "300", "--flood-factor", "inf"), 2),
         ("simulate", ("--scenario", "httpflood", "--duration", "300", "--flood-factor", "nan"), 2),
+        ("simulate", ("--scenario", "httpflood", "--duration", "300", "--flood-factor", "1e9"), 2),
     ]
     for command, extra, code in flags:
         yield pytest.param(command, extra, None, code, id=f"{command}{'='.join(extra)}")
@@ -467,7 +469,9 @@ def test_config_file_unreadable_is_a_config_error(tmp_path, capsys, content):
     if content is not None:
         config.write_bytes(content)
     assert run_cli("train", "--config", str(config)) == 2
-    assert "config file" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "config file" in err
 
 
 def test_heuristic_threshold_flags_the_intervals_above_it(

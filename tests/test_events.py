@@ -126,7 +126,7 @@ def test_written_file_ends_with_newline():
 
 def test_round_trip_on_generated_trace():
     """serialize(parse(line)) reproduces the writer's bytes exactly."""
-    events = gen_baseline(ScenarioConfig(seed=3, duration_s=30.0))
+    events = list(gen_baseline(ScenarioConfig(seed=3, duration_s=30.0)))
     assert len(events) >= 1000
     lines = [format_event_record(event) for event in events[:1000]]
     for i, line in enumerate(lines):
@@ -134,7 +134,7 @@ def test_round_trip_on_generated_trace():
 
 
 def test_generated_trace_reads_back_identically():
-    events = gen_baseline(ScenarioConfig(seed=3, duration_s=20.0))
+    events = list(gen_baseline(ScenarioConfig(seed=3, duration_s=20.0)))
     buffer = io.StringIO()
     write_trace(events, buffer)
     buffer.seek(0)
@@ -143,8 +143,8 @@ def test_generated_trace_reads_back_identically():
 
 def test_summarize_trace_groups_by_container():
     events = sorted(
-        gen_baseline(ScenarioConfig(seed=1, duration_s=10.0, container_id="a"))
-        + gen_baseline(ScenarioConfig(seed=2, duration_s=10.0, container_id="b")),
+        list(gen_baseline(ScenarioConfig(seed=1, duration_s=10.0, container_id="a")))
+        + list(gen_baseline(ScenarioConfig(seed=2, duration_s=10.0, container_id="b"))),
         key=lambda e: e.timestamp,
     )
     summaries = summarize_trace(events, 30.0)
@@ -453,7 +453,7 @@ def test_time_going_back_is_found_wherever_chunks_split(tmp_path):
 
 
 def test_canonical_chunk_takes_the_columnar_path(tmp_path):
-    events = gen_baseline(ScenarioConfig(seed=3, duration_s=20.0))
+    events = list(gen_baseline(ScenarioConfig(seed=3, duration_s=20.0)))
     path = tmp_path / "trace.ndjson"
     write_trace_file(events, path)
     with mock.patch.object(events_module, "parse_event_record", side_effect=AssertionError):
@@ -463,7 +463,7 @@ def test_canonical_chunk_takes_the_columnar_path(tmp_path):
 
 
 def test_event_block_is_a_lazy_sequence_of_events(tmp_path):
-    events = gen_baseline(ScenarioConfig(seed=3, duration_s=20.0))
+    events = list(gen_baseline(ScenarioConfig(seed=3, duration_s=20.0)))
     path = tmp_path / "trace.ndjson"
     write_trace_file(events, path)
     block = read_trace_file(path)
@@ -507,7 +507,7 @@ def test_size_hint_holds_every_event_of_the_shortest_records(tmp_path, count, la
 
 
 def test_columns_grow_when_the_hint_is_short(tmp_path):
-    events = gen_baseline(ScenarioConfig(seed=3, duration_s=20.0))
+    events = list(gen_baseline(ScenarioConfig(seed=3, duration_s=20.0)))
     path = tmp_path / "trace.ndjson"
     write_trace_file(events, path)
     with mock.patch.multiple(events_module, CHUNK_SIZE=997, **_HINT_OF_ONE):
@@ -543,7 +543,7 @@ def _read_through_fifo(tmp_path, data: bytes):
 def test_a_fifo_reads_as_the_same_file_does(tmp_path):
     """A FIFO's size reads 0, so its columns grow from one event as the
     events arrive; the block, and any error and its line, are the file's."""
-    events = gen_baseline(ScenarioConfig(seed=3, duration_s=20.0))
+    events = list(gen_baseline(ScenarioConfig(seed=3, duration_s=20.0)))
     path = tmp_path / "trace.ndjson"
     write_trace_file(events, path)
     data = path.read_bytes()

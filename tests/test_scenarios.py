@@ -1,8 +1,13 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vaeguard
 from vaeguard.errors import InvalidConfig
 from vaeguard.events import write_trace
 from vaeguard.pipeline import summarize_trace
@@ -40,7 +45,7 @@ def test_different_seeds_differ():
 
 
 def test_zero_duration_gives_empty_trace():
-    assert gen_baseline(ScenarioConfig(seed=1, duration_s=0.0)) == []
+    assert list(gen_baseline(ScenarioConfig(seed=1, duration_s=0.0))) == []
 
 
 def test_negative_duration_rejected():
@@ -64,8 +69,31 @@ def test_timestamps_non_decreasing_everywhere():
         assert times == sorted(times)
 
 
+def _simulate_peak_kib(tmp_path, duration: str) -> int:
+    """Peak resident size of a child writing a seed-7 baseline trace."""
+    src = str(Path(vaeguard.__file__).resolve().parents[1])
+    argv = [
+        sys.executable, "-m", "vaeguard", "simulate", "--scenario", "baseline", "--seed", "7",
+        "--duration", duration, "--out", str(tmp_path / f"baseline-{duration}.ndjson"),
+    ]
+    child = subprocess.Popen(
+        argv, stdout=subprocess.DEVNULL, env={**os.environ, "PYTHONPATH": src}
+    )
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    assert child.returncode == 0
+    return usage.ru_maxrss
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB only on Linux")
+def test_simulate_memory_stays_flat_as_the_trace_gets_longer(tmp_path):
+    short = _simulate_peak_kib(tmp_path, "900")
+    long = _simulate_peak_kib(tmp_path, "3600")
+    assert long <= 1.10 * short, f"peak {short} KiB at 900 s, {long} KiB at 3,600 s"
+
+
 def test_event_count_tracks_cluster_count():
-    events = gen_baseline(ScenarioConfig(seed=9, duration_s=60.0))
+    events = list(gen_baseline(ScenarioConfig(seed=9, duration_s=60.0)))
     requests = sum(1 for event in events if event.syscall == "socket")
     # expected events per request, straight from the mix table
     per_request = len(BASELINE_EXACT_PER_REQUEST) + sum(
@@ -119,9 +147,9 @@ def test_overlapping_phases_rejected():
 
 def test_phase_markers_stay_inside_their_windows():
     schedule = default_cpuminer_schedule(900.0)
-    events = gen_cpuminer_scenario(
+    events = list(gen_cpuminer_scenario(
         ScenarioConfig(seed=4, duration_s=900.0, phase_schedule=schedule)
-    )
+    ))
     markers = {
         "setsid": "shell_connect",
         "setpgid": "shell_commands",

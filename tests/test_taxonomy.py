@@ -1,7 +1,6 @@
 from vaeguard.taxonomy import (
     SYSCALL_TAXONOMY,
     TRACKED_CATEGORIES,
-    TRACKED_SYSCALL_COUNT,
     TRACKED_SYSCALLS,
     SyscallCategory,
     classify_syscall,
@@ -22,7 +21,7 @@ EXPECTED_CATEGORY_SIZES = {
 
 
 def test_tracked_set_size():
-    assert TRACKED_SYSCALL_COUNT == 66
+    assert len(TRACKED_SYSCALLS) == 66
     assert len(TRACKED_SYSCALLS) == len(set(TRACKED_SYSCALLS))
 
 
