@@ -83,10 +83,12 @@ def _expand_config(argv: list[str]) -> list[str]:
         raise InvalidConfig("--config requires a file path")
     config_flags = _load_config_flags(argv[position + 1])
     remainder = argv[:position] + argv[position + 2 :]
-    if not remainder:
+    # the main parser's own flags (-v, -h) take no value, so the subcommand
+    # is the first other token; insert after it so explicit flags still win
+    command = next((i for i, token in enumerate(remainder) if not token.startswith("-")), None)
+    if command is None:
         raise InvalidConfig("--config needs a subcommand")
-    # insert after the subcommand so explicit flags still win
-    return [remainder[0], *config_flags, *remainder[1:]]
+    return [*remainder[: command + 1], *config_flags, *remainder[command + 1 :]]
 
 
 def _add_interval_flag(parser: argparse.ArgumentParser) -> None:
@@ -133,33 +135,31 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_flags(p_train)
     p_train.set_defaults(func=cmd_train)
 
-    p_assess = sub.add_parser("assess", help="score a trace against a model")
-    p_assess.add_argument("--trace", type=str, required=True)
-    p_assess.add_argument("--model", type=str, required=True)
-    p_assess.add_argument("--k", type=float, default=None, help="override k-sigma")
-    p_assess.add_argument(
+    # the flags of a run that scores a trace with a loaded model (_scoring_run)
+    scoring = argparse.ArgumentParser(add_help=False)
+    scoring.add_argument("--trace", type=str, required=True)
+    scoring.add_argument("--model", type=str, required=True)
+    scoring.add_argument("--k", type=float, default=None, help="override k-sigma")
+    scoring.add_argument(
         "--heuristic-threshold", type=float, default=None, help="fixed threshold override"
     )
+    _add_interval_flag(scoring)
+
+    p_assess = sub.add_parser("assess", parents=[scoring], help="score a trace against a model")
     p_assess.add_argument("--out", type=str, default=None, help="verdict records file")
-    _add_interval_flag(p_assess)
     p_assess.set_defaults(func=cmd_assess)
 
     p_bench = sub.add_parser(
-        "bench", help="compare standard vs adaptive publishing costs"
+        "bench", parents=[scoring], help="compare standard vs adaptive publishing costs"
     )
-    p_bench.add_argument("--trace", type=str, required=True)
-    p_bench.add_argument("--model", type=str, required=True)
     p_bench.add_argument("--out-dir", type=str, required=True)
     p_bench.add_argument("--report-out", type=str, default=None)
-    p_bench.add_argument("--k", type=float, default=None)
-    p_bench.add_argument("--heuristic-threshold", type=float, default=None)
     p_bench.add_argument(
         "--endpoint", type=str, default=None, help="publish to HTTP bulk endpoint"
     )
     p_bench.add_argument("--bulk-batch-size", type=int, default=DEFAULT_BULK_BATCH_SIZE)
     p_bench.add_argument("--latent-index", type=str, default=DEFAULT_LATENT_INDEX)
     p_bench.add_argument("--forensics-index", type=str, default=DEFAULT_FORENSICS_INDEX)
-    _add_interval_flag(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
     return parser
@@ -244,50 +244,39 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _set_threshold_policy(args, detector) -> None:
-    """Apply --heuristic-threshold, else --k, to the loaded detector."""
+def _scoring_run(args, **config_fields):
+    """What `assess` and `bench` share: read --trace, load --model, apply
+    --heuristic-threshold (else --k) as its threshold policy, build the
+    PipelineConfig and summarize. The order is fixed, so the same error
+    wins when several inputs are bad."""
+    events = read_trace_file(args.trace)
+    detector = load_model(args.model, expected_dim=FEATURE_DIM)
     if args.heuristic_threshold is not None:
         detector.threshold_policy_ = HeuristicThreshold(args.heuristic_threshold)
     elif args.k is not None:
         detector.set_threshold_k(args.k)
+    config = PipelineConfig(interval_len=args.interval_len, **config_fields)
+    summaries = summarize_trace(events, args.interval_len)
+    return config, summaries, detector
 
 
 def cmd_assess(args) -> int:
-    events = read_trace_file(args.trace)
-    detector = load_model(args.model, expected_dim=FEATURE_DIM)
-    _set_threshold_policy(args, detector)
-    config = PipelineConfig(interval_len=args.interval_len)
-    summaries = summarize_trace(events, args.interval_len)
+    config, summaries, detector = _scoring_run(args)
     records = assess_trace(summaries, detector, config)
-
-    out_handle = open(args.out, "w", encoding="utf-8", newline="\n") if args.out else None
-    try:
-        unstable = 0
-        scored = 0
-        for record in records:
-            if out_handle:
-                out_handle.write(record.to_json() + "\n")
-            if record.stable is None:
-                verdict = "no-model"
-            elif record.stable:
-                verdict = "stable"
-            else:
-                verdict = "UNSTABLE"
-                unstable += 1
-            if record.recon_error is not None:
-                scored += 1
-                print(
-                    f"{record.container} interval {record.interval:4d}"
-                    f" recon={record.recon_error:.6g}"
-                    f" threshold={record.threshold:.6g} {verdict} mode={record.mode}"
-                )
-    finally:
-        if out_handle:
-            out_handle.close()
-
-    print(f"assessed {scored} intervals: {unstable} unstable at configured policy")
+    if args.out:
+        text = "".join(record.to_json() + "\n" for record in records)
+        Path(args.out).write_text(text, encoding="utf-8", newline="\n")
+    for record in records:
+        print(
+            f"{record.container} interval {record.interval:4d}"
+            f" recon={record.recon_error:.6g}"
+            f" threshold={record.threshold:.6g}"
+            f" {'stable' if record.stable else 'UNSTABLE'} mode={record.mode}"
+        )
+    unstable = sum(not record.stable for record in records)
+    print(f"assessed {len(records)} intervals: {unstable} unstable at configured policy")
     # sweep the conventional multipliers for context
-    errors = [record.recon_error for record in records if record.recon_error is not None]
+    errors = [record.recon_error for record in records]
     sweep = []
     for k in (1.0, 3.0, 5.0):
         stable = is_stable(errors, fit_threshold_ksigma(detector.curve_, k).threshold)
@@ -297,16 +286,12 @@ def cmd_assess(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    events = read_trace_file(args.trace)
-    detector = load_model(args.model, expected_dim=FEATURE_DIM)
-    _set_threshold_policy(args, detector)
-    config = PipelineConfig(
-        interval_len=args.interval_len,
+    config, summaries, detector = _scoring_run(
+        args,
         bulk_batch_size=args.bulk_batch_size,
         latent_index=args.latent_index,
         forensics_index=args.forensics_index,
     )
-    summaries = summarize_trace(events, args.interval_len)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

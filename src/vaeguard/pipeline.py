@@ -1,11 +1,11 @@
 """End-to-end runs over a trace: assess, and standard-vs-adaptive cost bench.
 
-Both bench pipelines consume the same summarized interval stream, so any
-difference in published bytes is attributable purely to publishing
-policy. Wall-clock time and this process's CPU time cover the same span:
-the per-interval decision and publish path up to the flush of the sink,
-not trace parsing. The two pipelines run sequentially to keep their
-timers independent.
+`bench` drives `_run_mode` once per publisher, standard then adaptive,
+over the same summarized interval stream, so any difference in published
+bytes is attributable purely to publishing policy. Wall-clock time and
+this process's CPU time cover the same span: the per-interval decision
+and publish path up to the flush of the sink, not trace parsing. The two
+runs are sequential to keep their timers independent.
 """
 
 from __future__ import annotations
@@ -221,15 +221,15 @@ class CostReport:
 
 def _run_mode(
     summaries: dict[str, Summaries],
-    publisher,
+    publisher: StandardPublisher | AdaptivePublisher,
     sink: Sink,
     config: PipelineConfig,
-) -> tuple[ModeCost, list[PublishAction]]:
+) -> ModeCost:
+    """Drive `publisher` over every interval row into `sink`, and count."""
     cost = ModeCost()
-    actions: list[PublishAction] = []
     started = time.perf_counter()
     cpu_started = time.process_time()
-    for container, rows in summaries.items():
+    for rows in summaries.values():
         for key, events, vector in rows:
             action = publisher.process_interval(key, events, vector)
             cost.bytes_published += emit(
@@ -245,29 +245,10 @@ def _run_mode(
                     cost.stable_intervals += 1
                 else:
                     cost.unstable_intervals += 1
-            actions.append(action)
     sink.flush()  # the clocks and the byte count cover every request the run sends
     cost.cpu_seconds = time.process_time() - cpu_started
     cost.wall_seconds = time.perf_counter() - started
-    return cost, actions
-
-
-def run_standard(
-    summaries: dict[str, Summaries],
-    sink: Sink,
-    config: PipelineConfig,
-) -> tuple[ModeCost, list[PublishAction]]:
-    return _run_mode(summaries, StandardPublisher(config.cache_capacity), sink, config)
-
-
-def run_adaptive(
-    summaries: dict[str, Summaries],
-    detector: VaeStabilityDetector,
-    sink: Sink,
-    config: PipelineConfig,
-) -> tuple[ModeCost, list[PublishAction]]:
-    publisher = _adaptive_publisher(summaries, detector, config)
-    return _run_mode(summaries, publisher, sink, config)
+    return cost
 
 
 def bench(
@@ -278,8 +259,10 @@ def bench(
     adaptive_sink: Sink,
 ) -> CostReport:
     """Run both publishers over the same interval stream, sequentially."""
-    standard_cost, _ = run_standard(summaries, standard_sink, config)
-    adaptive_cost, _ = run_adaptive(summaries, detector, adaptive_sink, config)
+    standard = StandardPublisher(config.cache_capacity)
+    standard_cost = _run_mode(summaries, standard, standard_sink, config)
+    adaptive = _adaptive_publisher(summaries, detector, config)
+    adaptive_cost = _run_mode(summaries, adaptive, adaptive_sink, config)
     report = CostReport(standard=standard_cost, adaptive=adaptive_cost)
     logger.info(
         "bench: standard %d bytes, adaptive %d bytes",

@@ -44,6 +44,8 @@ DEFAULT_INTERVAL_LEN = 30.0
 # most intervals one container's stream may span, empty gaps included:
 # about 35 days at the default length
 MAX_WINDOWS = 100_000
+# events per piece of _interval_indices: bounds its temporaries, not a limit
+_INDEX_PIECE = 65_536
 
 AGGREGATE_FEATURES = ("total_events", "error_returns", "distinct_pids", "total_arg_bytes")
 
@@ -114,10 +116,15 @@ def _interval_indices(timestamps: np.ndarray, interval_len: float) -> np.ndarray
     timestamp, its edges computed as IntervalKey.start and .end compute
     them. floor(t / L) alone can be one off when L is not a power of two
     (1.7 / 0.1 floors to 17, but 17 * 0.1 > 1.7), so it is stepped down
-    or up to the interval whose edges hold t."""
-    k = np.floor(timestamps / interval_len)
-    k -= k * interval_len > timestamps
-    k += (k + 1.0) * interval_len <= timestamps
+    or up to the interval whose edges hold t. It is computed in pieces of
+    _INDEX_PIECE events, so only the result is as long as the stream."""
+    k = np.empty(len(timestamps), dtype=np.float64)
+    for start in range(0, len(timestamps), _INDEX_PIECE):
+        t = timestamps[start : start + _INDEX_PIECE]
+        piece = k[start : start + _INDEX_PIECE]
+        np.floor(t / interval_len, out=piece)
+        piece -= piece * interval_len > t
+        piece += (piece + 1.0) * interval_len <= t
     return k
 
 

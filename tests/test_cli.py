@@ -1,3 +1,4 @@
+import heapq
 import json
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from conftest import BUNDLE_CORRUPTIONS, corrupt_bundle
 from vaeguard import cli, errors
 from vaeguard.cli import main
+from vaeguard.events import read_trace_file
+from vaeguard.pipeline import summarize_trace
 
 
 def run_cli(*argv):
@@ -284,6 +287,79 @@ def _command_argv(command, trace_path, model, tmp_path):
     return argv
 
 
+@pytest.mark.parametrize("command", ["assess", "bench"])
+@pytest.mark.parametrize(
+    "trace, model, flags, expected",
+    [
+        ("truncated", "corrupt", ("--interval-len", "inf"), (3, "data error")),
+        (None, "corrupt", ("--interval-len", "inf"), (4, "model error")),
+        (None, None, ("--k", "0", "--interval-len", "inf"), (2, "config error")),
+    ],
+    ids=["trace-model-interval", "model-interval", "k-interval"],
+)
+def test_the_first_bad_input_decides_the_error(
+    tmp_path, short_baseline_trace, small_model, capsys, command, trace, model, flags, expected
+):
+    """The trace is read, then the model loaded, then the flags checked."""
+    trace_path = short_baseline_trace
+    if trace is not None:
+        trace_path = tmp_path / "hostile.ndjson"
+        trace_path.write_bytes(_HOSTILE_TRACES[trace])
+    model_path = small_model
+    if model is not None:
+        model_path = tmp_path / "bad.json"
+        model_path.write_text("{ not json", encoding="utf-8")
+    code = run_cli(*_command_argv(command, trace_path, model_path, tmp_path), *flags)
+    assert (code, capsys.readouterr().err.split(":")[0]) == expected
+
+
+@pytest.fixture(scope="module")
+def two_container_trace(tmp_path_factory, short_baseline_trace):
+    """The web-0 baseline merged by timestamp with a db-0 baseline."""
+    directory = tmp_path_factory.mktemp("traces")
+    other = directory / "db.ndjson"
+    assert run_cli(
+        "simulate", "--scenario", "baseline", "--duration", "960", "--seed", "8",
+        "--container", "db-0", "--out", str(other),
+    ) == 0
+    streams = [path.read_bytes().splitlines(keepends=True) for path in (short_baseline_trace, other)]
+    path = directory / "two-containers.ndjson"
+    path.write_bytes(b"".join(heapq.merge(*streams, key=lambda line: json.loads(line)["t"])))
+    return path
+
+
+def test_assess_and_bench_score_every_container_with_the_one_model(
+    tmp_path, two_container_trace, small_model
+):
+    lines = two_container_trace.read_bytes().splitlines()
+    first_seen = list(dict.fromkeys(json.loads(line)["c"] for line in lines))
+    assert sorted(first_seen) == ["db-0", "web-0"]
+    intervals = {
+        container: len(rows)
+        for container, rows in summarize_trace(read_trace_file(two_container_trace)).items()
+    }
+
+    out = tmp_path / "verdicts.ndjson"
+    assert run_cli(
+        "assess", "--trace", str(two_container_trace), "--model", str(small_model),
+        "--k", "2", "--out", str(out),
+    ) == 0
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    containers = [row["container"] for row in rows]
+    # grouped per container, in order of first appearance
+    assert containers == [c for c in first_seen for _ in range(intervals[c])]
+    assert len({row["threshold"] for row in rows}) == 1
+
+    report_path = tmp_path / "report.json"
+    assert run_cli(
+        "bench", "--trace", str(two_container_trace), "--model", str(small_model),
+        "--out-dir", str(tmp_path / "sinks"), "--report-out", str(report_path),
+    ) == 0
+    report = json.loads(report_path.read_text())
+    assert report["standard"]["intervals"] == report["adaptive"]["intervals"] == len(rows)
+    assert report["standard"]["events"] == len(lines)
+
+
 @pytest.fixture(scope="module")
 def eight_second_trace(tmp_path_factory):
     """Seed 25 puts events where floor(t / L) is one interval off, for
@@ -455,6 +531,23 @@ def test_config_file_flag_override(tmp_path, short_baseline_trace):
     )
     assert code == 0
     assert json.loads(model.read_text())["train_config"]["epochs"] == 7
+
+
+def test_config_file_after_a_leading_verbose_flag(tmp_path, short_baseline_trace):
+    """The file's flags go after the subcommand, not after `-v`."""
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        "accumulation-target = 32\nepochs = 10\nbatch_size = 8\n"
+        "hidden-units = 8,8\nlatent-dim = 4\n",
+        encoding="utf-8",
+    )
+    model = tmp_path / "m.json"
+    code = run_cli(
+        "-v", "--config", str(config), "train",
+        "--trace", str(short_baseline_trace), "--model-out", str(model),
+    )
+    assert code == 0
+    assert json.loads(model.read_text())["train_config"]["epochs"] == 10
 
 
 def test_config_file_syntax_error(tmp_path):

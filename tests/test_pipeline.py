@@ -11,11 +11,9 @@ from vaeguard.pipeline import (
     assess_trace,
     bench,
     record_for_action,
-    run_adaptive,
-    run_standard,
     summarize_trace,
 )
-from vaeguard.publisher import PublishMode
+from vaeguard.publisher import PublishMode, parse_action
 from vaeguard.scenarios import ScenarioConfig, flood_attack_windows, gen_baseline, gen_httpflood_scenario
 from vaeguard.sinks import FileSink
 from vaeguard.thresholds import HeuristicThreshold
@@ -80,17 +78,17 @@ def test_assess_records_have_machine_readable_form(
 def test_both_pipelines_consume_identical_streams(
     fresh_baseline_summaries, small_trained_detector, tmp_path
 ):
-    config = PipelineConfig()
     s1 = FileSink(tmp_path / "standard.ndjson")
     s2 = FileSink(tmp_path / "adaptive.ndjson")
-    standard_cost, standard_actions = run_standard(fresh_baseline_summaries, s1, config)
-    adaptive_cost, adaptive_actions = run_adaptive(
-        fresh_baseline_summaries, small_trained_detector, s2, config
-    )
+    report = bench(fresh_baseline_summaries, small_trained_detector, PipelineConfig(), s1, s2)
     s1.close()
     s2.close()
-    assert standard_cost.intervals == adaptive_cost.intervals
-    assert standard_cost.events == adaptive_cost.events
+    standard_actions, adaptive_actions = (
+        [parse_action(line) for line in (tmp_path / name).read_bytes().splitlines()]
+        for name in ("standard.ndjson", "adaptive.ndjson")
+    )
+    assert report.standard.intervals == report.adaptive.intervals == len(standard_actions)
+    assert report.standard.events == report.adaptive.events
     assert [a.key for a in standard_actions] == [a.key for a in adaptive_actions]
     assert {a.mode for a in standard_actions} == {PublishMode.FORENSICS_ONLY}
 

@@ -17,7 +17,9 @@ from vaeguard.summarize import (
     MAX_WINDOWS,
     ActivityVector,
     IntervalKey,
+    _INDEX_PIECE,
     _SYSCALL_SLOTS,
+    _interval_indices,
     split_by_container,
     summarize_interval,
     vectors_to_matrix,
@@ -89,6 +91,20 @@ def test_window_holds_an_event_that_floor_division_misplaces():
     ((key, events, _),) = summarize_trace([ev(1.7)], 0.1)["box"]
     assert key.interval_index == 16
     assert key.start <= 1.7 < key.end
+
+
+def test_interval_indices_in_pieces_match_the_whole_stream_formula():
+    """Over more than two pieces of edge and one-ulp-off timestamps, the
+    same float64 index as the formula applied to the whole stream at once."""
+    length = 0.1
+    edges = (np.arange(2 * _INDEX_PIECE + 7) // 3) * length
+    t = edges.copy()
+    t[1::3] = np.nextafter(edges[1::3], -np.inf)
+    t[2::3] = np.nextafter(edges[2::3], np.inf)
+    whole = np.floor(t / length)
+    whole -= whole * length > t
+    whole += (whole + 1.0) * length <= t
+    assert _interval_indices(t, length).tobytes() == whole.tobytes()
 
 
 @st.composite
