@@ -10,7 +10,7 @@ from vaeguard.events import ForensicEvent, parse_event_record, read_trace, write
 from vaeguard.publisher import AdaptivePublisher, PublishAction, PublishMode
 from vaeguard.scaling import ActivityScaler
 from vaeguard.scenarios import ScenarioConfig, gen_baseline, gen_cpuminer_scenario, gen_httpflood_scenario
-from vaeguard.summarize import ActivityVector, IntervalKey, summarize_interval, window_events
+from vaeguard.summarize import ActivityVector, IntervalKey, interval_stream, summarize_interval
 from vaeguard.taxonomy import SyscallCategory, classify_syscall
 from vaeguard.thresholds import HeuristicThreshold, KSigmaThreshold, StabilityVerdict, assess, fit_threshold_ksigma
 from vaeguard.vae import LatentRecord, TrainConfig, VaeStabilityDetector, load_model, save_model
@@ -39,11 +39,11 @@ __all__ = [
     "gen_baseline",
     "gen_cpuminer_scenario",
     "gen_httpflood_scenario",
+    "interval_stream",
     "load_model",
     "parse_event_record",
     "read_trace",
     "save_model",
     "summarize_interval",
-    "window_events",
     "write_trace",
 ]

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from vaeguard.errors import InvalidConfig, VaeguardError
+from vaeguard.errors import EmptyDataset, InvalidConfig, VaeguardError
 from vaeguard.events import read_trace_file, write_trace_file
 from vaeguard.nn import DEFAULT_HIDDEN_UNITS, DEFAULT_LATENT_DIM
 from vaeguard.pipeline import (
@@ -37,7 +37,7 @@ from vaeguard.scenarios import (
     flood_attack_windows,
 )
 from vaeguard.sinks import DEFAULT_BULK_BATCH_SIZE, FileSink, HttpBulkSink
-from vaeguard.summarize import DEFAULT_INTERVAL_LEN, FEATURE_DIM, vectors_to_matrix
+from vaeguard.summarize import DEFAULT_INTERVAL_LEN, FEATURE_DIM, interval_stream, vectors_to_matrix
 from vaeguard.thresholds import DEFAULT_K, HeuristicThreshold, fit_threshold_ksigma, is_stable
 from vaeguard.vae import TrainConfig, VaeStabilityDetector, load_model, save_model
 
@@ -193,6 +193,8 @@ def cmd_simulate(args) -> int:
 
 
 def _single_container_summaries(summaries: dict, requested: str | None):
+    if not summaries:
+        raise EmptyDataset("trace has no events")
     if requested is not None:
         if requested not in summaries:
             raise InvalidConfig(
@@ -246,9 +248,9 @@ def cmd_train(args) -> int:
 
 def _scoring_run(args, **config_fields):
     """What `assess` and `bench` share: read --trace, load --model, apply
-    --heuristic-threshold (else --k) as its threshold policy, build the
-    PipelineConfig and summarize. The order is fixed, so the same error
-    wins when several inputs are bad."""
+    --heuristic-threshold (else --k) as its threshold policy and build the
+    PipelineConfig. Each command windows the events next. The order is
+    fixed, so the same error wins when several inputs are bad."""
     events = read_trace_file(args.trace)
     detector = load_model(args.model, expected_dim=FEATURE_DIM)
     if args.heuristic_threshold is not None:
@@ -256,13 +258,12 @@ def _scoring_run(args, **config_fields):
     elif args.k is not None:
         detector.set_threshold_k(args.k)
     config = PipelineConfig(interval_len=args.interval_len, **config_fields)
-    summaries = summarize_trace(events, args.interval_len)
-    return config, summaries, detector
+    return config, events, detector
 
 
 def cmd_assess(args) -> int:
-    config, summaries, detector = _scoring_run(args)
-    records = assess_trace(summaries, detector, config)
+    config, events, detector = _scoring_run(args)
+    records = assess_trace(interval_stream(events, config.interval_len), detector, config)
     if args.out:
         text = "".join(record.to_json() + "\n" for record in records)
         Path(args.out).write_text(text, encoding="utf-8", newline="\n")
@@ -286,12 +287,13 @@ def cmd_assess(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    config, summaries, detector = _scoring_run(
+    config, events, detector = _scoring_run(
         args,
         bulk_batch_size=args.bulk_batch_size,
         latent_index=args.latent_index,
         forensics_index=args.forensics_index,
     )
+    summaries = summarize_trace(events, config.interval_len)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

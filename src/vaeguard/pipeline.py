@@ -1,11 +1,13 @@
 """End-to-end runs over a trace: assess, and standard-vs-adaptive cost bench.
 
+`assess_trace` scores `summarize.interval_stream`'s rows as they come.
 `bench` drives `_run_mode` once per publisher, standard then adaptive,
-over the same summarized interval stream, so any difference in published
-bytes is attributable purely to publishing policy. Wall-clock time and
-this process's CPU time cover the same span: the per-interval decision
-and publish path up to the flush of the sink, not trace parsing. The two
-runs are sequential to keep their timers independent.
+over the same rows, grouped per container by `summarize_trace`, so any
+difference in published bytes is attributable purely to publishing
+policy. Wall-clock time and this process's CPU time cover the same
+span: the per-interval decision and publish path up to the flush of
+the sink, not trace parsing. The two runs are sequential to keep their
+timers independent.
 """
 
 from __future__ import annotations
@@ -33,16 +35,15 @@ from vaeguard.summarize import (
     ActivityVector,
     IntervalKey,
     check_interval_len,
-    split_by_container,
-    summarize_interval,
-    window_events,
+    interval_stream,
 )
 from vaeguard.thresholds import DEFAULT_K, check_k
 from vaeguard.vae import TrainConfig, VaeStabilityDetector
 
 logger = logging.getLogger(__name__)
 
-Summaries = list[tuple[IntervalKey, EventBlock, ActivityVector]]
+Row = tuple[IntervalKey, EventBlock, ActivityVector]
+Summaries = list[Row]
 
 
 @dataclass(frozen=True)
@@ -71,20 +72,13 @@ class PipelineConfig:
 def summarize_trace(
     events: Iterable[ForensicEvent], interval_len: float = DEFAULT_INTERVAL_LEN
 ) -> dict[str, Summaries]:
-    """Window and summarize per container, in order of first appearance.
-
-    Any other event iterable, read once, is turned into an `EventBlock`
-    first; each row's events are a slice of it.
-    """
-    check_interval_len(interval_len)
-    streams = split_by_container(events)
-    return {
-        container: [
-            (key, group, summarize_interval(key, group))
-            for key, group in window_events(stream, interval_len)
-        ]
-        for container, stream in streams.items()
-    }
+    """The rows of `interval_stream` per container, in order of first
+    appearance. The events, time-ordered across containers, may be an
+    `EventBlock` or any iterable, which is read once into one."""
+    summaries: dict[str, Summaries] = {}
+    for row in interval_stream(events, interval_len):
+        summaries.setdefault(row[0].container_id, []).append(row)
+    return summaries
 
 
 # -- assess -----------------------------------------------------------------
@@ -120,31 +114,20 @@ def record_for_action(action: PublishAction) -> IntervalVerdictRecord:
     )
 
 
-def _adaptive_publisher(
-    summaries: dict[str, Summaries],
-    detector: VaeStabilityDetector,
-    config: PipelineConfig,
-) -> AdaptivePublisher:
-    """An adaptive publisher with `detector` installed for every container."""
-    publisher = AdaptivePublisher(cache_capacity=config.cache_capacity)
-    for container in summaries:
-        publisher.install_model(container, detector)
-    return publisher
-
-
 def assess_trace(
-    summaries: dict[str, Summaries],
+    rows: Iterable[Row],
     detector: VaeStabilityDetector,
     config: PipelineConfig,
 ) -> list[IntervalVerdictRecord]:
-    """Score every interval of every container with one trained model,
-    under that model's threshold policy."""
-    publisher = _adaptive_publisher(summaries, detector, config)
-    return [
-        record_for_action(publisher.process_interval(key, events, vector))
-        for rows in summaries.values()
-        for key, events, vector in rows
-    ]
+    """Score every row with one trained model, under that model's
+    threshold policy, installing it at each container's first row."""
+    publisher = AdaptivePublisher(cache_capacity=config.cache_capacity)
+    records = []
+    for key, events, vector in rows:
+        if key.container_id not in publisher.models:
+            publisher.install_model(key.container_id, detector)
+        records.append(record_for_action(publisher.process_interval(key, events, vector)))
+    return records
 
 
 # -- bench ------------------------------------------------------------------
@@ -261,7 +244,9 @@ def bench(
     """Run both publishers over the same interval stream, sequentially."""
     standard = StandardPublisher(config.cache_capacity)
     standard_cost = _run_mode(summaries, standard, standard_sink, config)
-    adaptive = _adaptive_publisher(summaries, detector, config)
+    adaptive = AdaptivePublisher(cache_capacity=config.cache_capacity)
+    for container in summaries:
+        adaptive.install_model(container, detector)
     adaptive_cost = _run_mode(summaries, adaptive, adaptive_sink, config)
     report = CostReport(standard=standard_cost, adaptive=adaptive_cost)
     logger.info(

@@ -13,12 +13,13 @@ Empty windows between occupied ones yield all-zero vectors; a silent
 container should still be scored, not skipped.
 
 Everything here works on `EventBlock` columns (a plain event list is
-turned into a block first): a stream is split per container by one
-stable sort, each window is a zero-copy slice found from the interval
-index of each timestamp, and a window's vector comes from
-`np.bincount` over its syscall codes and per-tail tables, bit for bit
-what a per-event loop gives. The interval length must be finite and
-> 0 (InvalidConfig).
+turned into a block first). `interval_stream` walks a time-ordered
+trace once: each window is a zero-copy slice ended by one binary
+search, split per container by one stable sort, and a window's vector
+comes from `np.bincount` over its syscall codes and per-tail tables,
+bit for bit what a per-event loop gives. No array as long as the trace
+is built beside its block. The interval length must be finite and > 0
+(InvalidConfig).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ DEFAULT_INTERVAL_LEN = 30.0
 # most intervals one container's stream may span, empty gaps included:
 # about 35 days at the default length
 MAX_WINDOWS = 100_000
-# events per piece of _interval_indices: bounds its temporaries, not a limit
+# events per piece of a pass over many timestamps: bounds its temporaries, not a limit
 _INDEX_PIECE = 65_536
 
 AGGREGATE_FEATURES = ("total_events", "error_returns", "distinct_pids", "total_arg_bytes")
@@ -111,70 +112,78 @@ def check_interval_len(interval_len: float) -> None:
         raise InvalidConfig(f"interval length must be finite and > 0, got {interval_len}")
 
 
+def _step_into_interval(k, t, interval_len: float):
+    """k = floor(t / L), a float or an array, stepped down or up to the
+    interval whose edges (as IntervalKey computes them) hold t: the floor
+    is one off when L is not a power of two (17 * 0.1 > 1.7)."""
+    k = k - (k * interval_len > t)
+    return k + ((k + 1.0) * interval_len <= t)
+
+
 def _interval_indices(timestamps: np.ndarray, interval_len: float) -> np.ndarray:
     """The k (as float64) of the interval [k*L, (k+1)*L) that holds each
-    timestamp, its edges computed as IntervalKey.start and .end compute
-    them. floor(t / L) alone can be one off when L is not a power of two
-    (1.7 / 0.1 floors to 17, but 17 * 0.1 > 1.7), so it is stepped down
-    or up to the interval whose edges hold t. It is computed in pieces of
-    _INDEX_PIECE events, so only the result is as long as the stream."""
+    timestamp (`_step_into_interval`). It is computed in pieces of
+    _INDEX_PIECE events, so when it checks a long interval's events only
+    the result is as long as they are."""
     k = np.empty(len(timestamps), dtype=np.float64)
     for start in range(0, len(timestamps), _INDEX_PIECE):
         t = timestamps[start : start + _INDEX_PIECE]
-        piece = k[start : start + _INDEX_PIECE]
-        np.floor(t / interval_len, out=piece)
-        piece -= piece * interval_len > t
-        piece += (piece + 1.0) * interval_len <= t
+        k[start : start + _INDEX_PIECE] = _step_into_interval(
+            np.floor(t / interval_len), t, interval_len
+        )
     return k
 
 
-def window_events(
-    events: Iterable[ForensicEvent],
-    interval_len: float = DEFAULT_INTERVAL_LEN,
-) -> Iterator[tuple[IntervalKey, EventBlock]]:
-    """Group a time-ordered single-container stream into intervals.
+def interval_stream(
+    events: Iterable[ForensicEvent], interval_len: float = DEFAULT_INTERVAL_LEN
+) -> Iterator[tuple[IntervalKey, EventBlock, ActivityVector]]:
+    """(key, events, vector) per interval of a time-ordered trace, window
+    by window, and within a window per container in the order of its
+    first event there; a container's empty intervals come right before
+    its next occupied one. The events are a slice of the trace's block,
+    or of a window's copy when the window holds several containers.
 
-    Emits (key, events) pairs from the first occupied interval through the
-    last, including empty gaps in between; each group is a slice of the
-    stream's block. An event lands in the interval that
-    `_interval_indices` gives it. A stream spanning more than MAX_WINDOWS
-    intervals is rejected with InvalidConfig before anything is emitted.
-    """
+    A timestamp that goes back raises OutOfOrderTimestamp before any row.
+    InvalidConfig is raised before a gap that makes a container span more
+    than MAX_WINDOWS intervals, and for an event that no interval of this
+    length holds in float64."""
     check_interval_len(interval_len)
     block = as_block(events)
-    if not len(block):
-        return
-    codes = block.container_codes
-    containers = block.tables.containers
-    index = _interval_indices(block.timestamps, interval_len)
-    foreign = np.flatnonzero(codes != codes[0])
-    backwards = np.flatnonzero(index[1:] < index[:-1]) + 1
-    # the first fault in stream order; an event's container is checked first
-    if foreign.size and (not backwards.size or foreign[0] <= backwards[0]):
-        raise ForeignEvent(
-            f"stream mixes containers {containers[codes[0]]!r} and"
-            f" {containers[codes[foreign[0]]]!r}; split per container before windowing"
-        )
-    if backwards.size:
-        raise OutOfOrderTimestamp(int(backwards[0]))
-
-    windows = int(index[-1] - index[0]) + 1
-    if windows > MAX_WINDOWS:
-        raise InvalidConfig(
-            f"container {containers[codes[0]]!r} spans {windows} intervals of {interval_len} s,"
-            f" more than {MAX_WINDOWS}; use a longer interval"
-        )
-
-    container = containers[codes[0]]
-    bounds = [0, *(np.flatnonzero(index[1:] != index[:-1]) + 1).tolist(), len(block)]
-    previous = None
-    for start, stop in zip(bounds, bounds[1:]):
-        current = int(index[start])
-        if previous is not None:
-            for gap in range(previous + 1, current):
-                yield IntervalKey(container, gap, interval_len), block[start:start]
-        yield IntervalKey(container, current, interval_len), block[start:stop]
-        previous = current
+    t = block.timestamps
+    # in pieces, so no mask is as long as the stream
+    for start in range(1, len(t), _INDEX_PIECE):
+        piece = t[start - 1 : start + _INDEX_PIECE]
+        backwards = np.flatnonzero(piece[1:] < piece[:-1])
+        if backwards.size:
+            raise OutOfOrderTimestamp(start + int(backwards[0]))
+    spans: dict[str, tuple[int, int]] = {}  # container -> first and last occupied interval
+    start = 0
+    while start < len(t):
+        first_t = float(t[start])
+        # where t / L overflows, floor division gives nan, which no interval holds
+        k = _step_into_interval((first_t / interval_len) // 1.0, first_t, interval_len)
+        end = (k + 1.0) * interval_len
+        if not k * interval_len <= first_t < end:
+            raise InvalidConfig(
+                f"interval length {interval_len} s is too short for t={first_t}:"
+                " no interval [k*L, (k+1)*L) holds it in float64; use a longer interval"
+            )
+        stop = int(np.searchsorted(t, end, side="left"))
+        index = int(k)
+        for container, group in split_by_container(block[start:stop]).items():
+            first, last = spans.get(container, (index, index - 1))
+            if index - first >= MAX_WINDOWS:
+                raise InvalidConfig(
+                    f"container {container!r} spans {index - first + 1} intervals"
+                    f" of {interval_len} s, more than {MAX_WINDOWS}; use a longer interval"
+                )
+            spans[container] = (first, index)
+            for gap in range(last + 1, index):
+                key = IntervalKey(container, gap, interval_len)
+                yield key, group[:0], summarize_interval(key, group[:0])
+            key = IntervalKey(container, index, interval_len)
+            yield key, group, summarize_interval(key, group)
+        start = stop
 
 
 def split_by_container(

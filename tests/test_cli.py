@@ -1,5 +1,7 @@
 import heapq
 import json
+import operator
+import warnings
 
 import pytest
 
@@ -7,7 +9,8 @@ from conftest import BUNDLE_CORRUPTIONS, corrupt_bundle
 from vaeguard import cli, errors
 from vaeguard.cli import main
 from vaeguard.events import read_trace_file
-from vaeguard.pipeline import summarize_trace
+from vaeguard.pipeline import PipelineConfig, assess_trace, summarize_trace
+from vaeguard.vae import load_model
 
 
 def run_cli(*argv):
@@ -272,6 +275,28 @@ def test_too_many_intervals_is_a_config_error(tmp_path, small_model, capsys, com
     assert "more than 100000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "assess", "bench"])
+def test_interval_index_past_float64_is_a_config_error(tmp_path, small_model, capsys, command):
+    """At t = 1e300 and 1e-10 s intervals, t / L is infinite: no warning,
+    and a config error that names the interval length."""
+    trace = tmp_path / "far.ndjson"
+    trace.write_bytes(_RECORD % b"1e300")
+    argv = _command_argv(command, trace, small_model, tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*argv, "--interval-len", "1e-10") == 2
+    assert capsys.readouterr().err.startswith("config error: interval length 1e-10 s")
+
+
+@pytest.mark.parametrize("flags", [(), ("--container", "web-0")], ids=["any", "named"])
+def test_train_on_an_empty_trace_is_a_data_error(tmp_path, capsys, flags):
+    trace = tmp_path / "empty.ndjson"
+    trace.write_bytes(b"")
+    code = run_cli("train", "--trace", str(trace), "--model-out", str(tmp_path / "m.json"), *flags)
+    assert code == 3
+    assert capsys.readouterr().err.startswith("data error:")
+
+
 def _command_argv(command, trace_path, model, tmp_path):
     """`command` over a trace, training a small model or loading `model`;
     `simulate` writes a baseline trace instead."""
@@ -332,12 +357,8 @@ def test_assess_and_bench_score_every_container_with_the_one_model(
     tmp_path, two_container_trace, small_model
 ):
     lines = two_container_trace.read_bytes().splitlines()
-    first_seen = list(dict.fromkeys(json.loads(line)["c"] for line in lines))
-    assert sorted(first_seen) == ["db-0", "web-0"]
-    intervals = {
-        container: len(rows)
-        for container, rows in summarize_trace(read_trace_file(two_container_trace)).items()
-    }
+    assert sorted({json.loads(line)["c"] for line in lines}) == ["db-0", "web-0"]
+    summaries = summarize_trace(read_trace_file(two_container_trace))
 
     out = tmp_path / "verdicts.ndjson"
     assert run_cli(
@@ -345,9 +366,21 @@ def test_assess_and_bench_score_every_container_with_the_one_model(
         "--k", "2", "--out", str(out),
     ) == 0
     rows = [json.loads(line) for line in out.read_text().splitlines()]
-    containers = [row["container"] for row in rows]
-    # grouped per container, in order of first appearance
-    assert containers == [c for c in first_seen for _ in range(intervals[c])]
+    # in time order: every interval of both containers is occupied, so
+    # the rows go window by window
+    assert [row["start"] for row in rows] == sorted(row["start"] for row in rows)
+    # the rows of scoring each container's intervals in turn, as a multiset
+    detector = load_model(small_model)
+    detector.set_threshold_k(2.0)
+    per_container = assess_trace(
+        [row for container_rows in summaries.values() for row in container_rows],
+        detector,
+        PipelineConfig(),
+    )
+    by_interval = operator.itemgetter("container", "interval")
+    assert sorted(rows, key=by_interval) == sorted(
+        (json.loads(record.to_json()) for record in per_container), key=by_interval
+    )
     assert len({row["threshold"] for row in rows}) == 1
 
     report_path = tmp_path / "report.json"

@@ -47,10 +47,9 @@ def test_pipeline_config_validation():
 def test_assess_trace_produces_record_per_interval(
     fresh_baseline_summaries, small_trained_detector
 ):
-    records = assess_trace(
-        fresh_baseline_summaries, small_trained_detector, PipelineConfig()
-    )
-    assert len(records) == sum(len(rows) for rows in fresh_baseline_summaries.values())
+    rows = fresh_baseline_summaries["web-0"]
+    records = assess_trace(rows, small_trained_detector, PipelineConfig())
+    assert len(records) == len(rows)
     for record in records:
         assert record.recon_error is not None
         assert record.mode in ("latent", "latent_forensics")
@@ -61,7 +60,7 @@ def test_assess_records_have_machine_readable_form(
     fresh_baseline_summaries, small_trained_detector
 ):
     records = assess_trace(
-        fresh_baseline_summaries, small_trained_detector, PipelineConfig()
+        fresh_baseline_summaries["web-0"], small_trained_detector, PipelineConfig()
     )
     row = json.loads(records[0].to_json())
     assert set(row) == {
@@ -171,7 +170,7 @@ def test_ratios_undefined_on_zero_denominators():
 def test_flood_verdicts_align_with_attack_windows(
     flood_summaries, small_trained_detector
 ):
-    records = assess_trace(flood_summaries, small_trained_detector, PipelineConfig())
+    records = assess_trace(flood_summaries["web-0"], small_trained_detector, PipelineConfig())
     windows = flood_attack_windows(300.0)
     for record in records:
         in_attack = any(s <= record.start < e for s, e in windows)

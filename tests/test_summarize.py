@@ -22,8 +22,8 @@ from vaeguard.summarize import (
     _interval_indices,
     split_by_container,
     summarize_interval,
+    interval_stream,
     vectors_to_matrix,
-    window_events,
 )
 
 OPENAT = FEATURE_NAMES.index("syscall:openat")
@@ -51,36 +51,33 @@ def test_schema_layout():
 
 
 def test_window_half_open_boundary():
-    groups = list(window_events([ev(0.0), ev(29.9), ev(30.0)], 30.0))
-    assert [key.interval_index for key, _ in groups] == [0, 1]
-    assert [len(g) for _, g in groups] == [2, 1]
+    rows = list(interval_stream([ev(0.0), ev(29.9), ev(30.0)], 30.0))
+    assert [key.interval_index for key, _, _ in rows] == [0, 1]
+    assert [len(g) for _, g, _ in rows] == [2, 1]
 
 
 def test_window_emits_empty_gaps():
-    groups = list(window_events([ev(5.0), ev(65.0)], 30.0))
-    assert [key.interval_index for key, _ in groups] == [0, 1, 2]
-    assert [len(g) for _, g in groups] == [1, 0, 1]
+    rows = list(interval_stream([ev(5.0), ev(65.0)], 30.0))
+    assert [key.interval_index for key, _, _ in rows] == [0, 1, 2]
+    assert [len(g) for _, g, _ in rows] == [1, 0, 1]
+    assert not rows[1][2].features.any()
 
 
-def test_window_count_is_bounded_before_any_window_is_emitted():
-    widest = window_events([ev(0.5), ev(MAX_WINDOWS - 0.5)], 1.0)
-    assert next(widest)[0].interval_index == 0
-    too_wide = window_events([ev(0.5), ev(MAX_WINDOWS + 0.5)], 1.0)
+def test_window_count_is_bounded_before_the_gap_is_emitted():
+    widest = list(interval_stream([ev(0.5), ev(MAX_WINDOWS - 0.5)], 1.0))
+    assert [key.interval_index for key, _, _ in widest[::MAX_WINDOWS - 1]] == [0, MAX_WINDOWS - 1]
+    too_wide = interval_stream([ev(0.5), ev(MAX_WINDOWS + 0.5)], 1.0)
+    assert next(too_wide)[0].interval_index == 0
     with pytest.raises(InvalidConfig, match=f"{MAX_WINDOWS + 1} intervals"):
         next(too_wide)
 
 
 def test_window_empty_input():
-    assert list(window_events([], 30.0)) == []
-
-
-def test_window_rejects_mixed_containers():
-    with pytest.raises(ForeignEvent):
-        list(window_events([ev(0.0, c="a"), ev(1.0, c="b")], 30.0))
+    assert list(interval_stream([], 30.0)) == []
 
 
 def test_window_key_invariant():
-    (key, _), = window_events([ev(61.0)], 30.0)
+    ((key, _, _),) = interval_stream([ev(61.0)], 30.0)
     assert key.interval_index == 2
     assert key.start == 60.0
     assert key.start == key.interval_index * key.length
@@ -229,7 +226,7 @@ def test_additivity_except_distinct_pids():
 
 def test_dimension_stability_across_intervals():
     events = [ev(float(t), sc=sc) for t, sc in zip(range(90), ["openat", "close", "socket"] * 30)]
-    vectors = [summarize_interval(k, g) for k, g in window_events(events, 30.0)]
+    vectors = [vector for _, _, vector in interval_stream(events, 30.0)]
     assert {v.features.shape for v in vectors} == {(FEATURE_DIM,)}
     assert vectors_to_matrix(vectors).shape == (3, FEATURE_DIM)
 
@@ -311,23 +308,111 @@ def test_summary_matches_per_event_loop_bit_for_bit(events):
     assert vector.features.tobytes() == _loop_features(events).tobytes()
 
 
+@st.composite
+def _mixed_trace(draw):
+    """A time-ordered trace of up to three containers over few intervals."""
+    length, times = draw(_trace_over_few_intervals())
+    events = [
+        ev(
+            t,
+            sc=draw(st.sampled_from(["openat", "close", "futex", "gettimeofday"])),
+            pid=draw(st.integers(0, 3)),
+            ret=draw(st.integers(-1, 1)),
+            arg_bytes=draw(st.integers(0, 100)),
+            c=draw(st.sampled_from(["a", "b", "c"])),
+        )
+        for t in times
+    ]
+    return length, events
+
+
+def _reference_summaries(events, length) -> dict:
+    """Each container's events placed one container at a time by
+    `_interval_indices`, every interval from its first to its last
+    summarized by the per-event loop."""
+    streams: dict[str, list] = {}
+    for event in events:
+        streams.setdefault(event.container_id, []).append(event)
+    reference = {}
+    for container, stream in streams.items():
+        index = _interval_indices(np.array([e.timestamp for e in stream]), length)
+        groups: dict[int, list] = {}
+        for i, event in zip(index.astype(int).tolist(), stream):
+            groups.setdefault(i, []).append(event)
+        reference[container] = [
+            (
+                IntervalKey(container, i, length),
+                tuple(groups.get(i, ())),
+                _loop_features(groups.get(i, ())).tobytes(),
+            )
+            for i in range(min(groups), max(groups) + 1)
+        ]
+    return reference
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mixed_trace())
+def test_mixed_trace_summaries_match_a_per_container_reference(trace):
+    length, events = trace
+    summaries = summarize_trace(events, length)
+    got = {
+        container: [(key, tuple(group), vector.features.tobytes()) for key, group, vector in rows]
+        for container, rows in summaries.items()
+    }
+    reference = _reference_summaries(events, length)
+    assert list(got) == list(reference)
+    assert got == reference
+
+    rows = list(interval_stream(events, length))
+    starts = [key.start for key, group, _ in rows if len(group)]
+    assert starts == sorted(starts)
+    last: dict[str, int] = {}
+    for key, _, _ in rows:
+        assert key.interval_index == last.get(key.container_id, key.interval_index - 1) + 1
+        last[key.container_id] = key.interval_index
+
+
 @pytest.mark.parametrize("interval_len", [math.inf, math.nan, 0.0, -30.0])
 def test_interval_length_must_be_finite_and_positive(interval_len):
     with pytest.raises(InvalidConfig):
         summarize_trace([ev(1.0)], interval_len)
     with pytest.raises(InvalidConfig):
-        list(window_events([ev(1.0)], interval_len))
+        list(interval_stream([ev(1.0)], interval_len))
 
 
-def test_window_rejects_time_going_back_across_intervals():
+@pytest.mark.parametrize(
+    "times, interval_len",
+    [((1.0, 1e300), 1e-10), ((1.0, 1e300), 5e-324), ((2.0**60,), 1.0)],
+    ids=["t/L-overflows", "subnormal-length", "edges-meet"],
+)
+def test_event_that_no_interval_holds_is_a_config_error(times, interval_len):
+    """Where t / L is infinite, or so large that k and k + 1 are one
+    float64, no interval [k*L, (k+1)*L) holds t."""
+    with pytest.raises(InvalidConfig, match=f"interval length {interval_len} s"):
+        summarize_trace([ev(t) for t in times], interval_len)
+
+
+def test_window_rejects_time_going_back():
     with pytest.raises(OutOfOrderTimestamp) as excinfo:
-        list(window_events([ev(1.0), ev(31.0), ev(29.0)], 30.0))
+        list(interval_stream([ev(1.0), ev(31.0), ev(29.0)], 30.0))
     assert excinfo.value.index == 2
-    # the first fault in stream order wins
-    with pytest.raises(ForeignEvent):
-        list(window_events([ev(31.0), ev(1.0, c="other"), ev(1.0)], 30.0))
-    with pytest.raises(OutOfOrderTimestamp):
-        list(window_events([ev(31.0), ev(1.0), ev(1.0, c="other")], 30.0))
+    # within one interval, and across another container's events
+    with pytest.raises(OutOfOrderTimestamp) as excinfo:
+        list(interval_stream([ev(2.0), ev(3.0, c="other"), ev(1.0)], 30.0))
+    assert excinfo.value.index == 2
+
+
+@pytest.mark.parametrize(
+    "index", [1, _INDEX_PIECE, _INDEX_PIECE + 1, 2 * _INDEX_PIECE + 1, 2 * _INDEX_PIECE + 5]
+)
+def test_out_of_order_index_counts_from_the_start_of_the_whole_input(index):
+    """The order is checked in pieces, each overlapping the one before by
+    an event; the index still counts from the first event."""
+    times = list(range(index + 2))
+    times[index - 1], times[index] = times[index], times[index - 1]
+    with pytest.raises(OutOfOrderTimestamp) as excinfo:
+        list(interval_stream([ev(float(t)) for t in times], 1e6))
+    assert excinfo.value.index == index
 
 
 def test_split_keeps_first_use_order_and_slices_one_copy():
