@@ -17,12 +17,15 @@ timestamps, and codes into shared tables of container ids, syscall names
 and distinct pid/ret/bytes triples). It is a `Sequence[ForensicEvent]`
 that builds each event only when it is indexed or iterated, and its
 slices are zero-copy views that share the tables. The file is read once,
-in newline-aligned chunks; a chunk whose every line is the writer's
-canonical form is validated and split by one regular expression, and any
-other chunk goes line by line through `parse_event_record`, so every
-valid JSON record is accepted and every error names the same line and
-reason either way. A byte that is not UTF-8 is its line's "not UTF-8"
-error, reported in line order like any other.
+in newline-aligned chunks. One regular expression splits a chunk into
+timestamps and record bodies (everything after "t"); a body not seen
+before is checked and decoded once, with the chunk's other new bodies,
+and a repeated one is a dictionary lookup. A chunk whose every line is
+in the writer's canonical form is read that way, and any other chunk goes
+line by line through `parse_event_record`, so every valid JSON record is
+accepted and every error names the same line and reason either way. A
+byte that is not UTF-8 is its line's "not UTF-8" error, reported in line
+order like any other.
 
 Memory: the four columns are allocated once, before the first chunk,
 for as many events as the file's size allows (no valid record is
@@ -32,7 +35,9 @@ columns are views of the filled prefix, so reading holds each column
 once, never a copy per chunk beside the joined one. Pages of the
 allowance that no event reaches are never touched, so they take no
 resident memory. A source whose size says nothing, such as a FIFO, makes
-the columns start small and double as events arrive.
+the columns start small and double as events arrive. Reading remembers
+at most BODY_CACHE_SIZE bodies, and forgets them all between chunks once
+it holds that many.
 """
 
 from __future__ import annotations
@@ -58,18 +63,24 @@ _BYTES_LIMIT = 2**64
 # chunks read no faster and leave more transient strings and arrays.
 CHUNK_SIZE = 1 << 16
 
-# One record exactly as `format_event_record` writes it, newline included.
-# It accepts only JSON whose values float() and int() read as json does:
-# strings without escapes or control characters, a timestamp without sign
-# or leading zeros, and integers short enough that pid and ret fit int64,
-# bytes < 10**19 < 2**64, and no digit limit applies. Strings hold no lone
-# surrogate, which is how an undecodable byte reads. Groups: t, c, sc, and
-# the pid/ret/bytes tail.
-_CANONICAL_LINE = re.compile(
-    r'\{"t":((?:0|[1-9][0-9]{0,29})(?:\.[0-9]{1,30})?(?:[eE][-+]?[0-9]{1,3})?),'
+# Distinct record bodies `read_trace_file` remembers; once this many are
+# known, it forgets them before the next chunk.
+BODY_CACHE_SIZE = 4096
+
+# A record line split into its timestamp text and its body: everything
+# after "t", without the newline. The timestamp here and _BODY accept only
+# the writer's canonical form, whose values float() and int() read as json
+# does: strings without escapes or control characters, a timestamp without
+# sign or leading zeros, and integers short enough that pid and ret fit
+# int64, bytes < 10**19 < 2**64, and no digit limit applies. Strings hold
+# no lone surrogate, which is how an undecodable byte reads.
+_LINE = re.compile(
+    r'\{"t":((?:0|[1-9][0-9]{0,29})(?:\.[0-9]{1,30})?(?:[eE][-+]?[0-9]{1,3})?),([^\n]*)\n'
+)
+# A canonical body, newline included. Groups: c, sc, pid, ret, bytes.
+_BODY = re.compile(
     r'"c":"([^"\\\x00-\x1f\ud800-\udfff]+)","sc":"([^"\\\x00-\x1f\ud800-\udfff]+)",'
-    r'"pid":((?:0|[1-9][0-9]{0,17}),"ret":-?(?:0|[1-9][0-9]{0,17}),'
-    r'"bytes":(?:0|[1-9][0-9]{0,18}))\}\n'
+    r'"pid":(0|[1-9][0-9]{0,17}),"ret":(-?(?:0|[1-9][0-9]{0,17})),"bytes":(0|[1-9][0-9]{0,18})\}\n'
 )
 
 
@@ -286,11 +297,11 @@ class _BlockAssembler:
         self.containers: dict[str, int] = {}
         self.syscalls: dict[str, int] = {}
         self.tails: dict[tuple, int] = {}
-        self.tail_texts: dict[str, int] = {}
+        self.bodies = _BodyCodes()
         self.columns = [np.empty(capacity, dtype) for dtype in _DTYPES]
         self.count = 0
 
-    def _append(self, *chunks) -> None:
+    def append(self, *chunks) -> None:
         """Write one chunk's values (an array or a sequence per column)."""
         start = self.count
         end = self.count = start + len(chunks[0])
@@ -303,28 +314,37 @@ class _BlockAssembler:
         for column, chunk in zip(self.columns, chunks):
             column[start:end] = chunk
 
-    def add_canonical(self, times: np.ndarray, containers, syscalls, tail_texts) -> None:
-        """Columns of canonical lines; each distinct tail text is read once."""
-        known = self.tail_texts
-        for text in dict.fromkeys(tail_texts):
-            if text not in known:
-                pid, _, rest = text.partition(',"ret":')
-                ret, _, nbytes = rest.partition(',"bytes":')
-                tail = (int(pid), int(ret), int(nbytes))
-                known[text] = self.tails.setdefault(tail, len(self.tails))
-        self._append(
-            times,
-            _codes(self.containers, containers),
-            _codes(self.syscalls, syscalls),
-            _codes(known, tail_texts, register=False),
-        )
+    def body_codes(self, bodies: list[str]) -> np.ndarray | None:
+        """The (container, syscall, tail) codes of each body, one row each,
+        checking and reading each body the cache does not hold; None, with
+        nothing registered, when one of those bodies is not canonical."""
+        if len(self.bodies) >= BODY_CACHE_SIZE:
+            self.bodies = _BodyCodes()
+        cache = self.bodies
+        rows = np.fromiter(map(cache.__getitem__, bodies), dtype=_CODE, count=len(bodies))
+        if len(cache) > len(cache.rows):
+            pending = list(cache)[len(cache.rows) :]
+            parts = _BODY.split("\n".join(pending) + "\n")
+            # canonical exactly when the matches cover the text
+            if any(parts[::6]):
+                for body in pending:
+                    del cache[body]
+                return None
+            tails = zip(map(int, parts[3::6]), map(int, parts[4::6]), map(int, parts[5::6]))
+            new = np.column_stack((
+                _codes(self.containers, parts[1::6]),
+                _codes(self.syscalls, parts[2::6]),
+                _codes(self.tails, list(tails)),
+            ))
+            cache.rows = np.concatenate((cache.rows, new))
+        return cache.rows[rows]
 
     def add_events(self, events: Iterable[ForensicEvent]) -> None:
         columns = tuple(zip(*events))
         if not columns:
             return
         times, containers, syscalls, pids, results, arg_bytes = columns
-        self._append(
+        self.append(
             times,
             _codes(self.containers, containers),
             _codes(self.syscalls, syscalls),
@@ -337,12 +357,23 @@ class _BlockAssembler:
         return EventBlock(*filled, tables)
 
 
-def _codes(table: dict, values: Sequence, register: bool = True) -> np.ndarray:
+def _codes(table: dict, values: Sequence) -> np.ndarray:
     """Each value's code in `table`, adding unseen values in order of first use."""
-    if register:
-        for value in dict.fromkeys(values):
-            table.setdefault(value, len(table))
+    for value in dict.fromkeys(values):
+        table.setdefault(value, len(table))
     return np.fromiter(map(table.__getitem__, values), dtype=_CODE, count=len(values))
+
+
+class _BodyCodes(dict):
+    """Record body -> its row in `rows`, the body's (container, syscall,
+    tail) codes. A body not seen before gets the next row, which stays
+    pending until `_BlockAssembler.body_codes` fills it."""
+
+    rows = np.zeros((0, 3), dtype=_CODE)  # replaced as rows are filled, never written
+
+    def __missing__(self, body: str) -> int:
+        row = self[body] = len(self)
+        return row
 
 
 def as_block(events: Iterable[ForensicEvent]) -> EventBlock:
@@ -386,27 +417,29 @@ def read_trace(source: IO[str] | io.TextIOBase) -> Iterator[ForensicEvent]:
     return _parse_lines(source, 0, -math.inf)
 
 
-def _add_chunk(assembler: _BlockAssembler, chunk: str, first_index: int, last_t: float) -> float:
+def _add_chunk(
+    assembler: _BlockAssembler, chunk: str, first_index: int, last_t: float
+) -> tuple[float, int]:
     """Add the events of `chunk`, whose lines are numbered from
-    `first_index` and end in newlines; returns its last timestamp."""
-    parts = _CANONICAL_LINE.split(chunk)
-    step = _CANONICAL_LINE.groups + 1
-    # canonical exactly when the matches cover the chunk
-    if not any(parts[::step]):
-        times = np.fromiter(map(float, parts[1::step]), dtype=np.float64, count=len(parts) // step)
+    `first_index` and end in newlines; returns its last timestamp and
+    its number of lines."""
+    parts = _LINE.split(chunk)
+    # canonical exactly when the lines cover the chunk and every body is canonical
+    codes = None if any(parts[::3]) else assembler.body_codes(parts[2::3])
+    if codes is not None:
+        times = np.fromiter(map(float, parts[1::3]), dtype=np.float64, count=len(codes))
         if np.isfinite(times).all():
-            if times.size:
-                backwards = np.flatnonzero(times[1:] < times[:-1]) + 1
-                if times[0] < last_t:
-                    raise OutOfOrderTimestamp(first_index)
-                if backwards.size:
-                    raise OutOfOrderTimestamp(first_index + int(backwards[0]))
-                last_t = float(times[-1])
-            assembler.add_canonical(times, parts[2::step], parts[3::step], parts[4::step])
-            return last_t
-    events = list(_parse_lines(chunk.split("\n")[:-1], first_index, last_t))
+            backwards = np.flatnonzero(times[1:] < times[:-1]) + 1
+            if times[0] < last_t:
+                raise OutOfOrderTimestamp(first_index)
+            if backwards.size:
+                raise OutOfOrderTimestamp(first_index + int(backwards[0]))
+            assembler.append(times, *codes.T)
+            return float(times[-1]), len(times)
+    lines = chunk.split("\n")[:-1]
+    events = list(_parse_lines(lines, first_index, last_t))
     assembler.add_events(events)
-    return events[-1].timestamp if events else last_t
+    return (events[-1].timestamp if events else last_t), len(lines)
 
 
 # Characters of the shortest valid record, {"t":0,"c":"a","sc":"b","pid":0,"ret":0,"bytes":0}.
@@ -429,8 +462,8 @@ def read_trace_file(path) -> EventBlock:
                 chunk += fh.readline()
                 if not chunk.endswith("\n"):
                     chunk += "\n"
-            last_t = _add_chunk(assembler, chunk, line_no, last_t)
-            line_no += chunk.count("\n")
+            last_t, lines = _add_chunk(assembler, chunk, line_no, last_t)
+            line_no += lines
     return assembler.build()
 
 

@@ -260,9 +260,9 @@ def summarize_interval(
         code = tables.containers.index(key.container_id)
     except ValueError:
         code = -1
-    if (block.container_codes != code).any() or (
-        _interval_indices(block.timestamps, key.length) != key.interval_index
-    ).any():
+    t = block.timestamps
+    # the k `_interval_indices` gives is the one whose edges hold t, so two bounds test it
+    if (block.container_codes != code).any() or not (key.start <= t.min() and t.max() < key.end):
         _raise_foreign(key, block, code)
 
     counts = np.bincount(block.syscall_codes, minlength=len(tables.syscalls))

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import math
@@ -17,6 +18,7 @@ from vaeguard.errors import MalformedRecord, OutOfOrderTimestamp
 from vaeguard.events import (
     EventBlock,
     ForensicEvent,
+    as_block,
     format_event_record,
     parse_event_record,
     read_trace,
@@ -25,7 +27,7 @@ from vaeguard.events import (
     write_trace_file,
 )
 from vaeguard.pipeline import summarize_trace
-from vaeguard.scenarios import ScenarioConfig, gen_baseline
+from vaeguard.scenarios import CPUMINER_PHASES, ScenarioConfig, gen_baseline, gen_cpuminer_scenario
 
 
 def test_parse_basic_record():
@@ -385,19 +387,24 @@ def _with_undecodable_byte(text, spoil):
 
 
 class _CoverageSpy:
-    """The canonical-line pattern, noting whether it matched a whole chunk,
-    which is when the reader takes the chunk's columns from its groups."""
+    """The line-splitting pattern, noting whether its lines covered a whole
+    chunk, which is when the reader goes on to check the chunk's bodies
+    and takes its columns from the groups."""
 
-    pattern = events_module._CANONICAL_LINE
-    groups = pattern.groups
+    pattern = events_module._LINE
 
     def __init__(self):
         self.covered = False
 
     def split(self, chunk):
         parts = self.pattern.split(chunk)
-        self.covered |= not any(parts[:: self.groups + 1])
+        self.covered |= not any(parts[::3])
         return parts
+
+
+def _tables(block):
+    tables = block.tables
+    return tables.containers, tables.syscalls, (tables.pids, tables.results, tables.arg_bytes)
 
 
 _FIFTY_RECORDS = "".join(
@@ -411,20 +418,39 @@ _FIFTY_RECORDS = "".join(
 _HINT_OF_ONE = {"_MIN_RECORD_CHARS": 2**62}
 
 
+# A chunk of new canonical bodies around a line that is valid but not
+# canonical, then a chunk that repeats one of those bodies: the line
+# reader's events and tables, in its order.
+_LINE_READER_CHUNK = (
+    format_event_record(ForensicEvent(1.0, "web-0", "openat", 1, 0, 0)) + "\n"
+    + '{"t":2.0,"c":"db-1","sc":"close","pid":2,"ret":-1,"bytes": 5}\n'
+    + format_event_record(ForensicEvent(3.0, "a b", "futex", 3, 0, 7)) + "\n"
+)
+_REPEATED_BODY = format_event_record(ForensicEvent(4.0, "web-0", "openat", 1, 0, 0)) + "\n"
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     text=_mixed_trace_text(), chunk_size=st.integers(1, 400), spoil=_UNDECODABLE,
-    hint_of_one=st.booleans(),
+    hint_of_one=st.booleans(), cache_size=st.sampled_from([1, 2, events_module.BODY_CACHE_SIZE]),
 )
-@example(text=_FIFTY_RECORDS, chunk_size=400, spoil=(49, "in string", 0), hint_of_one=False)
-@example(text=_FIFTY_RECORDS, chunk_size=7, spoil=None, hint_of_one=True)
+@example(
+    text=_FIFTY_RECORDS, chunk_size=400, spoil=(49, "in string", 0), hint_of_one=False,
+    cache_size=events_module.BODY_CACHE_SIZE,
+)
+@example(text=_FIFTY_RECORDS, chunk_size=7, spoil=None, hint_of_one=True, cache_size=1)
+@example(
+    text=_LINE_READER_CHUNK + _REPEATED_BODY, chunk_size=len(_LINE_READER_CHUNK) - 1,
+    spoil=None, hint_of_one=False, cache_size=events_module.BODY_CACHE_SIZE,
+)
 def test_read_trace_file_matches_line_by_line_reading(
-    trace_path, text, chunk_size, spoil, hint_of_one
+    trace_path, text, chunk_size, spoil, hint_of_one, cache_size
 ):
-    """Same events, or the same MalformedRecord line and reason, or the same
-    OutOfOrderTimestamp index, with chunk boundaries anywhere and the
-    columns sized by the file or grown from one event; with a byte that
-    is not UTF-8, the first failing line's error, whatever its kind."""
+    """Same events and value tables, or the same MalformedRecord line and
+    reason, or the same OutOfOrderTimestamp index, with chunk boundaries
+    anywhere, the body cache restarting anywhere, and the columns sized
+    by the file or grown from one event; with a byte that is not UTF-8,
+    the first failing line's error, whatever its kind."""
     if spoil is None:
         trace_path.write_text(text, encoding="utf-8", newline="")
         expected = _outcome(read_trace, text)
@@ -433,8 +459,13 @@ def test_read_trace_file_matches_line_by_line_reading(
         trace_path.write_bytes(data)
     spy = _CoverageSpy()
     hint = _HINT_OF_ONE if hint_of_one else {}
-    with mock.patch.multiple(events_module, CHUNK_SIZE=chunk_size, _CANONICAL_LINE=spy, **hint):
+    with mock.patch.multiple(
+        events_module, CHUNK_SIZE=chunk_size, BODY_CACHE_SIZE=cache_size, _LINE=spy, **hint
+    ):
         assert _outcome_of_file(trace_path) == expected
+        if expected[0] == "events":
+            oracle = as_block(list(read_trace(io.StringIO(text))))
+            assert _tables(read_trace_file(trace_path)) == _tables(oracle)
     hypothesis.event("columnar chunk taken" if spy.covered else "no columnar chunk")
 
 
@@ -516,6 +547,27 @@ def test_columns_grow_when_the_hint_is_short(tmp_path):
     assert block.timestamps.base.shape[0] >= len(events)
     with pytest.raises(ValueError):
         block.tail_codes[0] = 1
+
+
+def test_reading_leaves_no_garbage(tmp_path):
+    """Reading makes no reference cycle, so nothing it built waits for the
+    cycle collector: a cpuminer trace with more distinct record bodies
+    than the body cache holds, so the cache restarts during the read."""
+    schedule = tuple((10.0 * i, 10.0 * (i + 1), label) for i, label in enumerate(CPUMINER_PHASES))
+    path = tmp_path / "trace.ndjson"
+    write_trace_file(
+        gen_cpuminer_scenario(ScenarioConfig(seed=11, duration_s=60.0, phase_schedule=schedule)),
+        path,
+    )
+    bodies = {line.split(",", 1)[1] for line in path.read_text(encoding="utf-8").splitlines()}
+    assert len(bodies) > events_module.BODY_CACHE_SIZE
+    gc.collect()
+    gc.disable()
+    try:
+        read_trace_file(path)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _read_through_fifo(tmp_path, data: bytes):

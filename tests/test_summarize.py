@@ -104,6 +104,28 @@ def test_interval_indices_in_pieces_match_the_whole_stream_formula():
     assert _interval_indices(t, length).tobytes() == whole.tobytes()
 
 
+@pytest.mark.parametrize("length", [0.1, 1e-3, 0.3, 1.0, 7.0, 30.0])
+def test_interval_bounds_say_what_the_interval_index_says(length):
+    """summarize_interval accepts events by two bounds, start <= t and
+    t < end; on every edge (as IntervalKey computes it) and one ulp either
+    side, those hold exactly where the per-event interval index is the key's."""
+    indices = np.r_[0:2000, 10**7 : 10**7 + 1000]
+    keys = [IntervalKey("box", int(k), length) for k in indices]
+    starts = np.array([key.start for key in keys])
+    ends = np.array([key.end for key in keys])
+    for edge in (starts, ends):
+        for t in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)):
+            indexed = _interval_indices(t, length) == indices
+            assert (((starts <= t) & (t < ends)) == indexed).all()
+            for i in [*range(40), *range(-10, 0)]:
+                try:
+                    summarize_interval(keys[i], [ev(float(t[i]))])
+                    accepted = True
+                except ForeignEvent:
+                    accepted = False
+                assert accepted == indexed[i]
+
+
 @st.composite
 def _trace_over_few_intervals(draw):
     """A finite interval length and a sorted trace spanning at most 42 of
