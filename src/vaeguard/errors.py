@@ -67,10 +67,6 @@ class InsufficientData(DataError):
         self.required = required
 
 
-class UnknownContainer(DataError):
-    """No cached intervals exist for the requested container."""
-
-
 class EmptyBatch(DataError):
     """Bulk encoding requires at least one document."""
 
@@ -103,13 +99,8 @@ class NotFittedError(ModelError):
 
 
 class SinkUnavailable(VaeguardError):
-    """Publishing sink rejected the write. `actions` holds every action the
-    sink accepted but did not deliver, oldest first; the sink has dropped
-    them, and `emit` spools them when it has a spool."""
+    """Publishing sink rejected the write; what it had not delivered is
+    dropped, not kept to resend."""
 
     exit_code = 5
     kind = "sink"
-
-    def __init__(self, message: str, actions: tuple = ()):
-        super().__init__(message)
-        self.actions = tuple(actions)

@@ -6,10 +6,13 @@ record (interval judged stable), or publishes the latent record plus the
 interval's raw forensics (drift). An interval's events arrive as an
 `EventBlock` slice of the trace; the stable and accumulating decisions
 never look at them, and a drift action carries the slice itself, which
-the encoders read column by column. Both publishers also push every
-interval into a ring buffer of recent raw intervals that nothing reads
-yet (it is to be deleted), and a conventional mode that always ships
-full forensics exists for cost comparisons.
+the encoders read column by column. A conventional mode that always
+ships full forensics exists for cost comparisons.
+
+Both publishers also push every interval into an `IntervalCache`, a
+per-container ring buffer of recent raw intervals. Nothing reads it: it
+stays only while the benchmark harness times `IntervalCache.push` and
+passes `cache_capacity`, and then goes.
 
 A drift's encodings are produced in pieces of at most 4,096 events
 (`_ROWS_PER_PIECE`), so what publishing one allocates at a time does not
@@ -29,13 +32,11 @@ import logging
 import urllib.parse
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
-from vaeguard.errors import SinkUnavailable, UnknownContainer
 from vaeguard.events import EventBlock, ForensicEvent, as_block
 from vaeguard.summarize import ActivityVector, IntervalKey, vectors_to_matrix
 from vaeguard.thresholds import DEFAULT_K, StabilityVerdict, assess
@@ -43,7 +44,7 @@ from vaeguard.vae import LatentRecord, TrainConfig, VaeStabilityDetector, save_m
 
 if TYPE_CHECKING:
     # sinks imports this module's codec at run time
-    from vaeguard.sinks import Document, Sink, SpoolDirectory
+    from vaeguard.sinks import Document, Sink
 
 logger = logging.getLogger(__name__)
 
@@ -97,7 +98,8 @@ class PublishAction:
 
 class IntervalCache:
     """Per-container ring buffer of the most recent raw intervals, each
-    held as the block it was pushed with (a list is copied into one)."""
+    held as the block it was pushed with (a list is copied into one).
+    Written and never read; see the module docstring."""
 
     def __init__(self, capacity: int = DEFAULT_CACHE_CAPACITY):
         if capacity < 1:
@@ -110,16 +112,6 @@ class IntervalCache:
         if buffer is None:
             buffer = self._buffers[key.container_id] = deque(maxlen=self.capacity)
         buffer.append((key, as_block(events)))
-
-    def fetch_prior_intervals(
-        self, container_id: str, count: int
-    ) -> list[tuple[IntervalKey, EventBlock]]:
-        """Up to `count` most recent cached intervals, newest first."""
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        if container_id not in self._buffers:
-            raise UnknownContainer(container_id)
-        return list(islice(reversed(self._buffers[container_id]), count))
 
 
 # -- serialization ----------------------------------------------------------
@@ -312,71 +304,14 @@ def action_to_documents(
 def emit(
     action: PublishAction,
     sink: Sink,
-    spool: SpoolDirectory | None = None,
     latent_index: str = DEFAULT_LATENT_INDEX,
     forensics_index: str = DEFAULT_FORENSICS_INDEX,
 ) -> int:
     """Publish one action; returns the exact bytes it adds to what the sink
     ships (a buffering sink ships them at a later publish, flush or close).
-
-    The sink encodes the action itself. If the sink is unavailable, every
-    action it accepted and did not deliver, this one among them, is
-    spooled serialized (when a spool is configured), and the failure
-    still propagates so callers see the outage.
-    """
-    try:
-        return sink.publish(action, latent_index, forensics_index)
-    except SinkUnavailable as exc:
-        if spool is not None:
-            for dropped in exc.actions:
-                spool.store(serialize_action(dropped))
-            logger.warning("sink unavailable; spooled %d actions", len(exc.actions))
-        raise
-
-
-def replay_spool(
-    spool: SpoolDirectory,
-    sink: Sink,
-    latent_index: str = DEFAULT_LATENT_INDEX,
-    forensics_index: str = DEFAULT_FORENSICS_INDEX,
-) -> int:
-    """Re-publish spooled actions oldest-first, then flush the sink;
-    returns the bytes their publishes returned.
-
-    A file is removed once the sink has delivered its action, which the
-    final flush confirms. The first sink failure propagates and leaves
-    every file whose action it did not deliver spooled; actions the sink
-    held from before the replay and dropped are spooled too. A file that does
-    not parse as an action is moved to the spool's quarantine and the
-    rest go on.
-    """
-    total = 0
-    published: list[tuple[Path, PublishAction]] = []
-    try:
-        for path in spool.pending():
-            try:
-                action = parse_action(path.read_bytes())
-            except (ValueError, KeyError, TypeError, IndexError, RecursionError) as exc:
-                logger.warning("unreadable spooled action %s quarantined: %s", path.name, exc)
-                spool.quarantine(path)
-                continue
-            published.append((path, action))
-            total += sink.publish(action, latent_index, forensics_index)
-        sink.flush()
-    except SinkUnavailable as exc:
-        undelivered = {id(action) for action in exc.actions}
-        for path, action in published:
-            if id(action) not in undelivered:
-                path.unlink()
-        # what the sink accepted before the replay was dropped with the rest
-        replayed = {id(action) for _, action in published}
-        for action in exc.actions:
-            if id(action) not in replayed:
-                spool.store(serialize_action(action))
-        raise
-    for path, _ in published:
-        path.unlink()
-    return total
+    The sink encodes the action itself, and its `SinkUnavailable`
+    propagates."""
+    return sink.publish(action, latent_index, forensics_index)
 
 
 # -- the adaptive publisher --------------------------------------------------

@@ -27,27 +27,22 @@ returns; `flush` and `close` POST the rest. The bodies and their
 boundaries are those of encoding the whole document list at once. A
 document's `_id` is `<container>/<interval>/<ordinal>`
 (ordinal 0 for the action's head, then 1, 2, ... for its events), so a
-replay overwrites what an earlier delivery indexed. An action counts as
-delivered once the POST holding its last document succeeds, and
+re-publish overwrites what an earlier delivery indexed.
 `bytes_written` counts only bytes of POSTs that succeeded.
 
 A reply that is not a JSON object, or that reports `"errors": true`,
 fails the POST as a refused connection does. A failed POST raises
-`SinkUnavailable` carrying every action the sink accepted and has not
-delivered, oldest first, and the sink drops them; so a failure can show
-at a later `publish` than the action's own, or at `flush`/`close`.
-`publisher.emit` stores each of those actions in a SpoolDirectory, when
-it has one, so they can be replayed later.
+`SinkUnavailable` and drops every document the sink held, never to
+resend it; so a failure can show at a later `publish` than the action's
+own, or at `flush`/`close`.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
-import os
 import urllib.error
 import urllib.request
-from collections import deque
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
@@ -102,7 +97,7 @@ class FileSink:
     def publish(self, action: PublishAction, latent_index: str, forensics_index: str) -> int:
         handle = self._handle
         if handle.closed:
-            raise SinkUnavailable(f"file sink {self.path} is closed", (action,))
+            raise SinkUnavailable(f"file sink {self.path} is closed")
         start = None
         written = 0
         try:
@@ -113,7 +108,7 @@ class FileSink:
                 written += len(piece)
         except (OSError, ValueError) as exc:
             self._cut(start)
-            raise SinkUnavailable(f"file sink {self.path}: {exc}", (action,)) from exc
+            raise SinkUnavailable(f"file sink {self.path}: {exc}") from exc
         self.bytes_written += written
         return written
 
@@ -173,26 +168,18 @@ class HttpBulkSink:
         self.headers = dict(headers or {})
         self.timeout = timeout
         self.bytes_written = 0
-        # encoded documents not yet POSTed
+        # encoded documents not yet POSTed, and how many they are
         self._buffer = bytearray()
-        # documents ever added to the buffer, and ever removed from it
-        self._added = 0
-        self._removed = 0
-        # (documents added through the action's last one, action), oldest first
-        self._undelivered: deque[tuple[int, PublishAction]] = deque()
+        self._waiting = 0
 
     def publish(self, action: PublishAction, latent_index: str, forensics_index: str) -> int:
-        events = action.forensics
-        # the action is undelivered until the POST of its last document succeeds
-        last = self._added + 1 + (0 if events is None else len(events))
-        self._undelivered.append((last, action))
         written = 0
         for documents in document_pieces(action, latent_index, forensics_index):
             body = encode_bulk_request(documents)
             self._buffer += body
-            self._added += len(documents)
+            self._waiting += len(documents)
             written += len(body)
-            while self._added - self._removed >= self.batch_size:
+            while self._waiting >= self.batch_size:
                 self._post(self.batch_size)
         if action.mode is PublishMode.LATENT_PLUS_FORENSICS:
             # a drift's forensics do not wait in memory for the batch to fill
@@ -200,8 +187,8 @@ class HttpBulkSink:
         return written
 
     def flush(self) -> None:
-        if self._added > self._removed:
-            self._post(self._added - self._removed)
+        if self._waiting:
+            self._post(self._waiting)
 
     def close(self) -> None:
         self.flush()
@@ -209,7 +196,7 @@ class HttpBulkSink:
     def _post(self, count: int) -> None:
         """POST the oldest `count` waiting documents."""
         end = len(self._buffer)
-        if count < self._added - self._removed:
+        if count < self._waiting:
             end = 0
             # compact_json escapes every newline, so each document is two lines
             for _ in range(2 * count):
@@ -228,52 +215,10 @@ class HttpBulkSink:
         except (urllib.error.URLError, http.client.HTTPException, OSError) as exc:
             problem, cause = str(exc), exc
         if problem is not None:
-            dropped = tuple(action for _, action in self._undelivered)
             self._buffer.clear()
-            self._removed = self._added
-            self._undelivered.clear()
-            raise SinkUnavailable(f"bulk endpoint {self.endpoint}: {problem}", dropped) from cause
+            self._waiting = 0
+            raise SinkUnavailable(f"bulk endpoint {self.endpoint}: {problem}") from cause
         del self._buffer[:end]
-        self._removed += count
+        self._waiting -= count
         self.bytes_written += len(body)
-        while self._undelivered and self._undelivered[0][0] <= self._removed:
-            self._undelivered.popleft()
 
-
-class SpoolDirectory:
-    """Disk spool for serialized actions that could not be published;
-    `publisher.replay_spool` drains it.
-
-    Each action is one `action-<index>.ndjson` file, written to a temporary
-    name and renamed into place, so a crash never leaves a partial one.
-    The next index is found once, when the spool is opened, counting the
-    files moved to `quarantine/` too.
-    """
-
-    def __init__(self, path):
-        self.path = Path(path)
-        self.path.mkdir(parents=True, exist_ok=True)
-        self.quarantine_path = self.path / "quarantine"
-        # skip names without a numeric index, such as action-old.ndjson: the
-        # file stays pending, and replay quarantines it if it cannot be read
-        indices = (p.stem.removeprefix("action-") for p in self.path.glob("**/action-*.ndjson"))
-        existing = (int(i) for i in indices if i.isascii() and i.isdigit())
-        self._next_index = max(existing, default=-1) + 1
-
-    def store(self, line: bytes) -> Path:
-        target = self.path / f"action-{self._next_index:08d}.ndjson"
-        partial = target.with_suffix(".partial")
-        partial.write_bytes(line)
-        os.replace(partial, target)
-        self._next_index += 1
-        return target
-
-    def pending(self) -> list[Path]:
-        return sorted(self.path.glob("action-*.ndjson"))
-
-    def quarantine(self, path: Path) -> Path:
-        """Move a spooled file that cannot be read out of the replay queue."""
-        self.quarantine_path.mkdir(exist_ok=True)
-        target = self.quarantine_path / path.name
-        os.replace(path, target)
-        return target

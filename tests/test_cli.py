@@ -1,7 +1,9 @@
 import heapq
 import json
 import operator
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -422,29 +424,24 @@ def _subclasses(cls):
         yield from _subclasses(sub)
 
 
-_DOCUMENTED_EXITS = {
-    "InvalidConfig": (2, "config error:"),
-    "InvalidK": (2, "config error:"),
-    "ValueError": (2, "config error:"),
-    "MalformedRecord": (3, "data error:"),
-    "OutOfOrderTimestamp": (3, "data error:"),
-    "ForeignEvent": (3, "data error:"),
-    "EmptyDataset": (3, "data error:"),
-    "InsufficientData": (3, "data error:"),
-    "UnknownContainer": (3, "data error:"),
-    "EmptyBatch": (3, "data error:"),
-    "OSError": (3, "data error:"),
-    "DimensionMismatch": (4, "model error:"),
-    "NonFiniteInput": (4, "model error:"),
-    "SchemaMismatch": (4, "model error:"),
-    "CorruptModelFile": (4, "model error:"),
-    "NotFittedError": (4, "model error:"),
-    "SinkUnavailable": (5, "sink error:"),
-}
+def _documented_exits() -> dict[str, tuple[int, str]]:
+    """{error name: (exit code, stderr prefix)} from the README's exit-code
+    table: every backticked name in a row's third column gets that row's
+    code and prefix."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n### Exit codes\n", 1)[1].split("\n## ", 1)[0]
+    documented: dict[str, tuple[int, str]] = {}
+    rows = re.findall(r"^\| (\d+) \| `([a-z]+ error:)` \| (.*) \|$", section, re.M)
+    for code, prefix, raised_as in rows:
+        for name in re.findall(r"`(\w+)`", raised_as):
+            assert name not in documented, f"{name} is documented twice"
+            documented[name] = (int(code), prefix)
+    return documented
 
 
 def test_every_error_maps_to_a_documented_exit_code(monkeypatch, capsys):
-    """Each error exits with the README's code and stderr prefix."""
+    """Each error exits with the README's code and stderr prefix, and the
+    README's table names every error class, ValueError and OSError."""
     exits = {}
     for error in (*_subclasses(errors.VaeguardError), ValueError, OSError):
         def fail(args, error=error):
@@ -458,7 +455,7 @@ def test_every_error_maps_to_a_documented_exit_code(monkeypatch, capsys):
         for name, value in vars(errors).items()
         if isinstance(value, type) and issubclass(value, errors.VaeguardError)
     } - {"VaeguardError"} | {"ValueError", "OSError"}
-    assert {name: exits[name] for name in _DOCUMENTED_EXITS} == _DOCUMENTED_EXITS
+    assert exits == _documented_exits()
     assert {name for name, (code, _) in exits.items() if code not in (2, 3, 4, 5)} == set()
 
 

@@ -1,4 +1,5 @@
 import gc
+import importlib
 import json
 import os
 import subprocess
@@ -12,9 +13,11 @@ import pytest
 import vaeguard
 
 from conftest import fit_recording_factory, small_detector
-from vaeguard.errors import SinkUnavailable, UnknownContainer
+from vaeguard.errors import SinkUnavailable
 from vaeguard.events import EventBlock, ForensicEvent, as_block
 from vaeguard.publisher import (
+    DEFAULT_FORENSICS_INDEX,
+    DEFAULT_LATENT_INDEX,
     AdaptivePublisher,
     IntervalCache,
     PublishAction,
@@ -22,10 +25,9 @@ from vaeguard.publisher import (
     action_to_documents,
     emit,
     parse_action,
-    replay_spool,
     serialize_action,
 )
-from vaeguard.sinks import FileSink, SpoolDirectory
+from vaeguard.sinks import FileSink
 from vaeguard.summarize import FEATURE_DIM, ActivityVector, IntervalKey, vectors_to_matrix
 from vaeguard.vae import TrainConfig, load_model
 
@@ -51,37 +53,53 @@ def events_for(i, count=3, container="box"):
 
 
 def test_cache_capacity_bound():
+    """Each container keeps only its newest `capacity` blocks."""
     cache = IntervalCache(capacity=4)
-    for i in range(6):
-        cache.push(key(i), events_for(i))
-    fetched = cache.fetch_prior_intervals("box", 10)
-    assert len(fetched) == 4
-    assert [k.interval_index for k, _ in fetched] == [5, 4, 3, 2]
-
-
-def test_cache_most_recent_first():
-    cache = IntervalCache(capacity=4)
-    for i in range(3):
-        cache.push(key(i), events_for(i))
-    (top_key, top_events), = cache.fetch_prior_intervals("box", 1)
-    assert top_key.interval_index == 2
-    assert top_events == tuple(events_for(2))
+    blocks = [as_block(events_for(i)) for i in range(6)]
+    columns = [weakref.ref(block.timestamps) for block in blocks]
+    for i, block in enumerate(blocks):
+        cache.push(key(i), block)
+    cache.push(key(0, container="other"), events_for(0, container="other"))
+    del blocks, block
+    gc.collect()
+    assert [column() is not None for column in columns] == [False, False, True, True, True, True]
 
 
 def test_cache_holds_the_pushed_block_itself():
+    """A pushed block is kept as it is, not copied; a pushed list is
+    copied into one block."""
     cache = IntervalCache(capacity=4)
     block = as_block(events_for(1))
     cache.push(key(1), block)
-    (_, held), = cache.fetch_prior_intervals("box", 1)
+    cache.push(key(2), events_for(2))
+    (_, held), (_, copied) = cache._buffers["box"]
     assert held is block
+    assert isinstance(copied, EventBlock)
+    assert copied == tuple(events_for(2))
 
 
-def test_cache_unknown_container():
-    cache = IntervalCache()
-    with pytest.raises(UnknownContainer):
-        cache.fetch_prior_intervals("ghost", 1)
+@pytest.mark.parametrize("capacity", [0, -1])
+def test_cache_capacity_must_be_positive(capacity):
     with pytest.raises(ValueError):
-        IntervalCache(capacity=0)
+        IntervalCache(capacity=capacity)
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("vaeguard.sinks", "SpoolDirectory"),
+        ("vaeguard.publisher", "replay_spool"),
+        ("vaeguard.errors", "UnknownContainer"),
+        ("vaeguard.publisher", "IntervalCache.fetch_prior_intervals"),
+    ],
+)
+def test_the_spool_and_the_cache_fetch_are_gone(module, name):
+    """Nothing in the library fills, drains or reads back a spool or the cache."""
+    owner = importlib.import_module(module)
+    *parents, last = name.split(".")
+    for part in parents:
+        owner = getattr(owner, part)
+    assert not hasattr(owner, last)
 
 
 # -- serialization ----------------------------------------------------------------
@@ -479,35 +497,35 @@ def test_emit_returns_exact_bytes(tmp_path):
         assert receipt == len(serialize_action(action))
 
 
-def test_emit_to_closed_sink_spools_and_raises(tmp_path):
+def test_emit_to_closed_sink_raises(tmp_path):
     publisher = make_publisher(target=4)
     action = run_stream(publisher, 1)[0]
     sink = FileSink(tmp_path / "out.ndjson")
     sink.close()
-    spool = SpoolDirectory(tmp_path / "spool")
     with pytest.raises(SinkUnavailable):
-        emit(action, sink, spool)
-    assert len(spool.pending()) == 1
-    assert spool.pending()[0].read_bytes() == serialize_action(action)
+        emit(action, sink)
+    assert (tmp_path / "out.ndjson").read_bytes() == b""
 
 
-def test_spool_replay_drains_to_fresh_sink(tmp_path):
-    publisher = make_publisher(target=4)
-    actions = run_stream(publisher, 3)
-    spool = SpoolDirectory(tmp_path / "spool")
-    dead = FileSink(tmp_path / "dead.ndjson")
-    dead.close()
-    for action in actions:
-        with pytest.raises(SinkUnavailable):
-            emit(action, dead, spool)
-    assert len(spool.pending()) == 3
-    fresh = FileSink(tmp_path / "fresh.ndjson")
-    replayed = replay_spool(spool, fresh)
-    fresh.close()
-    assert not spool.pending()
-    assert replayed == (tmp_path / "fresh.ndjson").stat().st_size
-    expected = b"".join(serialize_action(a) for a in actions)
-    assert (tmp_path / "fresh.ndjson").read_bytes() == expected
+class _RecordingSink:
+    def __init__(self):
+        self.calls = []
+
+    def publish(self, action, latent_index, forensics_index):
+        self.calls.append((action, latent_index, forensics_index))
+        return 17
+
+
+@pytest.mark.parametrize(
+    "indices, expected",
+    [((), (DEFAULT_LATENT_INDEX, DEFAULT_FORENSICS_INDEX)), (("lat", "raw"), ("lat", "raw"))],
+    ids=["default", "named"],
+)
+def test_emit_is_one_publish_call_with_its_index_names(indices, expected):
+    action = PublishAction(key=key(0), mode=PublishMode.ACCUMULATING)
+    sink = _RecordingSink()
+    assert emit(action, sink, *indices) == 17
+    assert sink.calls == [(action, *expected)]
 
 
 @pytest.mark.parametrize(
@@ -515,28 +533,10 @@ def test_spool_replay_drains_to_fresh_sink(tmp_path):
     [lambda payload: payload[: len(payload) // 2], lambda payload: b"[" * 100_000],
     ids=["truncated", "deeply-nested"],
 )
-def test_spool_replay_quarantines_a_truncated_file(tmp_path, corrupt):
+def test_parse_action_rejects_a_cut_or_garbled_record(corrupt):
+    """A record a sink left cut, or one nested past the parser's depth,
+    raises rather than reading back as some other action."""
     publisher = make_publisher(target=4)
-    actions = run_stream(publisher, 3)
-    spool = SpoolDirectory(tmp_path / "spool")
-    paths = [spool.store(serialize_action(action)) for action in actions]
-    unreadable = corrupt(paths[1].read_bytes())
-    paths[1].write_bytes(unreadable)
-    fresh = FileSink(tmp_path / "fresh.ndjson")
-    replayed = replay_spool(spool, fresh)
-    fresh.close()
-    assert not spool.pending()
-    expected = serialize_action(actions[0]) + serialize_action(actions[2])
-    assert (tmp_path / "fresh.ndjson").read_bytes() == expected
-    assert replayed == len(expected)
-    quarantined = tmp_path / "spool" / "quarantine" / paths[1].name
-    assert quarantined.read_bytes() == unreadable
-
-
-def test_emit_without_spool_still_raises(tmp_path):
-    publisher = make_publisher(target=4)
-    action = run_stream(publisher, 1)[0]
-    sink = FileSink(tmp_path / "out.ndjson")
-    sink.close()
-    with pytest.raises(SinkUnavailable):
-        emit(action, sink)
+    action = run_stream(publisher, 3)[1]
+    with pytest.raises((ValueError, RecursionError)):
+        parse_action(corrupt(serialize_action(action)))

@@ -4,7 +4,6 @@ import json
 import os
 import threading
 import tracemalloc
-from pathlib import Path
 import urllib.error
 import urllib.request
 
@@ -22,14 +21,12 @@ from vaeguard.publisher import (
     PublishMode,
     action_to_documents,
     emit,
-    replay_spool,
     serialize_action,
 )
 from vaeguard.sinks import (
     BULK_CONTENT_TYPE,
     FileSink,
     HttpBulkSink,
-    SpoolDirectory,
     encode_bulk_request,
 )
 from vaeguard.summarize import IntervalKey
@@ -242,22 +239,18 @@ class _FailingHandle:
         return getattr(self._handle, name)
 
 
-def test_file_sink_cuts_a_record_that_fails_partway_and_spools_it_once(tmp_path):
+def test_file_sink_cuts_a_record_that_fails_partway(tmp_path):
     path = tmp_path / "out.ndjson"
     sink = FileSink(path)
     sink.publish(forensics(3, 0), "lat", "raw")
     sink.flush()
     before = path.read_bytes()
-    spool = SpoolDirectory(tmp_path / "spool")
     failing = sink._handle = _FailingHandle(sink._handle, fail_at=2)
-    action = drift(2, 1)
-    with pytest.raises(SinkUnavailable) as raised:
-        emit(action, sink, spool)
+    with pytest.raises(SinkUnavailable):
+        emit(drift(2, 1), sink)
     assert failing.writes == 2
-    assert raised.value.actions == (action,)
     sink.flush()
     assert path.read_bytes() == before
-    assert [p.read_bytes() for p in spool.pending()] == [serialize_action(action)]
     # the sink stays open, and the next record starts where the cut one began
     sink._handle = failing._handle
     written = sink.publish(accumulating(2), "lat", "raw")
@@ -330,26 +323,24 @@ def test_pieces_join_to_the_whole_encodings(tmp_path, monkeypatch, rows_per_piec
     assert transport.delivered == [encode_bulk_request(batch) for batch in batches]
 
 
-def test_a_post_failing_partway_through_a_drift_hands_the_drift_back(tmp_path, monkeypatch):
+def test_a_post_failing_partway_through_a_drift_drops_the_rest_of_it(monkeypatch):
     transport = _Transport([True, False])
     monkeypatch.setattr(urllib.request, "urlopen", transport)
     monkeypatch.setattr(publisher_module, "_ROWS_PER_PIECE", 2)
     sink = HttpBulkSink("http://bulk.test", batch_size=3)
-    spool = SpoolDirectory(tmp_path / "spool")
-    action = drift(5, 0)
     # pieces: the head and 2 events (POSTed), 2 events, then 1 more (POST fails)
-    with pytest.raises(SinkUnavailable) as raised:
-        emit(action, sink, spool)
+    with pytest.raises(SinkUnavailable):
+        emit(drift(5, 0), sink)
     assert transport.attempts == 2
     assert transport.ids() == ["box/0/0", "box/0/1", "box/0/2"]
-    assert raised.value.actions == (action,)
-    assert [p.read_bytes() for p in spool.pending()] == [serialize_action(action)]
     assert sink.bytes_written == len(transport.delivered[0])
     # the sink holds nothing of the dropped drift, and goes on
     later = accumulating(1)
     sink.publish(later, "lat", "raw")
     sink.close()
+    assert transport.attempts == 3
     assert transport.ids()[3:] == _ids(later)
+    assert sink.bytes_written == sum(map(len, transport.delivered))
 
 
 def test_a_head_only_action_costs_one_encode_call(monkeypatch):
@@ -462,10 +453,10 @@ def test_http_sink_connection_refused_is_unavailable():
     sink = HttpBulkSink("http://127.0.0.1:9", timeout=0.5)
     action = accumulating()
     sink.publish(action, "lat", "raw")
-    with pytest.raises(SinkUnavailable) as raised:
+    with pytest.raises(SinkUnavailable):
         sink.close()
-    assert raised.value.actions == (action,)
     assert sink.bytes_written == 0
+    sink.close()  # the dropped document is not sent again
 
 
 def test_http_sink_reply_that_is_not_http_is_unavailable(monkeypatch):
@@ -476,9 +467,9 @@ def test_http_sink_reply_that_is_not_http_is_unavailable(monkeypatch):
     sink = HttpBulkSink("http://bulk.test")
     action = accumulating()
     sink.publish(action, "lat", "raw")
-    with pytest.raises(SinkUnavailable) as raised:
+    with pytest.raises(SinkUnavailable):
         sink.flush()
-    assert raised.value.actions == (action,)
+    assert sink.bytes_written == 0
 
 
 @pytest.mark.parametrize(
@@ -486,7 +477,7 @@ def test_http_sink_reply_that_is_not_http_is_unavailable(monkeypatch):
     [b'{"took":1,"errors":true,"items":[]}', b"<html>busy</html>", b"[]", b"", b"\xff"],
     ids=["item-errors", "not-json", "json-array", "empty", "not-utf8"],
 )
-def test_http_sink_failed_bulk_reply_is_unavailable_and_spooled(tmp_path, monkeypatch, reply):
+def test_http_sink_failed_bulk_reply_is_unavailable(monkeypatch, reply):
     bodies = []
 
     def fake_urlopen(request, timeout):  # answers every POST with `reply`, no network
@@ -495,13 +486,11 @@ def test_http_sink_failed_bulk_reply_is_unavailable_and_spooled(tmp_path, monkey
 
     monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
     sink = HttpBulkSink("http://bulk.test", batch_size=3)
-    spool = SpoolDirectory(tmp_path / "spool")
     action = forensics(2)  # 3 documents: a full batch, POSTed at publish
     with pytest.raises(SinkUnavailable):
-        emit(action, sink, spool)
+        emit(action, sink)
     assert bodies == [encode_bulk_request(action_to_documents(action))]
     assert sink.bytes_written == 0
-    assert [path.read_bytes() for path in spool.pending()] == [serialize_action(action)]
     sink.close()
     assert len(bodies) == 1  # the failed documents were dropped, not kept to resend
 
@@ -531,33 +520,29 @@ def _ids(action):
     return [doc_id for _, doc_id, _ in action_to_documents(action)]
 
 
-def test_failed_second_post_spools_each_undelivered_action_once(tmp_path, monkeypatch):
+def test_failed_second_post_drops_what_it_held(monkeypatch):
     transport = _Transport([True, False])
     monkeypatch.setattr(urllib.request, "urlopen", transport)
     sink = HttpBulkSink("http://bulk.test", batch_size=3)
-    spool = SpoolDirectory(tmp_path / "spool")
     actions = [accumulating(0), forensics(2, 1), accumulating(2), forensics(1, 3)]
     # a0 | a1 a1.1 a1.2 | a2 | a3 a3.1: the first request holds a0, a1's head and
     # first event; the second, a1's last event, a2 and a3's head, and fails
     for action in actions[:3]:
-        emit(action, sink, spool)
+        emit(action, sink)
     assert transport.attempts == 1
-    with pytest.raises(SinkUnavailable) as raised:
-        emit(actions[3], sink, spool)
-    assert raised.value.actions == tuple(actions[1:])
+    with pytest.raises(SinkUnavailable):
+        emit(actions[3], sink)
     assert transport.ids() == ["box/0/0", "box/1/0", "box/1/1"]
     assert sink.bytes_written == len(transport.delivered[0])
-    assert [path.read_bytes() for path in spool.pending()] == [
-        serialize_action(action) for action in actions[1:]
-    ]
     sink.close()
     assert transport.attempts == 2
 
-    # replay sends a1's delivered documents again under the same ids, so the
-    # index overwrites them instead of holding two copies
-    replayed = HttpBulkSink("http://bulk.test", batch_size=3)
-    replay_spool(spool, replayed)
-    assert spool.pending() == []
+    # publishing the actions again sends a1's delivered documents under the
+    # same ids, so the index overwrites them instead of holding two copies
+    again = HttpBulkSink("http://bulk.test", batch_size=3)
+    for action in actions[1:]:
+        emit(action, again)
+    again.close()
     resent = transport.ids()[3:]
     assert resent == [i for action in actions[1:] for i in _ids(action)]
     assert sorted(set(resent) & set(transport.ids()[:3])) == ["box/1/0", "box/1/1"]
@@ -574,7 +559,7 @@ def test_document_ids_parse_from_the_right():
     assert [i.rsplit("/", 2) for i in ids] == [["ns/pod/7", "12", "0"], ["ns/pod/7", "12", "1"]]
 
 
-def test_failing_close_hands_back_undelivered_actions(monkeypatch):
+def test_failing_close_drops_what_it_held(monkeypatch):
     transport = _Transport([False])
     monkeypatch.setattr(urllib.request, "urlopen", transport)
     sink = HttpBulkSink("http://bulk.test", batch_size=10)
@@ -582,133 +567,77 @@ def test_failing_close_hands_back_undelivered_actions(monkeypatch):
     for action in actions:
         sink.publish(action, "lat", "raw")
     assert transport.attempts == 0
-    with pytest.raises(SinkUnavailable) as raised:
+    with pytest.raises(SinkUnavailable):
         sink.close()
-    assert raised.value.actions == tuple(actions)
     assert sink.bytes_written == 0
     sink.close()  # the dropped actions are not sent again
     assert transport.attempts == 1
 
 
-def test_replay_keeps_files_pending_when_its_flush_fails(tmp_path, monkeypatch):
-    spool = SpoolDirectory(tmp_path / "spool")
-    actions = [forensics(1, 0), accumulating(1), accumulating(2)]
-    for action in actions:
-        spool.store(serialize_action(action))
-    files = {path: path.read_bytes() for path in spool.pending()}
-
-    monkeypatch.setattr(urllib.request, "urlopen", _Transport([False]))
-    with pytest.raises(SinkUnavailable):
-        replay_spool(spool, HttpBulkSink("http://bulk.test"))
-    assert {path: path.read_bytes() for path in spool.pending()} == files
-
-    # the first request (actions 0 and 1, 3 documents) succeeds at publish;
-    # the final flush, of action 2, fails: only action 2's file stays
-    monkeypatch.setattr(urllib.request, "urlopen", _Transport([True, False]))
-    with pytest.raises(SinkUnavailable) as raised:
-        replay_spool(spool, HttpBulkSink("http://bulk.test", batch_size=3))
-    assert [a.key.interval_index for a in raised.value.actions] == [2]
-    assert [path.read_bytes() for path in spool.pending()] == [serialize_action(actions[2])]
-
-
-def test_drift_is_delivered_before_its_publish_returns(tmp_path, monkeypatch):
+def test_drift_is_delivered_before_its_publish_returns(monkeypatch):
     transport = _Transport([True, False])
     monkeypatch.setattr(urllib.request, "urlopen", transport)
     sink = HttpBulkSink("http://bulk.test", batch_size=500)
-    spool = SpoolDirectory(tmp_path / "spool")
     first = [accumulating(0), drift(2, 1)]
     for action in first:
-        emit(action, sink, spool)
+        emit(action, sink)
     # one request: the waiting head and the whole drift
     assert transport.ids() == [i for action in first for i in _ids(action)]
     assert sink.bytes_written == len(transport.delivered[0])
-    # a drift whose request fails raises at its own emit, and spools what waited
+    # a drift whose request fails raises at its own emit, and drops what waited
     later = [accumulating(2), drift(1, 3)]
-    emit(later[0], sink, spool)
-    with pytest.raises(SinkUnavailable) as raised:
-        emit(later[1], sink, spool)
-    assert raised.value.actions == tuple(later)
-    assert [path.read_bytes() for path in spool.pending()] == [
-        serialize_action(action) for action in later
-    ]
+    emit(later[0], sink)
+    assert transport.attempts == 1
+    with pytest.raises(SinkUnavailable):
+        emit(later[1], sink)
+    assert transport.attempts == 2
+    sink.close()
+    assert transport.attempts == 2
+    assert sink.bytes_written == len(transport.delivered[0])
 
 
-# batch_size 2: the request fails at the replayed action's publish; 10: at the flush
+# batch_size 2: the request fails at the later action's publish; 10: at the flush
 @pytest.mark.parametrize("batch_size", [2, 10], ids=["at-publish", "at-flush"])
-def test_failed_replay_spools_what_the_sink_held_before_it(tmp_path, monkeypatch, batch_size):
-    spool = SpoolDirectory(tmp_path / "spool")
-    spooled = accumulating(1)
-    spool.store(serialize_action(spooled))
-    monkeypatch.setattr(urllib.request, "urlopen", _Transport([False]))
+def test_a_failed_post_drops_what_the_sink_held_before_it(monkeypatch, batch_size):
+    transport = _Transport([False])
+    monkeypatch.setattr(urllib.request, "urlopen", transport)
     sink = HttpBulkSink("http://bulk.test", batch_size=batch_size)
-    earlier = accumulating(0)
-    emit(earlier, sink, spool)  # accepted and waiting, not yet delivered
-    with pytest.raises(SinkUnavailable) as raised:
-        replay_spool(spool, sink)
-    assert raised.value.actions == (earlier, spooled)
-    # the replayed file stays as it was, and the earlier action is spooled once
-    assert [path.read_bytes() for path in spool.pending()] == [
-        serialize_action(spooled), serialize_action(earlier)
-    ]
+    emit(accumulating(0), sink)  # accepted and waiting, not yet delivered
+    with pytest.raises(SinkUnavailable):
+        emit(accumulating(1), sink)
+        sink.flush()
+    assert transport.attempts == 1
+    assert sink.bytes_written == 0
+    sink.close()  # neither action is sent again
+    assert transport.attempts == 1
+    assert transport.delivered == []
 
 
-# -- spool ------------------------------------------------------------------------
+def test_http_sink_error_status_is_unavailable_and_dropped(monkeypatch):
+    attempts = []
 
+    def fake_urlopen(request, timeout):  # every POST answered 503, no network
+        attempts.append(request.data)
+        raise urllib.error.HTTPError(request.full_url, 503, "Service Unavailable", {}, None)
 
-def test_spool_preserves_order_and_indices(tmp_path):
-    spool = SpoolDirectory(tmp_path / "spool")
-    spool.store(b"first\n")
-    spool.store(b"second\n")
-    names = [p.name for p in spool.pending()]
-    assert names == ["action-00000000.ndjson", "action-00000001.ndjson"]
-    # indices continue after a restart
-    again = SpoolDirectory(tmp_path / "spool")
-    again.store(b"third\n")
-    assert len(again.pending()) == 3
-
-
-def test_spool_store_globs_once_over_many_writes(tmp_path, monkeypatch):
-    calls = []
-    real_glob = Path.glob
-
-    def counting_glob(self, pattern):
-        calls.append(pattern)
-        return real_glob(self, pattern)
-
-    monkeypatch.setattr(Path, "glob", counting_glob)
-    spool = SpoolDirectory(tmp_path / "spool")
-    for i in range(100):
-        spool.store(b"line %d\n" % i)
-    assert len(calls) == 1
-    monkeypatch.undo()
-    names = [p.name for p in spool.pending()]
-    assert names == [f"action-{i:08d}.ndjson" for i in range(100)]
-    assert not list((tmp_path / "spool").glob("*.partial"))
-
-
-def test_spool_ignores_partial_writes_and_skips_quarantined_indices(tmp_path):
-    spool = SpoolDirectory(tmp_path / "spool")
-    first = spool.store(b"first\n")
-    (tmp_path / "spool" / "action-00000001.partial").write_bytes(b"trunc")
-    assert spool.pending() == [first]
-    spool.quarantine(first)
-    assert (tmp_path / "spool" / "quarantine" / first.name).read_bytes() == b"first\n"
-    # a reopened spool does not reuse the quarantined file's index
-    assert SpoolDirectory(tmp_path / "spool").store(b"second\n").name == "action-00000001.ndjson"
-
-
-def test_spool_with_a_stray_file_opens_and_replay_quarantines_it(tmp_path):
-    root = tmp_path / "spool"
-    root.mkdir()
-    (root / "action-old.ndjson").write_bytes(b"not an action\n")
-    (root / "action-00000003.ndjson").write_bytes(serialize_action(forensics(2)))
-    spool = SpoolDirectory(root)
-    assert spool.store(serialize_action(forensics(1, i=1))).name == "action-00000004.ndjson"
-    sink = FileSink(tmp_path / "out.ndjson")
-    try:
-        assert replay_spool(spool, sink) > 0
-    finally:
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    sink = HttpBulkSink("http://bulk.test")
+    sink.publish(forensics(2), "lat", "raw")
+    with pytest.raises(SinkUnavailable, match="503"):
         sink.close()
-    assert spool.pending() == []
-    assert [p.name for p in (root / "quarantine").iterdir()] == ["action-old.ndjson"]
-    assert len((tmp_path / "out.ndjson").read_bytes().splitlines()) == 2
+    assert sink.bytes_written == 0
+    sink.close()
+    assert len(attempts) == 1
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_http_sink_batch_size_must_be_positive(batch_size):
+    with pytest.raises(ValueError, match="batch_size"):
+        HttpBulkSink("http://bulk.test", batch_size=batch_size)
+
+
+def test_sink_unavailable_carries_its_message_and_exit_code():
+    error = SinkUnavailable("bulk endpoint http://bulk.test: refused")
+    assert error.args == ("bulk endpoint http://bulk.test: refused",)
+    assert (error.exit_code, error.kind) == (5, "sink")
+    assert not hasattr(error, "actions")
