@@ -10,7 +10,7 @@ from vaeguard.events import ForensicEvent, parse_event_record, read_trace, write
 from vaeguard.publisher import AdaptivePublisher, PublishAction, PublishMode
 from vaeguard.scaling import ActivityScaler
 from vaeguard.scenarios import ScenarioConfig, gen_baseline, gen_cpuminer_scenario, gen_httpflood_scenario
-from vaeguard.summarize import ActivityVector, IntervalKey, interval_stream, summarize_interval
+from vaeguard.summarize import IntervalKey, interval_stream, summarize_interval
 from vaeguard.taxonomy import SyscallCategory, classify_syscall
 from vaeguard.thresholds import HeuristicThreshold, KSigmaThreshold, StabilityVerdict, assess, fit_threshold_ksigma
 from vaeguard.vae import LatentRecord, TrainConfig, VaeStabilityDetector, load_model, save_model
@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActivityScaler",
-    "ActivityVector",
     "AdaptivePublisher",
     "ForensicEvent",
     "HeuristicThreshold",

@@ -213,7 +213,6 @@ def cmd_train(args) -> int:
     events = read_trace_file(args.trace)
     summaries = summarize_trace(events, args.interval_len)
     container, rows = _single_container_summaries(summaries, args.container)
-    vectors = [vector for _, _, vector in rows]
     config = PipelineConfig(
         interval_len=args.interval_len,
         train=TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)}),
@@ -223,7 +222,7 @@ def cmd_train(args) -> int:
         config.train, _parse_hidden_units(args.hidden_units), args.latent_dim, config.threshold_k
     )
     detector.container_id = container
-    detector.fit(vectors_to_matrix(vectors))
+    detector.fit(vectors_to_matrix([features for _, _, features in rows]))
     save_model(detector, args.model_out)
 
     curve = detector.curve_
@@ -237,7 +236,7 @@ def cmd_train(args) -> int:
         Path(args.curve_out).write_text(table + "\n", encoding="utf-8")
     print(table)
     print(
-        f"trained {container} on {len(vectors)} intervals:"
+        f"trained {container} on {len(rows)} intervals:"
         f" settled recon {curve.settled_error!r},"
         f" error mean {curve.error_mean!r}, sd {curve.error_sd!r},"
         f" threshold {detector.threshold_!r} (k={args.k})"

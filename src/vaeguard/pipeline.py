@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
 from vaeguard.errors import InvalidConfig
-from vaeguard.events import EventBlock, ForensicEvent
+from vaeguard.events import ForensicEvent
 from vaeguard.publisher import (
     DEFAULT_CACHE_CAPACITY,
     DEFAULT_FORENSICS_INDEX,
@@ -30,19 +30,12 @@ from vaeguard.publisher import (
     emit,
 )
 from vaeguard.sinks import DEFAULT_BULK_BATCH_SIZE, Sink
-from vaeguard.summarize import (
-    DEFAULT_INTERVAL_LEN,
-    ActivityVector,
-    IntervalKey,
-    check_interval_len,
-    interval_stream,
-)
+from vaeguard.summarize import DEFAULT_INTERVAL_LEN, Row, check_interval_len, interval_stream
 from vaeguard.thresholds import DEFAULT_K, check_k
 from vaeguard.vae import TrainConfig, VaeStabilityDetector
 
 logger = logging.getLogger(__name__)
 
-Row = tuple[IntervalKey, EventBlock, ActivityVector]
 Summaries = list[Row]
 
 
@@ -123,10 +116,10 @@ def assess_trace(
     threshold policy, installing it at each container's first row."""
     publisher = AdaptivePublisher(cache_capacity=config.cache_capacity)
     records = []
-    for key, events, vector in rows:
+    for key, events, features in rows:
         if key.container_id not in publisher.models:
             publisher.install_model(key.container_id, detector)
-        records.append(record_for_action(publisher.process_interval(key, events, vector)))
+        records.append(record_for_action(publisher.process_interval(key, events, features)))
     return records
 
 
@@ -166,8 +159,8 @@ class CostReport:
 
     @property
     def cpu_ratio(self) -> float | None:
-        """adaptive CPU seconds / standard CPU seconds; None when undefined."""
-        if self.standard.cpu_seconds == 0:
+        """adaptive CPU seconds / standard CPU seconds; None when undefined or no interval ran."""
+        if self.standard.intervals == 0 or self.standard.cpu_seconds == 0:
             return None
         return self.adaptive.cpu_seconds / self.standard.cpu_seconds
 
@@ -213,8 +206,8 @@ def _run_mode(
     started = time.perf_counter()
     cpu_started = time.process_time()
     for rows in summaries.values():
-        for key, events, vector in rows:
-            action = publisher.process_interval(key, events, vector)
+        for key, events, features in rows:
+            action = publisher.process_interval(key, events, features)
             cost.bytes_published += emit(
                 action,
                 sink,

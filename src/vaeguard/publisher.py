@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 import numpy as np
 
 from vaeguard.events import EventBlock, ForensicEvent, as_block
-from vaeguard.summarize import ActivityVector, IntervalKey, vectors_to_matrix
+from vaeguard.summarize import FEATURE_DIM, IntervalKey, vectors_to_matrix
 from vaeguard.thresholds import DEFAULT_K, StabilityVerdict, assess
 from vaeguard.vae import LatentRecord, TrainConfig, VaeStabilityDetector, save_model
 
@@ -228,7 +228,6 @@ def parse_action(line: bytes) -> PublishAction:
     latent = None
     if "latent" in doc:
         latent = LatentRecord(
-            key=key,
             mu=np.array(doc["latent"]["mu"], dtype=np.float64),
             logvar=np.array(doc["latent"]["logvar"], dtype=np.float64),
             recon_error=doc["latent"]["recon_error"],
@@ -238,9 +237,12 @@ def parse_action(line: bytes) -> PublishAction:
         verdict = StabilityVerdict(doc["verdict"]["threshold"], doc["verdict"]["stable"])
     forensics = None
     if "events" in doc:
+        rows = doc["events"]
+        if type(rows) is not list or not all(type(row) is list and len(row) == 5 for row in rows):
+            raise ValueError("events must be a JSON array of 5-value arrays")
         forensics = tuple(
-            ForensicEvent(row[0], key.container_id, row[1], row[2], row[3], row[4])
-            for row in doc["events"]
+            ForensicEvent(t, key.container_id, syscall, pid, result, nbytes)
+            for t, syscall, pid, result, nbytes in rows
         )
     return PublishAction(
         key=key,
@@ -339,7 +341,7 @@ class AdaptivePublisher:
         self.cache = IntervalCache(cache_capacity)
         self.model_dir = Path(model_dir) if model_dir is not None else None
         self.models: dict[str, VaeStabilityDetector] = {}
-        self._pending: dict[str, tuple[VaeStabilityDetector, list[ActivityVector]]] = {}
+        self._pending: dict[str, tuple[VaeStabilityDetector, list[np.ndarray]]] = {}
         self._detector_factory = detector_factory or functools.partial(
             VaeStabilityDetector, train_config, threshold_k=threshold_k
         )
@@ -366,29 +368,30 @@ class AdaptivePublisher:
         )
 
     def process_interval(
-        self,
-        key: IntervalKey,
-        events: Sequence[ForensicEvent],
-        vector: ActivityVector,
+        self, key: IntervalKey, events: Sequence[ForensicEvent], features: np.ndarray
     ) -> PublishAction:
         """Decide what to publish for one summarized interval.
 
         Only a drift action uses `events`, and it carries them as they are.
+        A vector kept for training must have shape (FEATURE_DIM,) (ValueError).
         """
         events = as_block(events)
         self.cache.push(key, events)
         container = key.container_id
         detector = self.models.get(container)
         if detector is None:
+            features = np.asarray(features, dtype=np.float64)
+            if features.shape != (FEATURE_DIM,):
+                raise ValueError(f"expected {FEATURE_DIM} features, got shape {features.shape}")
             if container not in self._pending:
                 self._pending[container] = (self._detector_factory(), [])
             detector, vectors = self._pending[container]
-            vectors.append(vector)
+            vectors.append(features)
             if len(vectors) == detector.train.accumulation_target:
                 self._train_container(container)
             return PublishAction(key=key, mode=PublishMode.ACCUMULATING)
 
-        latent = detector.score_vector(vector)
+        latent = detector.score_vector(features)
         verdict = assess(latent, detector.threshold_policy_)
         if verdict.stable:
             return PublishAction(
@@ -410,10 +413,7 @@ class StandardPublisher:
         self.cache = IntervalCache(cache_capacity)
 
     def process_interval(
-        self,
-        key: IntervalKey,
-        events: Sequence[ForensicEvent],
-        vector: ActivityVector,
+        self, key: IntervalKey, events: Sequence[ForensicEvent], features: np.ndarray
     ) -> PublishAction:
         events = as_block(events)
         self.cache.push(key, events)

@@ -34,6 +34,7 @@ import numpy as np
 
 from vaeguard.errors import InvalidConfig
 from vaeguard.events import ForensicEvent
+from vaeguard.validation import is_count
 
 CPUMINER_PHASES = (
     "normal",
@@ -199,6 +200,8 @@ class ScenarioConfig:
     flood_factor: float = 100.0
 
     def __post_init__(self):
+        if not is_count(self.seed, 0):
+            raise InvalidConfig(f"seed must be an integer >= 0, got {self.seed!r}")
         for name in ("duration_s", "base_request_rate", "flood_factor"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidConfig(f"{name} must be finite, got {getattr(self, name)}")

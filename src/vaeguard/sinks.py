@@ -34,7 +34,10 @@ A reply that is not a JSON object, or that reports `"errors": true`,
 fails the POST as a refused connection does. A failed POST raises
 `SinkUnavailable` and drops every document the sink held, never to
 resend it; so a failure can show at a later `publish` than the action's
-own, or at `flush`/`close`.
+own, or at `flush`/`close`. When a drift's documents span several
+POSTs and a later one fails, its head document and first events stay
+indexed, nothing in them marks the forensics incomplete, and the
+`SinkUnavailable` message on stderr is the only signal.
 """
 
 from __future__ import annotations

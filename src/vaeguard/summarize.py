@@ -93,19 +93,6 @@ class IntervalKey:
         return (self.interval_index + 1) * self.length
 
 
-@dataclass
-class ActivityVector:
-    key: IntervalKey
-    features: np.ndarray
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.shape != (FEATURE_DIM,):
-            raise ValueError(
-                f"expected {FEATURE_DIM} features, got shape {self.features.shape}"
-            )
-
-
 def check_interval_len(interval_len: float) -> None:
     """Reject an interval length that is not finite and > 0."""
     if not (0.0 < interval_len < math.inf):
@@ -134,10 +121,13 @@ def _interval_indices(timestamps: np.ndarray, interval_len: float) -> np.ndarray
     return k
 
 
+Row = tuple[IntervalKey, EventBlock, np.ndarray]
+
+
 def interval_stream(
     events: Iterable[ForensicEvent], interval_len: float = DEFAULT_INTERVAL_LEN
-) -> Iterator[tuple[IntervalKey, EventBlock, ActivityVector]]:
-    """(key, events, vector) per interval of a time-ordered trace, window
+) -> Iterator[Row]:
+    """(key, events, features) per interval of a time-ordered trace, window
     by window, and within a window per container in the order of its
     first event there; a container's empty intervals come right before
     its next occupied one. The events are a slice of the trace's block,
@@ -242,10 +232,9 @@ def _raise_foreign(key: IntervalKey, block: EventBlock, code: int) -> None:
     raise ForeignEvent(f"event at t={float(t[first])} outside interval [{start}, {end})")
 
 
-def summarize_interval(
-    key: IntervalKey, events: Sequence[ForensicEvent]
-) -> ActivityVector:
-    """Reduce one interval's events to its activity vector.
+def summarize_interval(key: IntervalKey, events: Sequence[ForensicEvent]) -> np.ndarray:
+    """Reduce one interval's events to its activity vector: float64, of
+    shape (FEATURE_DIM,).
 
     Untracked syscalls do not get their own count but still feed the
     aggregate features, so novel activity perturbs the vector. Counts are
@@ -255,7 +244,7 @@ def summarize_interval(
     block = as_block(events)
     tables = block.tables
     if not len(block):
-        return ActivityVector(key=key, features=np.zeros(FEATURE_DIM, dtype=np.float64))
+        return np.zeros(FEATURE_DIM, dtype=np.float64)
     try:
         code = tables.containers.index(key.container_id)
     except ValueError:
@@ -273,11 +262,11 @@ def summarize_interval(
     features[_PIDS] = np.count_nonzero(np.bincount(tables.pid_codes[tails]))
     # cumsum adds left to right, as `total += float(nbytes)` per event does
     features[_ARG_BYTES] = np.cumsum(tables.byte_floats[tails])[-1]
-    return ActivityVector(key=key, features=features)
+    return features
 
 
-def vectors_to_matrix(vectors: Sequence[ActivityVector]) -> np.ndarray:
+def vectors_to_matrix(vectors: Sequence[np.ndarray]) -> np.ndarray:
     if not vectors:
         return np.empty((0, FEATURE_DIM), dtype=np.float64)
-    return np.stack([v.features for v in vectors])
+    return np.stack(vectors)
 

@@ -1,6 +1,6 @@
 """Per-container stability detector: scaler + VAE + threshold in one estimator.
 
-VaeStabilityDetector has sklearn-style fit/predict/transform. It is built
+VaeStabilityDetector has sklearn-style fit/predict/score_samples. It is built
 from a TrainConfig (every training hyperparameter, Adam's included), the
 architecture's hidden widths and latent size, and k; set_threshold_k is
 the one way to change k afterwards. fit() takes a matrix of raw activity
@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -39,7 +38,7 @@ from vaeguard.errors import (
 )
 from vaeguard.nn import DEFAULT_HIDDEN_UNITS, DEFAULT_LATENT_DIM, VaeArchitecture
 from vaeguard.scaling import ActivityScaler
-from vaeguard.summarize import SCHEMA_VERSION, ActivityVector, IntervalKey
+from vaeguard.summarize import SCHEMA_VERSION
 from vaeguard.thresholds import (
     DEFAULT_K,
     HeuristicThreshold,
@@ -48,7 +47,7 @@ from vaeguard.thresholds import (
     fit_threshold_ksigma,
     is_stable,
 )
-from vaeguard.validation import as_float_matrix, check_dimension, check_finite, check_fitted
+from vaeguard.validation import as_float_matrix, check_dimension, check_finite, check_fitted, is_count
 
 logger = logging.getLogger(__name__)
 
@@ -76,7 +75,7 @@ class TrainConfig:
         counts = (("epochs", 1), ("batch_size", 1), ("accumulation_target", 1), ("seed", 0))
         for name, least in counts:
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            if not is_count(value, least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
             object.__setattr__(self, name, int(value))
         if not (0 < self.learning_rate < math.inf and 0 < self.epsilon < math.inf):
@@ -100,9 +99,8 @@ class TrainingCurve:
 
 @dataclass(frozen=True)
 class LatentRecord:
-    """Compact per-interval record: posterior and its reconstruction error."""
+    """One interval's posterior and reconstruction error; its key is its action's."""
 
-    key: IntervalKey
     mu: np.ndarray
     logvar: np.ndarray
     recon_error: float
@@ -223,11 +221,6 @@ class VaeStabilityDetector:
         self._work: nn.Workspace | None = None
 
     @property
-    def n_features_in_(self) -> int:
-        check_fitted(self, "architecture_")
-        return self.architecture_.input_dim
-
-    @property
     def threshold_k(self) -> float | None:
         """k of the k-sigma policy in force; None when the policy is
         heuristic or the detector is not fitted."""
@@ -263,21 +256,10 @@ class VaeStabilityDetector:
     def _check_ready(self, X) -> np.ndarray:
         check_fitted(self, "weights_")
         X = as_float_matrix(X)
-        if X.shape[1] != self.n_features_in_:
-            raise SchemaMismatch(
-                f"input has {X.shape[1]} features, model expects {self.n_features_in_}"
-            )
+        expected = self.architecture_.input_dim
+        if X.shape[1] != expected:
+            raise SchemaMismatch(f"input has {X.shape[1]} features, model expects {expected}")
         return X
-
-    def encode(self, X) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior (mu, logvar) for raw vectors; normalization is internal."""
-        X = self._check_ready(X)
-        return nn.encode(self.architecture_, self.weights_, self.scaler_.transform(X))
-
-    def transform(self, X) -> np.ndarray:
-        """The compact representation published for stable intervals."""
-        mu, _ = self.encode(X)
-        return mu
 
     def _score(self, normalized: np.ndarray, work: nn.Workspace | None = None):
         """Posterior (mu, logvar) and the reconstruction error of its mean,
@@ -296,8 +278,8 @@ class VaeStabilityDetector:
         """+1 for intervals within the stable pattern, -1 for drift."""
         return np.where(is_stable(self.score_samples(X), self.threshold_), 1, -1)
 
-    def score_vector(self, vector: ActivityVector) -> LatentRecord:
-        """Score one interval, returning its publishable latent record.
+    def score_vector(self, features) -> LatentRecord:
+        """Score one interval's activity vector, returning its latent record.
 
         The pass runs in a one-row workspace this detector keeps, bound
         again whenever `weights_` is replaced, so one detector must not
@@ -305,12 +287,12 @@ class VaeStabilityDetector:
         The vector is converted and checked once, here, as a one-row
         matrix; the steps after it only check the scaled row is finite.
         """
-        row = self._check_ready(vector.features)
+        row = self._check_ready(features)
         work = self._work
         if work is None or work.params is not self.weights_:
             work = self._work = nn.Workspace(self.architecture_, self.weights_, 1)
         mu, logvar, error = self._score(self.scaler_.transform_vector(row), work)
-        return LatentRecord(key=vector.key, mu=mu[0], logvar=logvar[0], recon_error=float(error[0]))
+        return LatentRecord(mu=mu[0], logvar=logvar[0], recon_error=float(error[0]))
 
 
 # -- persistence ------------------------------------------------------------

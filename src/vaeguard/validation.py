@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from typing import Any
 
 import numpy as np
@@ -12,6 +13,11 @@ from vaeguard.errors import (
     NonFiniteInput,
     NotFittedError,
 )
+
+
+def is_count(value: Any, least: int) -> bool:
+    """Whether `value` is an integer >= `least`; a bool is not one."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= least
 
 
 def as_float_matrix(X: Any, name: str = "X") -> np.ndarray:

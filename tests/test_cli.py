@@ -71,6 +71,15 @@ def test_simulate_flood_announces_windows(tmp_path, capsys):
     assert "attack windows: 5" in printed
 
 
+def test_a_rejected_seed_leaves_an_existing_out_file_as_it_was(tmp_path, capsys):
+    out = tmp_path / "existing.ndjson"
+    out.write_bytes(b"kept\n")
+    code = run_cli("simulate", "--scenario", "baseline", "--seed", "-1", "--out", str(out))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: seed must be an integer >= 0")
+    assert out.read_bytes() == b"kept\n"
+
+
 def test_simulate_rejects_unknown_scenario(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         run_cli("simulate", "--scenario", "nope", "--out", str(tmp_path / "x"))
@@ -239,6 +248,7 @@ def _hostile_cases():
         ("simulate", ("--rate", "inf"), 2),
         ("simulate", ("--rate", "nan"), 2),
         ("simulate", ("--rate", "1e9"), 2),
+        ("simulate", ("--seed", "-1"), 2),
         ("simulate", ("--scenario", "httpflood", "--duration", "300", "--flood-factor", "inf"), 2),
         ("simulate", ("--scenario", "httpflood", "--duration", "300", "--flood-factor", "nan"), 2),
         ("simulate", ("--scenario", "httpflood", "--duration", "300", "--flood-factor", "1e9"), 2),

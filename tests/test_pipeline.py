@@ -167,6 +167,18 @@ def test_ratios_undefined_on_zero_denominators():
     assert json.loads(report.to_json())["cpu_ratio"] is None
 
 
+def test_bench_over_no_interval_reports_no_cpu_ratio(small_trained_detector, tmp_path):
+    """With no interval run, the two CPU readings are timer noise."""
+    sinks = FileSink(tmp_path / "s.ndjson"), FileSink(tmp_path / "a.ndjson")
+    report = bench({}, small_trained_detector, PipelineConfig(), *sinks)
+    for sink in sinks:
+        sink.close()
+    assert report.standard.intervals == report.adaptive.intervals == 0
+    assert report.cpu_ratio is None
+    assert json.loads(report.to_json())["cpu_ratio"] is None
+    assert "adaptive/standard cpu" not in report.format_table()
+
+
 def test_flood_verdicts_align_with_attack_windows(
     flood_summaries, small_trained_detector
 ):

@@ -28,7 +28,7 @@ from vaeguard.publisher import (
     serialize_action,
 )
 from vaeguard.sinks import FileSink
-from vaeguard.summarize import FEATURE_DIM, ActivityVector, IntervalKey, vectors_to_matrix
+from vaeguard.summarize import FEATURE_DIM, IntervalKey, vectors_to_matrix
 from vaeguard.vae import TrainConfig, load_model
 
 
@@ -36,10 +36,9 @@ def key(i, container="box"):
     return IntervalKey(container, i, 30.0)
 
 
-def vector(i, container="box", scale=1.0):
+def vector(i, scale=1.0):
     rng = np.random.default_rng(i)
-    features = rng.uniform(0, 10, FEATURE_DIM) * scale
-    return ActivityVector(key=key(i, container), features=features)
+    return rng.uniform(0, 10, FEATURE_DIM) * scale
 
 
 def events_for(i, count=3, container="box"):
@@ -91,15 +90,39 @@ def test_cache_capacity_must_be_positive(capacity):
         ("vaeguard.publisher", "replay_spool"),
         ("vaeguard.errors", "UnknownContainer"),
         ("vaeguard.publisher", "IntervalCache.fetch_prior_intervals"),
+        ("vaeguard.summarize", "ActivityVector"),
+        ("vaeguard", "ActivityVector"),
+        ("vaeguard.vae", "LatentRecord.key"),
+        ("vaeguard.vae", "VaeStabilityDetector.encode"),
+        ("vaeguard.vae", "VaeStabilityDetector.transform"),
+        ("vaeguard.vae", "VaeStabilityDetector.n_features_in_"),
     ],
 )
 def test_the_spool_and_the_cache_fetch_are_gone(module, name):
-    """Nothing in the library fills, drains or reads back a spool or the cache."""
+    """Nothing in the library fills, drains or reads back a spool or the
+    cache, and no wrapper, copied key or method that only tests read is left."""
     owner = importlib.import_module(module)
     *parents, last = name.split(".")
     for part in parents:
         owner = getattr(owner, part)
     assert not hasattr(owner, last)
+    assert last not in getattr(owner, "__dataclass_fields__", {})
+
+
+@pytest.mark.parametrize(
+    "features",
+    [np.zeros(3), np.zeros((1, FEATURE_DIM)), [0.0] * (FEATURE_DIM + 1)],
+    ids=["narrow", "one-row-matrix", "wide-list"],
+)
+def test_process_interval_rejects_a_vector_to_keep_of_the_wrong_shape(features):
+    """An interval kept for training must hold FEATURE_DIM features: any
+    other shape raises before the container gets a pending detector."""
+    publisher = make_publisher(target=8)
+    with pytest.raises(ValueError, match=f"expected {FEATURE_DIM} features"):
+        publisher.process_interval(key(0), events_for(0), features)
+    assert publisher._pending == {}
+    publisher.process_interval(key(0), events_for(0), vector(0))
+    assert len(publisher._pending["box"][1]) == 1
 
 
 # -- serialization ----------------------------------------------------------------
@@ -124,7 +147,7 @@ def run_stream(publisher, n_intervals, unstable_at=(), container="box"):
         scale = 5000.0 if i in unstable_at else 1.0
         actions.append(
             publisher.process_interval(
-                key(i, container), events_for(i, container=container), vector(i, container, scale)
+                key(i, container), events_for(i, container=container), vector(i, scale)
             )
         )
     return actions
@@ -140,8 +163,8 @@ from vaeguard.thresholds import HeuristicThreshold, assess
 from vaeguard.vae import LatentRecord
 
 k = IntervalKey("box", 0, 30.0)
-stable_latent = LatentRecord(k, np.zeros(2), np.zeros(2), 0.5)
-drift_latent = LatentRecord(k, np.zeros(2), np.zeros(2), 2.0)
+stable_latent = LatentRecord(np.zeros(2), np.zeros(2), 0.5)
+drift_latent = LatentRecord(np.zeros(2), np.zeros(2), 2.0)
 stable = assess(stable_latent, HeuristicThreshold(1.0))
 drift = assess(drift_latent, HeuristicThreshold(1.0))
 ev = ()
@@ -398,12 +421,8 @@ def test_documents_per_mode():
     from vaeguard.thresholds import HeuristicThreshold, assess
     from vaeguard.vae import LatentRecord
 
-    stable_latent = LatentRecord(
-        key=key(1), mu=np.arange(4.0), logvar=np.zeros(4), recon_error=0.5
-    )
-    drift_latent = LatentRecord(
-        key=key(2), mu=np.arange(4.0), logvar=np.zeros(4), recon_error=2.0
-    )
+    stable_latent = LatentRecord(mu=np.arange(4.0), logvar=np.zeros(4), recon_error=0.5)
+    drift_latent = LatentRecord(mu=np.arange(4.0), logvar=np.zeros(4), recon_error=2.0)
     policy = HeuristicThreshold(1.0)
     docs_acc = action_to_documents(
         PublishAction(key=key(0), mode=PublishMode.ACCUMULATING)
@@ -528,14 +547,40 @@ def test_emit_is_one_publish_call_with_its_index_names(indices, expected):
     assert sink.calls == [(action, *expected)]
 
 
+def _with_events(events):
+    """A standard publisher's record of the payload's interval whose
+    "events" are `events`."""
+
+    def corrupt(payload):
+        doc = json.loads(payload)
+        doc.update(kind="forensics", events=events)
+        return json.dumps(doc).encode("utf-8")
+
+    return corrupt
+
+
+def test_parse_action_reads_back_five_value_event_rows():
+    action = run_stream(make_publisher(target=4), 3)[1]
+    parsed = parse_action(_with_events([[1.0, "openat", 1, 0, 0]])(serialize_action(action)))
+    assert parsed.forensics == (ForensicEvent(1.0, "box", "openat", 1, 0, 0),)
+
+
 @pytest.mark.parametrize(
     "corrupt",
-    [lambda payload: payload[: len(payload) // 2], lambda payload: b"[" * 100_000],
-    ids=["truncated", "deeply-nested"],
+    [
+        lambda payload: payload[: len(payload) // 2],
+        lambda payload: b"[" * 100_000,
+        _with_events([[1.0, "openat", 1, 0]]),
+        _with_events([[1.0, "openat", 1, 0, 0, 7]]),
+        _with_events({}),
+        _with_events("events"),
+    ],
+    ids=["truncated", "deeply-nested", "row-of-4", "row-of-6", "events-object", "events-string"],
 )
 def test_parse_action_rejects_a_cut_or_garbled_record(corrupt):
-    """A record a sink left cut, or one nested past the parser's depth,
-    raises rather than reading back as some other action."""
+    """A record a sink left cut, one nested past the parser's depth, or one
+    whose events are not an array of 5-value rows raises ValueError (or
+    RecursionError) rather than reading back as some other action."""
     publisher = make_publisher(target=4)
     action = run_stream(publisher, 3)[1]
     with pytest.raises((ValueError, RecursionError)):

@@ -53,6 +53,14 @@ def test_negative_duration_rejected():
         ScenarioConfig(seed=1, duration_s=-1.0)
 
 
+@pytest.mark.parametrize("seed", [-1, True, 1.5, "7", None])
+def test_a_seed_that_is_not_an_integer_at_least_0_is_rejected(seed):
+    """The rule TrainConfig applies to its seed, raised as InvalidConfig."""
+    with pytest.raises(InvalidConfig, match="seed must be an integer >= 0"):
+        ScenarioConfig(seed=seed, duration_s=1.0)
+    assert list(gen_baseline(ScenarioConfig(seed=np.int64(1), duration_s=1.0)))
+
+
 def test_timestamps_non_decreasing_everywhere():
     for generator, config in (
         (gen_baseline, ScenarioConfig(seed=2, duration_s=90.0)),
@@ -193,10 +201,8 @@ def test_compile_phase_event_volume():
     )
     summaries = summarize_trace(events, 30.0)["web-0"]
     total = FEATURE_NAMES.index("total_events")
-    normal = [v.features[total] for k, _, v in summaries if k.start < 300.0]
-    compile_phase = [
-        v.features[total] for k, _, v in summaries if 600.0 <= k.start < 720.0
-    ]
+    normal = [v[total] for k, _, v in summaries if k.start < 300.0]
+    compile_phase = [v[total] for k, _, v in summaries if 600.0 <= k.start < 720.0]
     assert min(compile_phase) >= 50 * float(np.mean(normal))
 
 

@@ -49,7 +49,7 @@ def forensics(count, i=0):
 
 def drift(count, i=0):
     key = IntervalKey("box", i, 30.0)
-    latent = LatentRecord(key, np.zeros(2), np.zeros(2), 2.0)
+    latent = LatentRecord(np.zeros(2), np.zeros(2), 2.0)
     return PublishAction(
         key=key, mode=PublishMode.LATENT_PLUS_FORENSICS, latent=latent,
         forensics=forensics(count, i).forensics, verdict=assess(latent, HeuristicThreshold(1.0)),
@@ -116,7 +116,7 @@ def _actions(draw):
     if mode in (PublishMode.LATENT_ONLY, PublishMode.LATENT_PLUS_FORENSICS):
         dim = draw(st.integers(1, 10))
         mu, logvar = (np.array(draw(st.lists(_VALUES, min_size=dim, max_size=dim))) for _ in "ml")
-        latent = LatentRecord(key, mu, logvar, draw(_VALUES))
+        latent = LatentRecord(mu, logvar, draw(_VALUES))
         verdict = StabilityVerdict(draw(_VALUES), mode is PublishMode.LATENT_ONLY)
     if mode in (PublishMode.FORENSICS_ONLY, PublishMode.LATENT_PLUS_FORENSICS):
         times = sorted(draw(st.lists(st.floats(0, 1e12), min_size=1, max_size=5)))

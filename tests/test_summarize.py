@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import math
@@ -15,7 +16,6 @@ from vaeguard.summarize import (
     FEATURE_DIM,
     FEATURE_NAMES,
     MAX_WINDOWS,
-    ActivityVector,
     IntervalKey,
     _INDEX_PIECE,
     _SYSCALL_SLOTS,
@@ -25,6 +25,7 @@ from vaeguard.summarize import (
     interval_stream,
     vectors_to_matrix,
 )
+from vaeguard.vae import LatentRecord
 
 OPENAT = FEATURE_NAMES.index("syscall:openat")
 CLOSE = FEATURE_NAMES.index("syscall:close")
@@ -60,7 +61,7 @@ def test_window_emits_empty_gaps():
     rows = list(interval_stream([ev(5.0), ev(65.0)], 30.0))
     assert [key.interval_index for key, _, _ in rows] == [0, 1, 2]
     assert [len(g) for _, g, _ in rows] == [1, 0, 1]
-    assert not rows[1][2].features.any()
+    assert not rows[1][2].any()
 
 
 def test_window_count_is_bounded_before_the_gap_is_emitted():
@@ -165,41 +166,40 @@ def test_every_interval_holds_its_events(trace):
 def test_summarize_counts():
     key = IntervalKey("box", 0, 30.0)
     events = [ev(1.0)] * 3 + [ev(2.0, sc="close")] * 2
-    vector = summarize_interval(key, events)
-    assert vector.features[OPENAT] == 3
-    assert vector.features[CLOSE] == 2
-    assert vector.features[FILE_DIR] == 5
-    assert vector.features[TOTAL] == 5
+    features = summarize_interval(key, events)
+    assert features[OPENAT] == 3
+    assert features[CLOSE] == 2
+    assert features[FILE_DIR] == 5
+    assert features[TOTAL] == 5
 
 
 def test_summarize_empty_group_is_zero_vector():
-    vector = summarize_interval(IntervalKey("box", 4, 30.0), [])
-    assert not vector.features.any()
+    assert not summarize_interval(IntervalKey("box", 4, 30.0), []).any()
 
 
 def test_summarize_error_returns():
     key = IntervalKey("box", 0, 30.0)
     events = [ev(1.0, ret=0), ev(1.1, ret=-2), ev(1.2, ret=4)]
-    assert summarize_interval(key, events).features[ERRORS] == 1
+    assert summarize_interval(key, events)[ERRORS] == 1
 
 
 def test_summarize_untracked_feeds_aggregates_only():
     key = IntervalKey("box", 0, 30.0)
-    vector = summarize_interval(
+    features = summarize_interval(
         key, [ev(1.0, sc="gettimeofday", pid=9, arg_bytes=100)]
     )
-    assert vector.features[TOTAL] == 1
-    assert vector.features[ARG_BYTES] == 100
-    assert vector.features[PIDS] == 1
-    assert vector.features.sum() == 102  # nothing else incremented
+    assert features[TOTAL] == 1
+    assert features[ARG_BYTES] == 100
+    assert features[PIDS] == 1
+    assert features.sum() == 102  # nothing else incremented
 
 
 def test_summarize_distinct_pids_and_bytes():
     key = IntervalKey("box", 0, 30.0)
     events = [ev(1.0, pid=1, arg_bytes=10), ev(1.1, pid=2), ev(1.2, pid=1)]
-    vector = summarize_interval(key, events)
-    assert vector.features[PIDS] == 2
-    assert vector.features[ARG_BYTES] == 10
+    features = summarize_interval(key, events)
+    assert features[PIDS] == 2
+    assert features[ARG_BYTES] == 10
 
 
 def test_summarize_rejects_foreign_container():
@@ -229,7 +229,7 @@ def test_permutation_invariance():
     rng.shuffle(shuffled)
     a = summarize_interval(key, events)
     b = summarize_interval(key, shuffled)
-    np.testing.assert_array_equal(a.features, b.features)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_additivity_except_distinct_pids():
@@ -240,22 +240,22 @@ def test_additivity_except_distinct_pids():
     group_b = [ev(3.0, sc="socket", pid=2), ev(4.0, sc="futex", pid=3)]
     combined = summarize_interval(key, group_a + group_b)
     np.testing.assert_array_equal(
-        combined.features,
-        summarize_interval(key, group_a).features
-        + summarize_interval(key, group_b).features,
+        combined, summarize_interval(key, group_a) + summarize_interval(key, group_b)
     )
 
 
-def test_dimension_stability_across_intervals():
+def test_a_row_holds_its_features_as_an_array_and_a_latent_record_no_key():
+    """The third item of each row, an empty interval's included, is a
+    float64 array of shape (FEATURE_DIM,); the key is the row's first item
+    and the publish action's, never the latent record's."""
     events = [ev(float(t), sc=sc) for t, sc in zip(range(90), ["openat", "close", "socket"] * 30)]
-    vectors = [vector for _, _, vector in interval_stream(events, 30.0)]
-    assert {v.features.shape for v in vectors} == {(FEATURE_DIM,)}
-    assert vectors_to_matrix(vectors).shape == (3, FEATURE_DIM)
-
-
-def test_activity_vector_validates_dimension():
-    with pytest.raises(ValueError):
-        ActivityVector(key=IntervalKey("box", 0, 30.0), features=np.zeros(3))
+    rows = list(interval_stream(events + [ev(125.0)], 30.0))
+    assert [len(group) for _, group, _ in rows] == [30, 30, 30, 0, 1]
+    for _, _, features in rows:
+        assert type(features) is np.ndarray
+        assert (features.dtype, features.shape) == (np.float64, (FEATURE_DIM,))
+    assert vectors_to_matrix([row[2] for row in rows]).shape == (5, FEATURE_DIM)
+    assert [f.name for f in dataclasses.fields(LatentRecord)] == ["mu", "logvar", "recon_error"]
 
 
 def test_cpuminer_vectors_match_golden_digest():
@@ -273,8 +273,8 @@ def test_cpuminer_vectors_match_golden_digest():
     digest = hashlib.sha256()
     count = 0
     for rows in summarize_trace(list(read_trace(buffer)), 5.0).values():
-        for _, _, vector in rows:
-            digest.update(vector.features.tobytes())
+        for _, _, features in rows:
+            digest.update(features.tobytes())
             count += 1
     assert count == 6
     assert digest.hexdigest() == (
@@ -326,8 +326,8 @@ _EVENTS = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(_EVENTS)
 def test_summary_matches_per_event_loop_bit_for_bit(events):
-    vector = summarize_interval(IntervalKey("box", 0, 30.0), events)
-    assert vector.features.tobytes() == _loop_features(events).tobytes()
+    features = summarize_interval(IntervalKey("box", 0, 30.0), events)
+    assert features.tobytes() == _loop_features(events).tobytes()
 
 
 @st.composite
@@ -378,7 +378,7 @@ def test_mixed_trace_summaries_match_a_per_container_reference(trace):
     length, events = trace
     summaries = summarize_trace(events, length)
     got = {
-        container: [(key, tuple(group), vector.features.tobytes()) for key, group, vector in rows]
+        container: [(key, tuple(group), features.tobytes()) for key, group, features in rows]
         for container, rows in summaries.items()
     }
     reference = _reference_summaries(events, length)

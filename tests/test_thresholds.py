@@ -5,7 +5,6 @@ import pytest
 
 from vaeguard.errors import InvalidK
 from vaeguard.pipeline import PipelineConfig
-from vaeguard.summarize import IntervalKey
 from vaeguard.thresholds import (
     HeuristicThreshold,
     KSigmaThreshold,
@@ -27,12 +26,7 @@ def curve(error_mean=0.01, error_sd=0.002):
 
 
 def latent(recon_error):
-    return LatentRecord(
-        key=IntervalKey("box", 0, 30.0),
-        mu=np.zeros(2),
-        logvar=np.zeros(2),
-        recon_error=recon_error,
-    )
+    return LatentRecord(mu=np.zeros(2), logvar=np.zeros(2), recon_error=recon_error)
 
 
 def test_ksigma_arithmetic():

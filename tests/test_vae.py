@@ -1,7 +1,6 @@
 import copy
 import json
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from vaeguard.errors import (
     SchemaMismatch,
 )
 from vaeguard.nn import VaeArchitecture
-from vaeguard.summarize import FEATURE_DIM, ActivityVector, IntervalKey
+from vaeguard.summarize import FEATURE_DIM
 from vaeguard.thresholds import HeuristicThreshold, KSigmaThreshold
 from vaeguard.vae import TrainConfig, VaeStabilityDetector, load_model, save_model, train
 
@@ -120,7 +119,7 @@ def test_fit_returns_self_and_sets_attributes():
     detector = small_detector(accumulation_target=20, epochs=5)
     X = toy_matrix(n=20)
     assert detector.fit(X) is detector
-    assert detector.n_features_in_ == 6
+    assert detector.architecture_.input_dim == 6
     assert detector.scaler_ is not None
     assert detector.threshold_ > 0
     assert isinstance(detector.threshold_policy_, KSigmaThreshold)
@@ -150,9 +149,7 @@ def test_training_members_score_near_settled_error(small_trained_detector, small
 
 
 def test_zero_vector_is_unstable_against_traffic_model(small_trained_detector):
-    key = IntervalKey("web-0", 999, 30.0)
-    zero = ActivityVector(key=key, features=np.zeros(FEATURE_DIM))
-    record = small_trained_detector.score_vector(zero)
+    record = small_trained_detector.score_vector(np.zeros(FEATURE_DIM))
     assert record.recon_error > small_trained_detector.threshold_
 
 
@@ -167,31 +164,18 @@ def test_predict_outlier_convention(small_trained_detector, small_baseline_summa
     assert small_trained_detector.predict(spike)[0] == -1
 
 
-def test_transform_returns_latent_means(small_trained_detector):
-    X = toy_matrix(n=3, dim=FEATURE_DIM, seed=5)
-    latent = small_trained_detector.transform(X)
-    assert latent.shape == (3, small_trained_detector.latent_dim)
-    mu, logvar = small_trained_detector.encode(X)
-    np.testing.assert_array_equal(latent, mu)
-    assert logvar.shape == (3, small_trained_detector.latent_dim)
-
-
 def test_score_vector_round_trip(small_trained_detector, small_baseline_summaries):
-    _, _, vector = small_baseline_summaries[0]
-    record = small_trained_detector.score_vector(vector)
-    assert record.key == vector.key
+    _, _, features = small_baseline_summaries[0]
+    record = small_trained_detector.score_vector(features)
     assert record.mu.shape == (small_trained_detector.latent_dim,)
-    again = small_trained_detector.score_vector(vector)
+    again = small_trained_detector.score_vector(features)
     assert record.recon_error == again.recon_error
     np.testing.assert_array_equal(record.mu, again.mu)
 
 
 def test_score_vector_schema_checks(small_trained_detector):
-    too_wide = SimpleNamespace(
-        key=IntervalKey("web-0", 0, 30.0), features=np.zeros(FEATURE_DIM + 1)
-    )
     with pytest.raises(SchemaMismatch):
-        small_trained_detector.score_vector(too_wide)
+        small_trained_detector.score_vector(np.zeros(FEATURE_DIM + 1))
     with pytest.raises(SchemaMismatch):
         small_trained_detector.score_samples(np.zeros((1, FEATURE_DIM + 1)))
 
@@ -211,20 +195,16 @@ def test_score_vector_schema_checks(small_trained_detector):
 def test_score_vector_rejects_a_bad_vector_with_its_documented_error(
     small_trained_detector, features, error, message
 ):
-    vector = SimpleNamespace(key=IntervalKey("web-0", 0, 30.0), features=features)
     with pytest.raises(error) as raised:
-        small_trained_detector.score_vector(vector)
+        small_trained_detector.score_vector(features)
     assert str(raised.value) == message
     # the detector still scores a good vector afterwards
-    assert small_trained_detector.score_vector(
-        ActivityVector(IntervalKey("web-0", 1, 30.0), np.zeros(FEATURE_DIM))
-    ).recon_error >= 0.0
+    assert small_trained_detector.score_vector(np.zeros(FEATURE_DIM)).recon_error >= 0.0
 
 
 def test_score_vector_before_fit_is_not_fitted():
-    vector = ActivityVector(IntervalKey("web-0", 0, 30.0), np.zeros(FEATURE_DIM))
     with pytest.raises(NotFittedError) as raised:
-        small_detector().score_vector(vector)
+        small_detector().score_vector(np.zeros(FEATURE_DIM))
     assert str(raised.value) == "VaeStabilityDetector is not fitted; call fit() first"
 
 
@@ -257,17 +237,17 @@ def oracle_vectors(small_baseline_summaries, small_trained_detector):
     degenerate = np.flatnonzero(scaler.data_max_ == scaler.data_min_)
     varied = np.flatnonzero(scaler.data_max_ > scaler.data_min_)
     assert degenerate.size and varied.size
-    features = vectors[0].features.copy()
+    features = vectors[0].copy()
     features[degenerate[0]] += 7.0
     features[varied[0]] = 1e12
-    vectors.append(ActivityVector(IntervalKey("web-0", 999, 30.0), features))
+    vectors.append(features)
     return vectors
 
 
 def allocating_score(detector, vector):
     """The chain score_vector stands for, each step allocating its result."""
     arch, weights = detector.architecture_, detector.weights_
-    normalized = detector.scaler_.transform(vector.features.reshape(1, -1))[0]
+    normalized = detector.scaler_.transform(vector.reshape(1, -1))[0]
     mu, logvar = nn.encode(arch, weights, normalized)
     recon = nn.decode(arch, weights, mu)
     error = nn.reconstruction_error(normalized, recon)
@@ -544,4 +524,4 @@ def test_mutated_bundle_loads_or_is_rejected_as_corrupt(saved_bundle, data):
         detector = load_model(target)
     except (CorruptModelFile, SchemaMismatch):
         return
-    detector.score_samples(np.zeros((1, detector.n_features_in_)))
+    detector.score_samples(np.zeros((1, detector.architecture_.input_dim)))
