@@ -37,7 +37,9 @@ allowance that no event reaches are never touched, so they take no
 resident memory. A source whose size says nothing, such as a FIFO, makes
 the columns start small and double as events arrive. Reading remembers
 at most BODY_CACHE_SIZE bodies, and forgets them all between chunks once
-it holds that many.
+it holds that many. The tables also hold the record text of each syscall
+and each distinct pid/ret/bytes triple, written once as they are built
+(see `EventTables`).
 """
 
 from __future__ import annotations
@@ -58,6 +60,11 @@ _FIELDS = ("t", "c", "sc", "pid", "ret", "bytes")
 
 # A payload size is a syscall's size_t.
 _BYTES_LIMIT = 2**64
+
+# The package's one compact JSON encoder: compact separators, every other
+# option json.dumps's default. json.dumps(..., separators=...) builds a new
+# JSONEncoder per call; this one is built once and writes the same text.
+compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 # Characters of trace text per chunk, extended to the next newline. Larger
 # chunks read no faster and leave more transient strings and arrays.
@@ -164,11 +171,18 @@ class EventTables:
     indexes `pids`, `results` and `arg_bytes`. The per-tail arrays are
     what summaries need of them: a code per distinct pid, whether the
     result is an error, and the byte count as a float.
+
+    The two text arrays are what a published record writes per event,
+    built once with the table so that encoding a drift only looks them
+    up: `syscall_texts[k]` is "," + compact_json(syscalls[k]) + ",", and
+    `tail_texts[k]` is compact_json([pid, ret, bytes]) of tail k without
+    its brackets, + "],[". An event's row is then its timestamp's text,
+    its syscall text and its tail text, joined.
     """
 
     __slots__ = (
         "containers", "syscalls", "pids", "results", "arg_bytes",
-        "pid_codes", "error_tails", "byte_floats",
+        "pid_codes", "error_tails", "byte_floats", "syscall_texts", "tail_texts",
     )
 
     def __init__(self, containers: Sequence[str], syscalls: Sequence[str], tails: Sequence[tuple]):
@@ -181,6 +195,18 @@ class EventTables:
         )
         self.error_tails = _frozen(np.array([r < 0 for r in self.results], dtype=bool))
         self.byte_floats = _frozen(np.array([float(b) for b in self.arg_bytes], dtype=np.float64))
+        self.syscall_texts = _frozen(
+            np.array([f",{compact_json(s)}," for s in self.syscalls], dtype=object)
+        )
+        # json writes an exact int as str() does; any other value is
+        # encoded on its own, so no value's text is ever split apart
+        p, r, b = (
+            column if set(map(type, column)) <= {int} else list(map(compact_json, column))
+            for column in (self.pids, self.results, self.arg_bytes)
+        )
+        self.tail_texts = _frozen(
+            np.array([f"{pid},{ret},{nbytes}],[" for pid, ret, nbytes in zip(p, r, b)], dtype=object)
+        )
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -322,21 +348,21 @@ class _BlockAssembler:
             self.bodies = _BodyCodes()
         cache = self.bodies
         rows = np.fromiter(map(cache.__getitem__, bodies), dtype=_CODE, count=len(bodies))
-        if len(cache) > len(cache.rows):
-            pending = list(cache)[len(cache.rows) :]
+        pending = cache.pending
+        if pending:
             parts = _BODY.split("\n".join(pending) + "\n")
             # canonical exactly when the matches cover the text
             if any(parts[::6]):
                 for body in pending:
                     del cache[body]
+                pending.clear()
                 return None
             tails = zip(map(int, parts[3::6]), map(int, parts[4::6]), map(int, parts[5::6]))
-            new = np.column_stack((
+            cache.fill(np.column_stack((
                 _codes(self.containers, parts[1::6]),
                 _codes(self.syscalls, parts[2::6]),
                 _codes(self.tails, list(tails)),
-            ))
-            cache.rows = np.concatenate((cache.rows, new))
+            )))
         return cache.rows[rows]
 
     def add_events(self, events: Iterable[ForensicEvent]) -> None:
@@ -366,14 +392,28 @@ def _codes(table: dict, values: Sequence) -> np.ndarray:
 
 class _BodyCodes(dict):
     """Record body -> its row in `rows`, the body's (container, syscall,
-    tail) codes. A body not seen before gets the next row, which stays
-    pending until `_BlockAssembler.body_codes` fills it."""
+    tail) codes. A body not seen before gets the next row and waits in
+    `pending` until `_BlockAssembler.body_codes` fills its row."""
 
-    rows = np.zeros((0, 3), dtype=_CODE)  # replaced as rows are filled, never written
+    def __init__(self):
+        super().__init__()
+        self.pending: list[str] = []
+        self.rows = np.zeros((0, 3), dtype=_CODE)
 
     def __missing__(self, body: str) -> int:
         row = self[body] = len(self)
+        self.pending.append(body)
         return row
+
+    def fill(self, codes: np.ndarray) -> None:
+        """Write the pending bodies' rows, doubling `rows` when they do not fit."""
+        end = len(self)
+        if end > len(self.rows):
+            grown = np.zeros((max(end, 2 * len(self.rows)), 3), dtype=_CODE)
+            grown[: len(self.rows)] = self.rows
+            self.rows = grown
+        self.rows[end - len(codes) : end] = codes
+        self.pending.clear()
 
 
 def as_block(events: Iterable[ForensicEvent]) -> EventBlock:

@@ -20,7 +20,9 @@ grow with the drift: `record_pieces` yields the newline-delimited record
 (the head, then the events' text piece by piece, then the closing text)
 and `document_pieces` the bulk documents. `serialize_action` and
 `action_to_documents` join those pieces into the whole record and the
-whole document list.
+whole document list. A record piece formats its timestamps and looks up
+each event's syscall and pid/ret/bytes text in the block's
+`EventTables`, which writes each distinct one once, when it is built.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
-from vaeguard.events import EventBlock, ForensicEvent, as_block
+from vaeguard.events import EventBlock, ForensicEvent, as_block, compact_json
 from vaeguard.summarize import FEATURE_DIM, IntervalKey, vectors_to_matrix
 from vaeguard.thresholds import DEFAULT_K, StabilityVerdict, assess
 from vaeguard.vae import LatentRecord, TrainConfig, VaeStabilityDetector, save_model
@@ -117,12 +119,6 @@ class IntervalCache:
 # -- serialization ----------------------------------------------------------
 
 
-# The publish path's one JSON encoder: compact separators, every other
-# option json.dumps's default. json.dumps(..., separators=...) builds a new
-# JSONEncoder per call; this one is built once and writes the same text.
-compact_json = json.JSONEncoder(separators=(",", ":")).encode
-
-
 def _round8(value: float) -> float:
     """8 significant digits: plenty for published monitoring records and
     roughly half the wire size of full float64 repr."""
@@ -161,27 +157,17 @@ _ROWS_PER_PIECE = 4096
 def _row_texts(events: EventBlock) -> Iterator[str]:
     """The text compact_json writes for `list(events.rows())`, without the
     outer "[[" and "]]", in pieces to be joined by "],[". The timestamps of
-    a piece are formatted by one compact_json call, and each distinct
-    syscall and pid/ret/bytes tail in it is encoded once."""
+    a piece are formatted by one compact_json call; each row's syscall and
+    tail text is looked up in the texts its tables built once."""
     tables = events.tables
     for start in range(0, len(events), _ROWS_PER_PIECE):
         piece = events[start : start + _ROWS_PER_PIECE]
-        times = compact_json(piece.timestamps.tolist())[1:-1].split(",")
-        syscalls, syscall_at = np.unique(piece.syscall_codes, return_inverse=True)
-        syscall_texts = [compact_json(tables.syscalls[k]) for k in syscalls.tolist()]
-        tail_codes, tail_at = np.unique(piece.tail_codes, return_inverse=True)
-        tails = [
-            [tables.pids[k], tables.results[k], tables.arg_bytes[k]] for k in tail_codes.tolist()
-        ]
-        tail_texts = compact_json(tails)[2:-2].split("],[")
-        if len(tail_texts) != len(tails):  # a value whose own text holds "],["
-            tail_texts = [compact_json(tail)[1:-1] for tail in tails]
-        rows = zip(
-            times,
-            map(syscall_texts.__getitem__, syscall_at.tolist()),
-            map(tail_texts.__getitem__, tail_at.tolist()),
-        )
-        yield "],[".join(map(",".join, rows))
+        texts = [""] * (3 * len(piece))
+        texts[0::3] = compact_json(piece.timestamps.tolist())[1:-1].split(",")
+        texts[1::3] = tables.syscall_texts[piece.syscall_codes].tolist()
+        texts[2::3] = tables.tail_texts[piece.tail_codes].tolist()
+        texts[-1] = texts[-1][:-3]  # the last row's "],["
+        yield "".join(texts)
 
 
 def record_pieces(action: PublishAction) -> Iterator[bytes]:

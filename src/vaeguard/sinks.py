@@ -50,13 +50,8 @@ from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
 from vaeguard.errors import EmptyBatch, SinkUnavailable
-from vaeguard.publisher import (
-    PublishAction,
-    PublishMode,
-    compact_json,
-    document_pieces,
-    record_pieces,
-)
+from vaeguard.events import compact_json
+from vaeguard.publisher import PublishAction, PublishMode, document_pieces, record_pieces
 
 # (index name, document id, source)
 Document = tuple[str, str, Mapping]

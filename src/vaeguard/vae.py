@@ -286,8 +286,11 @@ class VaeStabilityDetector:
         score from two threads at once. The record's arrays are its own.
         The vector is converted and checked once, here, as a one-row
         matrix; the steps after it only check the scaled row is finite.
+        A matrix of any other number of rows is a `DimensionMismatch`.
         """
         row = self._check_ready(features)
+        if len(row) != 1:
+            raise DimensionMismatch(f"expected one activity vector, got shape {row.shape}")
         work = self._work
         if work is None or work.params is not self.weights_:
             work = self._work = nn.Workspace(self.architecture_, self.weights_, 1)

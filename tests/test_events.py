@@ -19,6 +19,7 @@ from vaeguard.events import (
     EventBlock,
     ForensicEvent,
     as_block,
+    compact_json,
     format_event_record,
     parse_event_record,
     read_trace,
@@ -507,6 +508,24 @@ def test_event_block_is_a_lazy_sequence_of_events(tmp_path):
     assert hash(block[:3]) == hash(tuple(events[:3]))
     with pytest.raises(ValueError):
         block.timestamps[0] = 1.0
+
+
+def test_record_texts_are_built_once_per_table_and_cannot_be_written(tmp_path):
+    events = list(gen_baseline(ScenarioConfig(seed=3, duration_s=20.0)))
+    path = tmp_path / "trace.ndjson"
+    write_trace_file(events, path)
+    block = read_trace_file(path)
+    tables = block.tables
+    assert tables.syscall_texts.tolist() == [f",{compact_json(s)}," for s in tables.syscalls]
+    tails = zip(tables.pids, tables.results, tables.arg_bytes)
+    assert tables.tail_texts.tolist() == [compact_json(list(t))[1:-1] + "],[" for t in tails]
+    for part in (block[10:20], block[::3], block[:0], block.take(np.array([7, 2, 7]))):
+        assert part.tables.syscall_texts is tables.syscall_texts
+        assert part.tables.tail_texts is tables.tail_texts
+    for texts in (tables.syscall_texts, tables.tail_texts):
+        assert texts.dtype == object and not texts.flags.writeable
+        with pytest.raises(ValueError):
+            texts[0] = "x"
 
 
 _SHORTEST_RECORD = '{"t":0,"c":"a","sc":"b","pid":0,"ret":0,"bytes":0}'

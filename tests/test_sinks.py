@@ -174,6 +174,81 @@ def test_encoders_write_what_json_dumps_writes(action, latent_index, forensics_i
     assert json.dumps({name: head[name] for name in shipped}) == json.dumps(shipped)
 
 
+# Values parse_action takes into a tail: any JSON scalar for pid, and for
+# ret and bytes what the tables can compare with 0 and read as a float.
+# A string holding "],[" or "," makes no tail text that splitting could find.
+_HOSTILE_TEXT = st.lists(
+    st.sampled_from(['],[', ',', '"', '\\', '"],["', "\xe9", "\u2028", "\U0001f600", "x"]),
+    max_size=4,
+).map("".join)
+_NUMBERS = (
+    st.booleans() | _VALUES | st.integers(-(2**70), 2**70)
+    | st.sampled_from([2**64, -(2**63) - 1, 10**300])
+)
+_HOSTILE_ROWS = st.lists(
+    st.tuples(
+        _HOSTILE_TEXT | _NAMES,
+        _HOSTILE_TEXT | _NUMBERS | st.none(),
+        _NUMBERS,
+        _NUMBERS,
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_HOSTILE_ROWS)
+def test_a_parsed_record_of_hostile_values_writes_what_json_dumps_writes(rows):
+    """Syscall names with quotes, backslashes, "],[" and non-ASCII text, and
+    tails of strings, bools, floats, None and large ints, as parse_action
+    reads them from a record, are written back as json.dumps writes them."""
+    events = [[float(t), *row] for t, row in enumerate(rows)]
+    line = json.dumps(
+        {"kind": "forensics", "container": "box", "interval": 0, "interval_len": 30.0,
+         "events": events}
+    )
+    action = publisher_module.parse_action(line.encode("utf-8"))
+    assert serialize_action(action) == _reference_line(action)
+
+
+_HOSTILE_EVENTS = [
+    ForensicEvent(0.0, "box", '"],["', "],[", True, 0.5),
+    ForensicEvent(0.0, "box", "caf\xe9\\", "a,b", -1.5, 2**64),
+    ForensicEvent(0.0, "box", "openat", None, 10**30, False),
+    ForensicEvent(0.0, "box", '\u2028"\U0001f600', 2**70, -(2**63) - 1, float("inf")),
+    ForensicEvent(0.0, "box", "openat", 7, 0, 1),
+]
+
+
+@pytest.mark.parametrize("count", [0, 1, 4096, 4097])
+def test_hostile_blocks_of_any_size_write_what_json_dumps_writes(count):
+    """Around the 4,096 events of a piece, whatever the tails hold."""
+    events = tuple(
+        _HOSTILE_EVENTS[i % len(_HOSTILE_EVENTS)]._replace(timestamp=i * 1e-3)
+        for i in range(count)
+    )
+    action = PublishAction(
+        IntervalKey("box", 0, 30.0), PublishMode.FORENSICS_ONLY, forensics=events
+    )
+    assert serialize_action(action) == _reference_line(action)
+
+
+def test_a_drift_record_encodes_no_syscall_or_tail(monkeypatch):
+    """A drift's syscalls and tails are looked up in the texts its tables
+    hold: writing the record encodes its head and each piece's timestamps."""
+    action = drift(4097, 1)
+    calls = []
+    real_encode = publisher_module.compact_json
+
+    def counting_encode(value):
+        calls.append(type(value).__name__)
+        return real_encode(value)
+
+    monkeypatch.setattr(publisher_module, "compact_json", counting_encode)
+    serialize_action(action)
+    assert calls == ["dict", "list", "list"]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     documents=st.lists(

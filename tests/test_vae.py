@@ -11,6 +11,7 @@ from conftest import BUNDLE_CORRUPTIONS, corrupt_bundle, small_detector
 from vaeguard import nn
 from vaeguard.errors import (
     CorruptModelFile,
+    DimensionMismatch,
     InsufficientData,
     NonFiniteInput,
     NotFittedError,
@@ -206,6 +207,23 @@ def test_score_vector_before_fit_is_not_fitted():
     with pytest.raises(NotFittedError) as raised:
         small_detector().score_vector(np.zeros(FEATURE_DIM))
     assert str(raised.value) == "VaeStabilityDetector is not fitted; call fit() first"
+
+
+def test_score_vector_takes_one_vector_or_a_one_row_matrix_only(
+    small_trained_detector, oracle_vectors
+):
+    detector = small_trained_detector
+    vector = oracle_vectors[0]
+    record = detector.score_vector(vector)
+    row = detector.score_vector(vector.reshape(1, FEATURE_DIM))
+    assert row.mu.tobytes() == record.mu.tobytes() and row.recon_error == record.recon_error
+    work = detector._work
+    with pytest.raises(DimensionMismatch) as raised:
+        detector.score_vector(np.zeros((2, FEATURE_DIM)))
+    assert str(raised.value) == f"expected one activity vector, got shape (2, {FEATURE_DIM})"
+    assert raised.value.exit_code == 4
+    assert detector._work is work  # refused before the one-row workspace is touched
+    assert detector.score_vector(vector).mu.tobytes() == record.mu.tobytes()
 
 
 # -- single-vector scoring against the allocating chain ------------------------
