@@ -30,12 +30,6 @@ from vaeguard.pipeline import (
     summarize_trace,
 )
 from vaeguard.publisher import DEFAULT_FORENSICS_INDEX, DEFAULT_LATENT_INDEX
-from vaeguard.scenarios import (
-    SCENARIOS,
-    ScenarioConfig,
-    default_cpuminer_schedule,
-    flood_attack_windows,
-)
 from vaeguard.sinks import DEFAULT_BULK_BATCH_SIZE, FileSink, HttpBulkSink
 from vaeguard.summarize import DEFAULT_INTERVAL_LEN, FEATURE_DIM, interval_stream, vectors_to_matrix
 from vaeguard.thresholds import DEFAULT_K, HeuristicThreshold, fit_threshold_ksigma, is_stable
@@ -43,6 +37,8 @@ from vaeguard.vae import TrainConfig, VaeStabilityDetector, load_model, save_mod
 
 logger = logging.getLogger(__name__)
 
+# the scenarios `simulate` offers, keys of scenarios.SCENARIOS; that module
+# loads only when `simulate` runs
 _DEFAULT_DURATIONS = {"baseline": 3600.0, "cpuminer": 900.0, "httpflood": 1500.0}
 
 
@@ -117,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic trace")
-    p_sim.add_argument("--scenario", choices=sorted(SCENARIOS), required=True)
+    p_sim.add_argument("--scenario", choices=sorted(_DEFAULT_DURATIONS), required=True)
     p_sim.add_argument("--duration", type=float, default=None, help="seconds")
     p_sim.add_argument("--seed", type=int, default=7)
     p_sim.add_argument("--container", type=str, default="web-0")
@@ -166,6 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(args) -> int:
+    from vaeguard.scenarios import SCENARIOS, ScenarioConfig, default_cpuminer_schedule, flood_attack_windows
+
     duration = args.duration
     if duration is None:
         duration = _DEFAULT_DURATIONS[args.scenario]

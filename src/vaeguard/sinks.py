@@ -30,6 +30,10 @@ document's `_id` is `<container>/<interval>/<ordinal>`
 re-publish overwrites what an earlier delivery indexed.
 `bytes_written` counts only bytes of POSTs that succeeded.
 
+The HTTP client (`urllib.request` and what it loads: `http.client`,
+`ssl`, `email`) loads when an HttpBulkSink is built, not when this
+module is imported, so a run that writes only to files never loads it.
+
 A reply that is not a JSON object, or that reports `"errors": true`,
 fails the POST as a refused connection does. A failed POST raises
 `SinkUnavailable` and drops every document the sink held, never to
@@ -42,10 +46,7 @@ indexed, nothing in them marks the forensics incomplete, and the
 
 from __future__ import annotations
 
-import http.client
 import json
-import urllib.error
-import urllib.request
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
@@ -161,6 +162,8 @@ class HttpBulkSink:
     ):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        import urllib.request  # noqa: F401  the HTTP client loads with the sink, not the module
+
         self.endpoint = endpoint.rstrip("/")
         self.batch_size = batch_size
         self.headers = dict(headers or {})
@@ -193,6 +196,10 @@ class HttpBulkSink:
 
     def _post(self, count: int) -> None:
         """POST the oldest `count` waiting documents."""
+        import http.client
+        import urllib.error
+        import urllib.request
+
         end = len(self._buffer)
         if count < self._waiting:
             end = 0

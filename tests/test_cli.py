@@ -86,6 +86,13 @@ def test_simulate_rejects_unknown_scenario(tmp_path):
     assert excinfo.value.code == 2
 
 
+def test_simulate_offers_every_scenario_the_generators_define():
+    """The parser names the scenarios without loading their generators."""
+    from vaeguard.scenarios import SCENARIOS
+
+    assert sorted(cli._DEFAULT_DURATIONS) == sorted(SCENARIOS)
+
+
 def test_train_deterministic_bundles(tmp_path, short_baseline_trace):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -566,6 +566,25 @@ def test_parse_action_reads_back_five_value_event_rows():
 
 
 @pytest.mark.parametrize(
+    "row, field",
+    [
+        ([1.0, "openat", 1, None, 0], "ret"),
+        ([1.0, "openat", 1, "-1", 0], "ret"),
+        ([1.0, "openat", 1, 0, None], "bytes"),
+        ([1.0, "openat", 1, 0, "abc"], "bytes"),
+        ([1.0, "openat", 1, 0, 10**400], "bytes"),
+    ],
+    ids=["ret-null", "ret-string", "bytes-null", "bytes-string", "bytes-beyond-float"],
+)
+def test_parse_action_names_the_event_field_the_tables_cannot_take(row, field):
+    """The tables compare each ret with 0 and read each bytes as a float;
+    a value they cannot take is the record's fault, a ValueError naming it."""
+    action = run_stream(make_publisher(target=4), 3)[1]
+    with pytest.raises(ValueError, match=f"^events: .*{field}"):
+        parse_action(_with_events([[0.5, "read", 1, 0, 0], row])(serialize_action(action)))
+
+
+@pytest.mark.parametrize(
     "corrupt",
     [
         lambda payload: payload[: len(payload) // 2],
