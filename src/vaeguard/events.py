@@ -167,8 +167,10 @@ def format_event_record(event: ForensicEvent) -> str:
 class EventTables:
     """The value tables an `EventBlock`'s code columns index into.
 
-    A tail is one distinct (pid, result, arg_bytes) triple; tail code k
-    indexes `pids`, `results` and `arg_bytes`. The per-tail arrays are
+    A tail is one distinct (pid, result, arg_bytes) triple, and values
+    that compare equal but are written apart, such as 1 and true, are
+    distinct here (see `_table_key`); tail code k indexes `pids`,
+    `results` and `arg_bytes`. The per-tail arrays are
     what summaries need of them: a code per distinct pid, whether the
     result is an error, and the byte count as a float.
 
@@ -321,8 +323,11 @@ class _BlockAssembler:
 
     def __init__(self, capacity: int = 0):
         self.containers: dict[str, int] = {}
-        self.syscalls: dict[str, int] = {}
-        self.tails: dict[tuple, int] = {}
+        # syscall and tail tables: key (see _table_key) -> code
+        self.syscalls: dict = {}
+        self.tails: dict = {}
+        # the value of each table key that is not the value itself
+        self.values: dict = {}
         self.bodies = _BodyCodes()
         self.columns = [np.empty(capacity, dtype) for dtype in _DTYPES]
         self.count = 0
@@ -370,17 +375,51 @@ class _BlockAssembler:
         if not columns:
             return
         times, containers, syscalls, pids, results, arg_bytes = columns
+        if not set(map(type, syscalls)) <= {str}:
+            syscalls = self._keys(syscalls)
+        tails = list(zip(pids, results, arg_bytes))
+        if not set(map(type, pids + results + arg_bytes)) <= {int}:
+            tails = self._keys(tails)
         self.append(
             times,
             _codes(self.containers, containers),
             _codes(self.syscalls, syscalls),
-            _codes(self.tails, list(zip(pids, results, arg_bytes))),
+            _codes(self.tails, tails),
         )
 
+    def _keys(self, values: Sequence) -> list:
+        """Each value's table key, noting the value of each key that is not
+        the value itself."""
+        keys = list(map(_table_key, values))
+        for key, value in zip(keys, values):
+            if key is not value:
+                self.values.setdefault(key, value)
+        return keys
+
+    def _table(self, table: dict) -> list:
+        """A table's values in code order."""
+        return list(map(self.values.get, table, table)) if self.values else list(table)
+
     def build(self) -> EventBlock:
-        tables = EventTables(self.containers, self.syscalls, self.tails)
+        tables = EventTables(self.containers, self._table(self.syscalls), self._table(self.tails))
         filled = [_frozen(column[: self.count]) for column in self.columns]
         return EventBlock(*filled, tables)
+
+
+def _table_key(value):
+    """`value`'s key in a syscall or tail table: the text compact_json
+    writes for it, so that values that compare equal but are written
+    apart (1, true and 1.0; 0, 0.0 and -0.0) keep their own entries. A str
+    or an exact int, all that a canonical record holds, is its own key,
+    which stands for that text one to one; any other value's text is held
+    in a 1-tuple, so it meets no str, and a tail is the tuple of its
+    values' keys."""
+    kind = type(value)
+    if kind is str or kind is int:
+        return value
+    if kind is tuple:
+        return tuple(map(_table_key, value))
+    return (compact_json(value),)
 
 
 def _codes(table: dict, values: Sequence) -> np.ndarray:

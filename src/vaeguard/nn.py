@@ -21,32 +21,54 @@ outputs stay finite for arbitrarily large anomalous inputs and
 finite-difference checks are clean everywhere.
 
 Training memory: `vae.train` runs every step in a preallocated
-`Workspace`, one per batch-row count (the full batch and any shorter
-tail). Forward activations, backward deltas and the 1 - h**2 terms are
-written into its arrays, and the weight, bias and gradient views each
-layer pairs with are bound once, so a step allocates only the per-row
-errors it returns; Adam's intermediate terms go to two scratch buffers
-in `AdamState`. Every floating-point operation, its operands' layout and
+`Workspace`, one per batch slice of its epoch buffers. Forward
+activations, backward deltas and the 1 - h**2 terms are written into its
+arrays, and the weight, bias and gradient views each layer pairs with are
+bound once; Adam's intermediate terms go to two scratch buffers in
+`AdamState`. Every floating-point operation, its operands' layout and
 its order are those of the plain expressions (tests/test_gradients.py
 keeps them as a bit-for-bit oracle), so trained weights are
 byte-identical to an allocating implementation. Products of the
 module's own arrays use np.dot, which makes the same BLAS call as @ for
 C-contiguous and transposed operands at less cost per call; a product
-with a caller's array, which may have any strides, uses np.matmul.
+with a caller's array, which may have any strides, uses np.matmul. A
+bias is copied into every row of a workspace buffer before it is added
+(numpy would copy a broadcast operand into a new buffer on every call),
+so a step allocates only the per-row errors it returns.
+
+Recording and replay: a pass runs its numpy calls through a recording
+kept in its Workspace ("encode", "decode", "forward" and "gradients")
+or in its AdamState ("step"): each call's function and operands are kept
+as they are made, a number operand of a ufunc as a 0-d float64 array of
+its value. The recording binds the workspace's own arrays and the
+parameter, gradient and moment views it holds, and the caller's operands
+by identity: x and eps (and kl_weight) for the gradients, x or z for
+encode and decode, params, grads and config for Adam. Called again with
+the same objects, the pass replays the calls, so the same functions
+read and write the same arrays in the same order, and reads whatever
+those arrays now hold; called with any other object, it makes the calls
+afresh and records them in place of the old recording. That is why
+`vae.train` keeps one workspace per batch slice: each batch replays its
+own recording in every epoch. A workspace still refuses parameters or
+a row count other than its own, and the finite-posterior check runs on
+every step.
 
 Scoring memory: `encode` and `decode` run the training forward pass's
 own encoder and decoder halves, in the Workspace given as `work` or
 else in a new forward-only one for the batch's rows, and return copies
 of its results; there is no other forward pass.
 `vae.VaeStabilityDetector.score_vector` keeps one one-row workspace per
-detector, so a detector must not score from two threads at once.
+detector. It writes each scaled row into that workspace's `input` and
+decodes from its `mu`, the same two arrays every call, so both halves
+replay. A detector must therefore not score from two threads at once.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -165,16 +187,80 @@ def _trunk_layers(
     return [_layer(params, f"{prefix}{i}") for i in range(len(arch.hidden_units))]
 
 
+class _Recording:
+    """The numpy calls one pass made, in order, and the caller's operands
+    it made them over. Calling it makes one call and records it.
+
+    A number operand of a ufunc is made a 0-d float64 array once, here:
+    with the float64 arrays this module computes on, the ufunc would
+    convert it to that same value on every call, so every result bit is
+    the same."""
+
+    __slots__ = ("operands", "calls")
+
+    def __init__(self, operands: tuple):
+        self.operands = operands
+        self.calls: list[functools.partial] = []
+
+    def __call__(self, fn, *args):
+        if isinstance(fn, np.ufunc):
+            args = tuple(np.array(a, np.float64) if type(a) in (float, int) else a for a in args)
+        self.calls.append(functools.partial(fn, *args))
+        return fn(*args)
+
+
+def _binds(owner, name: str, *operands) -> bool:
+    """Whether `owner`'s recording `name` was made over these operand objects."""
+    recording = owner.recordings.get(name)
+    return recording is not None and all(map(operator.is_, recording.operands, operands))
+
+
+def _play(owner, name: str, record, *operands) -> None:
+    """Make the numpy calls `record(run, owner, *operands)` makes through
+    `run`, a Recording kept as `owner.recordings[name]`. When that
+    recording was made over these same operand objects, its calls are
+    replayed instead: the same functions over the same arrays, in order."""
+    if _binds(owner, name, *operands):
+        for call in owner.recordings[name].calls:
+            call()
+        return
+    recording = _Recording(operands)
+    record(recording, owner, *operands)
+    owner.recordings[name] = recording
+
+
+def _affine(
+    run: _Recording,
+    work: Workspace,
+    product,
+    x: np.ndarray,
+    weights: np.ndarray,
+    bias: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """out = product(x, weights) + bias. The bias is first copied into
+    every row of `work.bias_rows`: numpy copies a broadcast operand into
+    a new buffer of the result's size on every call, which costs more
+    than this copy, and the sums are the same either way."""
+    run(product, x, weights, out)
+    rows = work.bias_rows[: out.size].reshape(out.shape)
+    run(np.copyto, rows, bias)
+    return run(np.add, out, rows, out)
+
+
 def _tanh_trunk(
-    x: np.ndarray, layers: list[tuple[np.ndarray, np.ndarray]], outs: list[np.ndarray]
+    run: _Recording,
+    work: Workspace,
+    x: np.ndarray,
+    layers: list[tuple[np.ndarray, np.ndarray]],
+    outs: list[np.ndarray],
 ) -> np.ndarray:
     """The last activation of x through tanh `layers`; layer i writes into
     outs[i]."""
     product = np.matmul  # x may be a caller's array of any strides
-    for i, (weights, bias) in enumerate(layers):
-        x = product(x, weights, out=outs[i])
-        np.add(x, bias, out=x)
-        np.tanh(x, out=x)
+    for (weights, bias), out in zip(layers, outs):
+        x = _affine(run, work, product, x, weights, bias, out)
+        run(np.tanh, x, x)
         product = np.dot
     return x
 
@@ -202,7 +288,8 @@ def encode(
         batch, single = x, False
     if not np.isfinite(batch).all():
         raise NonFiniteInput("encoder input contains NaN or infinity")
-    mu, logvar = _encode_into(batch, work).copy()
+    _play(work, "encode", _encode_into, batch)
+    mu, logvar = work.posterior.copy()
     if single:
         return mu[0], logvar[0]
     return mu, logvar
@@ -223,7 +310,8 @@ def decode(
     else:
         _check_bound(work, params, len(z))
         batch, single = z, False
-    recon = _decode_into(batch, work).copy()
+    _play(work, "decode", _decode_into, batch)
+    recon = work.recon.copy()
     return recon[0] if single else recon
 
 
@@ -285,31 +373,33 @@ class _Trunk:
         self.h, self.slope = h, slope
         self.delta = [np.empty_like(view) for view in h]
 
-    def backward(self, x: np.ndarray, d_input: np.ndarray | None = None) -> None:
+    def backward(
+        self, run: _Recording, x: np.ndarray, d_input: np.ndarray | None = None
+    ) -> None:
         """Write every layer's gradients, given the loss gradient at the
         last activation in delta[-1] and every slope. `x` is the trunk's
         input; `d_input`, when given, receives the loss gradient with
         respect to it."""
         for i in range(len(self.layers) - 1, -1, -1):
             d_weights, d_bias = self.grads[i]
-            delta = np.multiply(self.delta[i], self.slope[i], out=self.delta[i])
+            delta = run(np.multiply, self.delta[i], self.slope[i], self.delta[i])
             if i:
-                np.dot(self.h[i - 1].T, delta, out=d_weights)
+                run(np.dot, self.h[i - 1].T, delta, d_weights)
             else:  # x may be a caller's array of any strides
-                np.matmul(x.T, delta, out=d_weights)
-            np.add.reduce(delta, axis=0, out=d_bias)
+                run(np.matmul, x.T, delta, d_weights)
+            run(np.add.reduce, delta, 0, None, d_bias)
             d_prev = self.delta[i - 1] if i else d_input
             if d_prev is not None:
-                np.dot(delta, self.layers[i][0].T, out=d_prev)
+                run(np.dot, delta, self.layers[i][0].T, d_prev)
 
 
 def _write_head_gradients(
-    h: np.ndarray, d_out: np.ndarray, d_weights: np.ndarray, d_bias: np.ndarray
+    run: _Recording, h: np.ndarray, d_out: np.ndarray, d_weights: np.ndarray, d_bias: np.ndarray
 ) -> None:
     """A linear head's weight and bias gradients from its input and the
     loss gradient at its output."""
-    np.dot(h.T, d_out, out=d_weights)
-    np.add.reduce(d_out, axis=0, out=d_bias)
+    run(np.dot, h.T, d_out, d_weights)
+    run(np.add.reduce, d_out, 0, None, d_bias)
 
 
 class Workspace:
@@ -317,7 +407,13 @@ class Workspace:
     bound to the parameter and gradient views it pairs them with (`grads`
     may be None for forward passes alone). Both trunks' activations share
     one buffer and their slopes another, and mu and logvar a third, so
-    that an elementwise term over all of them is one call.
+    that an elementwise term over all of them is one call. `input` is a
+    batch buffer a caller may write its rows into and pass as x.
+
+    `recordings` holds, per pass ("encode", "decode", "forward",
+    "gradients"), the numpy calls that pass last made here and the
+    caller's operands it made them over; the pass replays them while it
+    is given those same objects.
     """
 
     def __init__(
@@ -328,6 +424,7 @@ class Workspace:
         grads: Params | None = None,
     ):
         self.params, self.grads, self.rows = params, grads, rows
+        self.recordings: dict[str, _Recording] = {}
         widths = arch.hidden_units
         self.hidden = np.empty(2 * rows * sum(widths))
         self.slopes = np.empty_like(self.hidden)
@@ -349,10 +446,15 @@ class Workspace:
         self.scratch = (np.empty(latent), np.empty(latent))
         # the logvar head's share of the gradient at the last encoder layer
         self.d_h_lv = np.empty((rows, widths[-1]))
-        self.recon, self.diff, self.d_recon = (
-            np.empty((rows, arch.input_dim)) for _ in range(3)
+        self.input, self.recon, self.diff, self.d_recon = (
+            np.empty((rows, arch.input_dim)) for _ in range(4)
         )
+        # every layer's bias, copied into each row in turn (see _affine)
+        self.bias_rows = np.empty(rows * max(*widths, arch.latent_dim, arch.input_dim))
+        self.recon_rows = np.empty(rows)
         self.kl_rows = np.empty(rows)
+        # the batch means of the reconstruction and KL terms
+        self.terms = np.empty(2)
 
 
 def _check_bound(work: Workspace, params: Mapping[str, np.ndarray], rows: int) -> None:
@@ -360,21 +462,29 @@ def _check_bound(work: Workspace, params: Mapping[str, np.ndarray], rows: int) -
         raise ValueError("workspace is bound to other parameters or another batch size")
 
 
-def _encode_into(x: np.ndarray, work: Workspace) -> np.ndarray:
-    """The encoder pass of `x` into `work`; returns its posterior, mu and
-    logvar stacked."""
+def _encode_into(run: _Recording, work: Workspace, x: np.ndarray) -> None:
+    """The encoder pass of `x` into work.posterior, mu and logvar stacked."""
     (mu_w, mu_b), (lv_w, lv_b), _ = work.heads
-    h = _tanh_trunk(x, work.enc.layers, work.enc.h)
-    np.add(np.dot(h, mu_w, out=work.mu), mu_b, out=work.mu)
-    np.add(np.dot(h, lv_w, out=work.logvar), lv_b, out=work.logvar)
-    return work.posterior
+    h = _tanh_trunk(run, work, x, work.enc.layers, work.enc.h)
+    _affine(run, work, np.dot, h, mu_w, mu_b, work.mu)
+    _affine(run, work, np.dot, h, lv_w, lv_b, work.logvar)
 
 
-def _decode_into(z: np.ndarray, work: Workspace) -> np.ndarray:
-    """The decoder pass of `z` into `work`; returns its reconstruction."""
+def _decode_into(run: _Recording, work: Workspace, z: np.ndarray) -> None:
+    """The decoder pass of `z` into work.recon."""
     out_w, out_b = work.heads[2]
-    g = _tanh_trunk(z, work.dec.layers, work.dec.h)
-    return np.add(np.dot(g, out_w, out=work.recon), out_b, out=work.recon)
+    g = _tanh_trunk(run, work, z, work.dec.layers, work.dec.h)
+    _affine(run, work, np.dot, g, out_w, out_b, work.recon)
+
+
+def _sample_into(run: _Recording, work: Workspace, x: np.ndarray, eps: np.ndarray) -> None:
+    """The sampled forward pass of `x` under noise `eps` into `work`."""
+    _encode_into(run, work, x)
+    run(np.multiply, work.logvar, 0.5, work.sigma)
+    run(np.exp, work.sigma, work.sigma)
+    run(np.multiply, work.sigma, eps, work.z)
+    run(np.add, work.mu, work.z, work.z)
+    _decode_into(run, work, work.z)
 
 
 def _forward(
@@ -390,10 +500,7 @@ def _forward(
         work = Workspace(arch, params, len(x))
     else:
         _check_bound(work, params, len(x))
-    _encode_into(x, work)
-    np.exp(np.multiply(work.logvar, 0.5, out=work.sigma), out=work.sigma)
-    np.add(work.mu, np.multiply(work.sigma, eps, out=work.z), out=work.z)
-    _decode_into(work.z, work)
+    _play(work, "forward", _sample_into, x, eps)
     return work
 
 
@@ -418,6 +525,61 @@ def elbo_terms(
     return recon_term + kl_weight * kl_term, recon_term, kl_term
 
 
+def _gradients_into(
+    run: _Recording, work: Workspace, x: np.ndarray, eps: np.ndarray, kl_weight: float
+) -> None:
+    """Every gradient, each row's reconstruction error and both loss
+    terms of the sampled pass `work` holds for `x` and `eps`."""
+    n, input_dim = x.shape
+    mu, logvar, var = work.mu, work.logvar, work.var
+    a, b = work.scratch
+    (mu_w, _), (lv_w, _), (out_w, _) = work.heads
+    d_mu_head, d_lv_head, d_out_head = work.head_grads
+    run(np.square, work.hidden, work.slopes)
+    run(np.subtract, 1.0, work.slopes, work.slopes)
+
+    # reconstruction path: d(mean-over-batch mean-over-features sq err)
+    diff = run(np.subtract, work.recon, x, work.diff)
+    d_recon = run(np.multiply, diff, 2.0 / (n * input_dim), work.d_recon)
+    _write_head_gradients(run, work.dec.h[-1], d_recon, *d_out_head)
+    run(np.dot, d_recon, out_w.T, work.dec.delta[-1])
+    work.dec.backward(run, work.z, work.d_z)
+
+    # KL path joins at the posterior heads
+    run(np.exp, logvar, var)
+    run(np.multiply, mu, kl_weight / n, work.d_mu)
+    d_mu = run(np.add, work.d_z, work.d_mu, work.d_mu)
+    d_logvar = run(np.multiply, work.d_z, eps, work.d_logvar)
+    run(np.multiply, d_logvar, 0.5, d_logvar)
+    run(np.multiply, d_logvar, work.sigma, d_logvar)
+    run(np.subtract, var, 1.0, a)
+    run(np.multiply, a, (kl_weight / n) * 0.5, a)
+    run(np.add, d_logvar, a, d_logvar)
+
+    h = work.enc.h[-1]
+    _write_head_gradients(run, h, d_mu, *d_mu_head)
+    _write_head_gradients(run, h, d_logvar, *d_lv_head)
+    d_layer = run(np.dot, d_mu, mu_w.T, work.enc.delta[-1])
+    run(np.dot, d_logvar, lv_w.T, work.d_h_lv)
+    run(np.add, d_layer, work.d_h_lv, d_layer)
+    work.enc.backward(run, x)  # the gradient with respect to the input is never used
+
+    # the same expressions as reconstruction_error and kl_divergence, and
+    # their batch means
+    run(np.square, diff, diff)
+    recon_rows = run(np.add.reduce, diff, -1, None, work.recon_rows)
+    run(np.divide, recon_rows, input_dim, recon_rows)
+    kl_terms = run(np.add, logvar, 1.0, a)
+    run(np.square, mu, b)
+    run(np.subtract, kl_terms, b, kl_terms)
+    run(np.subtract, kl_terms, var, kl_terms)
+    kl_rows = run(np.add.reduce, kl_terms, -1, None, work.kl_rows)
+    run(np.multiply, kl_rows, -0.5, kl_rows)
+    for rows, term in ((recon_rows, work.terms[0, ...]), (kl_rows, work.terms[1, ...])):
+        run(np.add.reduce, rows, 0, None, term)
+        run(np.divide, term, n, term)
+
+
 def elbo_gradients(
     arch: VaeArchitecture,
     params: Mapping[str, np.ndarray],
@@ -437,59 +599,23 @@ def elbo_gradients(
     in this stochastic pass. Intermediate terms go to `work`, a Workspace
     bound to `params` and `out` for this batch size (a new one when None).
     """
-    batch, _ = _as_batch(x, arch.input_dim, "x")
-    noise, _ = _as_batch(eps, arch.latent_dim, "eps")
-    n, input_dim = batch.shape
+    if work is not None and _binds(work, "gradients", x, eps, kl_weight):
+        batch, noise = x, eps  # converted and checked when it was recorded
+    else:
+        batch, _ = _as_batch(x, arch.input_dim, "x")
+        noise, _ = _as_batch(eps, arch.latent_dim, "eps")
     if work is None:
-        work = Workspace(arch, params, n, param_views(arch) if out is None else out)
+        work = Workspace(arch, params, len(batch), param_views(arch) if out is None else out)
     elif work.grads is None or (out is not None and out is not work.grads):
         raise ValueError("workspace is bound to other gradients")
     _forward(arch, params, batch, noise, work)
     if not np.isfinite(work.posterior, out=work.finite).all():
         raise NonFiniteInput("posterior mean or log-variance is not finite")
-    mu, logvar, var = work.mu, work.logvar, work.var
-    a, b = work.scratch
-    (mu_w, _), (lv_w, _), (out_w, _) = work.heads
-    d_mu_head, d_lv_head, d_out_head = work.head_grads
-    np.square(work.hidden, out=work.slopes)
-    np.subtract(1.0, work.slopes, out=work.slopes)
-
-    # reconstruction path: d(mean-over-batch mean-over-features sq err)
-    diff = np.subtract(work.recon, batch, out=work.diff)
-    d_recon = np.multiply(diff, 2.0 / (n * input_dim), out=work.d_recon)
-    _write_head_gradients(work.dec.h[-1], d_recon, *d_out_head)
-    np.dot(d_recon, out_w.T, out=work.dec.delta[-1])
-    work.dec.backward(work.z, work.d_z)
-
-    # KL path joins at the posterior heads
-    np.exp(logvar, out=var)
-    d_mu = np.add(work.d_z, np.multiply(mu, kl_weight / n, out=work.d_mu), out=work.d_mu)
-    d_logvar = np.multiply(work.d_z, noise, out=work.d_logvar)
-    np.multiply(d_logvar, 0.5, out=d_logvar)
-    np.multiply(d_logvar, work.sigma, out=d_logvar)
-    np.subtract(var, 1.0, out=a)
-    np.add(d_logvar, np.multiply(a, (kl_weight / n) * 0.5, out=a), out=d_logvar)
-
-    h = work.enc.h[-1]
-    _write_head_gradients(h, d_mu, *d_mu_head)
-    _write_head_gradients(h, d_logvar, *d_lv_head)
-    d_layer = np.dot(d_mu, mu_w.T, out=work.enc.delta[-1])
-    np.add(d_layer, np.dot(d_logvar, lv_w.T, out=work.d_h_lv), out=d_layer)
-    work.enc.backward(batch)  # the gradient with respect to the input is never used
-
-    # the same expressions as reconstruction_error and kl_divergence;
-    # recon_rows is returned, so it is new, never a workspace view
-    recon_rows = np.add.reduce(np.square(diff, out=diff), axis=-1)
-    np.divide(recon_rows, input_dim, out=recon_rows)
-    recon_term = float(np.add.reduce(recon_rows) / n)
-    kl_terms = np.add(logvar, 1.0, out=a)
-    np.subtract(kl_terms, np.square(mu, out=b), out=kl_terms)
-    np.subtract(kl_terms, var, out=kl_terms)
-    kl_rows = np.add.reduce(kl_terms, axis=-1, out=work.kl_rows)
-    np.multiply(kl_rows, -0.5, out=kl_rows)
-    kl_term = float(np.add.reduce(kl_rows) / n)
-    loss = recon_term + kl_weight * kl_term
-    return work.grads, (loss, recon_term, kl_term), recon_rows
+    _play(work, "gradients", _gradients_into, batch, noise, kl_weight)
+    recon_term, kl_term = work.terms.tolist()
+    # the errors are returned, so they are new, never a workspace view
+    errors = work.recon_rows.copy()
+    return work.grads, (recon_term + kl_weight * kl_term, recon_term, kl_term), errors
 
 
 # -- Adam -------------------------------------------------------------------
@@ -501,6 +627,10 @@ class AdamState:
     v: np.ndarray
     # two buffers like m and v for adam_step's intermediate terms
     scratch: tuple[np.ndarray, np.ndarray]
+    # the two bias corrections 1 - beta**t of the step being taken, and
+    # the recording of adam_step's calls (see Workspace.recordings)
+    corrections: np.ndarray = field(default_factory=lambda: np.empty(2), repr=False)
+    recordings: dict[str, _Recording] = field(default_factory=dict, repr=False)
 
 
 def adam_init(params: np.ndarray) -> AdamState:
@@ -509,6 +639,29 @@ def adam_init(params: np.ndarray) -> AdamState:
         v=np.zeros_like(params),
         scratch=(np.empty_like(params), np.empty_like(params)),
     )
+
+
+def _adam_into(
+    run: _Recording, state: AdamState, params: np.ndarray, grads: np.ndarray, config: TrainConfig
+) -> None:
+    m, v = state.m, state.v
+    a, b = state.scratch
+    # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g**2
+    run(np.multiply, m, config.beta1, m)
+    run(np.multiply, grads, 1.0 - config.beta1, a)
+    run(np.add, m, a, m)
+    run(np.multiply, v, config.beta2, v)
+    run(np.square, grads, a)
+    run(np.multiply, a, 1.0 - config.beta2, a)
+    run(np.add, v, a, v)
+    # params -= learning_rate * m_hat / (sqrt(v_hat) + epsilon)
+    m_hat = run(np.divide, m, state.corrections[0, ...], a)
+    v_hat = run(np.divide, v, state.corrections[1, ...], b)
+    step = run(np.multiply, m_hat, config.learning_rate, a)
+    run(np.sqrt, v_hat, b)
+    run(np.add, b, config.epsilon, b)
+    run(np.divide, step, b, a)
+    run(np.subtract, params, step, params)
 
 
 def adam_step(
@@ -524,20 +677,13 @@ def adam_step(
 
     Updates `params`, `state.m` and `state.v` in place and returns them;
     intermediate terms go to `state.scratch`, so a step allocates nothing.
+    The step's calls are recorded in `state` and replayed while it is
+    given the same `params`, `grads` and `config` objects.
     """
     if t < 1:
         raise ValueError("step index t must be >= 1")
-    m, v = state.m, state.v
-    a, b = state.scratch
-    # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g**2
-    np.multiply(m, config.beta1, out=m)
-    np.add(m, np.multiply(grads, 1.0 - config.beta1, out=a), out=m)
-    np.multiply(v, config.beta2, out=v)
-    np.add(v, np.multiply(np.square(grads, out=a), 1.0 - config.beta2, out=a), out=v)
-    # params -= learning_rate * m_hat / (sqrt(v_hat) + epsilon)
-    m_hat = np.divide(m, 1.0 - config.beta1**t, out=a)
-    v_hat = np.divide(v, 1.0 - config.beta2**t, out=b)
-    step = np.multiply(m_hat, config.learning_rate, out=a)
-    np.divide(step, np.add(np.sqrt(v_hat, out=b), config.epsilon, out=b), out=a)
-    np.subtract(params, step, out=params)
+    corrections = state.corrections
+    corrections[0] = 1.0 - config.beta1**t
+    corrections[1] = 1.0 - config.beta2**t
+    _play(state, "step", _adam_into, params, grads, config)
     return params, state

@@ -210,8 +210,8 @@ def serialize_action(action: PublishAction) -> bytes:
 
 def _check_event_columns(rows: list) -> None:
     """Raise ValueError, naming the field, for event values the block's
-    tables cannot take: they key syscalls and tails by value, compare each
-    ret with 0 and read each t and bytes as a float."""
+    tables cannot take: they key syscalls and tails by their text, compare
+    each ret with 0 and read each t and bytes as a float."""
     if not rows:
         return
     t, syscall, pid, ret, nbytes = zip(*rows)
@@ -228,20 +228,69 @@ def _check_event_columns(rows: list) -> None:
             raise ValueError(f"events: a {name} value is beyond float range") from None
 
 
+# what a record's field may hold, by the Python types json reads it as
+_JSON_KINDS = {
+    (str,): "a string", (int,): "an integer", (int, float): "a number",
+    (bool,): "true or false", (list,): "an array", (dict,): "an object",
+}
+
+
+def _field(doc: dict, name: str, *kinds: type):
+    """doc[name], whose type must be one of `kinds` (a bool is not an int
+    here); ValueError naming the field otherwise."""
+    if name not in doc:
+        raise ValueError(f"record has no {name} field")
+    value = doc[name]
+    if type(value) not in kinds:
+        raise ValueError(f"{name} must be {_JSON_KINDS[kinds]}")
+    return value
+
+
+def _number(doc: dict, name: str) -> int | float:
+    """The number doc[name] must be, within float range."""
+    value = _field(doc, name, int, float)
+    try:
+        float(value)
+    except OverflowError:  # an int past float range
+        raise ValueError(f"{name} is beyond float range") from None
+    return value
+
+
+def _numbers(doc: dict, name: str) -> np.ndarray:
+    """The array of numbers doc[name] must be, as float64."""
+    values = _field(doc, name, list)
+    if not set(map(type, values)) <= {int, float}:
+        raise ValueError(f"{name} must be an array of numbers")
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:  # an int past float range
+        raise ValueError(f"{name}: a value is beyond float range") from None
+
+
 def parse_action(line: bytes) -> PublishAction:
-    """The action a record encodes; ValueError for a malformed record."""
+    """The action a record encodes; ValueError, naming the field where
+    one is at fault, for a malformed record."""
     doc = json.loads(line.decode("utf-8"))
-    key = IntervalKey(doc["container"], doc["interval"], doc["interval_len"])
+    if type(doc) is not dict:
+        raise ValueError("a record must be a JSON object")
+    key = IntervalKey(
+        _field(doc, "container", str),
+        _field(doc, "interval", int),
+        _field(doc, "interval_len", int, float),
+    )
+    mode = PublishMode(_field(doc, "kind", str))
     latent = None
     if "latent" in doc:
+        fields = _field(doc, "latent", dict)
         latent = LatentRecord(
-            mu=np.array(doc["latent"]["mu"], dtype=np.float64),
-            logvar=np.array(doc["latent"]["logvar"], dtype=np.float64),
-            recon_error=doc["latent"]["recon_error"],
+            mu=_numbers(fields, "mu"),
+            logvar=_numbers(fields, "logvar"),
+            recon_error=_number(fields, "recon_error"),
         )
     verdict = None
     if "verdict" in doc:
-        verdict = StabilityVerdict(doc["verdict"]["threshold"], doc["verdict"]["stable"])
+        fields = _field(doc, "verdict", dict)
+        verdict = StabilityVerdict(_number(fields, "threshold"), _field(fields, "stable", bool))
     forensics = None
     if "events" in doc:
         rows = doc["events"]
@@ -254,7 +303,7 @@ def parse_action(line: bytes) -> PublishAction:
         )
     return PublishAction(
         key=key,
-        mode=PublishMode(doc["kind"]),
+        mode=mode,
         latent=latent,
         forensics=forensics,
         verdict=verdict,

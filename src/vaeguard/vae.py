@@ -129,18 +129,16 @@ def train(
     grads = nn.param_views(arch, grad_flat)
     state = nn.adam_init(flat)
     # each epoch gathers its shuffled rows and draws its noise into these
-    # buffers once; the batches are fixed slices of them, each with the
-    # workspace for its row count (the full batch and any shorter tail)
+    # buffers once; the batches are fixed slices of them, each with its
+    # own workspace, so that every step replays the calls its batch's
+    # first step recorded there
     shuffled = np.empty((n, arch.input_dim))
     noise = np.empty((n, arch.latent_dim))
-    workspaces: dict[int, nn.Workspace] = {}
     batches = []
     for start in range(0, n, config.batch_size):
         xb = shuffled[start : start + config.batch_size]
         rows = len(xb)
-        if rows not in workspaces:
-            workspaces[rows] = nn.Workspace(arch, params, rows, grads)
-        batches.append((xb, noise[start : start + rows], workspaces[rows]))
+        batches.append((xb, noise[start : start + rows], nn.Workspace(arch, params, rows, grads)))
 
     recon_curve: list[float] = []
     kl_curve: list[float] = []
@@ -261,18 +259,13 @@ class VaeStabilityDetector:
             raise SchemaMismatch(f"input has {X.shape[1]} features, model expects {expected}")
         return X
 
-    def _score(self, normalized: np.ndarray, work: nn.Workspace | None = None):
-        """Posterior (mu, logvar) and the reconstruction error of its mean,
-        for one normalized vector or a matrix of them; `work` as in nn.encode."""
-        mu, logvar = nn.encode(self.architecture_, self.weights_, normalized, work)
-        recon = nn.decode(self.architecture_, self.weights_, mu, work)
-        return mu, logvar, nn.reconstruction_error(normalized, recon)
-
     def score_samples(self, X) -> np.ndarray:
         """Deterministic reconstruction error per sample (higher = drift)."""
         X = self._check_ready(X)
-        _, _, errors = self._score(self.scaler_.transform(X))
-        return np.atleast_1d(errors)
+        normalized = self.scaler_.transform(X)
+        mu, _ = nn.encode(self.architecture_, self.weights_, normalized)
+        recon = nn.decode(self.architecture_, self.weights_, mu)
+        return np.atleast_1d(nn.reconstruction_error(normalized, recon))
 
     def predict(self, X) -> np.ndarray:
         """+1 for intervals within the stable pattern, -1 for drift."""
@@ -294,7 +287,13 @@ class VaeStabilityDetector:
         work = self._work
         if work is None or work.params is not self.weights_:
             work = self._work = nn.Workspace(self.architecture_, self.weights_, 1)
-        mu, logvar, error = self._score(self.scaler_.transform_vector(row), work)
+        # the same input and latent arrays every call, so that encode and
+        # decode replay the calls they recorded on this workspace
+        np.copyto(work.input, self.scaler_.transform_vector(row))
+        arch, weights = self.architecture_, self.weights_
+        mu, logvar = nn.encode(arch, weights, work.input, work)
+        recon = nn.decode(arch, weights, work.mu, work)
+        error = nn.reconstruction_error(work.input, recon)
         return LatentRecord(mu=mu[0], logvar=logvar[0], recon_error=float(error[0]))
 
 

@@ -593,8 +593,16 @@ def test_parse_action_names_the_event_field_the_tables_cannot_take(row, field):
         _with_events([[1.0, "openat", 1, 0, 0, 7]]),
         _with_events({}),
         _with_events("events"),
+        lambda payload: b'{"kind":"latent"}',
+        lambda payload: payload.replace(b'"interval":', b'"interval":"', 1).replace(
+            b',"interval_len"', b'","interval_len"', 1
+        ),
+        lambda payload: b"[" + payload.rstrip(b"\n") + b"]",
     ],
-    ids=["truncated", "deeply-nested", "row-of-4", "row-of-6", "events-object", "events-string"],
+    ids=[
+        "truncated", "deeply-nested", "row-of-4", "row-of-6", "events-object", "events-string",
+        "no-container", "interval-string", "top-level-array",
+    ],
 )
 def test_parse_action_rejects_a_cut_or_garbled_record(corrupt):
     """A record a sink left cut, one nested past the parser's depth, or one
@@ -604,3 +612,44 @@ def test_parse_action_rejects_a_cut_or_garbled_record(corrupt):
     action = run_stream(publisher, 3)[1]
     with pytest.raises((ValueError, RecursionError)):
         parse_action(corrupt(serialize_action(action)))
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"kind": "latent"}, "record has no container field"),
+        ({"kind": "latent", "container": "a", "interval": "3", "interval_len": 30.0},
+         "interval must be an integer"),
+        ([{"kind": "latent"}], "a record must be a JSON object"),
+        ({"kind": 1, "container": "a", "interval": 3, "interval_len": 30.0},
+         "kind must be a string"),
+        ({"kind": "latent", "container": "a", "interval": 3, "interval_len": True},
+         "interval_len must be a number"),
+        ({"kind": "latent", "container": "a", "interval": 3, "interval_len": 30.0,
+          "latent": {"mu": [{}], "logvar": [0.0], "recon_error": 0.1}},
+         "mu must be an array of numbers"),
+        ({"kind": "latent", "container": "a", "interval": 3, "interval_len": 30.0,
+          "latent": {"mu": [0.0], "logvar": [0.0], "recon_error": 0.1}, "verdict": []},
+         "verdict must be an object"),
+        ({"kind": "latent", "container": "a", "interval": 3, "interval_len": 30.0,
+          "latent": {"mu": [0.0], "logvar": [0.0], "recon_error": 10**400},
+          "verdict": {"threshold": 1.0, "stable": True}},
+         "recon_error is beyond float range"),
+    ],
+    ids=["no-container", "interval-string", "top-level-array", "kind-number",
+         "interval_len-bool", "mu-objects", "verdict-array", "recon_error-beyond-float"],
+)
+def test_parse_action_names_the_field_a_record_lacks_or_mistypes(doc, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_action(json.dumps(doc).encode("utf-8"))
+
+
+def test_a_record_of_values_that_compare_equal_but_are_written_apart_round_trips():
+    """1, true and 1.0, and 0, 0.0 and -0.0, each keep their own table
+    entry, so each reads back as it was written."""
+    line = (
+        b'{"kind":"forensics","container":"box","interval":0,"interval_len":30.0,"events":'
+        b'[[1.0,"x",1,0,0],[2.0,"x",true,false,0.0],[3.0,"x",1.0,-0.0,0],'
+        b'[4.0,1,1,0,0],[5.0,true,1,0,0],[6.0,1.0,1,0,0],[7.0,"x",1,0,0]]}\n'
+    )
+    assert serialize_action(parse_action(line)) == line

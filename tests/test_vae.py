@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,51 @@ def test_train_calls_gradients_and_adam_through_the_module_once_per_step(monkeyp
     train(X, TOY_ARCH, TOY_CONFIG)
     steps = TOY_CONFIG.epochs * math.ceil(41 / TOY_CONFIG.batch_size)
     assert calls == ["elbo_gradients", "adam_step"] * steps
+
+
+def test_a_training_step_past_the_first_epoch_allocates_less_than_one_batch(monkeypatch):
+    """From the second epoch on, every step replays its batch's recording:
+    at its peak, a step allocates less than one batch of inputs, since only
+    the per-row errors it returns are new."""
+    config = TrainConfig(epochs=3, batch_size=16, accumulation_target=20)
+    X = toy_matrix(n=40, dim=FEATURE_DIM)  # two full batches and a tail of 8
+    peaks = []
+    for name in ("elbo_gradients", "adam_step"):
+
+        def measured(*args, _real=getattr(nn, name)):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            result = _real(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            return result
+
+        monkeypatch.setattr(nn, name, measured)
+    tracemalloc.start()
+    try:
+        train(X, VaeArchitecture(FEATURE_DIM), config)
+    finally:
+        tracemalloc.stop()
+    calls_per_epoch = 2 * 3  # elbo_gradients, then adam_step, per step
+    later = peaks[calls_per_epoch:]
+    assert len(later) == calls_per_epoch * (config.epochs - 1)
+    assert max(later) < config.batch_size * FEATURE_DIM * 8
+
+
+def test_detectors_trained_in_turn_write_the_bundles_each_writes_alone(tmp_path):
+    """A recording belongs to one workspace: training and scoring one
+    detector between two trainings of another, of the same shapes, changes
+    no byte of either one's bundle."""
+    data = {"a": toy_matrix(n=41), "b": toy_matrix(n=41, seed=1) * 3.0}
+    bundles = []
+    for turn, name in enumerate("abab"):
+        detector = small_detector(epochs=5, accumulation_target=20).fit(data[name])
+        detector.score_vector(data[name][turn])
+        path = tmp_path / f"{turn}-{name}.json"
+        save_model(detector, path)
+        bundles.append(path.read_bytes())
+    assert bundles[0] == bundles[2]
+    assert bundles[1] == bundles[3]
+    assert bundles[0] != bundles[1]
 
 
 def test_train_rejects_insufficient_data():
