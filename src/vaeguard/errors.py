@@ -67,10 +67,6 @@ class InsufficientData(DataError):
         self.required = required
 
 
-class EmptyBatch(DataError):
-    """Bulk encoding requires at least one document."""
-
-
 class ModelError(VaeguardError):
     """A model or its numeric input cannot be used."""
 

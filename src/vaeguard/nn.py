@@ -21,7 +21,8 @@ outputs stay finite for arbitrarily large anomalous inputs and
 finite-difference checks are clean everywhere.
 
 Training memory: `vae.train` runs every step in a preallocated
-`Workspace`, one per batch slice of its epoch buffers. Forward
+`Workspace`, one per batch row count, which every batch slice of its
+epoch buffers with that many rows shares. Forward
 activations, backward deltas and the 1 - h**2 terms are written into its
 arrays, and the weight, bias and gradient views each layer pairs with are
 bound once; Adam's intermediate terms go to two scratch buffers in
@@ -47,11 +48,13 @@ encode and decode, params, grads and config for Adam. Called again with
 the same objects, the pass replays the calls, so the same functions
 read and write the same arrays in the same order, and reads whatever
 those arrays now hold; called with any other object, it makes the calls
-afresh and records them in place of the old recording. That is why
-`vae.train` keeps one workspace per batch slice: each batch replays its
-own recording in every epoch. A workspace still refuses parameters or
-a row count other than its own, and the finite-posterior check runs on
-every step.
+afresh and records them. A Workspace keeps, per pass, the recordings of
+the last `keep` operand sets it was given (an AdamState, of one),
+keyed by their identities, and drops the oldest to keep one more.
+`vae.train` builds each shared workspace to keep one per batch that
+uses it, so each batch replays its own recording in every epoch. A
+workspace still refuses parameters or a row count other than its own,
+and the finite-posterior check runs on every step.
 
 Scoring memory: `encode` and `decode` run the training forward pass's
 own encoder and decoder halves, in the Workspace given as `work` or
@@ -67,7 +70,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
@@ -209,24 +211,48 @@ class _Recording:
         return fn(*args)
 
 
+class _Recordings:
+    """Per pass name, the recordings of up to `keep` sets of caller
+    operands, keyed by the operands' identities: a recording holds its
+    operands, so no other object takes their ids while it is kept.
+    Keeping one more drops the oldest of that pass."""
+
+    __slots__ = ("keep", "passes")
+
+    def __init__(self, keep: int = 1):
+        self.keep = keep
+        self.passes: dict[str, dict[tuple[int, ...], _Recording]] = {}
+
+    def find(self, name: str, operands: tuple) -> _Recording | None:
+        """The recording of pass `name` made over these operand objects."""
+        kept = self.passes.get(name)
+        return None if kept is None else kept.get(tuple(map(id, operands)))
+
+    def add(self, name: str, recording: _Recording) -> None:
+        kept = self.passes.setdefault(name, {})
+        if len(kept) >= self.keep:
+            del kept[next(iter(kept))]
+        kept[tuple(map(id, recording.operands))] = recording
+
+
 def _binds(owner, name: str, *operands) -> bool:
-    """Whether `owner`'s recording `name` was made over these operand objects."""
-    recording = owner.recordings.get(name)
-    return recording is not None and all(map(operator.is_, recording.operands, operands))
+    """Whether `owner` keeps a recording of pass `name` made over these operand objects."""
+    return owner.recordings.find(name, operands) is not None
 
 
 def _play(owner, name: str, record, *operands) -> None:
     """Make the numpy calls `record(run, owner, *operands)` makes through
-    `run`, a Recording kept as `owner.recordings[name]`. When that
-    recording was made over these same operand objects, its calls are
+    `run`, a Recording that `owner.recordings` then keeps for pass `name`.
+    When it keeps one made over these same operand objects, its calls are
     replayed instead: the same functions over the same arrays, in order."""
-    if _binds(owner, name, *operands):
-        for call in owner.recordings[name].calls:
+    recording = owner.recordings.find(name, operands)
+    if recording is not None:
+        for call in recording.calls:
             call()
         return
     recording = _Recording(operands)
     record(recording, owner, *operands)
-    owner.recordings[name] = recording
+    owner.recordings.add(name, recording)
 
 
 def _affine(
@@ -411,9 +437,9 @@ class Workspace:
     batch buffer a caller may write its rows into and pass as x.
 
     `recordings` holds, per pass ("encode", "decode", "forward",
-    "gradients"), the numpy calls that pass last made here and the
-    caller's operands it made them over; the pass replays them while it
-    is given those same objects.
+    "gradients"), the numpy calls that pass made here over each of the
+    last `keep` sets of caller operands it was given; the pass replays
+    the calls it made over the objects it is given again.
     """
 
     def __init__(
@@ -422,9 +448,10 @@ class Workspace:
         params: Mapping[str, np.ndarray],
         rows: int,
         grads: Params | None = None,
+        keep: int = 1,
     ):
         self.params, self.grads, self.rows = params, grads, rows
-        self.recordings: dict[str, _Recording] = {}
+        self.recordings = _Recordings(keep)
         widths = arch.hidden_units
         self.hidden = np.empty(2 * rows * sum(widths))
         self.slopes = np.empty_like(self.hidden)
@@ -630,7 +657,7 @@ class AdamState:
     # the two bias corrections 1 - beta**t of the step being taken, and
     # the recording of adam_step's calls (see Workspace.recordings)
     corrections: np.ndarray = field(default_factory=lambda: np.empty(2), repr=False)
-    recordings: dict[str, _Recording] = field(default_factory=dict, repr=False)
+    recordings: _Recordings = field(default_factory=_Recordings, repr=False)
 
 
 def adam_init(params: np.ndarray) -> AdamState:

@@ -15,14 +15,17 @@ stays only while the benchmark harness times `IntervalCache.push` and
 passes `cache_capacity`, and then goes.
 
 A drift's encodings are produced in pieces of at most 4,096 events
-(`_ROWS_PER_PIECE`), so what publishing one allocates at a time does not
-grow with the drift: `record_pieces` yields the newline-delimited record
-(the head, then the events' text piece by piece, then the closing text)
-and `document_pieces` the bulk documents. `serialize_action` and
-`action_to_documents` join those pieces into the whole record and the
-whole document list. A record piece formats its timestamps and looks up
-each event's syscall and pid/ret/bytes text in the block's
-`EventTables`, which writes each distinct one once, when it is built.
+(`_ROWS_PER_PIECE`, taken by `event_pieces`), so what publishing one
+allocates at a time does not grow with the drift: `record_pieces` yields
+the newline-delimited record (the head, then the events' text piece by
+piece, then the closing text), which `serialize_action` joins, and
+`sinks.encode_bulk_request` the bulk lines of one piece. Both encoders
+format a piece's timestamps with one call (`timestamp_texts`) and look
+up each event's syscall and pid/ret/bytes text by its codes: the record
+in the texts the block's `EventTables` wrote once, when it was built,
+and the bulk lines in texts built for the piece's distinct codes.
+`action_to_documents` is the bulk documents as a list of dicts, which
+nothing on the publish path builds.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from vaeguard.vae import LatentRecord, TrainConfig, VaeStabilityDetector, save_m
 
 if TYPE_CHECKING:
     # sinks imports this module's codec at run time
-    from vaeguard.sinks import Document, Sink
+    from vaeguard.sinks import Sink
 
 logger = logging.getLogger(__name__)
 
@@ -54,6 +57,9 @@ DEFAULT_LATENT_INDEX = "stability-latent"
 DEFAULT_FORENSICS_INDEX = "stability-forensics"
 # Raw intervals each container's ring buffer keeps.
 DEFAULT_CACHE_CAPACITY = 4
+
+# (index name, document id, source)
+Document = tuple[str, str, dict]
 
 
 class PublishMode(enum.Enum):
@@ -149,21 +155,41 @@ def _rounded_head(action: PublishAction) -> tuple[dict | None, dict | None]:
     return latent, verdict
 
 
-# Events encoded per piece of a record or of a bulk document list, which
-# bounds the per-event strings and documents alive at once.
+def rounded_fields(action: PublishAction) -> dict:
+    """The rounded latent and verdict fields a head bulk document holds
+    after its key fields and kind, in order; empty for neither."""
+    fields: dict = {}
+    for rounded in _rounded_head(action):
+        if rounded is not None:
+            fields.update(rounded)
+    return fields
+
+
+# Events encoded per piece of a record or of the bulk lines, which bounds
+# the per-event strings alive at once.
 _ROWS_PER_PIECE = 4096
+
+
+def event_pieces(events: EventBlock) -> Iterator[EventBlock]:
+    """`events` in consecutive slices of at most _ROWS_PER_PIECE events."""
+    for start in range(0, len(events), _ROWS_PER_PIECE):
+        yield events[start : start + _ROWS_PER_PIECE]
+
+
+def timestamp_texts(piece: EventBlock) -> list[str]:
+    """The text compact_json writes for each timestamp of `piece` (NaN and
+    Infinity too), from one compact_json call: no float's text holds a comma."""
+    return compact_json(piece.timestamps.tolist())[1:-1].split(",")
 
 
 def _row_texts(events: EventBlock) -> Iterator[str]:
     """The text compact_json writes for `list(events.rows())`, without the
-    outer "[[" and "]]", in pieces to be joined by "],[". The timestamps of
-    a piece are formatted by one compact_json call; each row's syscall and
-    tail text is looked up in the texts its tables built once."""
+    outer "[[" and "]]", in pieces to be joined by "],[". Each row's
+    syscall and tail text is looked up in the texts its tables built once."""
     tables = events.tables
-    for start in range(0, len(events), _ROWS_PER_PIECE):
-        piece = events[start : start + _ROWS_PER_PIECE]
+    for piece in event_pieces(events):
         texts = [""] * (3 * len(piece))
-        texts[0::3] = compact_json(piece.timestamps.tolist())[1:-1].split(",")
+        texts[0::3] = timestamp_texts(piece)
         texts[1::3] = tables.syscall_texts[piece.syscall_codes].tolist()
         texts[2::3] = tables.tail_texts[piece.tail_codes].tolist()
         texts[-1] = texts[-1][:-3]  # the last row's "],["
@@ -310,43 +336,6 @@ def parse_action(line: bytes) -> PublishAction:
     )
 
 
-def document_pieces(
-    action: PublishAction, latent_index: str, forensics_index: str
-) -> Iterator[list[Document]]:
-    """`action_to_documents`'s list in pieces, in order: the head document
-    with the documents of the first _ROWS_PER_PIECE events, then those of
-    at most _ROWS_PER_PIECE more events at a time."""
-    id_prefix = f"{action.key.container_id}/{action.key.interval_index}/"
-    base = {
-        "container": action.key.container_id,
-        "interval": action.key.interval_index,
-        "interval_start": action.key.start,
-    }
-    head = dict(base)
-    head["kind"] = action.mode.value
-    for fields in _rounded_head(action):
-        if fields is not None:
-            head.update(fields)
-    documents: list[Document] = [(latent_index, id_prefix + "0", head)]
-    events = action.forensics
-    if events is not None:
-        for start in range(0, len(events), _ROWS_PER_PIECE):
-            rows = enumerate(events[start : start + _ROWS_PER_PIECE].rows(), start + 1)
-            for ordinal, (timestamp, syscall, pid, result, arg_bytes) in rows:
-                # base's keys, then the event's: the bulk payload's bytes follow this order
-                document = base.copy()
-                document["t"] = timestamp
-                document["syscall"] = syscall
-                document["pid"] = pid
-                document["ret"] = result
-                document["bytes"] = arg_bytes
-                documents.append((forensics_index, f"{id_prefix}{ordinal}", document))
-            yield documents
-            documents = []
-    if documents:
-        yield documents
-
-
 def action_to_documents(
     action: PublishAction,
     latent_index: str = DEFAULT_LATENT_INDEX,
@@ -355,9 +344,24 @@ def action_to_documents(
     """Bulk documents for an action: one status/latent doc, then one doc
     per raw event when forensics ship. Document ids are
     `<container>/<interval>/<ordinal>`, the head's ordinal 0 and the
-    events' 1, 2, ...; the ids parse from the right, whatever the container."""
-    pieces = document_pieces(action, latent_index, forensics_index)
-    return [document for piece in pieces for document in piece]
+    events' 1, 2, ...; the ids parse from the right, whatever the container.
+    `sinks.encode_bulk_request` writes these documents' bulk lines."""
+    id_prefix = f"{action.key.container_id}/{action.key.interval_index}/"
+    base = {
+        "container": action.key.container_id,
+        "interval": action.key.interval_index,
+        "interval_start": action.key.start,
+    }
+    head = {**base, "kind": action.mode.value, **rounded_fields(action)}
+    documents = [(latent_index, id_prefix + "0", head)]
+    if action.forensics is not None:
+        rows = enumerate(action.forensics.rows(), 1)
+        for ordinal, (timestamp, syscall, pid, result, arg_bytes) in rows:
+            # base's keys, then the event's: the bulk lines' bytes follow this order
+            source = {**base, "t": timestamp, "syscall": syscall, "pid": pid, "ret": result,
+                      "bytes": arg_bytes}
+            documents.append((forensics_index, f"{id_prefix}{ordinal}", source))
+    return documents
 
 
 def emit(

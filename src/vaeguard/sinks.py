@@ -15,11 +15,18 @@ the pieces of `publisher.record_pieces` one by one, and ignores the
 index names; `flush` flushes the file. If a write fails, the file is
 truncated back to where that record began before `SinkUnavailable` is
 raised, and if that fails too, the sink closes, so no record is ever
-appended after a partial one. HttpBulkSink encodes the action's documents
-(`publisher.action_to_documents`, taken piece by piece from
-`publisher.document_pieces`) as bulk-API lines (action metadata
-line with the document's `_index` and `_id`, then its source line, each
-newline-terminated) and buffers them across actions. It POSTs to
+appended after a partial one. HttpBulkSink writes the bulk-API lines of
+the action's documents (per document an action metadata line with its
+`_index` and `_id`, then its source line, each newline-terminated), byte
+for byte what `publisher.action_to_documents`'s list encodes to, one
+piece at a time with `encode_bulk_request`. It writes them from text, as
+the record is written, and builds no per-event document: the key's
+fields and the index names are encoded once per action (the sink
+remembers the texts of the container ids and index names it has seen),
+the head's rounded fields with one compact_json call, each piece's
+timestamps with one more, and each event's syscall and pid/ret/bytes
+text is looked up by its codes, in texts built for the piece's distinct
+codes. It buffers the lines across actions. It POSTs to
 `<endpoint>/_bulk` whenever `batch_size` documents wait, after each
 piece, and flushes after a drift action (`LATENT_PLUS_FORENSICS`), so
 the forensics of a drift are delivered or raised before its `publish`
@@ -47,34 +54,83 @@ indexed, nothing in them marks the forensics incomplete, and the
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import Callable, Mapping, Protocol
 
-from vaeguard.errors import EmptyBatch, SinkUnavailable
-from vaeguard.events import compact_json
-from vaeguard.publisher import PublishAction, PublishMode, document_pieces, record_pieces
+import numpy as np
 
-# (index name, document id, source)
-Document = tuple[str, str, Mapping]
+from vaeguard.errors import SinkUnavailable
+from vaeguard.events import EventBlock, compact_json
+from vaeguard.publisher import (
+    PublishAction,
+    PublishMode,
+    event_pieces,
+    record_pieces,
+    rounded_fields,
+    timestamp_texts,
+)
+from vaeguard.summarize import IntervalKey
 
 BULK_CONTENT_TYPE = "application/x-ndjson"
 # Documents per bulk request.
 DEFAULT_BULK_BATCH_SIZE = 500
-# A document's action metadata line around its encoded index name and id.
-_ACTION_LINE = '{"index":{"_index":%s,"_id":%s}}'
 
 
-def encode_bulk_request(documents: Sequence[Document]) -> bytes:
-    """Bulk wire format: one action line plus one source line per document,
-    each newline-terminated, as compact_json writes them."""
-    if not documents:
-        raise EmptyBatch("bulk request requires at least one document")
-    lines: list[str] = []
-    for index_name, doc_id, source in documents:
-        # compact_json of {"index": {"_index": index_name, "_id": doc_id}}
-        lines.append(_ACTION_LINE % (compact_json(index_name), compact_json(doc_id)))
-        lines.append(compact_json(source))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+def _json_text(value) -> str:
+    """What compact_json writes for `value`: an exact int as str writes it
+    and a finite float as repr does, which is what json does, without a
+    call to the encoder, and anything else through it."""
+    kind = type(value)
+    if kind is int:
+        return str(value)
+    if kind is float and math.isfinite(value):
+        return repr(value)
+    return compact_json(value)
+
+
+def _texts_by_code(codes: np.ndarray, text_of: Callable[[int], str]) -> list[str]:
+    """text_of(code) for each of `codes`, built once per distinct code."""
+    distinct, inverse = np.unique(codes, return_inverse=True)
+    texts = np.array([text_of(code) for code in distinct.tolist()], dtype=object)
+    return texts[inverse].tolist()
+
+
+def encode_bulk_request(
+    action: PublishAction, keys: tuple[str, str, str], events: EventBlock | None, start: int
+) -> bytes:
+    """The bulk lines of one piece of the action's documents, as
+    compact_json writes `action_to_documents`'s: the head's when `start`
+    is 0, then those of `events` (None or empty: none), the action's
+    events from number `start` (from 0) on, whose ordinals are start + 1,
+    start + 2, ... `keys` are the texts its lines repeat (see
+    `HttpBulkSink._key_texts`)."""
+    head_line, event_line, source = keys
+    body = ""
+    if not start:
+        fields = rounded_fields(action)
+        body = f'{head_line}0{source}"kind":{compact_json(action.mode.value)}'
+        body += f",{compact_json(fields)[1:]}\n" if fields else "}\n"
+    if events:
+        tables = events.tables
+        syscalls, pids, results, arg_bytes = (
+            tables.syscall_texts, tables.pids, tables.results, tables.arg_bytes
+        )
+        texts = [event_line, "", f'{source}"t":', "", "", ""] * len(events)
+        texts[1::6] = map(str, range(start + 1, start + 1 + len(events)))
+        texts[3::6] = timestamp_texts(events)
+        # a syscall text is "," + compact_json(syscall) + ","; each value of a
+        # tail is written on its own, so no value's text is ever split apart
+        texts[4::6] = _texts_by_code(
+            events.syscall_codes, lambda k: f',"syscall":{syscalls[k][1:-1]},"pid":'
+        )
+        texts[5::6] = _texts_by_code(
+            events.tail_codes,
+            lambda k: f'{_json_text(pids[k])},"ret":{_json_text(results[k])},'
+            f'"bytes":{_json_text(arg_bytes[k])}}}\n',
+        )
+        body += "".join(texts)
+    return body.encode("utf-8")
 
 
 class Sink(Protocol):
@@ -172,14 +228,41 @@ class HttpBulkSink:
         # encoded documents not yet POSTed, and how many they are
         self._buffer = bytearray()
         self._waiting = 0
+        # (container id, latent index, forensics index) -> their compact_json texts
+        self._names: dict[tuple[str, str, str], tuple[str, ...]] = {}
+
+    def _key_texts(
+        self, key: IntervalKey, latent_index: str, forensics_index: str
+    ) -> tuple[str, str, str]:
+        """The texts an action's bulk lines repeat: the action line of its
+        head and that of its events, each up to the document's ordinal, and
+        what follows the ordinal up to the source's fields after its key's."""
+        names = (key.container_id, latent_index, forensics_index)
+        texts = self._names.get(names)
+        if texts is None:
+            texts = self._names[names] = tuple(map(compact_json, names))
+        container, latent, forensics = texts
+        # the interval's text is a number's, which json escapes nowhere
+        id_prefix = f"{container[:-1]}/{key.interval_index}/"
+        return (
+            f'{{"index":{{"_index":{latent},"_id":{id_prefix}',
+            f'{{"index":{{"_index":{forensics},"_id":{id_prefix}',
+            f'"}}}}\n{{"container":{container},"interval":{_json_text(key.interval_index)},'
+            f'"interval_start":{_json_text(key.start)},',
+        )
 
     def publish(self, action: PublishAction, latent_index: str, forensics_index: str) -> int:
-        written = 0
-        for documents in document_pieces(action, latent_index, forensics_index):
-            body = encode_bulk_request(documents)
+        keys = self._key_texts(action.key, latent_index, forensics_index)
+        events = action.forensics
+        written = start = 0
+        # the first piece holds the head and the first events, if there are any
+        for piece in event_pieces(events) if events else (None,):
+            body = encode_bulk_request(action, keys, piece, start)
+            count = 0 if piece is None else len(piece)
             self._buffer += body
-            self._waiting += len(documents)
+            self._waiting += count + (not start)
             written += len(body)
+            start += count
             while self._waiting >= self.batch_size:
                 self._post(self.batch_size)
         if action.mode is PublishMode.LATENT_PLUS_FORENSICS:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -129,16 +130,18 @@ def train(
     grads = nn.param_views(arch, grad_flat)
     state = nn.adam_init(flat)
     # each epoch gathers its shuffled rows and draws its noise into these
-    # buffers once; the batches are fixed slices of them, each with its
-    # own workspace, so that every step replays the calls its batch's
-    # first step recorded there
+    # buffers once; the batches are fixed slices of them, and those of one
+    # row count share a workspace that keeps a recording per batch, so
+    # that every step replays the calls its batch's first step recorded
     shuffled = np.empty((n, arch.input_dim))
     noise = np.empty((n, arch.latent_dim))
-    batches = []
-    for start in range(0, n, config.batch_size):
-        xb = shuffled[start : start + config.batch_size]
-        rows = len(xb)
-        batches.append((xb, noise[start : start + rows], nn.Workspace(arch, params, rows, grads)))
+    starts = range(0, n, config.batch_size)
+    xbs = [shuffled[start : start + config.batch_size] for start in starts]
+    keeps = Counter(map(len, xbs))
+    works = {rows: nn.Workspace(arch, params, rows, grads, keep) for rows, keep in keeps.items()}
+    batches = [
+        (xb, noise[start : start + len(xb)], works[len(xb)]) for start, xb in zip(starts, xbs)
+    ]
 
     recon_curve: list[float] = []
     kl_curve: list[float] = []

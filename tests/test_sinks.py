@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from vaeguard import publisher as publisher_module
 from vaeguard import sinks as sinks_module
-from vaeguard.errors import EmptyBatch, SinkUnavailable
+from vaeguard.errors import SinkUnavailable
 from vaeguard.events import ForensicEvent
 from vaeguard.publisher import (
     PublishAction,
@@ -23,12 +23,7 @@ from vaeguard.publisher import (
     emit,
     serialize_action,
 )
-from vaeguard.sinks import (
-    BULK_CONTENT_TYPE,
-    FileSink,
-    HttpBulkSink,
-    encode_bulk_request,
-)
+from vaeguard.sinks import BULK_CONTENT_TYPE, FileSink, HttpBulkSink
 from vaeguard.summarize import IntervalKey
 from vaeguard.thresholds import HeuristicThreshold, StabilityVerdict, assess
 from vaeguard.vae import LatentRecord
@@ -60,33 +55,48 @@ def parse_ndjson(body: bytes):
     return [json.loads(line) for line in body.decode("utf-8").splitlines()]
 
 
+def _bulk_posts(actions, batch_size=500, latent_index="lat", forensics_index="raw"):
+    """The bodies an HttpBulkSink POSTs for `actions`, closed after the last."""
+    transport = _Transport()
+    original = urllib.request.urlopen
+    urllib.request.urlopen = transport
+    try:
+        sink = HttpBulkSink("http://bulk.test", batch_size=batch_size)
+        for action in actions:
+            sink.publish(action, latent_index, forensics_index)
+        sink.close()
+    finally:
+        urllib.request.urlopen = original
+    return transport.delivered
+
+
+def _bulk_body(action, latent_index="lat", forensics_index="raw") -> bytes:
+    return b"".join(_bulk_posts([action], 500, latent_index, forensics_index))
+
+
 def test_bulk_two_documents_is_four_lines_with_trailing_newline():
-    body = encode_bulk_request([("idx-a", "a/0/0", {"x": 1}), ("idx-b", "a/0/1", {"y": 2})])
+    body = _bulk_body(forensics(1))
     assert body.endswith(b"\n")
     lines = body.decode("utf-8").split("\n")
     assert len(lines) == 5 and lines[-1] == ""
 
 
 def test_bulk_single_document():
-    body = encode_bulk_request([("idx", "a/0/0", {"x": 1})])
+    body = _bulk_body(accumulating())
     assert len(body.decode("utf-8").split("\n")) == 3
 
 
 def test_bulk_round_trips_through_ndjson_parser():
-    documents = [
-        ("latent", "a/3/0", {"container": "a", "mu": [0.25, -1.5]}),
-        ("raw", "a/3/1", {"t": 1.5, "syscall": "openat"}),
-    ]
-    rows = parse_ndjson(encode_bulk_request(documents))
-    assert rows[0] == {"index": {"_index": "latent", "_id": "a/3/0"}}
-    assert rows[1] == {"container": "a", "mu": [0.25, -1.5]}
-    assert rows[2] == {"index": {"_index": "raw", "_id": "a/3/1"}}
-    assert rows[3] == {"t": 1.5, "syscall": "openat"}
-
-
-def test_bulk_rejects_empty_batch():
-    with pytest.raises(EmptyBatch):
-        encode_bulk_request([])
+    rows = parse_ndjson(_bulk_body(forensics(1, 3), "latent"))
+    assert rows[0] == {"index": {"_index": "latent", "_id": "box/3/0"}}
+    assert rows[1] == {
+        "container": "box", "interval": 3, "interval_start": 90.0, "kind": "forensics"
+    }
+    assert rows[2] == {"index": {"_index": "raw", "_id": "box/3/1"}}
+    assert rows[3] == {
+        "container": "box", "interval": 3, "interval_start": 90.0,
+        "t": 90.0, "syscall": "openat", "pid": 0, "ret": 0, "bytes": 0,
+    }
 
 
 # -- the encoders against json.dumps --------------------------------------------
@@ -167,7 +177,7 @@ def _reference_bulk(documents) -> bytes:
 def test_encoders_write_what_json_dumps_writes(action, latent_index, forensics_index):
     assert serialize_action(action) == _reference_line(action)
     documents = action_to_documents(action, latent_index, forensics_index)
-    assert encode_bulk_request(documents) == _reference_bulk(documents)
+    assert _bulk_body(action, latent_index, forensics_index) == _reference_bulk(documents)
     # the head document carries the line's rounded latent and verdict fields
     head, line = documents[0][2], json.loads(_reference_line(action))
     shipped = {**line.get("latent", {}), **line.get("verdict", {})}
@@ -249,20 +259,91 @@ def test_a_drift_record_encodes_no_syscall_or_tail(monkeypatch):
     assert calls == ["dict", "list", "list"]
 
 
+def test_a_drift_s_bulk_lines_encode_no_syscall_or_tail(monkeypatch):
+    """The bulk twin of the record's test: a drift's event lines look their
+    syscall text up in its tables and write its exact-int tails with str,
+    so encoding them calls compact_json for the key's names, the head's
+    kind and fields, and each piece's timestamps, never per event."""
+    monkeypatch.setattr(urllib.request, "urlopen", _Transport())
+    action = drift(4097, 1)
+    calls = []
+    real_encode = publisher_module.compact_json
+
+    def counting_encode(value):
+        calls.append(type(value).__name__)
+        return real_encode(value)
+
+    monkeypatch.setattr(publisher_module, "compact_json", counting_encode)
+    monkeypatch.setattr(sinks_module, "compact_json", counting_encode)
+    sink = HttpBulkSink("http://bulk.test")
+    sink.publish(action, "lat", "raw")
+    # the container and both index names, the kind, the rounded fields,
+    # then the timestamps of each of the two pieces
+    assert calls == ["str", "str", "str", "str", "dict", "list", "list"]
+    calls.clear()
+    sink.publish(drift(3, 2), "lat", "raw")  # the sink knows the names' texts by now
+    assert calls == ["str", "dict", "list"]
+    sink.close()
+
+
+def _reference_posts(actions, batch_size, latent_index="lat", forensics_index="raw"):
+    """The bodies the bulk sink is specified to POST: the documents cut into
+    requests of `batch_size`, the ones waiting flushed after each drift
+    and at close, each encoded through json.dumps."""
+    requests, waiting = [], []
+    for action in actions:
+        waiting += action_to_documents(action, latent_index, forensics_index)
+        while len(waiting) >= batch_size:
+            requests.append(waiting[:batch_size])
+            waiting = waiting[batch_size:]
+        if action.mode is PublishMode.LATENT_PLUS_FORENSICS and waiting:
+            requests.append(waiting)
+            waiting = []
+    if waiting:
+        requests.append(waiting)
+    return [_reference_bulk(documents) for documents in requests]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    documents=st.lists(
-        st.tuples(
-            _NAMES,
-            _NAMES,
-            st.dictionaries(_NAMES, _VALUES | _NAMES | st.integers() | st.booleans() | st.none()),
-        ),
-        min_size=1,
-        max_size=4,
-    )
+    actions=st.lists(_actions(), min_size=1, max_size=6),
+    batch_size=st.sampled_from([1, 3, 500]),
+    latent_index=_NAMES,
+    forensics_index=_NAMES,
 )
-def test_bulk_request_writes_what_json_dumps_writes(documents):
-    assert encode_bulk_request(documents) == _reference_bulk(documents)
+def test_bulk_posts_write_what_json_dumps_writes(
+    actions, batch_size, latent_index, forensics_index
+):
+    """Every POST body is the json.dumps encoding of the documents it holds,
+    and the requests are cut at the same documents."""
+    assert _bulk_posts(actions, batch_size, latent_index, forensics_index) == _reference_posts(
+        actions, batch_size, latent_index, forensics_index
+    )
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 500])
+@pytest.mark.parametrize("count", [0, 1, 4096, 4097])
+def test_hostile_blocks_of_any_size_post_what_json_dumps_writes(count, batch_size):
+    """Around the 4,096 events of a piece, whatever the tails hold, under a
+    quoted non-ASCII container id; with a NaN timestamp and a key whose
+    start overflows to Infinity."""
+    events = tuple(
+        _HOSTILE_EVENTS[i % len(_HOSTILE_EVENTS)]._replace(
+            timestamp=float("nan") if i == 1 else i * 1e-3, container_id='q"\xe9'
+        )
+        for i in range(count)
+    )
+    latent = LatentRecord(np.array([0.5, float("nan")]), np.zeros(2), float("inf"))
+    actions = [
+        PublishAction(IntervalKey('q"\xe9', 3, 30.0), PublishMode.FORENSICS_ONLY, forensics=events),
+        PublishAction(IntervalKey("box", 2**53, 1e300), PublishMode.ACCUMULATING),
+        PublishAction(
+            IntervalKey('q"\xe9', 4, 30.0), PublishMode.LATENT_PLUS_FORENSICS, latent=latent,
+            forensics=events, verdict=StabilityVerdict(1.0, False),
+        ),
+    ]
+    assert IntervalKey("box", 2**53, 1e300).start == float("inf")
+    assert _bulk_posts(actions, batch_size) == _reference_posts(actions, batch_size)
 
 
 # -- file sink -----------------------------------------------------------------
@@ -386,7 +467,7 @@ def test_pieces_join_to_the_whole_encodings(tmp_path, monkeypatch, rows_per_piec
     bulk_sink = HttpBulkSink("http://bulk.test", batch_size=3)
     for action, line, docs in zip(actions, whole, documents):
         assert file_sink.publish(action, "lat", "raw") == len(line)
-        assert bulk_sink.publish(action, "lat", "raw") == len(encode_bulk_request(docs))
+        assert bulk_sink.publish(action, "lat", "raw") == len(_reference_bulk(docs))
     file_sink.close()
     bulk_sink.close()
     assert (tmp_path / "out.ndjson").read_bytes() == b"".join(whole)
@@ -395,7 +476,7 @@ def test_pieces_join_to_the_whole_encodings(tmp_path, monkeypatch, rows_per_piec
     # flushed after it, and the last action's head at close
     bounds = [0, 3, 6, 9, 12, 15, 17, 18]
     batches = [every[a:b] for a, b in zip(bounds, bounds[1:])]
-    assert transport.delivered == [encode_bulk_request(batch) for batch in batches]
+    assert transport.delivered == [_reference_bulk(batch) for batch in batches]
 
 
 def test_a_post_failing_partway_through_a_drift_drops_the_rest_of_it(monkeypatch):
@@ -419,12 +500,14 @@ def test_a_post_failing_partway_through_a_drift_drops_the_rest_of_it(monkeypatch
 
 
 def test_a_head_only_action_costs_one_encode_call(monkeypatch):
+    """One encode_bulk_request call per piece, whose documents are its
+    head (when it starts the action) and its events."""
     calls = []
     real_encode = sinks_module.encode_bulk_request
 
-    def counting_encode(documents):
-        calls.append(len(documents))
-        return real_encode(documents)
+    def counting_encode(action, keys, events, start):
+        calls.append((not start) + (0 if events is None else len(events)))
+        return real_encode(action, keys, events, start)
 
     monkeypatch.setattr(sinks_module, "encode_bulk_request", counting_encode)
     monkeypatch.setattr(urllib.request, "urlopen", _Transport())
@@ -433,6 +516,8 @@ def test_a_head_only_action_costs_one_encode_call(monkeypatch):
     assert calls == [1]
     sink.publish(drift(4096, 1), "lat", "raw")  # a drift of one piece: one more call
     assert calls == [1, 4097]
+    sink.publish(drift(4097, 2), "lat", "raw")  # one event more: a second piece
+    assert calls == [1, 4097, 4097, 1]
     sink.close()
 
 
@@ -476,11 +561,11 @@ def test_http_sink_posts_bulk_body(bulk_server):
     documents = action_to_documents(action, "lat", "raw")
     assert [index for index, _, _ in documents] == ["lat", "raw"]
     assert [doc_id for _, doc_id, _ in documents] == ["box/0/0", "box/0/1"]
-    assert written == len(encode_bulk_request(documents)) == sink.bytes_written
+    assert written == len(_reference_bulk(documents)) == sink.bytes_written
     [(path, headers, body)] = requests
     assert path == "/_bulk"
     assert headers["Content-Type"] == BULK_CONTENT_TYPE
-    assert body == encode_bulk_request(documents)
+    assert body == _reference_bulk(documents)
 
 
 def test_http_sink_batches_documents(bulk_server):
@@ -506,12 +591,12 @@ def test_http_sink_batches_documents_across_actions(bulk_server):
     bodies = [body for _, _, body in requests]
     assert [len(parse_ndjson(body)) // 2 for body in bodies] == [4, 4, 1]
     expected = b"".join(
-        encode_bulk_request(action_to_documents(action, "lat", "raw")) for action in actions
+        _reference_bulk(action_to_documents(action, "lat", "raw")) for action in actions
     )
     assert b"".join(bodies) == expected  # the bytes received
     assert sum(written) == sink.bytes_written == len(expected)
     assert written == [
-        len(encode_bulk_request(action_to_documents(action, "lat", "raw"))) for action in actions
+        len(_reference_bulk(action_to_documents(action, "lat", "raw"))) for action in actions
     ]
 
 
@@ -564,7 +649,7 @@ def test_http_sink_failed_bulk_reply_is_unavailable(monkeypatch, reply):
     action = forensics(2)  # 3 documents: a full batch, POSTed at publish
     with pytest.raises(SinkUnavailable):
         emit(action, sink)
-    assert bodies == [encode_bulk_request(action_to_documents(action))]
+    assert bodies == [_reference_bulk(action_to_documents(action))]
     assert sink.bytes_written == 0
     sink.close()
     assert len(bodies) == 1  # the failed documents were dropped, not kept to resend

@@ -106,6 +106,30 @@ def test_a_training_step_past_the_first_epoch_allocates_less_than_one_batch(monk
     assert max(later) < config.batch_size * FEATURE_DIM * 8
 
 
+def test_batches_of_a_row_count_share_a_workspace_and_later_steps_replay(monkeypatch):
+    """The two full batches share one workspace and the tail its own, and
+    past the first epoch no pass records anything: every step replays."""
+    config = TrainConfig(epochs=3, batch_size=16, accumulation_target=20)
+    X = toy_matrix(n=40, dim=4)  # two full batches and a tail of 8
+    rows, steps, recorded = [], [], []
+    real_workspace, real_step, real_recording = nn.Workspace, nn.adam_step, nn._Recording
+    monkeypatch.setattr(
+        nn,
+        "Workspace",
+        lambda arch, params, n, *a: rows.append(n) or real_workspace(arch, params, n, *a),
+    )
+    monkeypatch.setattr(nn, "adam_step", lambda *a: steps.append(1) or real_step(*a))
+    monkeypatch.setattr(
+        nn, "_Recording", lambda operands: recorded.append(len(steps)) or real_recording(operands)
+    )
+    train(X, VaeArchitecture(4, (4,), 2), config)
+    assert rows == [16, 8]
+    assert len(steps) == 3 * config.epochs
+    # each first-epoch batch records its forward and gradient passes, and
+    # Adam its step once, all before the second epoch's first step
+    assert len(recorded) == 2 * 3 + 1 and max(recorded) < 3
+
+
 def test_detectors_trained_in_turn_write_the_bundles_each_writes_alone(tmp_path):
     """A recording belongs to one workspace: training and scoring one
     detector between two trainings of another, of the same shapes, changes
