@@ -27,6 +27,12 @@ accepted and every error names the same line and reason either way. A
 byte that is not UTF-8 is its line's "not UTF-8" error, reported in line
 order like any other.
 
+`as_block` builds a block from any other sequence of events, and holds
+only what a trace can: a t that is an int or a float, a syscall that is
+a str, and pid, ret and bytes that are exact ints (a bool is none of
+these), with bytes in [0, 2**64). Any other value raises ValueError
+naming its field ("events: every ret must be an integer").
+
 Memory: the four columns are allocated once, before the first chunk,
 for as many events as the file's size allows (no valid record is
 shorter than 50 characters, and UTF-8 spends at least a byte on each),
@@ -148,7 +154,7 @@ def parse_event_record(line: str, line_no: int = 0) -> ForensicEvent:
 
 def format_event_record(event: ForensicEvent) -> str:
     """Canonical single-line serialization (no trailing newline)."""
-    return json.dumps(
+    return compact_json(
         {
             "t": event.timestamp,
             "c": event.container_id,
@@ -156,8 +162,7 @@ def format_event_record(event: ForensicEvent) -> str:
             "pid": event.pid,
             "ret": event.result,
             "bytes": event.arg_bytes,
-        },
-        separators=(",", ":"),
+        }
     )
 
 
@@ -167,19 +172,18 @@ def format_event_record(event: ForensicEvent) -> str:
 class EventTables:
     """The value tables an `EventBlock`'s code columns index into.
 
-    A tail is one distinct (pid, result, arg_bytes) triple, and values
-    that compare equal but are written apart, such as 1 and true, are
-    distinct here (see `_table_key`); tail code k indexes `pids`,
-    `results` and `arg_bytes`. The per-tail arrays are
-    what summaries need of them: a code per distinct pid, whether the
-    result is an error, and the byte count as a float.
+    A tail is one distinct (pid, result, arg_bytes) triple of exact ints;
+    tail code k indexes `pids`, `results` and `arg_bytes`. The per-tail
+    arrays are what summaries need of them: a code per distinct pid,
+    whether the result is an error, and the byte count as a float.
 
     The two text arrays are what a published record writes per event,
     built once with the table so that encoding a drift only looks them
     up: `syscall_texts[k]` is "," + compact_json(syscalls[k]) + ",", and
     `tail_texts[k]` is compact_json([pid, ret, bytes]) of tail k without
-    its brackets, + "],[". An event's row is then its timestamp's text,
-    its syscall text and its tail text, joined.
+    its brackets, + "],[", which for exact ints is their str() joined by
+    commas. An event's row is then its timestamp's text, its syscall text
+    and its tail text, joined.
     """
 
     __slots__ = (
@@ -200,15 +204,8 @@ class EventTables:
         self.syscall_texts = _frozen(
             np.array([f",{compact_json(s)}," for s in self.syscalls], dtype=object)
         )
-        # json writes an exact int as str() does; any other value is
-        # encoded on its own, so no value's text is ever split apart
-        p, r, b = (
-            column if set(map(type, column)) <= {int} else list(map(compact_json, column))
-            for column in (self.pids, self.results, self.arg_bytes)
-        )
-        self.tail_texts = _frozen(
-            np.array([f"{pid},{ret},{nbytes}],[" for pid, ret, nbytes in zip(p, r, b)], dtype=object)
-        )
+        # json writes an exact int as str() does
+        self.tail_texts = _frozen(np.array([f"{p},{r},{b}],[" for p, r, b in tails], dtype=object))
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -322,12 +319,10 @@ class _BlockAssembler:
     """
 
     def __init__(self, capacity: int = 0):
+        # each table: value -> code
         self.containers: dict[str, int] = {}
-        # syscall and tail tables: key (see _table_key) -> code
-        self.syscalls: dict = {}
-        self.tails: dict = {}
-        # the value of each table key that is not the value itself
-        self.values: dict = {}
+        self.syscalls: dict[str, int] = {}
+        self.tails: dict[tuple[int, int, int], int] = {}
         self.bodies = _BodyCodes()
         self.columns = [np.empty(capacity, dtype) for dtype in _DTYPES]
         self.count = 0
@@ -375,51 +370,33 @@ class _BlockAssembler:
         if not columns:
             return
         times, containers, syscalls, pids, results, arg_bytes = columns
-        if not set(map(type, syscalls)) <= {str}:
-            syscalls = self._keys(syscalls)
-        tails = list(zip(pids, results, arg_bytes))
-        if not set(map(type, pids + results + arg_bytes)) <= {int}:
-            tails = self._keys(tails)
+        for name, values, kinds, kind in (
+            ("t", times, {int, float}, "a number"),
+            ("syscall", syscalls, {str}, "a string"),
+            ("pid", pids, {int}, "an integer"),
+            ("ret", results, {int}, "an integer"),
+            ("bytes", arg_bytes, {int}, "an integer"),
+        ):
+            # exact types, as json.loads makes them: a bool is no number here
+            if not set(map(type, values)) <= kinds:
+                raise ValueError(f"events: every {name} must be {kind}")
+        if min(arg_bytes) < 0 or max(arg_bytes) >= _BYTES_LIMIT:
+            raise ValueError("events: every bytes must be in [0, 2**64)")
+        try:
+            times = np.array(times, dtype=np.float64)
+        except OverflowError:  # an int past float range
+            raise ValueError("events: every t must be within float range") from None
         self.append(
             times,
             _codes(self.containers, containers),
             _codes(self.syscalls, syscalls),
-            _codes(self.tails, tails),
+            _codes(self.tails, list(zip(pids, results, arg_bytes))),
         )
 
-    def _keys(self, values: Sequence) -> list:
-        """Each value's table key, noting the value of each key that is not
-        the value itself."""
-        keys = list(map(_table_key, values))
-        for key, value in zip(keys, values):
-            if key is not value:
-                self.values.setdefault(key, value)
-        return keys
-
-    def _table(self, table: dict) -> list:
-        """A table's values in code order."""
-        return list(map(self.values.get, table, table)) if self.values else list(table)
-
     def build(self) -> EventBlock:
-        tables = EventTables(self.containers, self._table(self.syscalls), self._table(self.tails))
+        tables = EventTables(self.containers, self.syscalls, self.tails)
         filled = [_frozen(column[: self.count]) for column in self.columns]
         return EventBlock(*filled, tables)
-
-
-def _table_key(value):
-    """`value`'s key in a syscall or tail table: the text compact_json
-    writes for it, so that values that compare equal but are written
-    apart (1, true and 1.0; 0, 0.0 and -0.0) keep their own entries. A str
-    or an exact int, all that a canonical record holds, is its own key,
-    which stands for that text one to one; any other value's text is held
-    in a 1-tuple, so it meets no str, and a tail is the tuple of its
-    values' keys."""
-    kind = type(value)
-    if kind is str or kind is int:
-        return value
-    if kind is tuple:
-        return tuple(map(_table_key, value))
-    return (compact_json(value),)
 
 
 def _codes(table: dict, values: Sequence) -> np.ndarray:
@@ -456,7 +433,9 @@ class _BodyCodes(dict):
 
 
 def as_block(events: Iterable[ForensicEvent]) -> EventBlock:
-    """`events` itself when it is a block, else a new block of them."""
+    """`events` itself when it is a block, else a new block of them;
+    ValueError, naming the field, for a value no trace holds (see the
+    module docstring)."""
     if isinstance(events, EventBlock):
         return events
     assembler = _BlockAssembler()

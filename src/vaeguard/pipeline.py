@@ -12,14 +12,13 @@ timers independent.
 
 from __future__ import annotations
 
-import json
 import logging
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
 from vaeguard.errors import InvalidConfig
-from vaeguard.events import ForensicEvent
+from vaeguard.events import ForensicEvent, compact_json
 from vaeguard.publisher import (
     DEFAULT_CACHE_CAPACITY,
     DEFAULT_FORENSICS_INDEX,
@@ -90,7 +89,7 @@ class IntervalVerdictRecord:
     mode: str
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), separators=(",", ":"))
+        return compact_json(asdict(self))
 
 
 def record_for_action(action: PublishAction) -> IntervalVerdictRecord:
@@ -172,7 +171,7 @@ class CostReport:
             "reduction_factor": self.reduction_factor,
             "cpu_ratio": self.cpu_ratio,
         }
-        return json.dumps(doc, separators=(",", ":"))
+        return compact_json(doc)
 
     def format_table(self) -> str:
         rows = [

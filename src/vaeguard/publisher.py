@@ -234,26 +234,6 @@ def serialize_action(action: PublishAction) -> bytes:
     return b"".join(record_pieces(action))
 
 
-def _check_event_columns(rows: list) -> None:
-    """Raise ValueError, naming the field, for event values the block's
-    tables cannot take: they key syscalls and tails by their text, compare
-    each ret with 0 and read each t and bytes as a float."""
-    if not rows:
-        return
-    t, syscall, pid, ret, nbytes = zip(*rows)
-    for name, values in (("syscall", syscall), ("pid", pid)):
-        if {list, dict} & set(map(type, values)):
-            raise ValueError(f"events: every {name} must be a JSON scalar")
-    for name, values in (("t", t), ("ret", ret), ("bytes", nbytes)):
-        if not set(map(type, values)) <= {int, float, bool}:
-            raise ValueError(f"events: every {name} must be a number")
-    for name, values in (("t", t), ("bytes", nbytes)):
-        try:
-            max(map(float, values))  # float() of an int past float range overflows
-        except OverflowError:
-            raise ValueError(f"events: a {name} value is beyond float range") from None
-
-
 # what a record's field may hold, by the Python types json reads it as
 _JSON_KINDS = {
     (str,): "a string", (int,): "an integer", (int, float): "a number",
@@ -322,7 +302,6 @@ def parse_action(line: bytes) -> PublishAction:
         rows = doc["events"]
         if type(rows) is not list or not all(type(row) is list and len(row) == 5 for row in rows):
             raise ValueError("events must be a JSON array of 5-value arrays")
-        _check_event_columns(rows)
         forensics = tuple(
             ForensicEvent(t, key.container_id, syscall, pid, result, nbytes)
             for t, syscall, pid, result, nbytes in rows

@@ -119,15 +119,14 @@ def encode_bulk_request(
         texts = [event_line, "", f'{source}"t":', "", "", ""] * len(events)
         texts[1::6] = map(str, range(start + 1, start + 1 + len(events)))
         texts[3::6] = timestamp_texts(events)
-        # a syscall text is "," + compact_json(syscall) + ","; each value of a
-        # tail is written on its own, so no value's text is ever split apart
+        # a syscall text is "," + compact_json(syscall) + ","; a tail's values
+        # are exact ints, which json writes as str() does
         texts[4::6] = _texts_by_code(
             events.syscall_codes, lambda k: f',"syscall":{syscalls[k][1:-1]},"pid":'
         )
         texts[5::6] = _texts_by_code(
             events.tail_codes,
-            lambda k: f'{_json_text(pids[k])},"ret":{_json_text(results[k])},'
-            f'"bytes":{_json_text(arg_bytes[k])}}}\n',
+            lambda k: f'{pids[k]},"ret":{results[k]},"bytes":{arg_bytes[k]}}}\n',
         )
         body += "".join(texts)
     return body.encode("utf-8")

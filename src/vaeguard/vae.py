@@ -37,6 +37,7 @@ from vaeguard.errors import (
     InvalidK,
     SchemaMismatch,
 )
+from vaeguard.events import compact_json
 from vaeguard.nn import DEFAULT_HIDDEN_UNITS, DEFAULT_LATENT_DIM, VaeArchitecture
 from vaeguard.scaling import ActivityScaler
 from vaeguard.summarize import SCHEMA_VERSION
@@ -392,7 +393,7 @@ def save_model(detector: VaeStabilityDetector, path) -> None:
         "weights": _weights_to_json(detector.weights_),
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(bundle, fh, separators=(",", ":"))
+        fh.write(compact_json(bundle))
         fh.write("\n")
 
 

@@ -28,7 +28,9 @@ from vaeguard.events import (
     write_trace_file,
 )
 from vaeguard.pipeline import summarize_trace
+from vaeguard.publisher import PublishAction, PublishMode
 from vaeguard.scenarios import CPUMINER_PHASES, ScenarioConfig, gen_baseline, gen_cpuminer_scenario
+from vaeguard.summarize import IntervalKey
 
 
 def test_parse_basic_record():
@@ -526,6 +528,34 @@ def test_record_texts_are_built_once_per_table_and_cannot_be_written(tmp_path):
         assert texts.dtype == object and not texts.flags.writeable
         with pytest.raises(ValueError):
             texts[0] = "x"
+
+
+@pytest.mark.parametrize(
+    "field, name, value",
+    [
+        ("result", "ret", None),
+        ("arg_bytes", "bytes", 10**400),
+        ("arg_bytes", "bytes", -1),
+        ("arg_bytes", "bytes", 1.5),
+        ("pid", "pid", True),
+        ("timestamp", "t", "2.5"),
+        ("timestamp", "t", True),
+        ("timestamp", "t", 10**400),
+        ("syscall", "syscall", 1),
+    ],
+    ids=["ret-none", "bytes-huge", "bytes-negative", "bytes-float", "pid-true", "t-string",
+         "t-true", "t-beyond-float", "syscall-int"],
+)
+def test_a_block_holds_only_what_a_trace_holds(field, name, value):
+    """A value no trace holds is a ValueError naming its field, whether the
+    block is built by as_block or by an action: never a TypeError or an
+    OverflowError, and never stored as some other value."""
+    events = [ForensicEvent(0.5, "box", "read", 1, 0, 0)] * 2
+    events[1] = events[1]._replace(**{field: value})
+    with pytest.raises(ValueError, match=f"^events: every {name} "):
+        as_block(events)
+    with pytest.raises(ValueError, match=f"^events: every {name} "):
+        PublishAction(IntervalKey("box", 0, 30.0), PublishMode.FORENSICS_ONLY, forensics=events)
 
 
 _SHORTEST_RECORD = '{"t":0,"c":"a","sc":"b","pid":0,"ret":0,"bytes":0}'

@@ -96,6 +96,9 @@ def test_cache_capacity_must_be_positive(capacity):
         ("vaeguard.vae", "VaeStabilityDetector.encode"),
         ("vaeguard.vae", "VaeStabilityDetector.transform"),
         ("vaeguard.vae", "VaeStabilityDetector.n_features_in_"),
+        ("vaeguard.events", "_table_key"),
+        ("vaeguard.events", "_BlockAssembler._keys"),
+        ("vaeguard.publisher", "_check_event_columns"),
     ],
 )
 def test_the_spool_and_the_cache_fetch_are_gone(module, name):
@@ -460,7 +463,8 @@ def test_documents_per_mode():
 def test_forensic_record_is_json_dumps_of_the_event_rows():
     """Rows spliced from the columns give what json.dumps gives for the
     events' (timestamp, syscall, pid, result, arg_bytes) tuples, across
-    pieces and for values the trace reader never yields."""
+    pieces, for syscalls JSON must escape and the extreme ints a trace
+    admits, and for timestamps the trace reader never yields."""
     rng = np.random.default_rng(4)
     events = [
         ForensicEvent(float(t), "box", str(sc), int(pid), int(ret), int(b))
@@ -473,10 +477,10 @@ def test_forensic_record_is_json_dumps_of_the_event_rows():
         )
     ]
     events[5:9] = [
-        ForensicEvent(float("nan"), "box", "openat", True, 0, 2**64 - 1),
-        ForensicEvent(float("inf"), "box", "openat", "],[", -1, 0),
-        ForensicEvent(1e-7, "box", "openat", None, 10**30, 1),
-        ForensicEvent(0.1, "box", "\u2028", 0, 0, 0),
+        ForensicEvent(float("nan"), "box", '"],["', 2**70, 0, 2**64 - 1),
+        ForensicEvent(float("inf"), "box", "],[", 0, -(2**63) - 1, 0),
+        ForensicEvent(1e-7, "box", "caf\u00e9\\", 7, 10**30, 1),
+        ForensicEvent(0.1, "box", "\u2028\U0001f600", 0, 0, 0),
     ]
     for group in (events, events[:1], []):
         action = PublishAction(key=key(0), mode=PublishMode.FORENSICS_ONLY, forensics=group)
@@ -573,14 +577,19 @@ def test_parse_action_reads_back_five_value_event_rows():
         ([1.0, "openat", 1, 0, None], "bytes"),
         ([1.0, "openat", 1, 0, "abc"], "bytes"),
         ([1.0, "openat", 1, 0, 10**400], "bytes"),
+        (["2.5", "openat", 1, 0, 0], "t"),
+        ([1.0, "openat", True, 0, 0], "pid"),
+        ([1.0, "openat", 1, 0, 1.5], "bytes"),
     ],
-    ids=["ret-null", "ret-string", "bytes-null", "bytes-string", "bytes-beyond-float"],
+    ids=["ret-null", "ret-string", "bytes-null", "bytes-string", "bytes-beyond-float",
+         "t-string", "pid-true", "bytes-float"],
 )
 def test_parse_action_names_the_event_field_the_tables_cannot_take(row, field):
-    """The tables compare each ret with 0 and read each bytes as a float;
-    a value they cannot take is the record's fault, a ValueError naming it."""
+    """An event row holds what a trace holds: a numeric t, a string syscall
+    and exact-int pid, ret and bytes; any other value is the record's
+    fault, a ValueError naming its field."""
     action = run_stream(make_publisher(target=4), 3)[1]
-    with pytest.raises(ValueError, match=f"^events: .*{field}"):
+    with pytest.raises(ValueError, match=f"^events: every {field} "):
         parse_action(_with_events([[0.5, "read", 1, 0, 0], row])(serialize_action(action)))
 
 
@@ -642,14 +651,3 @@ def test_parse_action_rejects_a_cut_or_garbled_record(corrupt):
 def test_parse_action_names_the_field_a_record_lacks_or_mistypes(doc, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         parse_action(json.dumps(doc).encode("utf-8"))
-
-
-def test_a_record_of_values_that_compare_equal_but_are_written_apart_round_trips():
-    """1, true and 1.0, and 0, 0.0 and -0.0, each keep their own table
-    entry, so each reads back as it was written."""
-    line = (
-        b'{"kind":"forensics","container":"box","interval":0,"interval_len":30.0,"events":'
-        b'[[1.0,"x",1,0,0],[2.0,"x",true,false,0.0],[3.0,"x",1.0,-0.0,0],'
-        b'[4.0,1,1,0,0],[5.0,true,1,0,0],[6.0,1.0,1,0,0],[7.0,"x",1,0,0]]}\n'
-    )
-    assert serialize_action(parse_action(line)) == line

@@ -216,7 +216,7 @@ def test_permutation_invariance():
     key = IntervalKey("box", 0, 30.0)
     rng = np.random.default_rng(5)
     events = [
-        ev(float(t), sc=sc, pid=int(pid), ret=int(ret), arg_bytes=int(b))
+        ev(float(t), sc=str(sc), pid=int(pid), ret=int(ret), arg_bytes=int(b))
         for t, sc, pid, ret, b in zip(
             rng.uniform(0, 30, 50),
             rng.choice(["openat", "close", "socket", "futex"], 50),
