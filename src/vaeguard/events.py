@@ -17,21 +17,24 @@ timestamps, and codes into shared tables of container ids, syscall names
 and distinct pid/ret/bytes triples). It is a `Sequence[ForensicEvent]`
 that builds each event only when it is indexed or iterated, and its
 slices are zero-copy views that share the tables. The file is read once,
-in newline-aligned chunks. One regular expression splits a chunk into
-timestamps and record bodies (everything after "t"); a body not seen
-before is checked and decoded once, with the chunk's other new bodies,
-and a repeated one is a dictionary lookup. A chunk whose every line is
-in the writer's canonical form is read that way, and any other chunk goes
-line by line through `parse_event_record`, so every valid JSON record is
-accepted and every error names the same line and reason either way. A
-byte that is not UTF-8 is its line's "not UTF-8" error, reported in line
-order like any other.
+in newline-aligned chunks. One regular expression, which matches each
+line's start and captures its timestamp, splits a chunk into timestamps
+and record bodies (everything after "t", newline included), so a body's
+characters are scanned once. A body not seen before is checked and
+decoded once, with the chunk's other new bodies, and a repeated one is a
+dictionary lookup. A chunk whose every line is in the writer's canonical
+form is read that way, and any other chunk goes line by line through
+`parse_event_record`, so every valid JSON record is accepted and every
+error names the same line and reason either way. A byte that is not
+UTF-8 is its line's "not UTF-8" error, reported in line order like any
+other.
 
 `as_block` builds a block from any other sequence of events, and holds
-only what a trace can: a t that is an int or a float, a syscall that is
-a str, and pid, ret and bytes that are exact ints (a bool is none of
-these), with bytes in [0, 2**64). Any other value raises ValueError
-naming its field ("events: every ret must be an integer").
+only what a trace can: a t that is an int or a float, a container and a
+syscall that are non-empty strs, and pid, ret and bytes that are exact
+ints (a bool is none of these), with pid >= 0 and bytes in [0, 2**64).
+Any other value raises ValueError naming its field ("events: every ret
+must be an integer").
 
 Memory: the four columns are allocated once, before the first chunk,
 for as many events as the file's size allows (no valid record is
@@ -80,17 +83,19 @@ CHUNK_SIZE = 1 << 16
 # known, it forgets them before the next chunk.
 BODY_CACHE_SIZE = 4096
 
-# A record line split into its timestamp text and its body: everything
-# after "t", without the newline. The timestamp here and _BODY accept only
-# the writer's canonical form, whose values float() and int() read as json
-# does: strings without escapes or control characters, a timestamp without
-# sign or leading zeros, and integers short enough that pid and ret fit
-# int64, bytes < 10**19 < 2**64, and no digit limit applies. Strings hold
-# no lone surrogate, which is how an undecodable byte reads.
-_LINE = re.compile(
-    r'\{"t":((?:0|[1-9][0-9]{0,29})(?:\.[0-9]{1,30})?(?:[eE][-+]?[0-9]{1,3})?),([^\n]*)\n'
-)
-# A canonical body, newline included. Groups: c, sc, pid, ret, bytes.
+# The start of a record line, whose group is its timestamp text: splitting
+# a chunk by it leaves each line's body, everything after "t", with its
+# newline. The timestamp here and _BODY accept only the writer's canonical
+# form, whose values float() and int() read as json does: strings without
+# escapes or control characters, a timestamp without sign or leading
+# zeros, and integers short enough that pid and ret fit int64,
+# bytes < 10**19 < 2**64, and no digit limit applies. Strings hold no
+# lone surrogate, which is how an undecodable byte reads.
+_LINE = re.compile(r'\{"t":((?:0|[1-9][0-9]{0,29})(?:\.[0-9]{1,30})?(?:[eE][-+]?[0-9]{1,3})?),')
+# A canonical body, newline included. Groups: c, sc, pid, ret, bytes. No
+# canonical string holds a '"', so no canonical body holds a '{"t":' and a
+# chunk of canonical lines splits only at its line starts; nor a NUL,
+# which separates the bodies `_BlockAssembler.body_codes` checks at once.
 _BODY = re.compile(
     r'"c":"([^"\\\x00-\x1f\ud800-\udfff]+)","sc":"([^"\\\x00-\x1f\ud800-\udfff]+)",'
     r'"pid":(0|[1-9][0-9]{0,17}),"ret":(-?(?:0|[1-9][0-9]{0,17})),"bytes":(0|[1-9][0-9]{0,18})\}\n'
@@ -350,9 +355,9 @@ class _BlockAssembler:
         rows = np.fromiter(map(cache.__getitem__, bodies), dtype=_CODE, count=len(bodies))
         pending = cache.pending
         if pending:
-            parts = _BODY.split("\n".join(pending) + "\n")
-            # canonical exactly when the matches cover the text
-            if any(parts[::6]):
+            parts = _BODY.split("\0".join(pending) + "\0")
+            # canonical exactly when each body is one whole match and its NUL follows
+            if parts[::6] != [""] + ["\0"] * len(pending):
                 for body in pending:
                     del cache[body]
                 pending.clear()
@@ -372,14 +377,17 @@ class _BlockAssembler:
         times, containers, syscalls, pids, results, arg_bytes = columns
         for name, values, kinds, kind in (
             ("t", times, {int, float}, "a number"),
-            ("syscall", syscalls, {str}, "a string"),
+            ("container", containers, {str}, "a non-empty string"),
+            ("syscall", syscalls, {str}, "a non-empty string"),
             ("pid", pids, {int}, "an integer"),
             ("ret", results, {int}, "an integer"),
             ("bytes", arg_bytes, {int}, "an integer"),
         ):
             # exact types, as json.loads makes them: a bool is no number here
-            if not set(map(type, values)) <= kinds:
+            if not set(map(type, values)) <= kinds or (kinds == {str} and "" in values):
                 raise ValueError(f"events: every {name} must be {kind}")
+        if min(pids) < 0:
+            raise ValueError("events: every pid must be >= 0")
         if min(arg_bytes) < 0 or max(arg_bytes) >= _BYTES_LIMIT:
             raise ValueError("events: every bytes must be in [0, 2**64)")
         try:
@@ -482,10 +490,10 @@ def _add_chunk(
     `first_index` and end in newlines; returns its last timestamp and
     its number of lines."""
     parts = _LINE.split(chunk)
-    # canonical exactly when the lines cover the chunk and every body is canonical
-    codes = None if any(parts[::3]) else assembler.body_codes(parts[2::3])
+    # canonical exactly when the chunk starts with a line start and every body is canonical
+    codes = None if parts[0] else assembler.body_codes(parts[2::2])
     if codes is not None:
-        times = np.fromiter(map(float, parts[1::3]), dtype=np.float64, count=len(codes))
+        times = np.fromiter(map(float, parts[1::2]), dtype=np.float64, count=len(codes))
         if np.isfinite(times).all():
             backwards = np.flatnonzero(times[1:] < times[:-1]) + 1
             if times[0] < last_t:

@@ -17,9 +17,11 @@ turned into a block first). `interval_stream` walks a time-ordered
 trace once: each window is a zero-copy slice ended by one binary
 search, split per container by one stable sort, and a window's vector
 comes from `np.bincount` over its syscall codes and per-tail tables,
-bit for bit what a per-event loop gives. No array as long as the trace
-is built beside its block. The interval length must be finite and > 0
-(InvalidConfig).
+bit for bit what a per-event loop gives. The split and the window's
+bounds already place each row's events in its interval, so the stream
+computes its vectors with `summarize_interval` without that function's
+ForeignEvent check. No array as long as the trace is built beside its
+block. The interval length must be finite and > 0 (InvalidConfig).
 """
 
 from __future__ import annotations
@@ -172,7 +174,8 @@ def interval_stream(
                 key = IntervalKey(container, gap, interval_len)
                 yield key, group[:0], summarize_interval(key, group[:0])
             key = IntervalKey(container, index, interval_len)
-            yield key, group, summarize_interval(key, group)
+            # the split and the window's bounds already place the group in `key`
+            yield key, group, summarize_interval(key, group, _check=False)
         start = stop
 
 
@@ -232,7 +235,9 @@ def _raise_foreign(key: IntervalKey, block: EventBlock, code: int) -> None:
     raise ForeignEvent(f"event at t={float(t[first])} outside interval [{start}, {end})")
 
 
-def summarize_interval(key: IntervalKey, events: Sequence[ForensicEvent]) -> np.ndarray:
+def summarize_interval(
+    key: IntervalKey, events: Sequence[ForensicEvent], *, _check: bool = True
+) -> np.ndarray:
     """Reduce one interval's events to its activity vector: float64, of
     shape (FEATURE_DIM,).
 
@@ -240,19 +245,25 @@ def summarize_interval(key: IntervalKey, events: Sequence[ForensicEvent]) -> np.
     aggregate features, so novel activity perturbs the vector. Counts are
     exact in float64, and the byte total is summed in event order, so
     the vector is the same as a per-event loop's, bit for bit.
+
+    An event of another container or outside the interval raises
+    ForeignEvent. `interval_stream`, which has already placed every event
+    in `key`, skips that check with the private `_check=False`.
     """
     block = as_block(events)
     tables = block.tables
     if not len(block):
         return np.zeros(FEATURE_DIM, dtype=np.float64)
-    try:
-        code = tables.containers.index(key.container_id)
-    except ValueError:
-        code = -1
-    t = block.timestamps
-    # the k `_interval_indices` gives is the one whose edges hold t, so two bounds test it
-    if (block.container_codes != code).any() or not (key.start <= t.min() and t.max() < key.end):
-        _raise_foreign(key, block, code)
+    if _check:
+        try:
+            code = tables.containers.index(key.container_id)
+        except ValueError:
+            code = -1
+        t = block.timestamps
+        # the k `_interval_indices` gives is the one whose edges hold t, so two bounds test it
+        inside = key.start <= t.min() and t.max() < key.end
+        if (block.container_codes != code).any() or not inside:
+            _raise_foreign(key, block, code)
 
     counts = np.bincount(block.syscall_codes, minlength=len(tables.syscalls))
     features = counts @ _slot_matrix(tables.syscalls)

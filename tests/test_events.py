@@ -390,9 +390,9 @@ def _with_undecodable_byte(text, spoil):
 
 
 class _CoverageSpy:
-    """The line-splitting pattern, noting whether its lines covered a whole
-    chunk, which is when the reader goes on to check the chunk's bodies
-    and takes its columns from the groups."""
+    """The line-splitting pattern, noting whether a chunk started with a
+    line start, which is when the reader goes on to check the chunk's
+    bodies and takes its columns from the pieces."""
 
     pattern = events_module._LINE
 
@@ -401,7 +401,7 @@ class _CoverageSpy:
 
     def split(self, chunk):
         parts = self.pattern.split(chunk)
-        self.covered |= not any(parts[::3])
+        self.covered |= not parts[0]
         return parts
 
 
@@ -431,6 +431,24 @@ _LINE_READER_CHUNK = (
 )
 _REPEATED_BODY = format_event_record(ForensicEvent(4.0, "web-0", "openat", 1, 0, 0)) + "\n"
 
+_SHORT_BODY = '"c":"a","sc":"b","pid":0,"ret":0,"bytes":0}'
+
+# Lines the line-start pattern may split wrongly or not at all:
+# - a line split by a '{"t":' inside it into two bodies that join into one
+#   canonical body, beside a body that holds two canonical bodies: joined,
+#   the chunk's bodies read as one canonical body each;
+# - a blank line and a CRLF line between canonical records;
+# - a last record without its newline.
+_SPLIT_BODIES = (
+    '{"t":1,' + _SHORT_BODY[:-2] + '{"t":2,' + _SHORT_BODY[-2:] + "\n"
+    + '{"t":3,' + _SHORT_BODY + "\n" + _SHORT_BODY + "\n"
+)
+_BLANK_AND_CRLF = "".join(
+    line + {2: "\n\n", 4: "\r\n"}.get(i, "\n")
+    for i, line in enumerate(_FIFTY_RECORDS.split("\n")[:8])
+)
+_NO_LAST_NEWLINE = _FIFTY_RECORDS[:-1]
+
 
 @settings(max_examples=300, deadline=None)
 @given(
@@ -445,6 +463,18 @@ _REPEATED_BODY = format_event_record(ForensicEvent(4.0, "web-0", "openat", 1, 0,
 @example(
     text=_LINE_READER_CHUNK + _REPEATED_BODY, chunk_size=len(_LINE_READER_CHUNK) - 1,
     spoil=None, hint_of_one=False, cache_size=events_module.BODY_CACHE_SIZE,
+)
+@example(
+    text=_SPLIT_BODIES, chunk_size=400, spoil=None, hint_of_one=False,
+    cache_size=events_module.BODY_CACHE_SIZE,
+)
+@example(
+    text=_BLANK_AND_CRLF, chunk_size=400, spoil=None, hint_of_one=False,
+    cache_size=events_module.BODY_CACHE_SIZE,
+)
+@example(
+    text=_NO_LAST_NEWLINE, chunk_size=400, spoil=None, hint_of_one=False,
+    cache_size=events_module.BODY_CACHE_SIZE,
 )
 def test_read_trace_file_matches_line_by_line_reading(
     trace_path, text, chunk_size, spoil, hint_of_one, cache_size
@@ -542,9 +572,15 @@ def test_record_texts_are_built_once_per_table_and_cannot_be_written(tmp_path):
         ("timestamp", "t", True),
         ("timestamp", "t", 10**400),
         ("syscall", "syscall", 1),
+        ("syscall", "syscall", ""),
+        ("container_id", "container", ["box"]),
+        ("container_id", "container", 7),
+        ("container_id", "container", ""),
+        ("pid", "pid", -1),
     ],
     ids=["ret-none", "bytes-huge", "bytes-negative", "bytes-float", "pid-true", "t-string",
-         "t-true", "t-beyond-float", "syscall-int"],
+         "t-true", "t-beyond-float", "syscall-int", "syscall-empty", "container-list",
+         "container-int", "container-empty", "pid-negative"],
 )
 def test_a_block_holds_only_what_a_trace_holds(field, name, value):
     """A value no trace holds is a ValueError naming its field, whether the

@@ -105,6 +105,8 @@ _COMPACT = (",", ":")
 # characters JSON must escape, and ones it must pass through or \u-escape
 _AWKWARD = '"\\/\x00\x08\x1f\x7f\n\t\xe9\xa0\ufeff\u2028\ud800\udfff\U0010fc00\U0001f600'
 _NAMES = st.text(st.sampled_from(_AWKWARD) | st.characters(exclude_categories=()), max_size=12)
+# container ids and syscall names, which a trace never leaves empty
+_IDS = _NAMES.filter(bool)
 # where _round8 changes how a value reads: signed zero, integral values, the
 # exponent switch of .8g (1e8) and of repr (1e16), and small magnitudes
 _EDGES = st.sampled_from(
@@ -116,23 +118,25 @@ _VALUES = _EDGES | st.floats(allow_nan=True, allow_infinity=True)
 
 @st.composite
 def _actions(draw):
+    mode = draw(st.sampled_from(list(PublishMode)))
+    # an action without forensics holds no block, so its key may name any container
+    forensic = mode in (PublishMode.FORENSICS_ONLY, PublishMode.LATENT_PLUS_FORENSICS)
     key = IntervalKey(
-        draw(_NAMES),
+        draw(_IDS if forensic else _NAMES),
         draw(st.integers(0, 2**53)),
         draw(st.floats(1e-3, 1e6, exclude_min=True)),
     )
-    mode = draw(st.sampled_from(list(PublishMode)))
     latent = verdict = forensics = None
     if mode in (PublishMode.LATENT_ONLY, PublishMode.LATENT_PLUS_FORENSICS):
         dim = draw(st.integers(1, 10))
         mu, logvar = (np.array(draw(st.lists(_VALUES, min_size=dim, max_size=dim))) for _ in "ml")
         latent = LatentRecord(mu, logvar, draw(_VALUES))
         verdict = StabilityVerdict(draw(_VALUES), mode is PublishMode.LATENT_ONLY)
-    if mode in (PublishMode.FORENSICS_ONLY, PublishMode.LATENT_PLUS_FORENSICS):
+    if forensic:
         times = sorted(draw(st.lists(st.floats(0, 1e12), min_size=1, max_size=5)))
         forensics = tuple(
             ForensicEvent(
-                t, key.container_id, draw(_NAMES), draw(st.integers(0, 2**31)),
+                t, key.container_id, draw(_IDS), draw(st.integers(0, 2**31)),
                 draw(st.integers(-(2**31), 2**31)), draw(st.integers(0, 2**64 - 1)),
             )
             for t in times
@@ -189,12 +193,13 @@ def test_encoders_write_what_json_dumps_writes(action, latent_index, forensics_i
 # ints with pid >= 0 and bytes in [0, 2**64), with the extremes drawn often.
 _HOSTILE_TEXT = st.lists(
     st.sampled_from(['],[', ',', '"', '\\', '"],["', "\xe9", "\u2028", "\U0001f600", "x"]),
+    min_size=1,
     max_size=4,
 ).map("".join)
 _PIDS = st.integers(0, 2**70) | st.just(2**70)
 _RETS = st.integers(-(2**70), 2**70) | st.sampled_from([-(2**63) - 1, 10**30])
 _BYTES = st.integers(0, 2**64 - 1) | st.just(2**64 - 1)
-_HOSTILE_ROWS = st.lists(st.tuples(_HOSTILE_TEXT | _NAMES, _PIDS, _RETS, _BYTES), max_size=8)
+_HOSTILE_ROWS = st.lists(st.tuples(_HOSTILE_TEXT | _IDS, _PIDS, _RETS, _BYTES), max_size=8)
 
 
 @settings(max_examples=300, deadline=None)
