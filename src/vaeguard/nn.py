@@ -76,6 +76,7 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from vaeguard.errors import DimensionMismatch, NonFiniteInput
+from vaeguard.validation import is_count
 
 if TYPE_CHECKING:
     # vae imports this module at run time
@@ -95,15 +96,17 @@ class VaeArchitecture:
     latent_dim: int = DEFAULT_LATENT_DIM
 
     def __post_init__(self):
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
-        if self.latent_dim < 1:
-            raise ValueError("latent_dim must be >= 1")
+        # exact ints: `_slots` is cached by architecture, and 10.0 == 10
+        for name in ("input_dim", "latent_dim"):
+            value = getattr(self, name)
+            if not is_count(value, 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not self.hidden_units:
             raise ValueError("hidden_units must be non-empty")
+        if not all(is_count(u, 1) for u in self.hidden_units):
+            raise ValueError(f"hidden layer widths must be integers >= 1, got {self.hidden_units!r}")
         object.__setattr__(self, "hidden_units", tuple(int(u) for u in self.hidden_units))
-        if min(self.hidden_units) < 1:
-            raise ValueError(f"hidden layer widths must be >= 1, got {self.hidden_units}")
 
 
 @functools.lru_cache(maxsize=32)

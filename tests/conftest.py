@@ -54,6 +54,10 @@ def _set_first(values, value):
     values[0] = value
 
 
+def _convert(container, key, convert):
+    container[key] = convert(container[key])
+
+
 # in-place edits of a parsed model bundle, each of which must make it corrupt
 BUNDLE_CORRUPTIONS = {
     "transposed-dec0_w": lambda b: _transpose(b["weights"]["dec0_w"]),
@@ -64,6 +68,12 @@ BUNDLE_CORRUPTIONS = {
     "short-scaler-min": lambda b: b["scaler"]["min"].pop(),
     "unknown-architecture-key": lambda b: b["architecture"].update(depth=3),
     "zero-width-hidden-layer": lambda b: _set_first(b["architecture"]["hidden_units"], 0),
+    # values that int() would take as a width or dimension
+    "fractional-hidden-width": lambda b: _convert(b["architecture"]["hidden_units"], 0, lambda w: w + 0.5),
+    "string-hidden-width": lambda b: _convert(b["architecture"]["hidden_units"], 0, str),
+    "bool-hidden-width": lambda b: _set_first(b["architecture"]["hidden_units"], True),
+    "float-latent-dim": lambda b: _convert(b["architecture"], "latent_dim", float),
+    "float-input-dim": lambda b: _convert(b["architecture"], "input_dim", float),
     "string-curve-error-mean": lambda b: b["curve"].update(error_mean="0.5"),
     "negative-seed": lambda b: b["train_config"].update(seed=-1),
     "fractional-batch-size": lambda b: b["train_config"].update(batch_size=2.5),

@@ -182,6 +182,7 @@ def test_assess_corrupt_model_exit_code(tmp_path, short_baseline_trace, capsys):
 
 @pytest.mark.parametrize("corruption", sorted(BUNDLE_CORRUPTIONS))
 def test_assess_rejects_corrupt_bundle(tmp_path, short_baseline_trace, small_model, capsys, corruption):
+    load_model(small_model)
     bad = tmp_path / "bad.json"
     corrupt_bundle(small_model, bad, corruption)
     code = run_cli("assess", "--trace", str(short_baseline_trace), "--model", str(bad))

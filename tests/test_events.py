@@ -280,7 +280,11 @@ _CANONICAL_EVENTS = st.builds(
 # them, json reads some of them, and the two may disagree.
 _NEAR_MISSES = {
     "t": ["01.5", "1.", ".5", "1e5", "1E+2", "-0.0", "1_0", " 1", "+1", "\u0661",
-          "1e400", "Infinity", "NaN", "0x10", "1" * 40, "2.5e-3"],
+          "1e400", "Infinity", "NaN", "0x10", "1" * 40, "2.5e-3",
+          # each side of each digit limit of the line start's timestamp; the
+          # fractions and the padded exponents read as 0.5, the line's neighbours
+          "1" * 30, "1" * 31, "0.5" + "0" * 29, "0.5" + "0" * 30,
+          "5e-001", "5e-0001", "1e-300", "1e-1000"],
     "c": ['"a\\"b"', '"a\\nb"', '"\x01"', '"\x7f"', '""', "1", '"\\u00e9t\\u00e9"'],
     "sc": ['"open\\"at"', '"\x00"', '""', '"open at"'],
     "pid": ["01", "-0", "1" * 19, "\u0661", "1.0", "true", "+1"],

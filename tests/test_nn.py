@@ -26,9 +26,18 @@ def test_architecture_validation():
         VaeArchitecture(input_dim=4, hidden_units=(), latent_dim=2)
     with pytest.raises(ValueError):
         VaeArchitecture(input_dim=4, hidden_units=(4,), latent_dim=0)
-    for hidden in ((0,), (-3,), (4, 0)):
+    for hidden in ((0,), (-3,), (4, 0), (4.5,), ("4",), (True,), (4, 4.0)):
         with pytest.raises(ValueError):
             VaeArchitecture(input_dim=4, hidden_units=hidden, latent_dim=2)
+    for input_dim, latent_dim in ((4.0, 2), (4, 2.0), (4, 2.5), (True, 2), (4, True), ("4", 2)):
+        with pytest.raises(ValueError):
+            VaeArchitecture(input_dim, (4,), latent_dim)
+
+
+def test_architecture_stores_numpy_integers_as_int():
+    arch = VaeArchitecture(np.int64(4), (np.int32(3), 2), np.int64(2))
+    assert arch == VaeArchitecture(4, (3, 2), 2)
+    assert {type(v) for v in (arch.input_dim, *arch.hidden_units, arch.latent_dim)} == {int}
 
 
 def test_init_params_are_views_into_one_buffer_in_key_order():

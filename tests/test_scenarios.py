@@ -95,9 +95,14 @@ def _simulate_peak_kib(tmp_path, duration: str) -> int:
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB only on Linux")
 def test_simulate_memory_stays_flat_as_the_trace_gets_longer(tmp_path):
-    short = _simulate_peak_kib(tmp_path, "900")
-    long = _simulate_peak_kib(tmp_path, "3600")
-    assert long <= 1.10 * short, f"peak {short} KiB at 900 s, {long} KiB at 3,600 s"
+    # each duration twice, alternating; the smaller peak of each leaves out
+    # a child that a busy host happened to inflate
+    peaks = {"900": [], "3600": []}
+    for _ in range(2):
+        for duration, found in peaks.items():
+            found.append(_simulate_peak_kib(tmp_path, duration))
+    short, long = min(peaks["900"]), min(peaks["3600"])
+    assert long <= 1.10 * short, f"peaks {peaks['900']} KiB at 900 s, {peaks['3600']} KiB at 3,600 s"
 
 
 def test_event_count_tracks_cluster_count():

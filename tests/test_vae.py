@@ -530,6 +530,9 @@ def test_tampered_weights_are_corrupt(tmp_path, small_trained_detector):
 def test_corrupt_bundle_rejected_at_load(tmp_path, small_trained_detector, corruption):
     path = tmp_path / "model.json"
     save_model(small_trained_detector, path)
+    # loaded first, so that nothing this process caches from the unedited
+    # architecture can let its edited twin through
+    load_model(path)
     corrupt_bundle(path, path, corruption)
     with pytest.raises(CorruptModelFile):
         load_model(path)
