@@ -298,8 +298,10 @@ def cmd_bench(args) -> int:
         standard_sink = HttpBulkSink(args.endpoint, batch_size=config.bulk_batch_size)
         adaptive_sink = HttpBulkSink(args.endpoint, batch_size=config.bulk_batch_size)
     else:
-        standard_sink = FileSink(out_dir / "standard.ndjson")
-        adaptive_sink = FileSink(out_dir / "adaptive.ndjson")
+        paths = (out_dir / "standard.ndjson", out_dir / "adaptive.ndjson")
+        for path in paths:
+            path.write_bytes(b"")  # each file holds this run's records alone
+        standard_sink, adaptive_sink = map(FileSink, paths)
     try:
         report = bench(summaries, detector, config, standard_sink, adaptive_sink)
     finally:

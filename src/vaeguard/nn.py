@@ -21,15 +21,16 @@ outputs stay finite for arbitrarily large anomalous inputs and
 finite-difference checks are clean everywhere.
 
 Training memory: `vae.train` runs every step in a preallocated
-`Workspace`, one per batch row count, which every batch slice of its
-epoch buffers with that many rows shares. Forward
-activations, backward deltas and the 1 - h**2 terms are written into its
-arrays, and the weight, bias and gradient views each layer pairs with are
-bound once; Adam's intermediate terms go to two scratch buffers in
-`AdamState`. Every floating-point operation, its operands' layout and
-its order are those of the plain expressions (tests/test_gradients.py
-keeps them as a bit-for-bit oracle), so trained weights are
-byte-identical to an allocating implementation. Products of the
+`Workspace`, one per batch row count, which every batch of that many
+rows shares. Each batch is gathered into the workspace's `input`, and
+each batch's noise is drawn into its workspace (`eps`) just before the
+batch runs. Forward activations, backward deltas and the 1 - h**2 terms
+are written into its arrays, and the weight, bias and gradient views
+each layer pairs with are bound once; Adam's intermediate terms go to
+two scratch buffers in `AdamState`. Every floating-point operation, its
+operands' layout and its order are those of the plain expressions
+(tests/test_gradients.py keeps them as a bit-for-bit oracle), so trained
+weights are byte-identical to an allocating implementation. Products of the
 module's own arrays use np.dot, which makes the same BLAS call as @ for
 C-contiguous and transposed operands at less cost per call; a product
 with a caller's array, which may have any strides, uses np.matmul. A
@@ -44,17 +45,16 @@ as they are made, a number operand of a ufunc as a 0-d float64 array of
 its value. The recording binds the workspace's own arrays and the
 parameter, gradient and moment views it holds, and the caller's operands
 by identity: x and eps (and kl_weight) for the gradients, x or z for
-encode and decode, params, grads and config for Adam. Called again with
-the same objects, the pass replays the calls, so the same functions
-read and write the same arrays in the same order, and reads whatever
-those arrays now hold; called with any other object, it makes the calls
-afresh and records them. A Workspace keeps, per pass, the recordings of
-the last `keep` operand sets it was given (an AdamState, of one),
-keyed by their identities, and drops the oldest to keep one more.
-`vae.train` builds each shared workspace to keep one per batch that
-uses it, so each batch replays its own recording in every epoch. A
-workspace still refuses parameters or a row count other than its own,
-and the finite-posterior check runs on every step.
+encode and decode, params, grads and config for Adam. A Workspace or an
+AdamState keeps one recording per pass. Called again with the same
+objects, the pass replays it, so the same functions read and write the
+same arrays in the same order, and read whatever those arrays now hold;
+called with any other object, it makes the calls afresh and records them
+in its place. So a pass replays whenever its caller hands it arrays the
+workspace owns, such as `input`, `eps` and `mu`, and a caller's own
+arrays are always read as they are. A workspace still refuses parameters
+or a row count other than its own, and the finite-posterior check runs
+on every step.
 
 Scoring memory: `encode` and `decode` run the training forward pass's
 own encoder and decoder halves, in the Workspace given as `work` or
@@ -64,12 +64,15 @@ of its results; there is no other forward pass.
 detector. It writes each scaled row into that workspace's `input` and
 decodes from its `mu`, the same two arrays every call, so both halves
 replay. A detector must therefore not score from two threads at once.
+`score_samples` runs both halves the same way in one workspace made for
+its rows.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
@@ -214,48 +217,20 @@ class _Recording:
         return fn(*args)
 
 
-class _Recordings:
-    """Per pass name, the recordings of up to `keep` sets of caller
-    operands, keyed by the operands' identities: a recording holds its
-    operands, so no other object takes their ids while it is kept.
-    Keeping one more drops the oldest of that pass."""
-
-    __slots__ = ("keep", "passes")
-
-    def __init__(self, keep: int = 1):
-        self.keep = keep
-        self.passes: dict[str, dict[tuple[int, ...], _Recording]] = {}
-
-    def find(self, name: str, operands: tuple) -> _Recording | None:
-        """The recording of pass `name` made over these operand objects."""
-        kept = self.passes.get(name)
-        return None if kept is None else kept.get(tuple(map(id, operands)))
-
-    def add(self, name: str, recording: _Recording) -> None:
-        kept = self.passes.setdefault(name, {})
-        if len(kept) >= self.keep:
-            del kept[next(iter(kept))]
-        kept[tuple(map(id, recording.operands))] = recording
-
-
-def _binds(owner, name: str, *operands) -> bool:
-    """Whether `owner` keeps a recording of pass `name` made over these operand objects."""
-    return owner.recordings.find(name, operands) is not None
-
-
 def _play(owner, name: str, record, *operands) -> None:
     """Make the numpy calls `record(run, owner, *operands)` makes through
-    `run`, a Recording that `owner.recordings` then keeps for pass `name`.
-    When it keeps one made over these same operand objects, its calls are
-    replayed instead: the same functions over the same arrays, in order."""
-    recording = owner.recordings.find(name, operands)
-    if recording is not None:
+    `run`, a Recording that `owner.recordings[name]` then holds in place
+    of the one before. When the one it holds was made over these same
+    operand objects, its calls are replayed instead: the same functions
+    over the same arrays, in order."""
+    recording = owner.recordings.get(name)
+    if recording is not None and all(map(operator.is_, recording.operands, operands)):
         for call in recording.calls:
             call()
         return
     recording = _Recording(operands)
     record(recording, owner, *operands)
-    owner.recordings.add(name, recording)
+    owner.recordings[name] = recording
 
 
 def _affine(
@@ -432,17 +407,18 @@ def _write_head_gradients(
 
 
 class Workspace:
-    """Every array one training step writes, for batches of `rows` rows,
-    bound to the parameter and gradient views it pairs them with (`grads`
-    may be None for forward passes alone). Both trunks' activations share
-    one buffer and their slopes another, and mu and logvar a third, so
-    that an elementwise term over all of them is one call. `input` is a
-    batch buffer a caller may write its rows into and pass as x.
+    """Every array one training step reads and writes, for batches of
+    `rows` rows, bound to the parameter and gradient views it pairs them
+    with (`grads` may be None for forward passes alone). Both trunks'
+    activations share one buffer and their slopes another, and mu and
+    logvar a third, so that an elementwise term over all of them is one
+    call. `input` and `eps` are a batch and its noise that a caller may
+    write and pass as x and eps.
 
     `recordings` holds, per pass ("encode", "decode", "forward",
-    "gradients"), the numpy calls that pass made here over each of the
-    last `keep` sets of caller operands it was given; the pass replays
-    the calls it made over the objects it is given again.
+    "gradients"), the numpy calls that pass last made here and the caller
+    operands it made them over; given the same objects again, the pass
+    replays the calls (see "Recording and replay" above).
     """
 
     def __init__(
@@ -451,10 +427,9 @@ class Workspace:
         params: Mapping[str, np.ndarray],
         rows: int,
         grads: Params | None = None,
-        keep: int = 1,
     ):
         self.params, self.grads, self.rows = params, grads, rows
-        self.recordings = _Recordings(keep)
+        self.recordings: dict[str, _Recording] = {}
         widths = arch.hidden_units
         self.hidden = np.empty(2 * rows * sum(widths))
         self.slopes = np.empty_like(self.hidden)
@@ -470,8 +445,8 @@ class Workspace:
         self.posterior = np.empty((2, *latent))
         self.mu, self.logvar = self.posterior
         self.finite = np.empty(self.posterior.shape, dtype=bool)
-        self.sigma, self.z, self.var, self.d_mu, self.d_logvar, self.d_z = (
-            np.empty(latent) for _ in range(6)
+        self.eps, self.sigma, self.z, self.var, self.d_mu, self.d_logvar, self.d_z = (
+            np.empty(latent) for _ in range(7)
         )
         self.scratch = (np.empty(latent), np.empty(latent))
         # the logvar head's share of the gradient at the last encoder layer
@@ -629,11 +604,8 @@ def elbo_gradients(
     in this stochastic pass. Intermediate terms go to `work`, a Workspace
     bound to `params` and `out` for this batch size (a new one when None).
     """
-    if work is not None and _binds(work, "gradients", x, eps, kl_weight):
-        batch, noise = x, eps  # converted and checked when it was recorded
-    else:
-        batch, _ = _as_batch(x, arch.input_dim, "x")
-        noise, _ = _as_batch(eps, arch.latent_dim, "eps")
+    batch, _ = _as_batch(x, arch.input_dim, "x")
+    noise, _ = _as_batch(eps, arch.latent_dim, "eps")
     if work is None:
         work = Workspace(arch, params, len(batch), param_views(arch) if out is None else out)
     elif work.grads is None or (out is not None and out is not work.grads):
@@ -660,7 +632,7 @@ class AdamState:
     # the two bias corrections 1 - beta**t of the step being taken, and
     # the recording of adam_step's calls (see Workspace.recordings)
     corrections: np.ndarray = field(default_factory=lambda: np.empty(2), repr=False)
-    recordings: _Recordings = field(default_factory=_Recordings, repr=False)
+    recordings: dict[str, _Recording] = field(default_factory=dict, repr=False)
 
 
 def adam_init(params: np.ndarray) -> AdamState:

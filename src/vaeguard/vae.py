@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -130,19 +129,16 @@ def train(
     grad_flat = np.empty_like(flat)
     grads = nn.param_views(arch, grad_flat)
     state = nn.adam_init(flat)
-    # each epoch gathers its shuffled rows and draws its noise into these
-    # buffers once; the batches are fixed slices of them, and those of one
-    # row count share a workspace that keeps a recording per batch, so
-    # that every step replays the calls its batch's first step recorded
-    shuffled = np.empty((n, arch.input_dim))
-    noise = np.empty((n, arch.latent_dim))
-    starts = range(0, n, config.batch_size)
-    xbs = [shuffled[start : start + config.batch_size] for start in starts]
-    keeps = Counter(map(len, xbs))
-    works = {rows: nn.Workspace(arch, params, rows, grads, keep) for rows, keep in keeps.items()}
-    batches = [
-        (xb, noise[start : start + len(xb)], works[len(xb)]) for start, xb in zip(starts, xbs)
-    ]
+    # each batch is gathered into the workspace for its row count, so that
+    # every pass reads that workspace's own arrays and every batch after
+    # the first of its row count replays the calls that one recorded
+    batches = []
+    works: dict[int, nn.Workspace] = {}
+    for start in range(0, n, config.batch_size):
+        rows = min(config.batch_size, n - start)
+        if rows not in works:
+            works[rows] = nn.Workspace(arch, params, rows, grads)
+        batches.append((start, start + rows, works[rows]))
 
     recon_curve: list[float] = []
     kl_curve: list[float] = []
@@ -150,17 +146,16 @@ def train(
     step = 0
     for epoch in range(config.epochs):
         order = rng.permutation(n)
-        # one draw right after the permutation reads the stream that
-        # per-batch draws of the same shapes would
-        rng.standard_normal(out=noise)
-        np.take(data, order, axis=0, out=shuffled)
         recon_sum = 0.0
         kl_sum = 0.0
         final_epoch = epoch == config.epochs - 1
         collected: list[np.ndarray] = []
-        for xb, eps, work in batches:
+        for start, stop, work in batches:
+            np.take(data, order[start:stop], axis=0, out=work.input)
+            # each batch's noise is drawn into its workspace just before the batch runs
+            rng.standard_normal(out=work.eps)
             _, (_, recon, kl), errors = nn.elbo_gradients(
-                arch, params, xb, eps, config.kl_weight, grads, work
+                arch, params, work.input, work.eps, config.kl_weight, grads, work
             )
             if final_epoch:
                 collected.append(errors)
@@ -263,13 +258,21 @@ class VaeStabilityDetector:
             raise SchemaMismatch(f"input has {X.shape[1]} features, model expects {expected}")
         return X
 
+    def _score(self, work: nn.Workspace, x: np.ndarray):
+        """Encode the scaled rows `x` in `work`, a workspace of len(x) rows
+        bound to `weights_`, and decode their posterior mean there:
+        (mu, logvar, each row's reconstruction error), all new arrays."""
+        arch, weights = self.architecture_, self.weights_
+        mu, logvar = nn.encode(arch, weights, x, work)
+        recon = nn.decode(arch, weights, work.mu, work)
+        return mu, logvar, nn.reconstruction_error(x, recon)
+
     def score_samples(self, X) -> np.ndarray:
         """Deterministic reconstruction error per sample (higher = drift)."""
         X = self._check_ready(X)
         normalized = self.scaler_.transform(X)
-        mu, _ = nn.encode(self.architecture_, self.weights_, normalized)
-        recon = nn.decode(self.architecture_, self.weights_, mu)
-        return np.atleast_1d(nn.reconstruction_error(normalized, recon))
+        work = nn.Workspace(self.architecture_, self.weights_, len(normalized))
+        return self._score(work, normalized)[2]
 
     def predict(self, X) -> np.ndarray:
         """+1 for intervals within the stable pattern, -1 for drift."""
@@ -291,13 +294,10 @@ class VaeStabilityDetector:
         work = self._work
         if work is None or work.params is not self.weights_:
             work = self._work = nn.Workspace(self.architecture_, self.weights_, 1)
-        # the same input and latent arrays every call, so that encode and
-        # decode replay the calls they recorded on this workspace
+        # the workspace's own input every call, so that encode and decode
+        # replay the calls they recorded there
         np.copyto(work.input, self.scaler_.transform_vector(row))
-        arch, weights = self.architecture_, self.weights_
-        mu, logvar = nn.encode(arch, weights, work.input, work)
-        recon = nn.decode(arch, weights, work.mu, work)
-        error = nn.reconstruction_error(work.input, recon)
+        mu, logvar, error = self._score(work, work.input)
         return LatentRecord(mu=mu[0], logvar=logvar[0], recon_error=float(error[0]))
 
 

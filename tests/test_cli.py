@@ -503,6 +503,28 @@ def test_bench_reports_reduction(tmp_path, short_baseline_trace, small_model, ca
     assert adaptive_file.stat().st_size == report["adaptive"]["bytes_published"]
 
 
+def test_bench_run_again_replaces_its_sink_files_and_a_refused_run_keeps_them(
+    tmp_path, short_baseline_trace, small_model
+):
+    sinks = tmp_path / "sinks"
+    files = [sinks / "standard.ndjson", sinks / "adaptive.ndjson"]
+    report_path = tmp_path / "report.json"
+    for _ in range(2):
+        assert run_cli(
+            "bench", "--trace", str(short_baseline_trace), "--model", str(small_model),
+            "--out-dir", str(sinks), "--report-out", str(report_path),
+        ) == 0
+        report = json.loads(report_path.read_text())
+        sizes = [report[name]["bytes_published"] for name in ("standard", "adaptive")]
+        assert [path.stat().st_size for path in files] == sizes
+    kept = [path.read_bytes() for path in files]
+    assert run_cli(
+        "bench", "--trace", str(short_baseline_trace), "--model", str(tmp_path / "nope.json"),
+        "--out-dir", str(sinks),
+    ) == 4
+    assert [path.read_bytes() for path in files] == kept
+
+
 def test_bench_to_an_endpoint_reports_the_bytes_it_received(
     tmp_path, short_baseline_trace, small_model, bulk_server
 ):

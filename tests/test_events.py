@@ -281,8 +281,7 @@ _CANONICAL_EVENTS = st.builds(
 _NEAR_MISSES = {
     "t": ["01.5", "1.", ".5", "1e5", "1E+2", "-0.0", "1_0", " 1", "+1", "\u0661",
           "1e400", "Infinity", "NaN", "0x10", "1" * 40, "2.5e-3",
-          # each side of each digit limit of the line start's timestamp; the
-          # fractions and the padded exponents read as 0.5, the line's neighbours
+          # each side of each digit limit of the line start's timestamp
           "1" * 30, "1" * 31, "0.5" + "0" * 29, "0.5" + "0" * 30,
           "5e-001", "5e-0001", "1e-300", "1e-1000"],
     "c": ['"a\\"b"', '"a\\nb"', '"\x01"', '"\x7f"', '""', "1", '"\\u00e9t\\u00e9"'],
@@ -333,14 +332,33 @@ def _mixed_trace_text(draw):
     [(field, token) for field, tokens in sorted(_NEAR_MISSES.items()) for token in tokens],
 )
 def test_near_canonical_value_reads_as_the_line_reader_reads_it(tmp_path, field, token):
-    texts = dict(zip(_FIELDS_IN_ORDER, map(json.dumps, (0.5, "web-0", "openat", 7, -2, 9))))
-    valid = "{" + ",".join(f'"{k}":{v}' for k, v in texts.items()) + "}"
+    file_outcome, line_outcome = _near_canonical_outcomes(tmp_path, field, token)
+    assert file_outcome == line_outcome
+
+
+def test_most_near_canonical_timestamps_read_as_events(tmp_path):
+    """Between neighbours at t 0.0 and 1e300, every timestamp token that is
+    a number in range reads as an event, so the test above compares the
+    values both readers parsed, not only where an order check failed."""
+    outcomes = [_near_canonical_outcomes(tmp_path, "t", token)[0] for token in _NEAR_MISSES["t"]]
+    kinds = [outcome[0] for outcome in outcomes]
+    assert kinds.count("events") == 14
+    assert kinds.count("malformed") == len(kinds) - 14
+
+
+def _near_canonical_outcomes(tmp_path, field, token):
+    """What read_trace_file and the line reader make of a record in the
+    canonical layout holding `token` as its `field`, between two canonical
+    records at t 0.0 and 1e300."""
+    fields = ("web-0", "openat", 7, -2, 9)
+    valid = [format_event_record(ForensicEvent(t, *fields)) for t in (0.0, 1e300)]
+    texts = dict(zip(_FIELDS_IN_ORDER, map(json.dumps, (0.5, *fields))))
     texts[field] = token
     near = "{" + ",".join(f'"{k}":{v}' for k, v in texts.items()) + "}"
-    text = f"{valid}\n{near}\n{valid}\n"
+    text = f"{valid[0]}\n{near}\n{valid[1]}\n"
     path = tmp_path / "trace.ndjson"
     path.write_text(text, encoding="utf-8", newline="")
-    assert _outcome_of_file(path) == _outcome(read_trace, text)
+    return _outcome_of_file(path), _outcome(read_trace, text)
 
 
 def _outcome_of_file(path):

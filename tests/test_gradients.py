@@ -250,6 +250,32 @@ def test_workspace_gradients_equal_the_expression_form_bit_for_bit(
         }
 
 
+def test_a_replayed_pass_reads_what_the_workspace_input_and_noise_hold():
+    arch = VaeArchitecture(input_dim=7, hidden_units=(6, 5), latent_dim=3)
+    rng = np.random.default_rng(18)
+    params = init_params(arch, rng)
+    grads = param_views(arch)
+    work = nn.Workspace(arch, params, 6, grads)
+    kl_weight, recordings = 0.7, []
+    # the first call records; the two after it replay over new fills
+    for _ in range(3):
+        work.input[...] = rng.uniform(-0.5, 1.5, size=work.input.shape)
+        rng.standard_normal(out=work.eps)
+        expected, expected_terms, expected_errors = expression_gradients(
+            arch, params, work.input.copy(), work.eps.copy(), kl_weight
+        )
+        got, terms, errors = elbo_gradients(
+            arch, params, work.input, work.eps, kl_weight, grads, work
+        )
+        recordings.append(work.recordings["gradients"])
+        assert terms == expected_terms
+        assert errors.tobytes() == expected_errors.tobytes()
+        assert {key: got[key].tobytes() for key in params} == {
+            key: expected[key].tobytes() for key in params
+        }
+    assert recordings[0] is recordings[1] is recordings[2]
+
+
 def test_sample_errors_outlive_the_next_step_on_the_same_workspace():
     arch = VaeArchitecture(input_dim=5, hidden_units=(4, 3), latent_dim=2)
     rng = np.random.default_rng(16)

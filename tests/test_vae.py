@@ -79,7 +79,7 @@ def test_train_calls_gradients_and_adam_through_the_module_once_per_step(monkeyp
 
 
 def test_a_training_step_past_the_first_epoch_allocates_less_than_one_batch(monkeypatch):
-    """From the second epoch on, every step replays its batch's recording:
+    """From the second epoch on, every step replays its workspace's recordings:
     at its peak, a step allocates less than one batch of inputs, since only
     the per-row errors it returns are new."""
     config = TrainConfig(epochs=3, batch_size=16, accumulation_target=20)
@@ -107,8 +107,9 @@ def test_a_training_step_past_the_first_epoch_allocates_less_than_one_batch(monk
 
 
 def test_batches_of_a_row_count_share_a_workspace_and_later_steps_replay(monkeypatch):
-    """The two full batches share one workspace and the tail its own, and
-    past the first epoch no pass records anything: every step replays."""
+    """The two full batches share one workspace and the tail its own. A
+    workspace records its passes at its first batch, and every later batch
+    replays them, the second of the first epoch included."""
     config = TrainConfig(epochs=3, batch_size=16, accumulation_target=20)
     X = toy_matrix(n=40, dim=4)  # two full batches and a tail of 8
     rows, steps, recorded = [], [], []
@@ -125,9 +126,10 @@ def test_batches_of_a_row_count_share_a_workspace_and_later_steps_replay(monkeyp
     train(X, VaeArchitecture(4, (4,), 2), config)
     assert rows == [16, 8]
     assert len(steps) == 3 * config.epochs
-    # each first-epoch batch records its forward and gradient passes, and
-    # Adam its step once, all before the second epoch's first step
-    assert len(recorded) == 2 * 3 + 1 and max(recorded) < 3
+    # the full batches' workspace records its forward and gradient passes
+    # at the first step, Adam its step there, and the tail's workspace its
+    # passes at the third step; nothing else records
+    assert recorded == [0, 0, 1, 2, 2]
 
 
 def test_detectors_trained_in_turn_write_the_bundles_each_writes_alone(tmp_path):
@@ -242,6 +244,25 @@ def test_score_vector_round_trip(small_trained_detector, small_baseline_summarie
     again = small_trained_detector.score_vector(features)
     assert record.recon_error == again.recon_error
     np.testing.assert_array_equal(record.mu, again.mu)
+
+
+def test_batch_scores_equal_single_scores_bitwise_for_one_row_and_closely_for_many(
+    small_trained_detector, small_baseline_summaries
+):
+    """A one-row score_samples makes score_vector's calls over the same
+    values; over many rows, a product may sum in another order, so the
+    two can differ in the last bits."""
+    from vaeguard.summarize import vectors_to_matrix
+
+    detector = small_trained_detector
+    X = vectors_to_matrix([v for _, _, v in small_baseline_summaries])
+    single = [detector.score_vector(row).recon_error for row in X]
+    for row, error in zip(X, single):
+        assert detector.score_samples(row[None]).tobytes() == np.float64(error).tobytes()
+    batch = detector.score_samples(X)
+    assert len(batch) == len(single)
+    for error_of_batch, error in zip(batch.tolist(), single):
+        assert math.isclose(error_of_batch, error, rel_tol=1e-12)
 
 
 def test_score_vector_schema_checks(small_trained_detector):
