@@ -148,7 +148,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser(
         "bench", parents=[scoring], help="compare standard vs adaptive publishing costs"
     )
-    p_bench.add_argument("--out-dir", type=str, required=True)
+    p_bench.add_argument(
+        "--out-dir", type=str, default=None,
+        help="directory of the two sink files; not used with --endpoint",
+    )
     p_bench.add_argument("--report-out", type=str, default=None)
     p_bench.add_argument(
         "--endpoint", type=str, default=None, help="publish to HTTP bulk endpoint"
@@ -284,6 +287,8 @@ def cmd_assess(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if not args.endpoint and args.out_dir is None:
+        raise InvalidConfig("bench needs --out-dir or --endpoint")
     config, events, detector = _scoring_run(
         args,
         bulk_batch_size=args.bulk_batch_size,
@@ -292,12 +297,12 @@ def cmd_bench(args) -> int:
     )
     summaries = summarize_trace(events, config.interval_len)
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.endpoint:
         standard_sink = HttpBulkSink(args.endpoint, batch_size=config.bulk_batch_size)
         adaptive_sink = HttpBulkSink(args.endpoint, batch_size=config.bulk_batch_size)
     else:
+        out_dir = Path(args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
         paths = (out_dir / "standard.ndjson", out_dir / "adaptive.ndjson")
         for path in paths:
             path.write_bytes(b"")  # each file holds this run's records alone

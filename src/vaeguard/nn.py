@@ -57,15 +57,19 @@ or a row count other than its own, and the finite-posterior check runs
 on every step.
 
 Scoring memory: `encode` and `decode` run the training forward pass's
-own encoder and decoder halves, in the Workspace given as `work` or
-else in a new forward-only one for the batch's rows, and return copies
-of its results; there is no other forward pass.
+own encoder and decoder halves (`_encode_into`, `_decode_into`), in the
+Workspace given as `work` or else in a new forward-only one for the
+batch's rows, and return copies of its results; there is no other
+forward pass. A detector scores in one recorded pass ("score", made by
+`vae._score_into`) that scales the raw rows in the workspace's `input`,
+checks them finite (`check_encoder_input`), runs both halves, decoding
+from the workspace's `mu`, and writes each row's reconstruction error.
 `vae.VaeStabilityDetector.score_vector` keeps one one-row workspace per
-detector. It writes each scaled row into that workspace's `input` and
-decodes from its `mu`, the same two arrays every call, so both halves
-replay. A detector must therefore not score from two threads at once.
-`score_samples` runs both halves the same way in one workspace made for
-its rows.
+detector and copies each vector into its `input`, so from the second
+call on the whole pass replays, for as long as the scaler's bounds are
+the arrays it was recorded with. A detector must therefore not score
+from two threads at once. `score_samples` runs the same pass in one
+workspace made for its rows.
 """
 
 from __future__ import annotations
@@ -269,6 +273,12 @@ def _tanh_trunk(
     return x
 
 
+def check_encoder_input(x: np.ndarray) -> None:
+    """NonFiniteInput unless every value of the encoder input `x` is finite."""
+    if not np.isfinite(x).all():
+        raise NonFiniteInput("encoder input contains NaN or infinity")
+
+
 def encode(
     arch: VaeArchitecture,
     params: Mapping[str, np.ndarray],
@@ -290,8 +300,7 @@ def encode(
     else:
         _check_bound(work, params, len(x))
         batch, single = x, False
-    if not np.isfinite(batch).all():
-        raise NonFiniteInput("encoder input contains NaN or infinity")
+    check_encoder_input(batch)
     _play(work, "encode", _encode_into, batch)
     mu, logvar = work.posterior.copy()
     if single:

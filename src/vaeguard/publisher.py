@@ -24,8 +24,14 @@ format a piece's timestamps with one call (`timestamp_texts`) and look
 up each event's syscall and pid/ret/bytes text by its codes: the record
 in the texts the block's `EventTables` wrote once, when it was built,
 and the bulk lines in texts built for the piece's distinct codes.
-`action_to_documents` is the bulk documents as a list of dicts, which
-nothing on the publish path builds.
+Both write the head's latent and verdict fields from one text,
+`head_texts`: each array, and each of the error and the threshold, is
+one "%.8g" format, which is already what compact_json writes for the
+value rounded to 8 significant digits but for the few tokens
+`_round8_text` names; those are written from the float they read as
+(`json_text`). No rounded float or dict is built on the publish path.
+`action_to_documents` is the bulk documents as a list of dicts, with
+the rounded floats, which nothing on the publish path builds.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ import enum
 import functools
 import json
 import logging
+import math
 import urllib.parse
 from collections import deque
 from dataclasses import dataclass
@@ -131,38 +138,51 @@ def _round8(value: float) -> float:
     return float(f"{value:.8g}")
 
 
-def _round8_all(values: np.ndarray) -> list[float]:
-    """_round8 of each value, formatted from Python floats (faster than
-    numpy scalars, same digits)."""
-    return [float(f"{v:.8g}") for v in values.tolist()]
+def json_text(value) -> str:
+    """What compact_json writes for `value`: an exact int as str writes it
+    and a finite float as repr does, which is what json does, without a
+    call to the encoder, and anything else through it."""
+    kind = type(value)
+    if kind is int:
+        return str(value)
+    if kind is float and math.isfinite(value):
+        return repr(value)
+    return compact_json(value)
 
 
-def _rounded_head(action: PublishAction) -> tuple[dict | None, dict | None]:
-    """The latent and verdict fields both encodings ship, rounded for the
-    wire; None where the action has no latent or no verdict."""
-    latent = verdict = None
-    if action.latent is not None:
-        latent = {
-            "mu": _round8_all(action.latent.mu),
-            "logvar": _round8_all(action.latent.logvar),
-            "recon_error": _round8(action.latent.recon_error),
-        }
-    if action.verdict is not None:
-        verdict = {
-            "threshold": _round8(action.verdict.threshold),
-            "stable": action.verdict.stable,
-        }
-    return latent, verdict
+def _round8_text(values: list) -> str:
+    """What compact_json writes for [_round8(v) for v in values], without
+    its brackets. A "%.8g" token is that text already, except one with no
+    "." (an integral value, -0, nan or inf), with "e+" (from 1e8 up) or
+    with "e-3" (an exponent of -30 to -39, or of -300 and below, which
+    takes in the subnormal range, where fewer digits than 15 may not read
+    back as the value they name); such a token is written from the float
+    it reads as."""
+    text = ("%.8g," * len(values))[:-1] % tuple(values)
+    if text.count(".") == len(values) and "e+" not in text and "e-3" not in text:
+        return text
+    return ",".join(
+        token if "." in token and "e+" not in token and "e-3" not in token
+        else json_text(float(token))
+        for token in text.split(",")
+    )
 
 
-def rounded_fields(action: PublishAction) -> dict:
-    """The rounded latent and verdict fields a head bulk document holds
-    after its key fields and kind, in order; empty for neither."""
-    fields: dict = {}
-    for rounded in _rounded_head(action):
-        if rounded is not None:
-            fields.update(rounded)
-    return fields
+def head_texts(action: PublishAction) -> tuple[str, str] | None:
+    """The text of the action's latent fields and of its verdict fields,
+    each as compact_json writes them inside their object, every number
+    rounded by _round8; None for an action with neither (a mode's shape
+    gives an action both or neither)."""
+    latent, verdict = action.latent, action.verdict
+    if latent is None:
+        return None
+    return (
+        f'"mu":[{_round8_text(latent.mu.tolist())}],'
+        f'"logvar":[{_round8_text(latent.logvar.tolist())}],'
+        f'"recon_error":{_round8_text([latent.recon_error])}',
+        f'"threshold":{_round8_text([verdict.threshold])},'
+        f'"stable":{"true" if verdict.stable else "false"}',
+    )
 
 
 # Events encoded per piece of a record or of the bulk lines, which bounds
@@ -200,18 +220,17 @@ def record_pieces(action: PublishAction) -> Iterator[bytes]:
     """The action's newline-terminated record in pieces, in order: the head,
     then the text of at most _ROWS_PER_PIECE events at a time, then the
     closing text. Joined, they are `serialize_action`'s bytes."""
-    doc: dict = {
-        "kind": action.mode.value,
-        "container": action.key.container_id,
-        "interval": action.key.interval_index,
-        "interval_len": action.key.length,
-    }
-    latent, verdict = _rounded_head(action)
-    if latent is not None:
-        doc["latent"] = latent
-    if verdict is not None:
-        doc["verdict"] = verdict
-    head = compact_json(doc)
+    head = compact_json(
+        {
+            "kind": action.mode.value,
+            "container": action.key.container_id,
+            "interval": action.key.interval_index,
+            "interval_len": action.key.length,
+        }
+    )
+    texts = head_texts(action)
+    if texts is not None:
+        head = f'{head[:-1]},"latent":{{{texts[0]}}},"verdict":{{{texts[1]}}}}}'
     events = action.forensics
     if events is None:
         yield (head + "\n").encode("utf-8")
@@ -331,7 +350,15 @@ def action_to_documents(
         "interval": action.key.interval_index,
         "interval_start": action.key.start,
     }
-    head = {**base, "kind": action.mode.value, **rounded_fields(action)}
+    head = {**base, "kind": action.mode.value}
+    if action.latent is not None:
+        head.update(
+            mu=[_round8(v) for v in action.latent.mu.tolist()],
+            logvar=[_round8(v) for v in action.latent.logvar.tolist()],
+            recon_error=_round8(action.latent.recon_error),
+            threshold=_round8(action.verdict.threshold),
+            stable=action.verdict.stable,
+        )
     documents = [(latent_index, id_prefix + "0", head)]
     if action.forensics is not None:
         rows = enumerate(action.forensics.rows(), 1)

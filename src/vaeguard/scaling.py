@@ -38,16 +38,17 @@ class ActivityScaler:
         self.data_max_ = X.max(axis=0)
         return self
 
-    def _divisor(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per feature, the span to divide by (1.0 where it is 0, to avoid
-        0/0) and whether it is degenerate."""
+    def terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(data_min_, per feature the span to divide by (1.0 where it is
+        0, to avoid 0/0), and whether it is degenerate): the same arrays
+        until either bound is replaced."""
         low, high = self.data_min_, self.data_max_
         cached = self._scaling
         if cached is None or cached[0] is not low or cached[1] is not high:
             span = high - low
             degenerate = span == 0.0
             cached = self._scaling = (low, high, np.where(degenerate, 1.0, span), degenerate)
-        return cached[2], cached[3]
+        return cached[0], cached[2], cached[3]
 
     def transform(self, X) -> np.ndarray:
         X = as_float_matrix(X)
@@ -58,7 +59,7 @@ class ActivityScaler:
         """`transform` of float64 values whose last axis the caller has
         checked holds `n_features_` of them, such as one vector or a
         one-row matrix: nothing is converted or checked again."""
-        divisor, degenerate = self._divisor()
-        scaled = (x - self.data_min_) / divisor
+        low, divisor, degenerate = self.terms()
+        scaled = (x - low) / divisor
         np.copyto(scaled, 0.0, where=degenerate)
         return scaled

@@ -23,8 +23,9 @@ piece at a time with `encode_bulk_request`. It writes them from text, as
 the record is written, and builds no per-event document: the key's
 fields and the index names are encoded once per action (the sink
 remembers the texts of the container ids and index names it has seen),
-the head's rounded fields with one compact_json call, each piece's
-timestamps with one more, and each event's syscall and pid/ret/bytes
+the head's latent and verdict fields are the record's own text
+(`publisher.head_texts`), each piece's timestamps take one compact_json
+call, and each event's syscall and pid/ret/bytes
 text is looked up by its codes, in texts built for the piece's distinct
 codes. It buffers the lines across actions. It POSTs to
 `<endpoint>/_bulk` whenever `batch_size` documents wait, after each
@@ -54,7 +55,6 @@ indexed, nothing in them marks the forensics incomplete, and the
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 from typing import Callable, Mapping, Protocol
 
@@ -66,8 +66,9 @@ from vaeguard.publisher import (
     PublishAction,
     PublishMode,
     event_pieces,
+    head_texts,
+    json_text,
     record_pieces,
-    rounded_fields,
     timestamp_texts,
 )
 from vaeguard.summarize import IntervalKey
@@ -75,18 +76,6 @@ from vaeguard.summarize import IntervalKey
 BULK_CONTENT_TYPE = "application/x-ndjson"
 # Documents per bulk request.
 DEFAULT_BULK_BATCH_SIZE = 500
-
-
-def _json_text(value) -> str:
-    """What compact_json writes for `value`: an exact int as str writes it
-    and a finite float as repr does, which is what json does, without a
-    call to the encoder, and anything else through it."""
-    kind = type(value)
-    if kind is int:
-        return str(value)
-    if kind is float and math.isfinite(value):
-        return repr(value)
-    return compact_json(value)
 
 
 def _texts_by_code(codes: np.ndarray, text_of: Callable[[int], str]) -> list[str]:
@@ -108,9 +97,9 @@ def encode_bulk_request(
     head_line, event_line, source = keys
     body = ""
     if not start:
-        fields = rounded_fields(action)
+        texts = head_texts(action)
         body = f'{head_line}0{source}"kind":{compact_json(action.mode.value)}'
-        body += f",{compact_json(fields)[1:]}\n" if fields else "}\n"
+        body += "}\n" if texts is None else f",{texts[0]},{texts[1]}}}\n"
     if events:
         tables = events.tables
         syscalls, pids, results, arg_bytes = (
@@ -246,8 +235,8 @@ class HttpBulkSink:
         return (
             f'{{"index":{{"_index":{latent},"_id":{id_prefix}',
             f'{{"index":{{"_index":{forensics},"_id":{id_prefix}',
-            f'"}}}}\n{{"container":{container},"interval":{_json_text(key.interval_index)},'
-            f'"interval_start":{_json_text(key.start)},',
+            f'"}}}}\n{{"container":{container},"interval":{json_text(key.interval_index)},'
+            f'"interval_start":{json_text(key.start)},',
         )
 
     def publish(self, action: PublishAction, latent_index: str, forensics_index: str) -> int:

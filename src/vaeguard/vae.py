@@ -8,11 +8,14 @@ vectors, fits the min-max scaler, trains the VAE with mini-batch Adam,
 and derives the k-sigma decision threshold from the final epoch's
 training reconstruction errors. Scoring is deterministic: the latent
 code is the posterior mean, never a sample, so one interval always
-yields one reconstruction error. score_vector, the publisher's
-per-interval call, reuses one buffer set per detector (an nn.Workspace
-of one row, bound again whenever `weights_` is replaced), so one
-detector must not score from two threads at once; the publisher calls
-it sequentially.
+yields one reconstruction error. Scoring is one recorded pass
+(`_score_into`): scale, check finite, encode, decode, and the error, in
+a workspace that holds the rows. score_vector, the publisher's
+per-interval call, reuses one such workspace per detector (an
+nn.Workspace of one row, bound again whenever `weights_` is replaced),
+where the pass replays, so one detector must not score from two threads
+at once; the publisher calls it sequentially. score_samples runs the
+same pass in a workspace made for its rows.
 
 save_model and load_model persist a detector as one JSON document (text,
 trailing newline). JSON numbers round-trip float64 exactly via repr,
@@ -186,6 +189,33 @@ def train(
     return params, curve
 
 
+def _score_into(
+    run: nn._Recording,
+    work: nn.Workspace,
+    low: np.ndarray,
+    divisor: np.ndarray,
+    degenerate: np.ndarray,
+) -> None:
+    """Scale the raw rows work.input holds, in place, by the scaler terms
+    `low`, `divisor` and `degenerate` (`ActivityScaler.terms`); check them
+    finite (NonFiniteInput); encode them into work.posterior, decode its
+    mu into work.recon, and write each row's reconstruction error into
+    work.recon_rows. These are the operations, in their order, of
+    `ActivityScaler.transform_vector`, `nn.encode`, `nn.decode` and
+    `nn.reconstruction_error`, so every score is the bits they give."""
+    x = work.input
+    run(np.subtract, x, low, x)
+    run(np.divide, x, divisor, x)
+    run(np.copyto, x, 0.0, "same_kind", degenerate)
+    run(nn.check_encoder_input, x)
+    nn._encode_into(run, work, x)
+    nn._decode_into(run, work, work.mu)
+    run(np.subtract, x, work.recon, work.diff)
+    run(np.square, work.diff, work.diff)
+    run(np.add.reduce, work.diff, -1, None, work.recon_rows)
+    run(np.divide, work.recon_rows, x.shape[1], work.recon_rows)
+
+
 class VaeStabilityDetector:
     """Learns a container's stable runtime pattern from activity vectors.
 
@@ -214,7 +244,8 @@ class VaeStabilityDetector:
         self.curve_: TrainingCurve | None = None
         self.threshold_policy_: ThresholdPolicy | None = None
         self.container_id: str | None = None
-        # score_vector's one-row workspace, bound to the weights_ it was built for
+        # score_vector's one-row workspace, bound to the weights_ it was built
+        # for, and holding the recording of its scoring pass
         self._work: nn.Workspace | None = None
 
     @property
@@ -258,21 +289,19 @@ class VaeStabilityDetector:
             raise SchemaMismatch(f"input has {X.shape[1]} features, model expects {expected}")
         return X
 
-    def _score(self, work: nn.Workspace, x: np.ndarray):
-        """Encode the scaled rows `x` in `work`, a workspace of len(x) rows
-        bound to `weights_`, and decode their posterior mean there:
-        (mu, logvar, each row's reconstruction error), all new arrays."""
-        arch, weights = self.architecture_, self.weights_
-        mu, logvar = nn.encode(arch, weights, x, work)
-        recon = nn.decode(arch, weights, work.mu, work)
-        return mu, logvar, nn.reconstruction_error(x, recon)
+    def _score_pass(self, work: nn.Workspace) -> None:
+        """Score the raw rows `work.input` holds, in `work`, a workspace
+        bound to `weights_` (see _score_into). The pass replays while the
+        scaler's bounds are the arrays it was recorded with."""
+        nn._play(work, "score", _score_into, *self.scaler_.terms())
 
     def score_samples(self, X) -> np.ndarray:
         """Deterministic reconstruction error per sample (higher = drift)."""
         X = self._check_ready(X)
-        normalized = self.scaler_.transform(X)
-        work = nn.Workspace(self.architecture_, self.weights_, len(normalized))
-        return self._score(work, normalized)[2]
+        work = nn.Workspace(self.architecture_, self.weights_, len(X))
+        np.copyto(work.input, X)
+        self._score_pass(work)
+        return work.recon_rows
 
     def predict(self, X) -> np.ndarray:
         """+1 for intervals within the stable pattern, -1 for drift."""
@@ -281,12 +310,14 @@ class VaeStabilityDetector:
     def score_vector(self, features) -> LatentRecord:
         """Score one interval's activity vector, returning its latent record.
 
-        The pass runs in a one-row workspace this detector keeps, bound
-        again whenever `weights_` is replaced, so one detector must not
-        score from two threads at once. The record's arrays are its own.
-        The vector is converted and checked once, here, as a one-row
-        matrix; the steps after it only check the scaled row is finite.
-        A matrix of any other number of rows is a `DimensionMismatch`.
+        The vector is copied into the input of a one-row workspace this
+        detector keeps, bound again whenever `weights_` is replaced, and
+        scored there by one recorded pass (`_score_pass`), which replays
+        from the second call on; so one detector must not score from two
+        threads at once. The record's arrays are its own. The vector is
+        converted and checked once, here, as a one-row matrix; the pass
+        only checks the scaled row is finite. A matrix of any other number
+        of rows is a `DimensionMismatch`.
         """
         row = self._check_ready(features)
         if len(row) != 1:
@@ -294,11 +325,10 @@ class VaeStabilityDetector:
         work = self._work
         if work is None or work.params is not self.weights_:
             work = self._work = nn.Workspace(self.architecture_, self.weights_, 1)
-        # the workspace's own input every call, so that encode and decode
-        # replay the calls they recorded there
-        np.copyto(work.input, self.scaler_.transform_vector(row))
-        mu, logvar, error = self._score(work, work.input)
-        return LatentRecord(mu=mu[0], logvar=logvar[0], recon_error=float(error[0]))
+        np.copyto(work.input, row)
+        self._score_pass(work)
+        mu, logvar = work.posterior[:, 0].copy()
+        return LatentRecord(mu=mu, logvar=logvar, recon_error=float(work.recon_rows[0]))
 
 
 # -- persistence ------------------------------------------------------------

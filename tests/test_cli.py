@@ -560,6 +560,33 @@ def test_bench_to_a_refused_endpoint_is_a_sink_error(
     assert err.startswith("sink error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("out_dir", [False, True], ids=["no-out-dir", "out-dir"])
+def test_bench_to_an_endpoint_creates_no_out_dir(
+    tmp_path, short_baseline_trace, small_model, capsys, monkeypatch, out_dir
+):
+    """Every record goes over HTTP, so --out-dir may be left out, and a
+    given one is not created."""
+    monkeypatch.chdir(tmp_path)
+    flags = ("--out-dir", str(tmp_path / "sinks")) if out_dir else ()
+    code = run_cli(
+        "bench", "--trace", str(short_baseline_trace), "--model", str(small_model),
+        "--endpoint", "http://127.0.0.1:9", *flags,
+    )
+    assert code == 5
+    assert capsys.readouterr().err.startswith("sink error:")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bench_without_out_dir_or_endpoint_is_a_config_error(
+    tmp_path, short_baseline_trace, small_model, capsys, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    code = run_cli("bench", "--trace", str(short_baseline_trace), "--model", str(small_model))
+    assert code == 2
+    assert capsys.readouterr().err == "config error: bench needs --out-dir or --endpoint\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_file_supplies_defaults(tmp_path, short_baseline_trace):
     config = tmp_path / "run.cfg"
     config.write_text(

@@ -1,6 +1,7 @@
 import http.client
 import io
 import json
+import math
 import os
 import threading
 import tracemalloc
@@ -108,11 +109,17 @@ _NAMES = st.text(st.sampled_from(_AWKWARD) | st.characters(exclude_categories=()
 # container ids and syscall names, which a trace never leaves empty
 _IDS = _NAMES.filter(bool)
 # where _round8 changes how a value reads: signed zero, integral values, the
-# exponent switch of .8g (1e8) and of repr (1e16), and small magnitudes
-_EDGES = st.sampled_from(
-    [0.0, -0.0, 1.0, -3.0, 12345678.0, 1e8, 123456789.0, 99999999.5, 1e15, 1e16,
-     1.2345678e16, 1e-4, 1e-5, -1.5e-5, 5e-324, 1.7976931348623157e308]
-)
+# exponent switch of .8g (1e8) and of repr (1e16), and small magnitudes; and
+# where a "%.8g" token stops being the text of the float it reads as: the
+# largest subnormal and the smallest normal, subnormals and 1e-300 (e-3xx),
+# rounding up to 1e-4 (fixed notation) and to 1e8 (e+), and 1e16 from below
+_EDGE_VALUES = [
+    0.0, -0.0, 1.0, -3.0, 12345678.0, 1e8, 123456789.0, 99999999.5, 1e15, 1e16,
+    1.2345678e16, 1e-4, 1e-5, -1.5e-5, 5e-324, 1.7976931348623157e308,
+    2.225073858507201e-308, 2.2250738585072014e-308, 2.5e-322, 1e-300, 9.99999995e-5,
+    99999999.4, 9.9999999e15,
+]
+_EDGES = st.sampled_from(_EDGE_VALUES)
 _VALUES = _EDGES | st.floats(allow_nan=True, allow_infinity=True)
 
 
@@ -188,6 +195,20 @@ def test_encoders_write_what_json_dumps_writes(action, latent_index, forensics_i
     assert json.dumps({name: head[name] for name in shipped}) == json.dumps(shipped)
 
 
+def test_every_edge_value_writes_what_json_dumps_writes():
+    """Each edge value, and its negation, in every number of a head: the
+    latent arrays, the error and the threshold."""
+    values = [*_EDGE_VALUES, *(-v for v in _EDGE_VALUES), math.nan, math.inf, -math.inf]
+    for value in values:
+        latent = LatentRecord(np.array(values), np.array([value]), value)
+        action = PublishAction(
+            IntervalKey("box", 0, 30.0), PublishMode.LATENT_ONLY, latent,
+            verdict=StabilityVerdict(value, True),
+        )
+        assert serialize_action(action) == _reference_line(action)
+        assert _bulk_body(action) == _reference_bulk(action_to_documents(action, "lat", "raw"))
+
+
 # Syscall names a trace may hold: a string holding "],[" or "," makes no
 # row text that splitting could find. Tails hold what a trace holds, exact
 # ints with pid >= 0 and bytes in [0, 2**64), with the extremes drawn often.
@@ -260,7 +281,9 @@ def test_a_drift_s_bulk_lines_encode_no_syscall_or_tail(monkeypatch):
     """The bulk twin of the record's test: a drift's event lines look their
     syscall text up in its tables and write its exact-int tails with str,
     so encoding them calls compact_json for the key's names, the head's
-    kind and fields, and each piece's timestamps, never per event."""
+    kind and each piece's timestamps, never per event. The head's latent
+    and verdict fields are written from text, with no call for a finite
+    value."""
     monkeypatch.setattr(urllib.request, "urlopen", _Transport())
     action = drift(4097, 1)
     calls = []
@@ -274,12 +297,12 @@ def test_a_drift_s_bulk_lines_encode_no_syscall_or_tail(monkeypatch):
     monkeypatch.setattr(sinks_module, "compact_json", counting_encode)
     sink = HttpBulkSink("http://bulk.test")
     sink.publish(action, "lat", "raw")
-    # the container and both index names, the kind, the rounded fields,
-    # then the timestamps of each of the two pieces
-    assert calls == ["str", "str", "str", "str", "dict", "list", "list"]
+    # the container and both index names, the kind, then the timestamps of
+    # each of the two pieces
+    assert calls == ["str", "str", "str", "str", "list", "list"]
     calls.clear()
     sink.publish(drift(3, 2), "lat", "raw")  # the sink knows the names' texts by now
-    assert calls == ["str", "dict", "list"]
+    assert calls == ["str", "list"]
     sink.close()
 
 

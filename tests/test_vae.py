@@ -421,6 +421,30 @@ def test_refit_and_alternating_detectors_score_with_their_own_weights(
     assert after.mu.tobytes() != before.mu.tobytes()
 
 
+@pytest.mark.parametrize("replaced", ["data_min_", "data_max_", "weights_"])
+def test_a_replaced_scaler_bound_or_weights_scores_with_the_new_values(
+    tmp_path, small_trained_detector, oracle_vectors, replaced
+):
+    """The scoring pass replays while the scaler's bounds and the weights
+    are the arrays it was recorded with; replacing one between two calls
+    records it again, over the new values."""
+    path = tmp_path / "model.json"
+    save_model(small_trained_detector, path)
+    detector = load_model(path)
+    vector = oracle_vectors[3]
+    before = assert_scores_like_the_chain(detector, vector)
+    assert_scores_like_the_chain(detector, vector)  # replayed
+    if replaced == "weights_":
+        flat = nn.param_buffer(detector.weights_) * 1.5
+        detector.weights_ = nn.param_views(detector.architecture_, flat)
+    else:
+        scaler = detector.scaler_
+        setattr(scaler, replaced, getattr(scaler, replaced) + 0.5)
+    after = assert_scores_like_the_chain(detector, vector)
+    assert after.recon_error != before.recon_error
+    assert after.mu.tobytes() != before.mu.tobytes()
+
+
 def test_loaded_detector_scores_like_the_chain(tmp_path, small_trained_detector, oracle_vectors):
     path = tmp_path / "model.json"
     small_trained_detector.score_vector(oracle_vectors[0])
