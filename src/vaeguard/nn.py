@@ -30,31 +30,38 @@ each layer pairs with are bound once; Adam's intermediate terms go to
 two scratch buffers in `AdamState`. Every floating-point operation, its
 operands' layout and its order are those of the plain expressions
 (tests/test_gradients.py keeps them as a bit-for-bit oracle), so trained
-weights are byte-identical to an allocating implementation. Products of the
-module's own arrays use np.dot, which makes the same BLAS call as @ for
-C-contiguous and transposed operands at less cost per call; a product
-with a caller's array, which may have any strides, uses np.matmul. A
-bias is copied into every row of a workspace buffer before it is added
-(numpy would copy a broadcast operand into a new buffer on every call),
-so a step allocates only the per-row errors it returns.
+weights are byte-identical to an allocating implementation. A product
+uses np.dot wherever its left operand is C-contiguous or the transpose
+of a C-contiguous array, as every workspace array is: np.dot makes the
+same BLAS call as @ there at less cost per call. Only a caller's array
+of other strides goes through np.matmul. Over several rows, a bias is
+copied into every row of a workspace buffer before it is added (numpy
+would copy a broadcast operand into a new buffer on every call); a
+one-row workspace adds the bias viewed as a row, which needs no copy.
+So a step allocates only the per-row errors it returns. A trunk layer's
+bias gradient is its delta summed over rows. Both trunks' deltas share
+one buffer, so each run of consecutive layers of one width (all six at
+the default architecture) sums its deltas in one reduction.
 
 Recording and replay: a pass runs its numpy calls through a recording
-kept in its Workspace ("encode", "decode", "forward" and "gradients")
-or in its AdamState ("step"): each call's function and operands are kept
-as they are made, a number operand of a ufunc as a 0-d float64 array of
-its value. The recording binds the workspace's own arrays and the
-parameter, gradient and moment views it holds, and the caller's operands
-by identity: x and eps (and kl_weight) for the gradients, x or z for
-encode and decode, params, grads and config for Adam. A Workspace or an
-AdamState keeps one recording per pass. Called again with the same
-objects, the pass replays it, so the same functions read and write the
-same arrays in the same order, and read whatever those arrays now hold;
-called with any other object, it makes the calls afresh and records them
-in its place. So a pass replays whenever its caller hands it arrays the
-workspace owns, such as `input`, `eps` and `mu`, and a caller's own
-arrays are always read as they are. A workspace still refuses parameters
-or a row count other than its own, and the finite-posterior check runs
-on every step.
+kept in its Workspace ("encode", "decode", "forward" and "gradients") or
+in its AdamState ("step"): each call's function and operands are kept as
+they are made, a number operand of a ufunc as a 0-d float64 array of its
+value. The function kept for an array function such as np.dot or
+np.copyto is the C function under its `__array_function__` dispatcher
+(its `__wrapped__`), so a replay does not dispatch. The recording binds
+the workspace's own arrays and the parameter, gradient and moment views
+it holds, and the caller's operands by identity: x and eps (and
+kl_weight) for the gradients, x or z for encode and decode, params,
+grads and config for Adam. A Workspace or an AdamState keeps one
+recording per pass. Called again with the same objects, the pass replays
+it, so the same functions read and write the same arrays in the same
+order, and read whatever those arrays now hold; called with any other
+object, it makes the calls afresh and records them in its place. So a
+pass replays whenever its caller hands it arrays the workspace owns,
+such as `input`, `eps` and `mu`, and a caller's own arrays are always
+read as they are. A workspace still refuses parameters or a row count
+other than its own, and the finite-posterior check runs on every step.
 
 Scoring memory: `encode` and `decode` run the training forward pass's
 own encoder and decoder halves (`_encode_into`, `_decode_into`), in the
@@ -66,15 +73,16 @@ checks them finite (`check_encoder_input`), runs both halves, decoding
 from the workspace's `mu`, and writes each row's reconstruction error.
 `vae.VaeStabilityDetector.score_vector` keeps one one-row workspace per
 detector and copies each vector into its `input`, so from the second
-call on the whole pass replays, for as long as the scaler's bounds are
-the arrays it was recorded with. A detector must therefore not score
-from two threads at once. `score_samples` runs the same pass in one
-workspace made for its rows.
+call on the whole pass replays, with no bias copied, for as long as the
+scaler's bounds are the arrays it was recorded with. A detector must
+therefore not score from two threads at once. `score_samples` runs the
+same pass in one workspace made for its rows.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -217,6 +225,9 @@ class _Recording:
     def __call__(self, fn, *args):
         if isinstance(fn, np.ufunc):
             args = tuple(np.array(a, np.float64) if type(a) in (float, int) else a for a in args)
+        # numpy's array functions (np.dot, np.copyto) keep the C function
+        # their dispatcher wraps as __wrapped__; a replay calls that directly
+        fn = getattr(fn, "__wrapped__", fn)
         self.calls.append(functools.partial(fn, *args))
         return fn(*args)
 
@@ -246,14 +257,24 @@ def _affine(
     bias: np.ndarray,
     out: np.ndarray,
 ) -> np.ndarray:
-    """out = product(x, weights) + bias. The bias is first copied into
-    every row of `work.bias_rows`: numpy copies a broadcast operand into
-    a new buffer of the result's size on every call, which costs more
-    than this copy, and the sums are the same either way."""
+    """out = product(x, weights) + bias. Over several rows the bias is
+    first copied into every row of `work.bias_rows`: numpy copies a
+    broadcast operand into a new buffer of the result's size on every
+    call, which costs more than this copy, and the sums are the same
+    either way. One row adds the bias viewed as a row, which needs no
+    broadcast."""
     run(product, x, weights, out)
+    if len(out) == 1:
+        return run(np.add, out, bias.reshape(out.shape), out)
     rows = work.bias_rows[: out.size].reshape(out.shape)
     run(np.copyto, rows, bias)
     return run(np.add, out, rows, out)
+
+
+def _product(x: np.ndarray):
+    """The product for left operand `x`: np.dot when x is C-contiguous,
+    np.matmul for a caller's array of any other strides."""
+    return np.dot if x.flags.c_contiguous else np.matmul
 
 
 def _tanh_trunk(
@@ -265,7 +286,7 @@ def _tanh_trunk(
 ) -> np.ndarray:
     """The last activation of x through tanh `layers`; layer i writes into
     outs[i]."""
-    product = np.matmul  # x may be a caller's array of any strides
+    product = _product(x)  # x may be a caller's array
     for (weights, bias), out in zip(layers, outs):
         x = _affine(run, work, product, x, weights, bias, out)
         run(np.tanh, x, x)
@@ -380,30 +401,49 @@ class _Trunk:
         prefix: str,
         h: list[np.ndarray],
         slope: list[np.ndarray],
+        delta: list[np.ndarray],
     ):
         self.layers = _trunk_layers(arch, params, prefix)
         self.grads = None if grads is None else _trunk_layers(arch, grads, prefix)
-        self.h, self.slope = h, slope
-        self.delta = [np.empty_like(view) for view in h]
+        self.h, self.slope, self.delta = h, slope, delta
 
     def backward(
         self, run: _Recording, x: np.ndarray, d_input: np.ndarray | None = None
     ) -> None:
-        """Write every layer's gradients, given the loss gradient at the
+        """Write every layer's weight gradient, and leave in delta[i] the
+        loss gradient at layer i's pre-activation, whose sum over rows is
+        its bias gradient (see _bias_runs); given the loss gradient at the
         last activation in delta[-1] and every slope. `x` is the trunk's
         input; `d_input`, when given, receives the loss gradient with
         respect to it."""
         for i in range(len(self.layers) - 1, -1, -1):
-            d_weights, d_bias = self.grads[i]
             delta = run(np.multiply, self.delta[i], self.slope[i], self.delta[i])
-            if i:
-                run(np.dot, self.h[i - 1].T, delta, d_weights)
-            else:  # x may be a caller's array of any strides
-                run(np.matmul, x.T, delta, d_weights)
-            run(np.add.reduce, delta, 0, None, d_bias)
+            prev = self.h[i - 1] if i else x
+            run(_product(prev), prev.T, delta, self.grads[i][0])
             d_prev = self.delta[i - 1] if i else d_input
             if d_prev is not None:
                 run(np.dot, delta, self.layers[i][0].T, d_prev)
+
+
+def _bias_runs(
+    deltas: np.ndarray, rows: int, widths: tuple[int, ...], d_biases: list[np.ndarray]
+) -> list[tuple[np.ndarray, np.ndarray, list[np.ndarray]]]:
+    """(block, sums, copies) per run of consecutive trunk layers of one
+    width, laid out in `deltas` as _row_blocks lays them out: `block`
+    views the run's deltas as (count, rows, width), whose sum over rows
+    goes into `sums` and from there into each of `copies`, the run's bias
+    gradients. A run of one layer sums straight into its bias gradient."""
+    runs, start = [], 0
+    for width, group in itertools.groupby(widths):
+        count = len(list(group))
+        block = deltas[start : start + count * rows * width].reshape(count, rows, width)
+        views, d_biases = d_biases[:count], d_biases[count:]
+        if count == 1:
+            runs.append((block, views[0].reshape(1, width), []))
+        else:
+            runs.append((block, np.empty((count, width)), views))
+        start += count * rows * width
+    return runs
 
 
 def _write_head_gradients(
@@ -419,10 +459,11 @@ class Workspace:
     """Every array one training step reads and writes, for batches of
     `rows` rows, bound to the parameter and gradient views it pairs them
     with (`grads` may be None for forward passes alone). Both trunks'
-    activations share one buffer and their slopes another, and mu and
-    logvar a third, so that an elementwise term over all of them is one
-    call. `input` and `eps` are a batch and its noise that a caller may
-    write and pass as x and eps.
+    activations share one buffer, their slopes another and their deltas a
+    third, and mu and logvar a fourth, so that an elementwise term over
+    all of them is one call and a run of equal-width layers sums its bias
+    gradients in one (`bias_runs`). `input` and `eps` are a batch and its
+    noise that a caller may write and pass as x and eps.
 
     `recordings` holds, per pass ("encode", "decode", "forward",
     "gradients"), the numpy calls that pass last made here and the caller
@@ -442,11 +483,16 @@ class Workspace:
         widths = arch.hidden_units
         self.hidden = np.empty(2 * rows * sum(widths))
         self.slopes = np.empty_like(self.hidden)
-        h = _row_blocks(self.hidden, rows, widths * 2)
-        slope = _row_blocks(self.slopes, rows, widths * 2)
+        self.deltas = np.empty_like(self.hidden)
+        h, slope, delta = (
+            _row_blocks(flat, rows, widths * 2) for flat in (self.hidden, self.slopes, self.deltas)
+        )
         n = len(widths)
-        self.enc = _Trunk(arch, params, grads, "enc", h[:n], slope[:n])
-        self.dec = _Trunk(arch, params, grads, "dec", h[n:], slope[n:])
+        self.enc = _Trunk(arch, params, grads, "enc", h[:n], slope[:n], delta[:n])
+        self.dec = _Trunk(arch, params, grads, "dec", h[n:], slope[n:], delta[n:])
+        self.bias_runs = None if grads is None else _bias_runs(
+            self.deltas, rows, widths * 2, [bias for _, bias in self.enc.grads + self.dec.grads]
+        )
         heads = ("mu", "lv", "out")
         self.heads = [_layer(params, name) for name in heads]
         self.head_grads = None if grads is None else [_layer(grads, name) for name in heads]
@@ -465,9 +511,9 @@ class Workspace:
         )
         # every layer's bias, copied into each row in turn (see _affine)
         self.bias_rows = np.empty(rows * max(*widths, arch.latent_dim, arch.input_dim))
-        self.recon_rows = np.empty(rows)
-        self.kl_rows = np.empty(rows)
-        # the batch means of the reconstruction and KL terms
+        # each row's reconstruction and KL terms, and their batch means
+        self.row_terms = np.empty((2, rows))
+        self.recon_rows, self.kl_rows = self.row_terms
         self.terms = np.empty(2)
 
 
@@ -518,27 +564,6 @@ def _forward(
     return work
 
 
-def elbo_terms(
-    arch: VaeArchitecture,
-    params: Mapping[str, np.ndarray],
-    x: np.ndarray,
-    eps: np.ndarray,
-    kl_weight: float = 1.0,
-) -> tuple[float, float, float]:
-    """Loss terms for a fixed noise draw: (loss, recon_term, kl_term).
-
-    loss = recon + kl_weight * kl, averaged over the batch. Minimizing it
-    maximizes the evidence lower bound with MSE standing in for the
-    negative reconstruction log-likelihood.
-    """
-    batch, _ = _as_batch(x, arch.input_dim, "x")
-    noise, _ = _as_batch(eps, arch.latent_dim, "eps")
-    work = _forward(arch, params, batch, noise)
-    recon_term = float(np.mean(reconstruction_error(batch, work.recon)))
-    kl_term = float(np.mean(kl_divergence(work.mu, work.logvar)))
-    return recon_term + kl_weight * kl_term, recon_term, kl_term
-
-
 def _gradients_into(
     run: _Recording, work: Workspace, x: np.ndarray, eps: np.ndarray, kl_weight: float
 ) -> None:
@@ -577,6 +602,10 @@ def _gradients_into(
     run(np.dot, d_logvar, lv_w.T, work.d_h_lv)
     run(np.add, d_layer, work.d_h_lv, d_layer)
     work.enc.backward(run, x)  # the gradient with respect to the input is never used
+    for block, sums, copies in work.bias_runs:
+        run(np.add.reduce, block, 1, None, sums)
+        for d_bias, total in zip(copies, sums):
+            run(np.copyto, d_bias, total)
 
     # the same expressions as reconstruction_error and kl_divergence, and
     # their batch means
@@ -589,9 +618,8 @@ def _gradients_into(
     run(np.subtract, kl_terms, var, kl_terms)
     kl_rows = run(np.add.reduce, kl_terms, -1, None, work.kl_rows)
     run(np.multiply, kl_rows, -0.5, kl_rows)
-    for rows, term in ((recon_rows, work.terms[0, ...]), (kl_rows, work.terms[1, ...])):
-        run(np.add.reduce, rows, 0, None, term)
-        run(np.divide, term, n, term)
+    run(np.add.reduce, work.row_terms, -1, None, work.terms)
+    run(np.divide, work.terms, n, work.terms)
 
 
 def elbo_gradients(

@@ -154,7 +154,7 @@ def train(
         final_epoch = epoch == config.epochs - 1
         collected: list[np.ndarray] = []
         for start, stop, work in batches:
-            np.take(data, order[start:stop], axis=0, out=work.input)
+            data.take(order[start:stop], axis=0, out=work.input)
             # each batch's noise is drawn into its workspace just before the batch runs
             rng.standard_normal(out=work.eps)
             _, (_, recon, kl), errors = nn.elbo_gradients(

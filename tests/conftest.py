@@ -8,11 +8,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vaeguard.nn import elbo_terms
+from vaeguard import nn
 from vaeguard.pipeline import summarize_trace
 from vaeguard.scenarios import ScenarioConfig, gen_baseline
 from vaeguard.summarize import vectors_to_matrix
 from vaeguard.vae import TrainConfig, VaeStabilityDetector
+
+
+def elbo_terms(arch, params, x, eps, kl_weight=1.0):
+    """Loss terms for a fixed noise draw: (loss, recon_term, kl_term).
+
+    loss = recon + kl_weight * kl, averaged over the batch. Minimizing it
+    maximizes the evidence lower bound with MSE standing in for the
+    negative reconstruction log-likelihood.
+    """
+    batch, _ = nn._as_batch(x, arch.input_dim, "x")
+    noise, _ = nn._as_batch(eps, arch.latent_dim, "eps")
+    work = nn._forward(arch, params, batch, noise)
+    recon_term = float(np.mean(nn.reconstruction_error(batch, work.recon)))
+    kl_term = float(np.mean(nn.kl_divergence(work.mu, work.logvar)))
+    return recon_term + kl_weight * kl_term, recon_term, kl_term
 
 
 def finite_difference_gradients(arch, params, x, eps, kl_weight, h=1e-5):

@@ -7,13 +7,12 @@ independently and never touches the backprop code path.
 import numpy as np
 import pytest
 
-from conftest import finite_difference_gradients, max_relative_error
+from conftest import elbo_terms, finite_difference_gradients, max_relative_error
 from vaeguard import nn
 from vaeguard.errors import NonFiniteInput
 from vaeguard.nn import (
     VaeArchitecture,
     elbo_gradients,
-    elbo_terms,
     init_params,
     param_buffer,
     param_views,
@@ -224,7 +223,15 @@ def expression_gradients(arch, params, x, eps, kl_weight):
 @pytest.mark.parametrize("rows", [1, 6, 16])
 @pytest.mark.parametrize(
     ("input_dim", "hidden_units", "latent_dim"),
-    [(80, (16, 16, 16), 10), (7, (6, 5, 4), 3), (3, (1,), 1)],
+    [
+        (80, (16, 16, 16), 10),
+        (7, (6, 5, 4), 3),
+        (3, (1,), 1),
+        # trunk widths 5 5 3 5 5 3: bias runs of 2, 1, 2 and 1 layers
+        (9, (5, 5, 3), 2),
+        # widths 4 4 4 4: one run across both trunks
+        (6, (4, 4), 4),
+    ],
 )
 def test_workspace_gradients_equal_the_expression_form_bit_for_bit(
     input_dim, hidden_units, latent_dim, rows

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from conftest import elbo_terms
 from vaeguard.errors import DimensionMismatch, NonFiniteInput
 from vaeguard.nn import (
     VaeArchitecture,
     decode,
-    elbo_terms,
     encode,
     init_params,
     kl_divergence,

@@ -132,6 +132,44 @@ def test_batches_of_a_row_count_share_a_workspace_and_later_steps_replay(monkeyp
     assert recorded == [0, 0, 1, 2, 2]
 
 
+def test_recorded_calls_are_numpy_implementations_not_dispatchers(
+    small_trained_detector, oracle_vectors
+):
+    """A recording keeps the C function under numpy's __array_function__
+    dispatcher (its __wrapped__), and np.matmul only for a pass given a
+    caller's array that is not C-contiguous."""
+    arch = VaeArchitecture(input_dim=7, hidden_units=(6, 6, 5), latent_dim=3)
+    rng = np.random.default_rng(21)
+    params = nn.init_params(arch, rng)
+    grads = nn.param_views(arch)
+    work = nn.Workspace(arch, params, 6, grads)
+    work.input[...] = rng.uniform(-0.5, 1.5, size=work.input.shape)
+    rng.standard_normal(out=work.eps)
+    nn.elbo_gradients(arch, params, work.input, work.eps, 1.0, grads, work)
+    flat = nn.param_buffer(params)
+    state = nn.adam_init(flat)
+    nn.adam_step(flat, nn.param_buffer(grads), state, TrainConfig(), 1)
+    for vector in oracle_vectors[:2]:
+        small_trained_detector.score_vector(vector)
+    owners = (work, state, small_trained_detector._work)
+    recordings = [recording for owner in owners for recording in owner.recordings.values()]
+    assert len(recordings) == 4  # forward, gradients, step, score
+    functions = [call.func for recording in recordings for call in recording.calls]
+    assert [fn for fn in functions if hasattr(fn, "__wrapped__")] == []
+    assert np.matmul not in functions
+    assert np.dot.__wrapped__ in functions and np.copyto.__wrapped__ in functions
+
+    # a column-strided input: the first encoder product and the first
+    # encoder layer's weight gradient take it as it is, through np.matmul
+    strided = rng.uniform(-0.5, 1.5, size=(6, 14))[:, ::2]
+    nn.elbo_gradients(arch, params, strided, work.eps, 1.0, grads, work)
+    matmuls = [
+        [call.func for call in work.recordings[name].calls].count(np.matmul)
+        for name in ("forward", "gradients")
+    ]
+    assert matmuls == [1, 1]
+
+
 def test_detectors_trained_in_turn_write_the_bundles_each_writes_alone(tmp_path):
     """A recording belongs to one workspace: training and scoring one
     detector between two trainings of another, of the same shapes, changes
