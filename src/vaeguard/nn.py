@@ -432,16 +432,13 @@ def _bias_runs(
     width, laid out in `deltas` as _row_blocks lays them out: `block`
     views the run's deltas as (count, rows, width), whose sum over rows
     goes into `sums` and from there into each of `copies`, the run's bias
-    gradients. A run of one layer sums straight into its bias gradient."""
+    gradients."""
     runs, start = [], 0
     for width, group in itertools.groupby(widths):
         count = len(list(group))
         block = deltas[start : start + count * rows * width].reshape(count, rows, width)
-        views, d_biases = d_biases[:count], d_biases[count:]
-        if count == 1:
-            runs.append((block, views[0].reshape(1, width), []))
-        else:
-            runs.append((block, np.empty((count, width)), views))
+        runs.append((block, np.empty((count, width)), d_biases[:count]))
+        d_biases = d_biases[count:]
         start += count * rows * width
     return runs
 

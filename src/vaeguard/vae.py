@@ -301,7 +301,7 @@ class VaeStabilityDetector:
         work = nn.Workspace(self.architecture_, self.weights_, len(X))
         np.copyto(work.input, X)
         self._score_pass(work)
-        return work.recon_rows
+        return work.recon_rows.copy()  # a row of the workspace's row_terms
 
     def predict(self, X) -> np.ndarray:
         """+1 for intervals within the stable pattern, -1 for drift."""

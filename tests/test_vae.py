@@ -249,6 +249,7 @@ def test_score_samples_deterministic_and_nonnegative(small_trained_detector, sma
     errors_b = small_trained_detector.score_samples(X)
     np.testing.assert_array_equal(errors_a, errors_b)
     assert (errors_a >= 0).all()
+    assert errors_a.flags.owndata  # not a view that keeps a workspace alive
 
 
 def test_training_members_score_near_settled_error(small_trained_detector, small_baseline_summaries):
