@@ -15,19 +15,20 @@ unpacks like the tuple of its six fields.
 `read_trace_file` returns an `EventBlock`: the trace as columns (float64
 timestamps, and codes into shared tables of container ids, syscall names
 and distinct pid/ret/bytes triples). It is a `Sequence[ForensicEvent]`
-that builds each event only when it is indexed or iterated, and its
-slices are zero-copy views that share the tables. The file is read once,
-in newline-aligned chunks. One regular expression, which matches each
-line's start and captures its timestamp, splits a chunk into timestamps
-and record bodies (everything after "t", newline included), so a body's
-characters are scanned once. A body not seen before is checked and
-decoded once, with the chunk's other new bodies, and a repeated one is a
-dictionary lookup. A chunk whose every line is in the writer's canonical
-form is read that way, and any other chunk goes line by line through
-`parse_event_record`, so every valid JSON record is accepted and every
-error names the same line and reason either way. A byte that is not
-UTF-8 is its line's "not UTF-8" error, reported in line order like any
-other.
+that builds each event only when it is indexed or iterated. Its slices
+are zero-copy views that share the tables, and `EventBlock.take` makes a
+view that indexes its columns instead of copying them. The file is read
+once, in newline-aligned chunks. One regular expression, which matches
+each line's start and captures its timestamp, splits a chunk into
+timestamps and record bodies (everything after "t", newline included),
+so a body's characters are scanned once. A body not seen before is
+checked and decoded once, with the chunk's other new bodies, and a
+repeated one is a dictionary lookup. A chunk whose every line is in the
+writer's canonical form is read that way, and any other chunk goes line
+by line through `parse_event_record`, so every valid JSON record is
+accepted and every error names the same line and reason either way. A
+byte that is not UTF-8 is its line's "not UTF-8" error, reported in line
+order like any other.
 
 `as_block` builds a block from any other sequence of events, and holds
 only what a trace can: a t that is an int or a float, a container and a
@@ -231,35 +232,78 @@ class EventBlock(Sequence[ForensicEvent]):
     tables' tails. Indexing or iterating builds `ForensicEvent`s; a slice
     is a view of the same columns. A block compares equal to the tuple
     (or list) of its events.
+
+    `take` makes a view too: a block that holds an index into its
+    source's columns (int32, the dtype of the code columns) and gathers a
+    column each time that column is read. Its slices and takes compose
+    the index, and indexing one of its events reads that event from the
+    source, so such a view costs 4 bytes per event, against 20 for a copy.
     """
 
-    __slots__ = ("timestamps", "container_codes", "syscall_codes", "tail_codes", "tables")
+    __slots__ = ("_timestamps", "_container_codes", "_syscall_codes", "_tail_codes", "_index", "tables")
 
-    def __init__(self, timestamps, container_codes, syscall_codes, tail_codes, tables: EventTables):
-        self.timestamps = timestamps
-        self.container_codes = container_codes
-        self.syscall_codes = syscall_codes
-        self.tail_codes = tail_codes
+    def __init__(
+        self, timestamps, container_codes, syscall_codes, tail_codes, tables: EventTables, index=None
+    ):
+        self._timestamps = timestamps
+        self._container_codes = container_codes
+        self._syscall_codes = syscall_codes
+        self._tail_codes = tail_codes
         self.tables = tables
+        # positions in the columns above, or None when the columns are the block's own
+        self._index = index
+
+    def _read(self, column: np.ndarray) -> np.ndarray:
+        index = self._index
+        # take, not column[index]: numpy indexes with an int32 array far slower
+        return column if index is None else _frozen(column.take(index))
+
+    @property
+    def timestamps(self) -> np.ndarray:
+        return self._read(self._timestamps)
+
+    @property
+    def container_codes(self) -> np.ndarray:
+        return self._read(self._container_codes)
+
+    @property
+    def syscall_codes(self) -> np.ndarray:
+        return self._read(self._syscall_codes)
+
+    @property
+    def tail_codes(self) -> np.ndarray:
+        return self._read(self._tail_codes)
+
+    def _view(self, index: np.ndarray) -> EventBlock:
+        """The events of this block's columns at `index`."""
+        return EventBlock(
+            self._timestamps, self._container_codes, self._syscall_codes, self._tail_codes,
+            self.tables, index,
+        )
 
     def __len__(self) -> int:
-        return len(self.timestamps)
+        return len(self._timestamps if self._index is None else self._index)
 
     def __getitem__(self, index):
+        positions = self._index
         if isinstance(index, slice):
+            if positions is not None:
+                return self._view(positions[index])
             return EventBlock(
-                self.timestamps[index],
-                self.container_codes[index],
-                self.syscall_codes[index],
-                self.tail_codes[index],
+                self._timestamps[index],
+                self._container_codes[index],
+                self._syscall_codes[index],
+                self._tail_codes[index],
                 self.tables,
             )
+        if positions is not None:
+            index = positions[index]
         tables = self.tables
-        tail = self.tail_codes[index]
+        tail = self._tail_codes[index]
         return ForensicEvent(
-            float(self.timestamps[index]),
-            tables.containers[self.container_codes[index]],
-            tables.syscalls[self.syscall_codes[index]],
+            float(self._timestamps[index]),
+            tables.containers[self._container_codes[index]],
+            tables.syscalls[self._syscall_codes[index]],
             tables.pids[tail],
             tables.results[tail],
             tables.arg_bytes[tail],
@@ -293,14 +337,14 @@ class EventBlock(Sequence[ForensicEvent]):
         )
 
     def take(self, indices: np.ndarray) -> EventBlock:
-        """A new block of the events at `indices`, in that order."""
-        return EventBlock(
-            _frozen(self.timestamps[indices]),
-            _frozen(self.container_codes[indices]),
-            _frozen(self.syscall_codes[indices]),
-            _frozen(self.tail_codes[indices]),
-            self.tables,
-        )
+        """A view of the events at `indices` (positions in this block), in
+        that order; the one array it makes is its index."""
+        indices = np.asarray(indices)
+        if self._index is not None:
+            return self._view(_frozen(self._index[indices]))
+        # a source too long for int32 positions keeps numpy's own
+        dtype = _CODE if len(self._timestamps) <= np.iinfo(_CODE).max else np.intp
+        return self._view(_frozen(indices.astype(dtype)))
 
     def __eq__(self, other):
         if isinstance(other, (EventBlock, tuple, list)):

@@ -64,13 +64,13 @@ read as they are. A workspace still refuses parameters or a row count
 other than its own, and the finite-posterior check runs on every step.
 
 Scoring memory: `encode` and `decode` run the training forward pass's
-own encoder and decoder halves (`_encode_into`, `_decode_into`), in the
-Workspace given as `work` or else in a new forward-only one for the
-batch's rows, and return copies of its results; there is no other
-forward pass. A detector scores in one recorded pass ("score", made by
-`vae._score_into`) that scales the raw rows in the workspace's `input`,
-checks them finite (`check_encoder_input`), runs both halves, decoding
-from the workspace's `mu`, and writes each row's reconstruction error.
+own encoder and decoder halves (`_encode_into`, `_decode_into`), in a
+new forward-only Workspace for the batch's rows, and return copies of
+its results; there is no other forward pass. A detector scores in one
+recorded pass ("score", made by `vae._score_into`) that scales the raw
+rows in the workspace's `input`, checks them finite
+(`check_encoder_input`), runs both halves, decoding from the workspace's
+`mu`, and writes each row's reconstruction error.
 `vae.VaeStabilityDetector.score_vector` keeps one one-row workspace per
 detector and copies each vector into its `input`, so from the second
 call on the whole pass replays, with no bias copied, for as long as the
@@ -301,26 +301,15 @@ def check_encoder_input(x: np.ndarray) -> None:
 
 
 def encode(
-    arch: VaeArchitecture,
-    params: Mapping[str, np.ndarray],
-    x: np.ndarray,
-    work: Workspace | None = None,
+    arch: VaeArchitecture, params: Mapping[str, np.ndarray], x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic forward pass to the posterior (mu, logvar).
 
-    The pass runs in `work`, a Workspace bound to `params` for len(x)
-    rows, or in a new forward-only one for x's rows when None. Given
-    `work`, `x` must be a float64 matrix of that many rows of
-    `arch.input_dim` values, which is checked finite but not converted or
-    reshaped, and so are the results. The returned arrays are copies,
-    never workspace views.
+    The pass runs in a new forward-only Workspace for x's rows, and the
+    returned arrays are copies, never workspace views.
     """
-    if work is None:
-        batch, single = _as_batch(x, arch.input_dim, "x")
-        work = Workspace(arch, params, len(batch))
-    else:
-        _check_bound(work, params, len(x))
-        batch, single = x, False
+    batch, single = _as_batch(x, arch.input_dim, "x")
+    work = Workspace(arch, params, len(batch))
     check_encoder_input(batch)
     _play(work, "encode", _encode_into, batch)
     mu, logvar = work.posterior.copy()
@@ -329,21 +318,11 @@ def encode(
     return mu, logvar
 
 
-def decode(
-    arch: VaeArchitecture,
-    params: Mapping[str, np.ndarray],
-    z: np.ndarray,
-    work: Workspace | None = None,
-) -> np.ndarray:
-    """Deterministic decoder pass; output head is linear. `work` is as in
-    encode (`z` a float64 matrix of `arch.latent_dim` columns), and the
-    result is a copy."""
-    if work is None:
-        batch, single = _as_batch(z, arch.latent_dim, "z")
-        work = Workspace(arch, params, len(batch))
-    else:
-        _check_bound(work, params, len(z))
-        batch, single = z, False
+def decode(arch: VaeArchitecture, params: Mapping[str, np.ndarray], z: np.ndarray) -> np.ndarray:
+    """Deterministic decoder pass; output head is linear. It runs in a new
+    forward-only Workspace, as encode does, and the result is a copy."""
+    batch, single = _as_batch(z, arch.latent_dim, "z")
+    work = Workspace(arch, params, len(batch))
     _play(work, "decode", _decode_into, batch)
     recon = work.recon.copy()
     return recon[0] if single else recon

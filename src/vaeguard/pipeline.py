@@ -32,6 +32,7 @@ from vaeguard.sinks import DEFAULT_BULK_BATCH_SIZE, Sink
 from vaeguard.summarize import DEFAULT_INTERVAL_LEN, Row, check_interval_len, interval_stream
 from vaeguard.thresholds import DEFAULT_K, check_k
 from vaeguard.vae import TrainConfig, VaeStabilityDetector
+from vaeguard.validation import is_count
 
 logger = logging.getLogger(__name__)
 
@@ -51,10 +52,11 @@ class PipelineConfig:
     def __post_init__(self):
         check_interval_len(self.interval_len)
         check_k(self.threshold_k)
-        if self.cache_capacity < 1:
-            raise InvalidConfig("cache_capacity must be >= 1")
-        if self.bulk_batch_size < 1:
-            raise InvalidConfig("bulk_batch_size must be >= 1")
+        for name in ("cache_capacity", "bulk_batch_size"):
+            value = getattr(self, name)
+            if not is_count(value, 1):
+                raise InvalidConfig(f"{name} must be an integer >= 1, got {value!r}")
+            object.__setattr__(self, name, int(value))
 
     def detector(self) -> VaeStabilityDetector:
         """An unfitted detector of the default architecture."""

@@ -53,6 +53,7 @@ from vaeguard.events import EventBlock, ForensicEvent, as_block, compact_json
 from vaeguard.summarize import FEATURE_DIM, IntervalKey, vectors_to_matrix
 from vaeguard.thresholds import DEFAULT_K, StabilityVerdict, assess
 from vaeguard.vae import LatentRecord, TrainConfig, VaeStabilityDetector, save_model
+from vaeguard.validation import is_count
 
 if TYPE_CHECKING:
     # sinks imports this module's codec at run time
@@ -117,9 +118,9 @@ class IntervalCache:
     Written and never read; see the module docstring."""
 
     def __init__(self, capacity: int = DEFAULT_CACHE_CAPACITY):
-        if capacity < 1:
-            raise ValueError("cache capacity must be >= 1")
-        self.capacity = capacity
+        if not is_count(capacity, 1):
+            raise ValueError(f"cache capacity must be an integer >= 1, got {capacity!r}")
+        self.capacity = int(capacity)
         self._buffers: dict[str, deque[tuple[IntervalKey, EventBlock]]] = {}
 
     def push(self, key: IntervalKey, events: Sequence[ForensicEvent]) -> None:
@@ -210,8 +211,8 @@ def _row_texts(events: EventBlock) -> Iterator[str]:
     for piece in event_pieces(events):
         texts = [""] * (3 * len(piece))
         texts[0::3] = timestamp_texts(piece)
-        texts[1::3] = tables.syscall_texts[piece.syscall_codes].tolist()
-        texts[2::3] = tables.tail_texts[piece.tail_codes].tolist()
+        texts[1::3] = tables.syscall_texts.take(piece.syscall_codes).tolist()
+        texts[2::3] = tables.tail_texts.take(piece.tail_codes).tolist()
         texts[-1] = texts[-1][:-3]  # the last row's "],["
         yield "".join(texts)
 

@@ -15,7 +15,8 @@ container should still be scored, not skipped.
 Everything here works on `EventBlock` columns (a plain event list is
 turned into a block first). `interval_stream` walks a time-ordered
 trace once: each window is a zero-copy slice ended by one binary
-search, split per container by one stable sort, and a window's vector
+search, split per container by one stable sort into views that index
+the trace (4 bytes per event, see `EventBlock.take`), and a row's vector
 comes from `np.bincount` over its syscall codes and per-tail tables,
 bit for bit what a per-event loop gives. The split and the window's
 bounds already place each row's events in its interval, so the stream
@@ -33,7 +34,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from vaeguard.errors import ForeignEvent, InvalidConfig, OutOfOrderTimestamp
+from vaeguard.errors import DataError, ForeignEvent, InvalidConfig, OutOfOrderTimestamp
 from vaeguard.events import EventBlock, ForensicEvent, as_block
 from vaeguard.taxonomy import (
     TRACKED_CATEGORIES,
@@ -133,21 +134,17 @@ def interval_stream(
     by window, and within a window per container in the order of its
     first event there; a container's empty intervals come right before
     its next occupied one. The events are a slice of the trace's block,
-    or of a window's copy when the window holds several containers.
+    or, when the window holds several containers, a view that indexes it.
 
-    A timestamp that goes back raises OutOfOrderTimestamp before any row.
+    Before any row, a timestamp that goes back raises OutOfOrderTimestamp,
+    and one that no interval holds (negative, infinite or NaN) DataError.
     InvalidConfig is raised before a gap that makes a container span more
     than MAX_WINDOWS intervals, and for an event that no interval of this
     length holds in float64."""
     check_interval_len(interval_len)
     block = as_block(events)
     t = block.timestamps
-    # in pieces, so no mask is as long as the stream
-    for start in range(1, len(t), _INDEX_PIECE):
-        piece = t[start - 1 : start + _INDEX_PIECE]
-        backwards = np.flatnonzero(piece[1:] < piece[:-1])
-        if backwards.size:
-            raise OutOfOrderTimestamp(start + int(backwards[0]))
+    _check_times(t)
     spans: dict[str, tuple[int, int]] = {}  # container -> first and last occupied interval
     start = 0
     while start < len(t):
@@ -179,13 +176,42 @@ def interval_stream(
         start = stop
 
 
+def _check_times(t: np.ndarray) -> None:
+    """Raise for the first event whose t no interval holds (negative,
+    infinite or NaN: DataError) or goes back (OutOfOrderTimestamp)."""
+    if len(t) and not t[0] >= 0.0:
+        _raise_timeless(0, t[0])
+    # the first event that fails `>=` on its predecessor goes back or is NaN;
+    # in pieces, so no mask is as long as the stream
+    end = len(t)
+    for start in range(1, len(t), _INDEX_PIECE):
+        piece = t[start - 1 : start + _INDEX_PIECE]
+        faults = np.flatnonzero(~(piece[1:] >= piece[:-1]))
+        if faults.size:
+            end = start + int(faults[0])
+            break
+    # t[:end] is in order and holds no NaN, so an infinite t there ends it
+    if end and t[end - 1] == math.inf:
+        first = int(np.searchsorted(t[:end], math.inf))
+        _raise_timeless(first, t[first])
+    if end < len(t):
+        if math.isnan(t[end]):
+            _raise_timeless(end, t[end])
+        raise OutOfOrderTimestamp(end)
+
+
+def _raise_timeless(index: int, t: float) -> None:
+    raise DataError(f"event {index} has t={float(t)}, which no interval holds")
+
+
 def split_by_container(
     events: Iterable[ForensicEvent],
 ) -> dict[str, EventBlock]:
     """Partition a mixed stream per container, preserving order of first use.
 
     A single-container stream is returned as it is; otherwise each
-    container's events are one slice of a copy grouped by container.
+    container's events are one slice of a view of the stream grouped by
+    container (`EventBlock.take`), which indexes the stream, not copies it.
     """
     block = as_block(events)
     codes = block.container_codes
@@ -267,12 +293,13 @@ def summarize_interval(
 
     counts = np.bincount(block.syscall_codes, minlength=len(tables.syscalls))
     features = counts @ _slot_matrix(tables.syscalls)
+    # int32 codes: take gathers by them far faster than indexing does
     tails = block.tail_codes
     features[_TOTAL] = len(block)
-    features[_ERRORS] = np.count_nonzero(tables.error_tails[tails])
-    features[_PIDS] = np.count_nonzero(np.bincount(tables.pid_codes[tails]))
+    features[_ERRORS] = np.count_nonzero(tables.error_tails.take(tails))
+    features[_PIDS] = np.count_nonzero(np.bincount(tables.pid_codes.take(tails)))
     # cumsum adds left to right, as `total += float(nbytes)` per event does
-    features[_ARG_BYTES] = np.cumsum(tables.byte_floats[tails])[-1]
+    features[_ARG_BYTES] = np.cumsum(tables.byte_floats.take(tails))[-1]
     return features
 
 

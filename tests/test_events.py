@@ -564,6 +564,36 @@ def test_event_block_is_a_lazy_sequence_of_events(tmp_path):
         block.timestamps[0] = 1.0
 
 
+def test_a_take_is_a_view_whose_slices_and_takes_compose():
+    """`take` holds an int32 index into its source's columns and gathers a
+    column where one is read; everything else reads as a list of its events."""
+    events = list(gen_baseline(ScenarioConfig(seed=3, duration_s=20.0)))
+    block = as_block(events)
+    order = np.array([5, 0, 3, 3, len(events) - 1, 1, 7, -2])
+    expected = [events[i] for i in order]
+    view = block.take(order)
+    assert type(view) is EventBlock and view._index.dtype == np.int32
+    assert view._timestamps is block.timestamps
+    assert view == expected and len(view) == len(expected)
+    assert [view[i] for i in range(-len(view), len(view))] == expected + expected
+    assert list(view.rows()) == [(e.timestamp, e.syscall, e.pid, e.result, e.arg_bytes) for e in expected]
+    assert view[2:6] == expected[2:6] and view[::-3] == expected[::-3] and view[4:2] == []
+    assert view[2:7].take(np.array([4, 0, 0])) == [expected[6], expected[2], expected[2]]
+    assert view.take(np.array([7, 1])).take(np.array([1])) == [expected[1]]
+    assert np.shares_memory(view[2:6]._index, view._index)
+    columns = ("timestamps", "container_codes", "syscall_codes", "tail_codes")
+    for name in columns:
+        column = getattr(view, name)
+        np.testing.assert_array_equal(column, getattr(block, name)[order])
+        with pytest.raises(ValueError):
+            column[0] = 0
+    with pytest.raises(IndexError):
+        view[len(view)]
+    part = block[2:40].take(np.array([0, -1, 5]))
+    assert part == [events[2], events[39], events[7]]
+    assert np.shares_memory(part._timestamps, block.timestamps)
+
+
 def test_record_texts_are_built_once_per_table_and_cannot_be_written(tmp_path):
     events = list(gen_baseline(ScenarioConfig(seed=3, duration_s=20.0)))
     path = tmp_path / "trace.ndjson"

@@ -1,6 +1,7 @@
 import copy
 import json
 
+import numpy as np
 import pytest
 
 from vaeguard.errors import InvalidConfig
@@ -42,6 +43,20 @@ def test_pipeline_config_validation():
         PipelineConfig(cache_capacity=0)
     with pytest.raises(InvalidConfig):
         PipelineConfig(bulk_batch_size=0)
+
+
+@pytest.mark.parametrize("name", ["cache_capacity", "bulk_batch_size"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+def test_count_settings_must_be_integers(name, value):
+    """Refused with the config, not where the sink or cache first uses them."""
+    with pytest.raises(InvalidConfig, match=f"{name} must be an integer >= 1"):
+        PipelineConfig(**{name: value})
+
+
+def test_count_settings_keep_numpy_integers_as_ints():
+    config = PipelineConfig(cache_capacity=np.int64(3), bulk_batch_size=np.int32(7))
+    assert (config.cache_capacity, config.bulk_batch_size) == (3, 7)
+    assert type(config.cache_capacity) is type(config.bulk_batch_size) is int
 
 
 def test_assess_trace_produces_record_per_interval(

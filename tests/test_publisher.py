@@ -22,6 +22,7 @@ from vaeguard.publisher import (
     IntervalCache,
     PublishAction,
     PublishMode,
+    StandardPublisher,
     action_to_documents,
     emit,
     parse_action,
@@ -81,6 +82,23 @@ def test_cache_holds_the_pushed_block_itself():
 def test_cache_capacity_must_be_positive(capacity):
     with pytest.raises(ValueError):
         IntervalCache(capacity=capacity)
+
+
+@pytest.mark.parametrize("capacity", [2.5, 4.0, True, "4", None])
+def test_cache_capacity_must_be_an_integer(capacity):
+    """Refused when the cache is made, not at the first interval pushed."""
+    makes = (
+        lambda: IntervalCache(capacity),
+        lambda: AdaptivePublisher(cache_capacity=capacity),
+        lambda: StandardPublisher(capacity),
+    )
+    for make in makes:
+        with pytest.raises(ValueError, match="cache capacity must be an integer >= 1"):
+            make()
+
+
+def test_cache_capacity_keeps_a_numpy_integer_as_an_int():
+    assert type(IntervalCache(np.int64(3)).capacity) is int
 
 
 @pytest.mark.parametrize(

@@ -816,6 +816,13 @@ def test_http_sink_batch_size_must_be_positive(batch_size):
         HttpBulkSink("http://bulk.test", batch_size=batch_size)
 
 
+@pytest.mark.parametrize("batch_size", [2.5, 3.0, True, "3", None])
+def test_http_sink_batch_size_must_be_an_integer(batch_size):
+    """Refused when the sink is made, not at the publish that first posts."""
+    with pytest.raises(ValueError, match="batch_size must be an integer >= 1"):
+        HttpBulkSink("http://bulk.test", batch_size=batch_size)
+
+
 def test_sink_unavailable_carries_its_message_and_exit_code():
     error = SinkUnavailable("bulk endpoint http://bulk.test: refused")
     assert error.args == ("bulk endpoint http://bulk.test: refused",)

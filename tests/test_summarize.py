@@ -2,14 +2,15 @@ import dataclasses
 import hashlib
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vaeguard.errors import ForeignEvent, InvalidConfig, OutOfOrderTimestamp
-from vaeguard.events import ForensicEvent, as_block, read_trace, write_trace
+from vaeguard.errors import DataError, ForeignEvent, InvalidConfig, OutOfOrderTimestamp
+from vaeguard.events import EventBlock, ForensicEvent, as_block, read_trace, write_trace
 from vaeguard.pipeline import summarize_trace
 from vaeguard.scenarios import CPUMINER_PHASES, ScenarioConfig, gen_cpuminer_scenario
 from vaeguard.summarize import (
@@ -440,12 +441,71 @@ def test_out_of_order_index_counts_from_the_start_of_the_whole_input(index):
 
 
 def test_split_keeps_first_use_order_and_slices_one_copy():
+    """Each container's stream is a view of the mixed one: a slice of one
+    int32 index into the mixed stream's own columns, the split's one copy."""
     events = [ev(1.0, c="b"), ev(2.0, c="a"), ev(3.0, c="b"), ev(4.0, c="c"), ev(5.0, c="a")]
-    streams = split_by_container(events)
+    block = as_block(events)
+    streams = split_by_container(block)
     assert list(streams) == ["b", "a", "c"]
     for container, stream in streams.items():
+        assert type(stream) is EventBlock
         assert stream == [e for e in events if e.container_id == container]
-    assert streams["a"].timestamps.base is streams["c"].timestamps.base is not None
+        assert stream.tables is block.tables
+        assert stream._timestamps is block.timestamps
+        assert stream._index.dtype == np.int32
+    assert streams["a"]._index.base is streams["c"]._index.base is not None
+
+
+def test_multi_container_rows_index_the_trace():
+    """The rows summarize_trace collects for a trace of several containers
+    hold their windows as indexes into the trace (4 bytes per event), not
+    as copies of its columns (20 bytes per event)."""
+    syscalls = ("openat", "read", "close", "futex")
+    events = [
+        ForensicEvent(i * 0.025, f"web-{i % 4}", syscalls[i % 7 % 4], 1 + i % 5, -(i % 11 == 0), i % 97)
+        for i in range(40_000)
+    ]
+    block = as_block(events)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        summaries = summarize_trace(block, 60.0)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    rows = [row for rows in summaries.values() for row in rows]
+    assert len(rows) == 4 * 17
+    assert {type(group) for _, group, _ in rows} == {EventBlock}
+    assert sum(len(group) for _, group, _ in rows) == len(events)
+    for container, (_, group, _) in zip(summaries, rows[1::17]):
+        assert group == [e for e in events if e.container_id == container and 60.0 <= e.timestamp < 120.0]
+    assert held / len(events) <= 10.0
+
+
+@pytest.mark.parametrize(
+    "times, index",
+    [
+        ([-1.0, 1.0], 0),
+        ([math.nan], 0),
+        ([1.0, math.nan, 3.0], 1),
+        ([1.0, 2.0, math.inf], 2),
+        # the infinite t comes before the event that goes back
+        ([1.0, math.inf, math.inf, 3.0], 1),
+    ],
+)
+def test_a_timestamp_no_interval_holds_is_a_data_error(times, index):
+    """Named with its event before any row, not as an interval too short
+    for it, an interval index below 0, or an event that goes back."""
+    rows = interval_stream([ev(t) for t in times], 30.0)
+    with pytest.raises(DataError, match=f"event {index} has t={times[index]}, which no interval holds"):
+        next(rows)
+
+
+def test_a_nan_timestamp_is_found_past_the_first_piece():
+    times = [float(t) for t in range(_INDEX_PIECE + 8)]
+    times[_INDEX_PIECE + 3] = math.nan
+    with pytest.raises(DataError, match=f"event {_INDEX_PIECE + 3} has t=nan"):
+        next(interval_stream([ev(t) for t in times], 1e6))
 
 
 def test_single_container_rows_are_views_of_the_trace_block():
