@@ -337,14 +337,15 @@ class EventBlock(Sequence[ForensicEvent]):
         )
 
     def take(self, indices: np.ndarray) -> EventBlock:
-        """A view of the events at `indices` (positions in this block), in
-        that order; the one array it makes is its index."""
-        indices = np.asarray(indices)
-        if self._index is not None:
-            return self._view(_frozen(self._index[indices]))
-        # a source too long for int32 positions keeps numpy's own
-        dtype = _CODE if len(self._timestamps) <= np.iinfo(_CODE).max else np.intp
-        return self._view(_frozen(indices.astype(dtype)))
+        """A view of the events at `indices`, which index this block as
+        they would a numpy array (positions, negative ones included, or a
+        boolean mask); the one array it makes is its index."""
+        index = self._index
+        if index is None:
+            n = len(self._timestamps)
+            # a source too long for int32 positions keeps numpy's own
+            index = np.arange(n, dtype=_CODE if n <= np.iinfo(_CODE).max else np.intp)
+        return self._view(_frozen(index[np.asarray(indices)]))
 
     def __eq__(self, other):
         if isinstance(other, (EventBlock, tuple, list)):

@@ -91,7 +91,7 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from vaeguard.errors import DimensionMismatch, NonFiniteInput
-from vaeguard.validation import is_count
+from vaeguard.validation import as_count, is_count
 
 if TYPE_CHECKING:
     # vae imports this module at run time
@@ -113,10 +113,7 @@ class VaeArchitecture:
     def __post_init__(self):
         # exact ints: `_slots` is cached by architecture, and 10.0 == 10
         for name in ("input_dim", "latent_dim"):
-            value = getattr(self, name)
-            if not is_count(value, 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, as_count(getattr(self, name), 1, name, ValueError))
         if not self.hidden_units:
             raise ValueError("hidden_units must be non-empty")
         if not all(is_count(u, 1) for u in self.hidden_units):

@@ -32,7 +32,7 @@ from vaeguard.sinks import DEFAULT_BULK_BATCH_SIZE, Sink
 from vaeguard.summarize import DEFAULT_INTERVAL_LEN, Row, check_interval_len, interval_stream
 from vaeguard.thresholds import DEFAULT_K, check_k
 from vaeguard.vae import TrainConfig, VaeStabilityDetector
-from vaeguard.validation import is_count
+from vaeguard.validation import as_count
 
 logger = logging.getLogger(__name__)
 
@@ -53,10 +53,7 @@ class PipelineConfig:
         check_interval_len(self.interval_len)
         check_k(self.threshold_k)
         for name in ("cache_capacity", "bulk_batch_size"):
-            value = getattr(self, name)
-            if not is_count(value, 1):
-                raise InvalidConfig(f"{name} must be an integer >= 1, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, as_count(getattr(self, name), 1, name, InvalidConfig))
 
     def detector(self) -> VaeStabilityDetector:
         """An unfitted detector of the default architecture."""

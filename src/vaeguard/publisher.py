@@ -53,7 +53,7 @@ from vaeguard.events import EventBlock, ForensicEvent, as_block, compact_json
 from vaeguard.summarize import FEATURE_DIM, IntervalKey, vectors_to_matrix
 from vaeguard.thresholds import DEFAULT_K, StabilityVerdict, assess
 from vaeguard.vae import LatentRecord, TrainConfig, VaeStabilityDetector, save_model
-from vaeguard.validation import is_count
+from vaeguard.validation import as_count
 
 if TYPE_CHECKING:
     # sinks imports this module's codec at run time
@@ -118,9 +118,7 @@ class IntervalCache:
     Written and never read; see the module docstring."""
 
     def __init__(self, capacity: int = DEFAULT_CACHE_CAPACITY):
-        if not is_count(capacity, 1):
-            raise ValueError(f"cache capacity must be an integer >= 1, got {capacity!r}")
-        self.capacity = int(capacity)
+        self.capacity = as_count(capacity, 1, "cache capacity", ValueError)
         self._buffers: dict[str, deque[tuple[IntervalKey, EventBlock]]] = {}
 
     def push(self, key: IntervalKey, events: Sequence[ForensicEvent]) -> None:

@@ -72,7 +72,7 @@ from vaeguard.publisher import (
     timestamp_texts,
 )
 from vaeguard.summarize import IntervalKey
-from vaeguard.validation import is_count
+from vaeguard.validation import as_count
 
 BULK_CONTENT_TYPE = "application/x-ndjson"
 # Documents per bulk request.
@@ -205,12 +205,11 @@ class HttpBulkSink:
         headers: Mapping[str, str] | None = None,
         timeout: float = 10.0,
     ):
-        if not is_count(batch_size, 1):
-            raise ValueError(f"batch_size must be an integer >= 1, got {batch_size!r}")
+        batch_size = as_count(batch_size, 1, "batch_size", ValueError)
         import urllib.request  # noqa: F401  the HTTP client loads with the sink, not the module
 
         self.endpoint = endpoint.rstrip("/")
-        self.batch_size = int(batch_size)
+        self.batch_size = batch_size
         self.headers = dict(headers or {})
         self.timeout = timeout
         self.bytes_written = 0

@@ -1,7 +1,10 @@
 """Interval bucketing and activity-vector extraction.
 
-Events are bucketed per container into half-open windows
-[k*L, (k+1)*L) and each window is reduced to a fixed-schema vector of
+Events are bucketed per container into half-open intervals: interval k
+of length L holds the events with start <= t < end, its edges as
+`IntervalKey` computes them (k*L and (k+1)*L in float64). That one rule
+decides what `summarize_interval` accepts and where `interval_stream`
+ends a window. Each interval is reduced to a fixed-schema vector of
 non-negative statistics:
 
     [ per-syscall counts (66, alphabetical by base name) |
@@ -102,26 +105,12 @@ def check_interval_len(interval_len: float) -> None:
         raise InvalidConfig(f"interval length must be finite and > 0, got {interval_len}")
 
 
-def _step_into_interval(k, t, interval_len: float):
-    """k = floor(t / L), a float or an array, stepped down or up to the
-    interval whose edges (as IntervalKey computes them) hold t: the floor
-    is one off when L is not a power of two (17 * 0.1 > 1.7)."""
+def _step_into_interval(k: float, t: float, interval_len: float) -> float:
+    """k = floor(t / L), stepped down or up to the interval whose edges (as
+    IntervalKey computes them) hold t: the floor is one off when L is not
+    a power of two (17 * 0.1 > 1.7)."""
     k = k - (k * interval_len > t)
     return k + ((k + 1.0) * interval_len <= t)
-
-
-def _interval_indices(timestamps: np.ndarray, interval_len: float) -> np.ndarray:
-    """The k (as float64) of the interval [k*L, (k+1)*L) that holds each
-    timestamp (`_step_into_interval`). It is computed in pieces of
-    _INDEX_PIECE events, so when it checks a long interval's events only
-    the result is as long as they are."""
-    k = np.empty(len(timestamps), dtype=np.float64)
-    for start in range(0, len(timestamps), _INDEX_PIECE):
-        t = timestamps[start : start + _INDEX_PIECE]
-        k[start : start + _INDEX_PIECE] = _step_into_interval(
-            np.floor(t / interval_len), t, interval_len
-        )
-    return k
 
 
 Row = tuple[IntervalKey, EventBlock, np.ndarray]
@@ -244,23 +233,6 @@ def _slot_matrix(syscalls: tuple[str, ...]) -> np.ndarray:
     return matrix
 
 
-def _raise_foreign(key: IntervalKey, block: EventBlock, code: int) -> None:
-    """ForeignEvent for the first event of `block` outside `key`, checking
-    its container before its time as a per-event loop would."""
-    start, end = key.start, key.end
-    t = block.timestamps
-    wrong_container = block.container_codes != code
-    outside = _interval_indices(t, key.length) != key.interval_index
-    first = int(np.flatnonzero(wrong_container | outside)[0])
-    if wrong_container[first]:
-        container = block.tables.containers[block.container_codes[first]]
-        raise ForeignEvent(
-            f"event container {container!r} does not match"
-            f" interval container {key.container_id!r}"
-        )
-    raise ForeignEvent(f"event at t={float(t[first])} outside interval [{start}, {end})")
-
-
 def summarize_interval(
     key: IntervalKey, events: Sequence[ForensicEvent], *, _check: bool = True
 ) -> np.ndarray:
@@ -272,9 +244,11 @@ def summarize_interval(
     exact in float64, and the byte total is summed in event order, so
     the vector is the same as a per-event loop's, bit for bit.
 
-    An event of another container or outside the interval raises
-    ForeignEvent. `interval_stream`, which has already placed every event
-    in `key`, skips that check with the private `_check=False`.
+    The first event of another container, or whose t does not satisfy
+    key.start <= t < key.end (its edges as IntervalKey computes them, so a
+    NaN t fails), raises ForeignEvent naming it; its container is checked
+    before its time. `interval_stream`, which has already placed every
+    event in `key`, skips that check with the private `_check=False`.
     """
     block = as_block(events)
     tables = block.tables
@@ -286,10 +260,19 @@ def summarize_interval(
         except ValueError:
             code = -1
         t = block.timestamps
-        # the k `_interval_indices` gives is the one whose edges hold t, so two bounds test it
-        inside = key.start <= t.min() and t.max() < key.end
-        if (block.container_codes != code).any() or not inside:
-            _raise_foreign(key, block, code)
+        codes = block.container_codes
+        # a NaN t fails both bounds
+        foreign = (codes != code) | ~((key.start <= t) & (t < key.end))
+        if foreign.any():
+            first = int(foreign.argmax())
+            if codes[first] != code:
+                raise ForeignEvent(
+                    f"event container {tables.containers[codes[first]]!r} does not match"
+                    f" interval container {key.container_id!r}"
+                )
+            raise ForeignEvent(
+                f"event at t={float(t[first])} outside interval [{key.start}, {key.end})"
+            )
 
     counts = np.bincount(block.syscall_codes, minlength=len(tables.syscalls))
     features = counts @ _slot_matrix(tables.syscalls)

@@ -51,7 +51,7 @@ from vaeguard.thresholds import (
     fit_threshold_ksigma,
     is_stable,
 )
-from vaeguard.validation import as_float_matrix, check_dimension, check_finite, check_fitted, is_count
+from vaeguard.validation import as_count, as_float_matrix, check_dimension, check_finite, check_fitted
 
 logger = logging.getLogger(__name__)
 
@@ -78,10 +78,7 @@ class TrainConfig:
         # rejected here, not at the first training, which may come much later
         counts = (("epochs", 1), ("batch_size", 1), ("accumulation_target", 1), ("seed", 0))
         for name, least in counts:
-            value = getattr(self, name)
-            if not is_count(value, least):
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, as_count(getattr(self, name), least, name, ValueError))
         if not (0 < self.learning_rate < math.inf and 0 < self.epsilon < math.inf):
             raise ValueError("learning_rate and epsilon must be finite and positive")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):

@@ -20,6 +20,14 @@ def is_count(value: Any, least: int) -> bool:
     return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= least
 
 
+def as_count(value: Any, least: int, name: str, error: type[Exception]) -> int:
+    """`value` as an exact int if it is an integer >= `least` (`is_count`);
+    otherwise raise `error`."""
+    if not is_count(value, least):
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def as_float_matrix(X: Any, name: str = "X") -> np.ndarray:
     """Coerce input to a 2-D float64 array, rejecting empty input."""
     arr = np.asarray(X, dtype=np.float64)

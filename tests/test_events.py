@@ -594,6 +594,20 @@ def test_a_take_is_a_view_whose_slices_and_takes_compose():
     assert np.shares_memory(part._timestamps, block.timestamps)
 
 
+def test_take_indexes_a_block_and_a_view_as_numpy_does():
+    """A boolean mask picks the events where it is set, and a float or an
+    out-of-range position raises IndexError at the call, for a plain
+    block and for a view alike."""
+    events = [ForensicEvent(float(i), "box", "read", 1, 0, 0) for i in range(4)]
+    block = as_block(events)
+    for part in (block, block.take(np.arange(4))):
+        assert part.take(np.array([True, False, True, False])) == [events[0], events[2]]
+        assert part.take([3, -1]) == [events[3], events[3]]
+        for bad in (np.array([1.0]), np.array([4]), np.array([True])):
+            with pytest.raises(IndexError):
+                part.take(bad)
+
+
 def test_record_texts_are_built_once_per_table_and_cannot_be_written(tmp_path):
     events = list(gen_baseline(ScenarioConfig(seed=3, duration_s=20.0)))
     path = tmp_path / "trace.ndjson"

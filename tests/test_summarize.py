@@ -20,7 +20,6 @@ from vaeguard.summarize import (
     IntervalKey,
     _INDEX_PIECE,
     _SYSCALL_SLOTS,
-    _interval_indices,
     split_by_container,
     summarize_interval,
     interval_stream,
@@ -92,18 +91,13 @@ def test_window_holds_an_event_that_floor_division_misplaces():
     assert key.start <= 1.7 < key.end
 
 
-def test_interval_indices_in_pieces_match_the_whole_stream_formula():
-    """Over more than two pieces of edge and one-ulp-off timestamps, the
-    same float64 index as the formula applied to the whole stream at once."""
-    length = 0.1
-    edges = (np.arange(2 * _INDEX_PIECE + 7) // 3) * length
-    t = edges.copy()
-    t[1::3] = np.nextafter(edges[1::3], -np.inf)
-    t[2::3] = np.nextafter(edges[2::3], np.inf)
-    whole = np.floor(t / length)
-    whole -= whole * length > t
-    whole += (whole + 1.0) * length <= t
-    assert _interval_indices(t, length).tobytes() == whole.tobytes()
+def _stream_indices(t: np.ndarray, length: float) -> np.ndarray:
+    """The interval index interval_stream gives each t, as float64: the
+    floor of t / L, stepped to the interval whose edges hold t."""
+    k = np.floor(t / length)
+    k -= k * length > t
+    k += (k + 1.0) * length <= t
+    return k
 
 
 @pytest.mark.parametrize("length", [0.1, 1e-3, 0.3, 1.0, 7.0, 30.0])
@@ -117,7 +111,7 @@ def test_interval_bounds_say_what_the_interval_index_says(length):
     ends = np.array([key.end for key in keys])
     for edge in (starts, ends):
         for t in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)):
-            indexed = _interval_indices(t, length) == indices
+            indexed = _stream_indices(t, length) == indices
             assert (((starts <= t) & (t < ends)) == indexed).all()
             for i in [*range(40), *range(-10, 0)]:
                 try:
@@ -211,6 +205,34 @@ def test_summarize_rejects_foreign_container():
 def test_summarize_rejects_event_outside_window():
     with pytest.raises(ForeignEvent):
         summarize_interval(IntervalKey("box", 0, 30.0), [ev(31.0)])
+
+
+@pytest.mark.parametrize(
+    "key, times, named",
+    [
+        # 10**18 * 0.1 and (10**18 + 1) * 0.1 are the same float64: no t lies between
+        (IntervalKey("box", 10**18, 0.1), [1e17], "t=1e+17 outside interval [1e+17, 1e+17)"),
+        (IntervalKey("box", 0, 30.0), [1.0, math.nan, math.inf], "t=nan outside interval [0.0, 30.0)"),
+        (IntervalKey("box", 0, 30.0), [1.0, 29.0, math.inf], "t=inf outside interval [0.0, 30.0)"),
+        (IntervalKey("box", 1, 30.0), [30.0, -1.0, 31.0], "t=-1.0 outside interval [30.0, 60.0)"),
+    ],
+)
+def test_summarize_names_the_first_event_its_bounds_reject(key, times, named):
+    """The event named is the first that fails start <= t < end, and a
+    container is checked before a time: an event of another container
+    after it does not change what is named, one in its place does."""
+    events = [ev(t) for t in times]
+    first = next(i for i, t in enumerate(times) if not key.start <= t < key.end)
+    with pytest.raises(ForeignEvent) as raised:
+        summarize_interval(key, events)
+    assert str(raised.value) == f"event at {named}"
+    with pytest.raises(ForeignEvent) as raised:
+        summarize_interval(key, [*events, ev(key.start, c="other")])
+    assert str(raised.value) == f"event at {named}"
+    events[first] = ev(times[first], c="other")
+    with pytest.raises(ForeignEvent) as raised:
+        summarize_interval(key, events)
+    assert str(raised.value) == "event container 'other' does not match interval container 'box'"
 
 
 def test_permutation_invariance():
@@ -351,14 +373,14 @@ def _mixed_trace(draw):
 
 def _reference_summaries(events, length) -> dict:
     """Each container's events placed one container at a time by
-    `_interval_indices`, every interval from its first to its last
+    `_stream_indices`, every interval from its first to its last
     summarized by the per-event loop."""
     streams: dict[str, list] = {}
     for event in events:
         streams.setdefault(event.container_id, []).append(event)
     reference = {}
     for container, stream in streams.items():
-        index = _interval_indices(np.array([e.timestamp for e in stream]), length)
+        index = _stream_indices(np.array([e.timestamp for e in stream]), length)
         groups: dict[int, list] = {}
         for i, event in zip(index.astype(int).tolist(), stream):
             groups.setdefault(i, []).append(event)
